@@ -13,17 +13,23 @@
 //!    a compiled [`ObservedPattern`] + reused [`Workspace`].
 //! 2. `multiplicative_iteration` — the original SMF-vs-SMFL landmark
 //!    ablation (frozen columns shrink the V update), now on the engine.
+//! 3. `lake_shape` — the paper's tall, narrow shape (8000×7, K=6, 93%
+//!    observed, λ=10, p=5 graph, landmarks): the fused dense step
+//!    against the matmul formulation it replaced (`U·V` masked into an
+//!    `N x M` buffer, four dense products, `D·U`/`W·U` graph products,
+//!    and the objective's `L·U` product).
 //!
-//! Besides the criterion console output, `main` measures both paths with
-//! manual wall-clock timing, cross-checks factor agreement to 1e-10, and
-//! writes `BENCH_update_rules.json` (per-density ms/iter, observed
-//! entries/sec and speedup) at the workspace root.
+//! Besides the criterion console output, `main` measures the paths with
+//! manual wall-clock timing, cross-checks agreement to 1e-10, and writes
+//! `BENCH_update_rules.json` (per-density ms/iter, observed entries/sec
+//! and speedup; for the Lake shape the median and IQR of ≥5 interleaved
+//! runs) at the workspace root.
 
 use criterion::{BenchmarkId, Criterion};
 use smfl_core::updater::{multiplicative_step, UpdateContext};
 use smfl_core::Landmarks;
 use smfl_linalg::mask::{masked_diff_norm_sq, masked_product};
-use smfl_linalg::ops::{matmul_at, matmul_bt};
+use smfl_linalg::ops::{dot, matmul_at, matmul_at_into, matmul_bt, matmul_bt_into, matmul_into};
 use smfl_linalg::random::{positive_uniform_matrix, uniform_matrix};
 use smfl_linalg::{Mask, Matrix, ObservedPattern, Workspace};
 use smfl_spatial::{NeighborSearch, SpatialGraph};
@@ -108,8 +114,6 @@ fn dense_reference_step(masked_x: &Matrix, omega: &Mask, u: &mut Matrix, v: &mut
 
 fn fused_ctx<'a>(p: &'a Problem) -> UpdateContext<'a> {
     UpdateContext {
-        masked_x: &p.masked_x,
-        omega: &p.omega,
         pattern: &p.pattern,
         graph: None,
         lambda: 0.0,
@@ -161,8 +165,6 @@ fn bench_iteration_cost(c: &mut Criterion) {
                 &p,
                 |b, p| {
                     let ctx = UpdateContext {
-                        masked_x: &p.masked_x,
-                        omega: &p.omega,
                         pattern: &p.pattern,
                         graph: Some(&graph),
                         lambda: 0.1,
@@ -211,6 +213,216 @@ fn max_rel_diff(a: &Matrix, b: &Matrix) -> f64 {
         .fold(0.0, f64::max)
 }
 
+/// The Lake analogue of the paper's experiments: 8000×7, two spatial
+/// columns, 93% of cells observed, K=6, λ=10, p=5.
+struct Lake {
+    problem: Problem,
+    graph: SpatialGraph,
+    landmarks: Landmarks,
+}
+
+const LAKE: (usize, usize, usize) = (8000, 7, 6);
+const LAKE_LAMBDA: f64 = 10.0;
+
+fn lake() -> Lake {
+    let (n, m, k) = LAKE;
+    let problem = problem(n, m, k, 0.93, 11);
+    // The same draw as the problem's X: its first two columns are the SI.
+    let si = positive_uniform_matrix(n, m, 11).columns(0, 2).unwrap();
+    let graph = SpatialGraph::build(&si, 5, NeighborSearch::KdTree).unwrap();
+    let landmarks = Landmarks::compute(&si, k, 300, 0).unwrap();
+    Lake {
+        problem,
+        graph,
+        landmarks,
+    }
+}
+
+impl Lake {
+    fn ctx(&self) -> UpdateContext<'_> {
+        UpdateContext {
+            pattern: &self.problem.pattern,
+            graph: Some(&self.graph),
+            lambda: LAKE_LAMBDA,
+            landmarks: Some(&self.landmarks),
+        }
+    }
+
+    fn init(&self) -> (Matrix, Matrix) {
+        let mut v = self.problem.v0.clone();
+        self.landmarks.inject(&mut v).unwrap();
+        (self.problem.u0.clone(), v)
+    }
+}
+
+/// Scratch of the matmul formulation, allocated once like the old
+/// workspace (including its `N x M` reconstruction buffer).
+struct MatmulScratch {
+    r: Matrix,
+    numer_u: Matrix,
+    denom_u: Matrix,
+    du: Matrix,
+    numer_vt: Matrix,
+    denom_vt: Matrix,
+    lu: Matrix,
+}
+
+impl MatmulScratch {
+    fn new(n: usize, m: usize, k: usize) -> Self {
+        MatmulScratch {
+            r: Matrix::zeros(n, m),
+            numer_u: Matrix::zeros(n, k),
+            denom_u: Matrix::zeros(n, k),
+            du: Matrix::zeros(n, k),
+            numer_vt: Matrix::zeros(m, k),
+            denom_vt: Matrix::zeros(m, k),
+            lu: Matrix::zeros(n, k),
+        }
+    }
+}
+
+/// One multiplicative step in the matmul formulation the fused dense
+/// step replaced: separate passes for `U·V` (three times), the masking,
+/// `R·Vᵀ` and `Rᵀ·U` (twice each), `D·U`, `W·U`, and `L·U` for the
+/// objective. Returns the objective.
+fn matmul_step(lake: &Lake, s: &mut MatmulScratch, u: &mut Matrix, v: &mut Matrix) -> f64 {
+    let (p, g) = (&lake.problem, &lake.graph);
+    let k = u.cols();
+    matmul_into(u, v, &mut s.r).unwrap();
+    p.omega.zero_unset(&mut s.r).unwrap();
+    matmul_bt_into(&p.masked_x, v, &mut s.numer_u).unwrap();
+    matmul_bt_into(&s.r, v, &mut s.denom_u).unwrap();
+    g.similarity.spmm_into(u, &mut s.du).unwrap();
+    s.numer_u.axpy(LAKE_LAMBDA, &s.du).unwrap();
+    for ((drow, urow), &w) in s
+        .denom_u
+        .as_mut_slice()
+        .chunks_exact_mut(k)
+        .zip(u.as_slice().chunks_exact(k))
+        .zip(&g.degree)
+    {
+        for (d, &a) in drow.iter_mut().zip(urow) {
+            *d += LAKE_LAMBDA * (w * a);
+        }
+    }
+    for ((x, &n), &d) in u
+        .as_mut_slice()
+        .iter_mut()
+        .zip(s.numer_u.as_slice())
+        .zip(s.denom_u.as_slice())
+    {
+        *x *= n / (d + EPS);
+    }
+
+    matmul_into(u, v, &mut s.r).unwrap();
+    p.omega.zero_unset(&mut s.r).unwrap();
+    matmul_at_into(&p.masked_x, u, &mut s.numer_vt).unwrap();
+    matmul_at_into(&s.r, u, &mut s.denom_vt).unwrap();
+    for t in 0..k {
+        for j in lake.landmarks.spatial_cols()..v.cols() {
+            let val = v.get(t, j) * s.numer_vt.get(j, t) / (s.denom_vt.get(j, t) + EPS);
+            v.set(t, j, val);
+        }
+    }
+
+    matmul_into(u, v, &mut s.r).unwrap();
+    let mut fit = 0.0;
+    for i in 0..u.rows() {
+        for (j, slot) in p.pattern.row_entries(i) {
+            let d = p.pattern.x_vals()[slot] - s.r.get(i, j);
+            fit += d * d;
+        }
+    }
+    g.laplacian.spmm_into(u, &mut s.lu).unwrap();
+    fit + LAKE_LAMBDA * dot(u.as_slice(), s.lu.as_slice())
+}
+
+fn bench_lake(c: &mut Criterion) {
+    let lake = lake();
+    let (n, m, k) = LAKE;
+    let mut group = c.benchmark_group("lake_shape");
+    group.bench_function("fused", |b| {
+        let ctx = lake.ctx();
+        let mut ws = Workspace::new(&lake.problem.pattern, k);
+        let (mut u, mut v) = lake.init();
+        b.iter(|| multiplicative_step(&ctx, &mut ws, &mut u, &mut v).unwrap());
+    });
+    group.bench_function("matmul", |b| {
+        let mut scratch = MatmulScratch::new(n, m, k);
+        let (mut u, mut v) = lake.init();
+        b.iter(|| matmul_step(&lake, &mut scratch, &mut u, &mut v));
+    });
+    group.finish();
+}
+
+/// Median and interquartile range of `xs` (nearest-rank quartiles).
+fn median_iqr(xs: &[f64]) -> (f64, f64) {
+    let mut s = xs.to_vec();
+    s.sort_by(f64::total_cmp);
+    let q = |f: f64| s[((s.len() - 1) as f64 * f).round() as usize];
+    (q(0.5), q(0.75) - q(0.25))
+}
+
+/// The Lake-shape row of the JSON: agreement over 5 iterations, then
+/// `LAKE_RUNS` interleaved runs of `LAKE_ITERS` iterations per path.
+fn lake_report() -> String {
+    const LAKE_RUNS: usize = 9;
+    const LAKE_ITERS: usize = 40;
+    let lake = lake();
+    let (n, m, k) = LAKE;
+    let ctx = lake.ctx();
+
+    let mut ws = Workspace::new(&lake.problem.pattern, k);
+    let mut scratch = MatmulScratch::new(n, m, k);
+    let (mut uf, mut vf) = lake.init();
+    let (mut um, mut vm) = lake.init();
+    let mut obj_diff = 0.0f64;
+    for _ in 0..5 {
+        let of = multiplicative_step(&ctx, &mut ws, &mut uf, &mut vf)
+            .unwrap()
+            .objective(LAKE_LAMBDA);
+        let om = matmul_step(&lake, &mut scratch, &mut um, &mut vm);
+        obj_diff = obj_diff.max((of - om).abs() / om.abs().max(1.0));
+    }
+    let factor_diff = max_rel_diff(&uf, &um).max(max_rel_diff(&vf, &vm));
+    assert!(
+        factor_diff <= 1e-10 && obj_diff <= 1e-10,
+        "Lake shape: fused and matmul steps diverged (factors {factor_diff:.2e}, objective {obj_diff:.2e})"
+    );
+
+    let (mut fused_ms, mut matmul_ms) = (Vec::new(), Vec::new());
+    for _ in 0..LAKE_RUNS {
+        let t = Instant::now();
+        for _ in 0..LAKE_ITERS {
+            std::hint::black_box(multiplicative_step(&ctx, &mut ws, &mut uf, &mut vf).unwrap());
+        }
+        fused_ms.push(t.elapsed().as_secs_f64() * 1e3 / LAKE_ITERS as f64);
+        let t = Instant::now();
+        for _ in 0..LAKE_ITERS {
+            std::hint::black_box(matmul_step(&lake, &mut scratch, &mut um, &mut vm));
+        }
+        matmul_ms.push(t.elapsed().as_secs_f64() * 1e3 / LAKE_ITERS as f64);
+    }
+    let (fused_med, fused_iqr) = median_iqr(&fused_ms);
+    let (matmul_med, matmul_iqr) = median_iqr(&matmul_ms);
+    eprintln!(
+        "  Lake {n}x{m} K={k}: fused {fused_med:.3} ms/iter (IQR {fused_iqr:.3}), \
+         matmul {matmul_med:.3} ms/iter (IQR {matmul_iqr:.3}), speedup {:.2}x, \
+         max diff {factor_diff:.1e}",
+        matmul_med / fused_med
+    );
+    format!(
+        "{{\"n\": {n}, \"m\": {m}, \"k\": {k}, \"density\": 0.93, \"lambda\": {LAKE_LAMBDA}, \
+         \"p\": 5, \"landmarks\": true, \"nnz\": {}, \"runs\": {LAKE_RUNS}, \
+         \"iters_per_run\": {LAKE_ITERS}, \"fused_ms_per_iter_median\": {fused_med:.4}, \
+         \"fused_ms_per_iter_iqr\": {fused_iqr:.4}, \"matmul_ms_per_iter_median\": {matmul_med:.4}, \
+         \"matmul_ms_per_iter_iqr\": {matmul_iqr:.4}, \"speedup\": {:.3}, \
+         \"max_rel_factor_diff\": {factor_diff:.3e}}}",
+        lake.problem.pattern.nnz(),
+        matmul_med / fused_med
+    )
+}
+
 fn json_report() {
     eprintln!("\nmanual timing for BENCH_update_rules.json (N={N}, M={M}, K={K})");
     let mut rows = Vec::new();
@@ -225,7 +437,9 @@ fn json_report() {
         let mut ws = Workspace::new(&p.pattern, K);
         let mut fit_diff = 0.0f64;
         for _ in 0..3 {
-            let ff = multiplicative_step(&ctx, &mut ws, &mut uf, &mut vf).unwrap();
+            let ff = multiplicative_step(&ctx, &mut ws, &mut uf, &mut vf)
+                .unwrap()
+                .fit;
             let fd = dense_reference_step(&p.masked_x, &p.omega, &mut ud, &mut vd);
             fit_diff = fit_diff.max((ff - fd).abs() / fd.abs().max(1.0));
         }
@@ -240,7 +454,12 @@ fn json_report() {
             let ctx = fused_ctx(&p);
             let mut u = p.u0.clone();
             let mut v = p.v0.clone();
-            time_path(|| multiplicative_step(&ctx, &mut ws, &mut u, &mut v).unwrap(), 0.5)
+            let mut step = || {
+                multiplicative_step(&ctx, &mut ws, &mut u, &mut v)
+                    .unwrap()
+                    .fit
+            };
+            time_path(&mut step, 0.5)
         };
         let dense_s = {
             let mut u = p.u0.clone();
@@ -265,10 +484,13 @@ fn json_report() {
             entries_per_sec,
         ));
     }
+    let lake = lake_report();
     let json = format!(
         "{{\n  \"bench\": \"update_rules\",\n  \"shape\": {{\"n\": {N}, \"m\": {M}, \"k\": {K}}},\n  \
          \"dense_reference\": \"pre-engine step: allocating masked_product x3 + dense matmul products + fit-term scan\",\n  \
-         \"results\": [\n{}\n  ]\n}}\n",
+         \"results\": [\n{}\n  ],\n  \
+         \"lake_shape\": {lake},\n  \
+         \"lake_reference\": \"matmul formulation replaced by the fused dense step: U·V x3 + masking + R·Vᵀ x2 + Rᵀ·U x2 + D·U + W·U + L·U\"\n}}\n",
         rows.join(",\n")
     );
     let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_update_rules.json");
@@ -280,6 +502,7 @@ fn main() {
     let mut c = Criterion::default();
     bench_fused_vs_dense(&mut c);
     bench_iteration_cost(&mut c);
+    bench_lake(&mut c);
     c.final_summary();
     json_report();
 }

@@ -15,7 +15,6 @@ use crate::config::Updater;
 use crate::health::{classify, FitEvent, FitFailure, HealthPolicy};
 use crate::landmarks::Landmarks;
 use crate::model::FittedModel;
-use crate::objective::objective_from_fit_term;
 use crate::plan::{FitPlan, SolveOptions};
 use crate::resilience::{blend_half, derive_seed, record};
 use crate::telemetry::{IterEvent, Phase, SpanEvent, TraceSink};
@@ -35,7 +34,7 @@ pub(crate) fn solve<S: TraceSink>(
 ) -> Result<FittedModel> {
     let FitPlan {
         config,
-        omega,
+        omega: _,
         masked_x,
         pattern,
         graph,
@@ -95,8 +94,6 @@ pub(crate) fn solve<S: TraceSink>(
     }
 
     let ctx = UpdateContext {
-        masked_x,
-        omega,
         pattern,
         graph: graph.as_deref(),
         lambda: config.lambda,
@@ -123,14 +120,14 @@ pub(crate) fn solve<S: TraceSink>(
     let loop_t0 = S::ENABLED.then(Instant::now);
     for t in 0..config.max_iter {
         let iter_t0 = S::ENABLED.then(Instant::now);
-        let fit_t = match config.updater {
+        let terms = match config.updater {
             Updater::Multiplicative => multiplicative_step(&ctx, ws, &mut u, &mut v)?,
             Updater::GradientDescent { learning_rate } => {
                 gradient_step(&ctx, ws, &mut u, &mut v, learning_rate * lr_scale)?
             }
             Updater::Hals => crate::hals::hals_step(&ctx, ws, &mut u, &mut v)?,
         };
-        let obj = objective_from_fit_term(fit_t, &u, config.lambda, graph.as_deref())?;
+        let (fit_t, obj) = (terms.fit, terms.objective(config.lambda));
 
         // Health classification: the resilient engine runs the full
         // sentinel exactly as before; the legacy fail-fast path only

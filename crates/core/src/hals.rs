@@ -27,6 +27,7 @@
 //! objective is non-increasing per sweep — the same guarantee the paper
 //! proves for its rules, by a different argument.
 
+use crate::objective::ObjectiveTerms;
 use crate::updater::UpdateContext;
 use smfl_linalg::kernels::Workspace;
 use smfl_linalg::{Matrix, Result};
@@ -35,14 +36,14 @@ use smfl_linalg::{Matrix, Result};
 use crate::health::DENOM_EPS as EPS;
 
 /// One full HALS sweep (all K columns of `U`, then all live entries of
-/// `V`). Returns the fit term `‖R_Ω(X − UV)‖_F²` for the updated
-/// factors, exactly like the other updaters.
+/// `V`). Returns the objective terms for the updated factors, exactly
+/// like the other updaters.
 pub fn hals_step(
     ctx: &UpdateContext<'_>,
     ws: &mut Workspace,
     u: &mut Matrix,
     v: &mut Matrix,
-) -> Result<f64> {
+) -> Result<ObjectiveTerms> {
     let pattern = ctx.pattern;
     let (n, m) = (pattern.rows(), pattern.cols());
     let k = u.cols();
@@ -84,7 +85,7 @@ pub fn hals_step(
             numer += old * denom;
             if let Some(g) = graph {
                 numer += ctx.lambda * ws.col_scratch[i];
-                denom += ctx.lambda * g.degree.get(i, i);
+                denom += ctx.lambda * g.degree[i];
             }
             let new = (numer / (denom + EPS)).max(0.0);
             if new != old {
@@ -133,14 +134,13 @@ pub fn hals_step(
     // both factor passes.
     ws.counters.masked_nnz += (2 * k * pattern.nnz()) as u64;
     ws.uv_fresh = true;
-    pattern.fit_term(&ws.uv_vals)
+    ctx.terms(pattern.fit_term(&ws.uv_vals)?, u)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::landmarks::Landmarks;
-    use crate::objective::objective_from_fit_term;
     use smfl_linalg::kernels::ObservedPattern;
     use smfl_linalg::random::{positive_uniform_matrix, uniform_matrix};
     use smfl_linalg::Mask;
@@ -148,8 +148,6 @@ mod tests {
 
     struct Setup {
         x: Matrix,
-        masked_x: Matrix,
-        omega: Mask,
         pattern: ObservedPattern,
         graph: SpatialGraph,
     }
@@ -162,9 +160,8 @@ mod tests {
         }
         let si = x.columns(0, 2).unwrap();
         let graph = SpatialGraph::build(&si, 3, NeighborSearch::KdTree).unwrap();
-        let masked_x = omega.apply(&x).unwrap();
         let pattern = ObservedPattern::compile(&x, &omega).unwrap();
-        Setup { x, masked_x, omega, pattern, graph }
+        Setup { x, pattern, graph }
     }
 
     impl Setup {
@@ -175,8 +172,6 @@ mod tests {
             landmarks: Option<&'a Landmarks>,
         ) -> UpdateContext<'a> {
             UpdateContext {
-                masked_x: &self.masked_x,
-                omega: &self.omega,
                 pattern: &self.pattern,
                 graph: graph.then_some(&self.graph),
                 lambda,
@@ -194,8 +189,7 @@ mod tests {
         let mut v = positive_uniform_matrix(4, 5, 3);
         let mut prev = f64::INFINITY;
         for _ in 0..15 {
-            let fit = hals_step(&ctx, &mut ws, &mut u, &mut v).unwrap();
-            let obj = objective_from_fit_term(fit, &u, 0.2, Some(&s.graph)).unwrap();
+            let obj = hals_step(&ctx, &mut ws, &mut u, &mut v).unwrap().objective(0.2);
             assert!(obj <= prev + 1e-9, "objective rose: {prev} -> {obj}");
             prev = obj;
         }
@@ -233,8 +227,7 @@ mod tests {
             let mut v = positive_uniform_matrix(4, 6, 9);
             let mut obj = f64::INFINITY;
             for _ in 0..sweeps {
-                let fit = hals_step(&ctx, &mut ws, &mut u, &mut v).unwrap();
-                obj = objective_from_fit_term(fit, &u, 0.0, None).unwrap();
+                obj = hals_step(&ctx, &mut ws, &mut u, &mut v).unwrap().objective(0.0);
             }
             obj
         };
@@ -245,9 +238,9 @@ mod tests {
             let mut v = positive_uniform_matrix(4, 6, 9);
             let mut obj = f64::INFINITY;
             for _ in 0..sweeps {
-                let fit =
-                    crate::updater::multiplicative_step(&ctx, &mut ws, &mut u, &mut v).unwrap();
-                obj = objective_from_fit_term(fit, &u, 0.0, None).unwrap();
+                obj = crate::updater::multiplicative_step(&ctx, &mut ws, &mut u, &mut v)
+                    .unwrap()
+                    .objective(0.0);
             }
             obj
         };

@@ -42,6 +42,7 @@
 #![warn(missing_docs)]
 
 pub mod config;
+mod dense_step;
 mod engine;
 pub mod hals;
 pub mod health;

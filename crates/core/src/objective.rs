@@ -25,21 +25,24 @@ pub fn objective(
     objective_with_reconstruction(x, omega, &r, u, lambda, graph)
 }
 
-/// Completes the objective from an already computed fit term
-/// `‖R_Ω(X − UV)‖_F²` — the value every engine step returns — by adding
-/// the spatial penalty `λ·Tr(Uᵀ L U)`. The fit loop uses this so no
-/// dense reconstruction is ever formed for the objective.
-pub fn objective_from_fit_term(
-    fit_term: f64,
-    u: &Matrix,
-    lambda: f64,
-    graph: Option<&SpatialGraph>,
-) -> Result<f64> {
-    let reg_term = match graph {
-        Some(g) if lambda != 0.0 => lambda * g.regularization(u)?,
-        _ => 0.0,
-    };
-    Ok(fit_term + reg_term)
+/// The two terms of the objective at the factors an update step
+/// returns. Every step computes both from state it already has in hand,
+/// so the fit loop never forms a reconstruction or re-walks the graph
+/// for the objective.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct ObjectiveTerms {
+    /// The fit term `‖R_Ω(X − UV)‖_F²`.
+    pub fit: f64,
+    /// The unscaled spatial term `Tr(Uᵀ L U)`; zero when the step ran
+    /// without a graph or with `λ = 0`.
+    pub laplacian: f64,
+}
+
+impl ObjectiveTerms {
+    /// `fit + λ·laplacian` — the objective of Formula 10.
+    pub fn objective(&self, lambda: f64) -> f64 {
+        self.fit + lambda * self.laplacian
+    }
 }
 
 /// Evaluates the objective given the already computed `R_Ω(U·V)`;
@@ -128,7 +131,7 @@ mod tests {
     }
 
     #[test]
-    fn fit_term_variant_matches_scratch() {
+    fn objective_terms_match_scratch() {
         let si = uniform_matrix(9, 2, 0.0, 1.0, 20);
         let g = SpatialGraph::build(&si, 2, NeighborSearch::KdTree).unwrap();
         let x = uniform_matrix(9, 4, 0.0, 1.0, 21);
@@ -140,8 +143,11 @@ mod tests {
         let vt = v.transpose();
         let mut uv = vec![0.0; pattern.nnz()];
         pattern.sddmm_into(&u, &vt, &mut uv).unwrap();
-        let fit = pattern.fit_term(&uv).unwrap();
-        let a = objective_from_fit_term(fit, &u, 0.7, Some(&g)).unwrap();
+        let terms = ObjectiveTerms {
+            fit: pattern.fit_term(&uv).unwrap(),
+            laplacian: g.regularization(&u).unwrap(),
+        };
+        let a = terms.objective(0.7);
         let b = objective(&x, &omega, &u, &v, 0.7, Some(&g)).unwrap();
         assert!((a - b).abs() < 1e-10);
     }

@@ -409,9 +409,11 @@ mod tests {
 
     #[test]
     fn noop_sink_is_disabled_at_compile_time() {
-        assert!(!NoopSink::ENABLED);
-        assert!(RecordingSink::ENABLED);
-        assert!(JsonlSink::ENABLED);
+        const {
+            assert!(!NoopSink::ENABLED);
+            assert!(RecordingSink::ENABLED);
+            assert!(JsonlSink::ENABLED);
+        }
     }
 
     #[test]

@@ -1,4 +1,4 @@
-//! The two optimizers of paper §III-B, on the fused iteration engine.
+//! The two optimizers of paper §III-B.
 //!
 //! - [`multiplicative_step`] — the self-adaptive multiplicative rules
 //!   (Formulas 13/14). Numerators and denominators are elementwise
@@ -9,33 +9,41 @@
 //!   learning rate (§III-B1), kept feasible by clamping at zero. This is
 //!   the `SMF-GD` optimizer of Fig. 5.
 //!
-//! Both run on the sparse-residual engine of `smfl_linalg::kernels`:
-//! the reconstruction is evaluated at observed entries only (SDDMM into
-//! the packed [`Workspace::uv_vals`]) and the four update-rule products
-//! are CSR SpMM / SpMMᵀ against the per-fit [`ObservedPattern`]. All
-//! scratch lives in the caller's [`Workspace`], so a step performs **no
-//! heap allocation** (the dense path allocates its `N x M` buffer once,
-//! on the first iteration). For masks denser than
-//! `kernels::DENSE_PATH_THRESHOLD` the multiplicative step switches to
-//! the dense matmul path, which wins on fully-observed data.
+//! The multiplicative step has two implementations, picked per mask by
+//! [`ObservedPattern::prefers_dense`]:
 //!
-//! Each step returns the **fit term** `‖R_Ω(X − UV)‖_F²` for the final
-//! factors, which [`crate::objective::objective_from_fit_term`]
-//! completes into the full objective — no dense reconstruction ever
-//! reaches the caller. The step also leaves `ws.uv_vals` valid for the
-//! returned factors (`ws.uv_fresh`), letting the next step skip its
-//! opening SDDMM; mutate `U`/`V` between steps only via
-//! [`Workspace::invalidate`].
+//! - **Sparse** (masks at most `kernels::DENSE_PATH_THRESHOLD`
+//!   observed): the reconstruction is evaluated at observed entries only
+//!   (SDDMM into the packed [`Workspace::uv_vals`]) and the four
+//!   update-rule products are CSR SpMM / SpMMᵀ against the per-fit
+//!   [`ObservedPattern`]. The step leaves `ws.uv_vals` valid for the
+//!   returned factors (`ws.uv_fresh`), letting the next step skip its
+//!   opening SDDMM; mutate `U`/`V` between steps only via
+//!   [`Workspace::invalidate`].
+//! - **Fused dense** (denser masks, which covers every paper
+//!   experiment): one row pass updates `U` and builds the `V`
+//!   numerator/denominator from each new row, a second sums the fit and
+//!   Laplacian terms; each row's reconstruction lives only in
+//!   registers. See `dense_step.rs`.
+//!
+//! All scratch lives in the caller's [`Workspace`]: a serial step
+//! allocates nothing (the fused step's runtime-rank instance, `K > 8`,
+//! takes two `K`-length accumulators per row block), and neither path
+//! ever builds an `N x M` matrix.
+//!
+//! Each step returns the [`ObjectiveTerms`] — fit term
+//! `‖R_Ω(X − UV)‖_F²` and Laplacian term `Tr(UᵀLU)` — for the final
+//! factors, so the fit loop needs no further work for the objective.
 //!
 //! Landmark handling: `Φ` covers the *whole* first `L` columns of `V`
 //! (Definition 1), so the `V` update simply starts at column `L`; the
-//! SpMMᵀ kernel skips the frozen output rows entirely — this is the
-//! computation the paper's §IV-E efficiency claim refers to.
+//! kernels skip the frozen columns entirely — this is the computation
+//! the paper's §IV-E efficiency claim refers to.
 
 use crate::landmarks::Landmarks;
+use crate::objective::ObjectiveTerms;
 use smfl_linalg::kernels::{ObservedPattern, Workspace};
-use smfl_linalg::ops::{matmul_at_into, matmul_bt_into, matmul_into};
-use smfl_linalg::{Mask, Matrix, Result};
+use smfl_linalg::{Matrix, Result};
 use smfl_spatial::SpatialGraph;
 
 /// Denominator guard for the multiplicative rules — a re-export of the
@@ -45,11 +53,7 @@ pub use crate::health::DENOM_EPS as EPS;
 
 /// Immutable per-fit quantities shared by every iteration.
 pub struct UpdateContext<'a> {
-    /// `R_Ω(X)` — the masked data matrix (dense path only).
-    pub masked_x: &'a Matrix,
-    /// The observation mask `Ω`.
-    pub omega: &'a Mask,
-    /// `Ω` + observed `X`, compiled once per fit (sparse engine).
+    /// `Ω` + observed `X`, compiled once per fit.
     pub pattern: &'a ObservedPattern,
     /// Spatial graph (`None` for plain NMF).
     pub graph: Option<&'a SpatialGraph>,
@@ -61,8 +65,22 @@ pub struct UpdateContext<'a> {
 
 impl UpdateContext<'_> {
     /// First live (non-frozen) column of `V`.
-    fn v_start_col(&self) -> usize {
+    pub(crate) fn v_start_col(&self) -> usize {
         self.landmarks.map_or(0, Landmarks::spatial_cols)
+    }
+
+    /// The graph when its term is active (`λ ≠ 0`).
+    pub(crate) fn active_graph(&self) -> Option<&SpatialGraph> {
+        self.graph.filter(|_| self.lambda != 0.0)
+    }
+
+    /// The objective terms for final factors `u` with fit term `fit`.
+    pub(crate) fn terms(&self, fit: f64, u: &Matrix) -> Result<ObjectiveTerms> {
+        let laplacian = match self.active_graph() {
+            Some(g) => g.regularization(u)?,
+            None => 0.0,
+        };
+        Ok(ObjectiveTerms { fit, laplacian })
     }
 }
 
@@ -85,19 +103,28 @@ fn ensure_uv(
 
 /// One multiplicative iteration: updates `U` by Formula 13, then `V` by
 /// Formula 14 using the refreshed `U` (Algorithm 1 lines 8-9). Returns
-/// the fit term `‖R_Ω(X − UV)‖_F²` for the *final* `(U, V)` so the
-/// caller can evaluate the objective without any masked product.
+/// the objective terms for the *final* `(U, V)`.
 pub fn multiplicative_step(
     ctx: &UpdateContext<'_>,
     ws: &mut Workspace,
     u: &mut Matrix,
     v: &mut Matrix,
-) -> Result<f64> {
+) -> Result<ObjectiveTerms> {
     if ctx.pattern.prefers_dense() {
-        return multiplicative_step_dense(ctx, ws, u, v);
+        crate::dense_step::fused_dense_step(ctx, ws, u, v)
+    } else {
+        sparse_multiplicative_step(ctx, ws, u, v)
     }
-    let pattern = ctx.pattern;
+}
 
+/// The multiplicative step on the sparse kernels (SDDMM + SpMM/SpMMᵀ).
+fn sparse_multiplicative_step(
+    ctx: &UpdateContext<'_>,
+    ws: &mut Workspace,
+    u: &mut Matrix,
+    v: &mut Matrix,
+) -> Result<ObjectiveTerms> {
+    let pattern = ctx.pattern;
     let nnz = pattern.nnz() as u64;
 
     // ---- U update (Formula 13) ----
@@ -106,30 +133,36 @@ pub fn multiplicative_step(
     pattern.spmm_into(&ws.uv_vals, &ws.vt, &mut ws.denom_u)?; // R_Ω(UV)·Vᵀ
     ws.counters.spmm += 2;
     ws.counters.masked_nnz += 2 * nnz;
-    apply_graph_terms(ctx, ws, u)?;
-    multiplicative_update(u.as_mut_slice(), ws.numer_u.as_slice(), ws.denom_u.as_slice());
+    match ctx.active_graph() {
+        Some(g) => {
+            g.similarity.spmm_into(u, &mut ws.reg_a)?; // D·U
+            update_u_with_graph(u, ws, &g.degree, ctx.lambda);
+        }
+        None => {
+            for ((x, &n), &d) in u
+                .as_mut_slice()
+                .iter_mut()
+                .zip(ws.numer_u.as_slice())
+                .zip(ws.denom_u.as_slice())
+            {
+                *x *= n / (d + EPS);
+            }
+        }
+    }
 
     // ---- V update (Formula 14), live columns only ----
     pattern.sddmm_into(u, &ws.vt, &mut ws.uv_vals)?; // with refreshed U
     ws.counters.sddmm += 1;
     ws.counters.masked_nnz += nnz;
     let start = ctx.v_start_col();
-    let m = v.cols();
-    if start < m {
+    if start < v.cols() {
         // Uᵀ·R_Ω(X) and Uᵀ·R_Ω(UV), transposed layout, frozen landmark
         // rows skipped inside the kernel.
         pattern.spmm_t_into(pattern.x_vals(), u, start, &mut ws.numer_vt)?;
         pattern.spmm_t_into(&ws.uv_vals, u, start, &mut ws.denom_vt)?;
         ws.counters.spmm_t += 2;
         ws.counters.masked_nnz += 2 * nnz;
-        for k in 0..v.rows() {
-            for j in start..m {
-                let n = ws.numer_vt.get(j, k);
-                let d = ws.denom_vt.get(j, k);
-                let val = v.get(k, j) * n / (d + EPS);
-                v.set(k, j, val);
-            }
-        }
+        update_v(v, &ws.numer_vt, &ws.denom_vt, start);
     }
     // Landmarks were never touched (whole columns skipped), so no
     // re-injection is needed; debug-check the invariant anyway.
@@ -140,101 +173,52 @@ pub fn multiplicative_step(
     ws.counters.sddmm += 1;
     ws.counters.masked_nnz += nnz;
     ws.uv_fresh = true;
-    pattern.fit_term(&ws.uv_vals)
+    ctx.terms(pattern.fit_term(&ws.uv_vals)?, u)
 }
 
-/// Dense-path multiplicative step: `R_Ω(UV)` via full matmul +
-/// in-place masking into the workspace's lazily allocated `N x M`
-/// buffer. Faster than the sparse kernels above
-/// `kernels::DENSE_PATH_THRESHOLD` density.
-fn multiplicative_step_dense(
-    ctx: &UpdateContext<'_>,
-    ws: &mut Workspace,
-    u: &mut Matrix,
-    v: &mut Matrix,
-) -> Result<f64> {
-    if !ws.uv_fresh {
-        ws.dense_r(); // ensure the buffer exists (one-time allocation)
-        let dr = ws.dense_r.as_mut().expect("just ensured");
-        matmul_into(u, v, dr)?;
-        ctx.omega.zero_unset(dr)?;
+/// Formula 13 with the spatial terms folded in elementwise:
+/// `u_ik ← u_ik·(N_ik + λ·(D·U)_ik) / (Dn_ik + λ·w_i·u_ik + EPS)`, with
+/// `N`/`Dn` in `ws.numer_u`/`ws.denom_u` and `D·U` in `ws.reg_a`.
+fn update_u_with_graph(u: &mut Matrix, ws: &Workspace, degree: &[f64], lambda: f64) {
+    let k = u.cols();
+    if k == 0 {
+        return;
     }
-
-    // ---- U update ----
-    {
-        let dr = ws.dense_r.as_mut().expect("dense path buffer");
-        matmul_bt_into(ctx.masked_x, v, &mut ws.numer_u)?; // R_Ω(X)·Vᵀ
-        matmul_bt_into(dr, v, &mut ws.denom_u)?; // R_Ω(UV)·Vᵀ
-    }
-    apply_graph_terms(ctx, ws, u)?;
-    multiplicative_update(u.as_mut_slice(), ws.numer_u.as_slice(), ws.denom_u.as_slice());
-
-    // ---- V update ----
-    let start = ctx.v_start_col();
-    let m = v.cols();
-    {
-        let dr = ws.dense_r.as_mut().expect("dense path buffer");
-        matmul_into(u, v, dr)?; // with refreshed U
-        ctx.omega.zero_unset(dr)?;
-        if start < m {
-            // (R_Ω(·))ᵀ·U in the same transposed M x K layout as the
-            // sparse kernel. Full width — the frozen landmark rows cost
-            // `L/M` extra work, negligible for L ≪ M.
-            matmul_at_into(ctx.masked_x, u, &mut ws.numer_vt)?;
-            matmul_at_into(dr, u, &mut ws.denom_vt)?;
+    let rows = u
+        .as_mut_slice()
+        .chunks_exact_mut(k)
+        .zip(ws.numer_u.as_slice().chunks_exact(k))
+        .zip(ws.denom_u.as_slice().chunks_exact(k))
+        .zip(ws.reg_a.as_slice().chunks_exact(k))
+        .zip(degree);
+    for ((((urow, nrow), drow), grow), &w) in rows {
+        for (((x, &n), &d), &g) in urow.iter_mut().zip(nrow).zip(drow).zip(grow) {
+            *x *= (n + lambda * g) / (d + lambda * (w * *x) + EPS);
         }
     }
-    if start < m {
-        for k in 0..v.rows() {
-            for j in start..m {
-                let n = ws.numer_vt.get(j, k);
-                let d = ws.denom_vt.get(j, k);
-                let val = v.get(k, j) * n / (d + EPS);
-                v.set(k, j, val);
-            }
+}
+
+/// Formula 14's elementwise rule on the live columns `start..M`, from
+/// numerator and denominator in transposed (`M x K`) layout.
+pub(crate) fn update_v(v: &mut Matrix, numer_vt: &Matrix, denom_vt: &Matrix, start: usize) {
+    for k in 0..v.rows() {
+        for j in start..v.cols() {
+            let val = v.get(k, j) * numer_vt.get(j, k) / (denom_vt.get(j, k) + EPS);
+            v.set(k, j, val);
         }
     }
-    debug_assert!(ctx.landmarks.is_none_or(|lm| lm.verify_injected(v)));
-
-    let dr = ws.dense_r.as_mut().expect("dense path buffer");
-    matmul_into(u, v, dr)?;
-    ctx.omega.zero_unset(dr)?;
-    ctx.pattern.gather_into(dr, &mut ws.uv_vals)?;
-    ws.counters.dense_steps += 1;
-    ws.counters.masked_nnz += ctx.pattern.nnz() as u64;
-    ws.uv_fresh = true;
-    ctx.pattern.fit_term(&ws.uv_vals)
 }
 
-/// Adds the spatial terms of Formula 13 (`+λ·D·U` to the numerator,
-/// `+λ·W·U` to the denominator) via allocation-free sparse products.
-fn apply_graph_terms(ctx: &UpdateContext<'_>, ws: &mut Workspace, u: &Matrix) -> Result<()> {
-    if let (Some(g), true) = (ctx.graph, ctx.lambda != 0.0) {
-        g.similarity.spmm_into(u, &mut ws.reg_a)?; // D·U
-        g.degree.spmm_into(u, &mut ws.reg_b)?; // W·U
-        ws.numer_u.axpy(ctx.lambda, &ws.reg_a)?;
-        ws.denom_u.axpy(ctx.lambda, &ws.reg_b)?;
-    }
-    Ok(())
-}
-
-/// `x *= n / (d + EPS)` elementwise — the multiplicative rule core.
-fn multiplicative_update(x: &mut [f64], numer: &[f64], denom: &[f64]) {
-    for ((xv, &n), &d) in x.iter_mut().zip(numer).zip(denom) {
-        *xv *= n / (d + EPS);
-    }
-}
-
-/// One projected-gradient iteration (paper §III-B1). Returns the fit
-/// term for the updated factors. Always runs on the sparse engine (the
-/// gradient only ever needs the masked residual).
+/// One projected-gradient iteration (paper §III-B1). Returns the
+/// objective terms for the updated factors. Always runs on the sparse
+/// engine (the gradient only ever needs the masked residual).
 pub fn gradient_step(
     ctx: &UpdateContext<'_>,
     ws: &mut Workspace,
     u: &mut Matrix,
     v: &mut Matrix,
     learning_rate: f64,
-) -> Result<f64> {
+) -> Result<ObjectiveTerms> {
     let pattern = ctx.pattern;
     let nnz = pattern.nnz() as u64;
 
@@ -244,7 +228,7 @@ pub fn gradient_step(
     pattern.spmm_into(&ws.res_vals, &ws.vt, &mut ws.numer_u)?;
     ws.counters.spmm += 1;
     ws.counters.masked_nnz += nnz;
-    if let (Some(g), true) = (ctx.graph, ctx.lambda != 0.0) {
+    if let Some(g) = ctx.active_graph() {
         g.laplacian.spmm_into(u, &mut ws.reg_a)?;
         u.axpy(-2.0 * learning_rate * ctx.lambda, &ws.reg_a)?;
     }
@@ -276,19 +260,18 @@ pub fn gradient_step(
     ws.counters.sddmm += 1;
     ws.counters.masked_nnz += nnz;
     ws.uv_fresh = true;
-    pattern.fit_term(&ws.uv_vals)
+    ctx.terms(pattern.fit_term(&ws.uv_vals)?, u)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::objective::objective_from_fit_term;
     use smfl_linalg::random::{positive_uniform_matrix, uniform_matrix};
+    use smfl_linalg::Mask;
     use smfl_spatial::NeighborSearch;
 
     struct Setup {
         x: Matrix,
-        masked_x: Matrix,
         omega: Mask,
         pattern: ObservedPattern,
         graph: SpatialGraph,
@@ -305,11 +288,9 @@ mod tests {
         }
         let si = x.columns(0, 2).unwrap();
         let graph = SpatialGraph::build(&si, 3, NeighborSearch::KdTree).unwrap();
-        let masked_x = omega.apply(&x).unwrap();
         let pattern = ObservedPattern::compile(&x, &omega).unwrap();
         Setup {
             x,
-            masked_x,
             omega,
             pattern,
             graph,
@@ -324,8 +305,6 @@ mod tests {
             landmarks: Option<&'a Landmarks>,
         ) -> UpdateContext<'a> {
             UpdateContext {
-                masked_x: &self.masked_x,
-                omega: &self.omega,
                 pattern: &self.pattern,
                 graph: graph.then_some(&self.graph),
                 lambda,
@@ -345,8 +324,9 @@ mod tests {
         let mut v = positive_uniform_matrix(4, 5, 3);
         let mut prev = f64::INFINITY;
         for _ in 0..20 {
-            let fit = multiplicative_step(&ctx, &mut ws, &mut u, &mut v).unwrap();
-            let obj = objective_from_fit_term(fit, &u, 0.1, Some(&s.graph)).unwrap();
+            let obj = multiplicative_step(&ctx, &mut ws, &mut u, &mut v)
+                .unwrap()
+                .objective(0.1);
             assert!(obj <= prev + 1e-9, "objective rose: {prev} -> {obj}");
             prev = obj;
         }
@@ -401,8 +381,9 @@ mod tests {
         let before = crate::objective::objective(&s.x, &s.omega, &u, &v, 0.0, None).unwrap();
         let mut last = before;
         for _ in 0..50 {
-            let fit = gradient_step(&ctx, &mut ws, &mut u, &mut v, 1e-3).unwrap();
-            last = objective_from_fit_term(fit, &u, 0.0, None).unwrap();
+            last = gradient_step(&ctx, &mut ws, &mut u, &mut v, 1e-3)
+                .unwrap()
+                .objective(0.0);
         }
         assert!(last < before, "GD failed to reduce objective: {before} -> {last}");
         assert!(u.is_nonnegative(0.0) && v.is_nonnegative(0.0));
@@ -417,14 +398,12 @@ mod tests {
         for (i, j) in s.omega.complement().iter_set() {
             x2.set(i, j, 1e6);
         }
-        let masked_x2 = s.omega.apply(&x2).unwrap();
-        assert!(masked_x2.approx_eq(&s.masked_x, 0.0));
+        let masked = |x: &Matrix| s.omega.apply(x).unwrap();
+        assert!(masked(&x2).approx_eq(&masked(&s.x), 0.0));
         let pattern2 = ObservedPattern::compile(&x2, &s.omega).unwrap();
 
-        let run = |mx: &Matrix, pattern: &ObservedPattern| {
+        let run = |pattern: &ObservedPattern| {
             let ctx = UpdateContext {
-                masked_x: mx,
-                omega: &s.omega,
                 pattern,
                 graph: Some(&s.graph),
                 lambda: 0.1,
@@ -438,8 +417,8 @@ mod tests {
             }
             (u, v)
         };
-        let (u1, v1) = run(&s.masked_x, &s.pattern);
-        let (u2, v2) = run(&masked_x2, &pattern2);
+        let (u1, v1) = run(&s.pattern);
+        let (u2, v2) = run(&pattern2);
         assert!(u1.approx_eq(&u2, 0.0));
         assert!(v1.approx_eq(&v2, 0.0));
     }
@@ -463,65 +442,34 @@ mod tests {
 
     #[test]
     fn sparse_and_dense_paths_agree() {
-        // Same data, two patterns either side of the density threshold
-        // forced through both code paths must produce near-identical
-        // factors. We fake it by running the dense helper directly.
+        // ~90% observed: the public entry point takes the fused dense
+        // step. Drive both implementations directly from the same start,
+        // with graph and landmarks, and compare after every iteration.
         let s = setup(18, 5, 30);
-        let ctx = s.ctx(true, 0.2, None);
-        let mut ws_sparse = Workspace::new(&s.pattern, 3);
-        let mut ws_dense = Workspace::new(&s.pattern, 3);
-        let mut u1 = positive_uniform_matrix(18, 3, 31);
-        let mut v1 = positive_uniform_matrix(3, 5, 32);
-        let mut u2 = u1.clone();
-        let mut v2 = v1.clone();
-        for _ in 0..6 {
-            let f1 = multiplicative_step_dense(&ctx, &mut ws_dense, &mut u2, &mut v2).unwrap();
-            // ~90% observed ⇒ public entry point takes the dense path
-            // too; call the sparse internals explicitly via a fresh
-            // low-density-agnostic run.
-            ws_sparse.invalidate();
-            let f1s = {
-                // force the sparse path by bypassing prefers_dense
-                let pattern = ctx.pattern;
-                ensure_uv(pattern, &mut ws_sparse, &u1, &v1).unwrap();
-                pattern
-                    .spmm_into(pattern.x_vals(), &ws_sparse.vt, &mut ws_sparse.numer_u)
+        let si = s.x.columns(0, 2).unwrap();
+        let lm = Landmarks::compute(&si, 3, 300, 0).unwrap();
+        for landmarks in [None, Some(&lm)] {
+            let ctx = s.ctx(true, 0.2, landmarks);
+            assert!(ctx.pattern.prefers_dense());
+            let mut ws_sparse = Workspace::new(&s.pattern, 3);
+            let mut ws_dense = Workspace::new(&s.pattern, 3);
+            let mut u1 = positive_uniform_matrix(18, 3, 31);
+            let mut v1 = positive_uniform_matrix(3, 5, 32);
+            if let Some(lm) = landmarks {
+                lm.inject(&mut v1).unwrap();
+            }
+            let (mut u2, mut v2) = (u1.clone(), v1.clone());
+            for _ in 0..6 {
+                let a = sparse_multiplicative_step(&ctx, &mut ws_sparse, &mut u1, &mut v1).unwrap();
+                let b = crate::dense_step::fused_dense_step(&ctx, &mut ws_dense, &mut u2, &mut v2)
                     .unwrap();
-                pattern
-                    .spmm_into(&ws_sparse.uv_vals, &ws_sparse.vt, &mut ws_sparse.denom_u)
-                    .unwrap();
-                apply_graph_terms(&ctx, &mut ws_sparse, &u1).unwrap();
-                multiplicative_update(
-                    u1.as_mut_slice(),
-                    ws_sparse.numer_u.as_slice(),
-                    ws_sparse.denom_u.as_slice(),
-                );
-                pattern
-                    .sddmm_into(&u1, &ws_sparse.vt, &mut ws_sparse.uv_vals)
-                    .unwrap();
-                pattern
-                    .spmm_t_into(pattern.x_vals(), &u1, 0, &mut ws_sparse.numer_vt)
-                    .unwrap();
-                pattern
-                    .spmm_t_into(&ws_sparse.uv_vals, &u1, 0, &mut ws_sparse.denom_vt)
-                    .unwrap();
-                for k in 0..v1.rows() {
-                    for j in 0..v1.cols() {
-                        let n = ws_sparse.numer_vt.get(j, k);
-                        let d = ws_sparse.denom_vt.get(j, k);
-                        let val = v1.get(k, j) * n / (d + EPS);
-                        v1.set(k, j, val);
-                    }
-                }
-                v1.transpose_into(&mut ws_sparse.vt).unwrap();
-                pattern
-                    .sddmm_into(&u1, &ws_sparse.vt, &mut ws_sparse.uv_vals)
-                    .unwrap();
-                pattern.fit_term(&ws_sparse.uv_vals).unwrap()
-            };
-            assert!((f1 - f1s).abs() <= 1e-10 * f1.abs().max(1.0));
-            assert!(u1.approx_eq(&u2, 1e-10));
-            assert!(v1.approx_eq(&v2, 1e-10));
+                assert!((a.fit - b.fit).abs() <= 1e-10 * a.fit.abs().max(1.0));
+                assert!((a.laplacian - b.laplacian).abs() <= 1e-10 * a.laplacian.abs().max(1.0));
+                assert!(u1.approx_eq(&u2, 1e-10));
+                assert!(v1.approx_eq(&v2, 1e-10));
+            }
+            assert_eq!(ws_dense.counters.dense_steps, 6);
+            assert_eq!(ws_sparse.counters.dense_steps, 0);
         }
     }
 }

@@ -54,17 +54,14 @@ proptest! {
 
         // Resilient path: Ok with finite factors, or typed error — the
         // injectors may have poisoned every observation of a column.
-        match fit_resilient(&x, &omega, &config) {
-            Ok(model) => {
-                assert_model_sane(&model);
-                prop_assert!(model.report.sanitized_cells > 0);
-                prop_assert!(model
-                    .report
-                    .events
-                    .iter()
-                    .any(|e| matches!(e, FitEvent::Sanitized { .. })));
-            }
-            Err(_) => {}
+        if let Ok(model) = fit_resilient(&x, &omega, &config) {
+            assert_model_sane(&model);
+            prop_assert!(model.report.sanitized_cells > 0);
+            prop_assert!(model
+                .report
+                .events
+                .iter()
+                .any(|e| matches!(e, FitEvent::Sanitized { .. })));
         }
     }
 
@@ -82,9 +79,8 @@ proptest! {
         inject_duplicate_si(&mut x, 2, rate, seed ^ 3);
         let omega = Mask::full(n, m);
         let config = SmflConfig::smfl(3, 2).with_max_iter(15).with_seed(seed);
-        match fit_resilient(&x, &omega, &config) {
-            Ok(model) => assert_model_sane(&model),
-            Err(_) => {}
+        if let Ok(model) = fit_resilient(&x, &omega, &config) {
+            assert_model_sane(&model);
         }
     }
 
@@ -106,9 +102,8 @@ proptest! {
             }
         }
         let config = SmflConfig::smfl(2, 2).with_p(p).with_max_iter(10).with_seed(seed);
-        match fit_resilient(&x, &omega, &config) {
-            Ok(model) => assert_model_sane(&model),
-            Err(_) => {}
+        if let Ok(model) = fit_resilient(&x, &omega, &config) {
+            assert_model_sane(&model);
         }
     }
 
@@ -128,14 +123,11 @@ proptest! {
             .with_max_iter(25)
             .with_seed(seed)
             .resilient();
-        match fit(&x, &omega, &config) {
-            Ok(model) => {
-                assert_model_sane(&model);
-                if let Some(obj) = model.final_objective() {
-                    prop_assert!(obj.is_finite());
-                }
+        if let Ok(model) = fit(&x, &omega, &config) {
+            assert_model_sane(&model);
+            if let Some(obj) = model.final_objective() {
+                prop_assert!(obj.is_finite());
             }
-            Err(_) => {}
         }
     }
 
@@ -157,9 +149,8 @@ proptest! {
             dirty.set(i, j, true);
         }
         let config = SmflConfig::nmf(2).with_max_iter(10).with_seed(seed).resilient();
-        match repair(&x, &dirty, &config) {
-            Ok(repaired) => prop_assert!(repaired.all_finite()),
-            Err(_) => {}
+        if let Ok(repaired) = repair(&x, &dirty, &config) {
+            prop_assert!(repaired.all_finite());
         }
     }
 }

@@ -15,6 +15,11 @@
 //!    same computation (20x the queries / 20 extra k-means iterations
 //!    must not change the count, so the marginal cost is provably zero).
 //!
+//! The fused dense step (masks above 50% observed, graph term and
+//! landmarks on) carries the same contract, objective included: its
+//! Laplacian term and `SpatialGraph::regularization` walk the graph
+//! without a temporary.
+//!
 //! The telemetry layer (DESIGN.md §11) extends the contract: the no-op
 //! sink's instrumentation sites allocate nothing at all, and a
 //! recording sink allocates only on event-buffer growth (never when
@@ -58,10 +63,11 @@ static GLOBAL: CountingAllocator = CountingAllocator;
 use smfl_core::health::{classify, HealthPolicy};
 use smfl_core::telemetry::{IterEvent, NoopSink, RecordingSink, TraceSink};
 use smfl_core::updater::{multiplicative_step, UpdateContext};
+use smfl_core::Landmarks;
 use smfl_linalg::random::{positive_uniform_matrix, uniform_matrix};
 use smfl_linalg::{Mask, ObservedPattern, Workspace};
 use smfl_spatial::kmeans::{kmeans, KMeansAlgorithm, KMeansConfig};
-use smfl_spatial::KdTree;
+use smfl_spatial::{KdTree, NeighborSearch, SpatialGraph};
 
 /// Runs `f` with the counter armed and returns the allocation count.
 fn count_allocs<F: FnMut()>(mut f: F) -> usize {
@@ -91,13 +97,10 @@ fn multiplicative_step_allocates_nothing_after_warmup() {
     for j in 0..m {
         omega.set(0, j, true); // every column observed at least once
     }
-    let masked_x = omega.apply(&x).unwrap();
     let pattern = ObservedPattern::compile(&x, &omega).unwrap();
     assert!(!pattern.prefers_dense(), "test must exercise the sparse path");
 
     let ctx = UpdateContext {
-        masked_x: &masked_x,
-        omega: &omega,
         pattern: &pattern,
         graph: None,
         lambda: 0.0,
@@ -129,7 +132,9 @@ fn multiplicative_step_allocates_nothing_after_warmup() {
     let mut prev = None;
     COUNTING.store(true, Ordering::SeqCst);
     for _ in 0..10 {
-        let fit = multiplicative_step(&ctx, &mut ws, &mut u, &mut v).unwrap();
+        let fit = multiplicative_step(&ctx, &mut ws, &mut u, &mut v)
+            .unwrap()
+            .fit;
         assert!(classify(fit, prev, &u, &v, 0, &policy).is_none());
         prev = Some(fit);
         ws.checkpoint(&u, &v);
@@ -154,6 +159,47 @@ fn multiplicative_step_allocates_nothing_after_warmup() {
     );
     assert_eq!(ptrs_before, ptrs_after, "workspace buffers were reallocated");
     assert!(u.all_finite() && v.all_finite());
+
+    // --- Phase 1b: the fused dense step with graph and landmarks. -------
+    // ~90% observed takes the dense path; the objective terms (fit and
+    // Laplacian) come out of the step, and the standalone degree-form
+    // regularization must be allocation-free too.
+    let dense_omega = mask_with_density(n, m, 0.9, 15);
+    let dense_pattern = ObservedPattern::compile(&x, &dense_omega).unwrap();
+    assert!(
+        dense_pattern.prefers_dense(),
+        "phase 1b must exercise the dense path"
+    );
+    let si = x.columns(0, 2).unwrap();
+    let graph = SpatialGraph::build(&si, 3, NeighborSearch::KdTree).unwrap();
+    let lm = Landmarks::compute(&si, k, 100, 0).unwrap();
+    let dense_ctx = UpdateContext {
+        pattern: &dense_pattern,
+        graph: Some(&graph),
+        lambda: 0.5,
+        landmarks: Some(&lm),
+    };
+    let mut ws = Workspace::new(&dense_pattern, k);
+    let mut u = positive_uniform_matrix(n, k, 16);
+    let mut v = positive_uniform_matrix(k, m, 17);
+    lm.inject(&mut v).unwrap();
+    for _ in 0..3 {
+        multiplicative_step(&dense_ctx, &mut ws, &mut u, &mut v).unwrap();
+    }
+    let dense_allocs = count_allocs(|| {
+        for _ in 0..10 {
+            let terms = multiplicative_step(&dense_ctx, &mut ws, &mut u, &mut v).unwrap();
+            assert!(terms.laplacian > 0.0);
+            assert!(graph.regularization(&u).unwrap() > 0.0);
+        }
+    });
+    assert_eq!(
+        dense_allocs, 0,
+        "fused dense step + objective heap-allocated {dense_allocs} times \
+         across 10 steady-state iterations"
+    );
+    assert_eq!(ws.counters.dense_steps, 13);
+    assert!(lm.verify_injected(&v));
 
     // --- Phase 2: bulk kNN allocates nothing per query. -----------------
     // threads = 1 keeps the run on this thread (spawning allocates); the
@@ -288,4 +334,52 @@ fn multiplicative_step_allocates_nothing_after_warmup() {
          ({warm_short} for 3 iters vs {warm_long} for 23): the marginal \
          per-iteration allocation cost must be zero"
     );
+
+    // The same for SMFL (graph, λ > 0, landmarks) on the dense path:
+    // before the degree-form regularization, every iteration's objective
+    // allocated an N x K temporary.
+    let smfl = SmflConfig::smfl(k, 2)
+        .with_lambda(0.5)
+        .with_p(3)
+        .with_seed(7)
+        .with_tol(0.0)
+        .with_max_iter(3);
+    let cold = core_fit(&x, &dense_omega, &smfl).unwrap();
+    let opts = SolveOptions::warm_from(&cold);
+    let mut plan_short = FitPlan::compile(&x, &dense_omega, &smfl).unwrap();
+    let mut plan_long =
+        FitPlan::compile(&x, &dense_omega, &smfl.clone().with_max_iter(23)).unwrap();
+    plan_short.solve_with(&opts).unwrap();
+    plan_long.solve_with(&opts).unwrap();
+    let mut long_model = None;
+    let warm_short = count_allocs(|| {
+        plan_short.solve_with(&opts).unwrap();
+    });
+    let warm_long = count_allocs(|| {
+        long_model = Some(plan_long.solve_with(&opts).unwrap());
+    });
+    assert_eq!(
+        warm_short, warm_long,
+        "SMFL warm solve allocation count grew with the iteration count \
+         ({warm_short} for 3 iters vs {warm_long} for 23)"
+    );
+    assert_eq!(
+        long_model.unwrap().iterations,
+        23,
+        "tol = 0 must run every iteration"
+    );
+}
+
+/// An i.i.d. mask at `density`, with row 0 fully observed.
+fn mask_with_density(n: usize, m: usize, density: f64, seed: u64) -> Mask {
+    let sel = uniform_matrix(n, m, 0.0, 1.0, seed);
+    let mut omega = Mask::empty(n, m);
+    for i in 0..n {
+        for j in 0..m {
+            if i == 0 || sel.get(i, j) < density {
+                omega.set(i, j, true);
+            }
+        }
+    }
+    omega
 }

@@ -6,7 +6,7 @@ use proptest::prelude::*;
 use smfl_eval::planner::{plan_route, route_cost_under, FuelGrid};
 use smfl_eval::{clustering_accuracy, hungarian_min, normalized_mutual_information, rms_over};
 use smfl_linalg::random::uniform_matrix;
-use smfl_linalg::{Mask, Matrix};
+use smfl_linalg::Mask;
 
 fn permutations(items: &[usize]) -> Vec<Vec<usize>> {
     if items.len() <= 1 {

@@ -24,9 +24,12 @@
 //! [`Workspace`] owns all of them, so the inner loop of the
 //! multiplicative / gradient / HALS updaters performs **zero heap
 //! allocations** after the first iteration. Work per iteration drops
-//! from `O(N·M·K)` to `O(|Ω|·K)`; for dense masks (where the dense
-//! BLAS-style path is faster) callers consult
-//! [`ObservedPattern::prefers_dense`].
+//! from `O(N·M·K)` to `O(|Ω|·K)`. For dense masks
+//! ([`ObservedPattern::prefers_dense`]) the multiplicative updater
+//! instead streams the CSR rows itself ([`ObservedPattern::csr`]),
+//! fusing the reconstruction into both factor updates; its scratch
+//! (the next-`U` buffer and the per-block reduction partials) lives
+//! here too. No `N x M` buffer exists on either path.
 //!
 //! Parallelism reuses [`crate::parallel`]'s row-striping: the
 //! dense-output kernels go through `parallel_over_rows`, and the SDDMM
@@ -39,9 +42,10 @@ use crate::matrix::Matrix;
 use crate::ops::dot;
 use crate::parallel::{parallel_over_rows, threads_for};
 
-/// Mask densities above this run faster through the dense matmul path
-/// (`matmul` + `zero_unset`) than through the sparse kernels; the
-/// updaters switch on [`ObservedPattern::prefers_dense`].
+/// Mask densities above this run faster through the multiplicative
+/// updater's fused dense step (which evaluates each row's
+/// reconstruction in registers) than through the separate sparse
+/// kernels; the updater switches on [`ObservedPattern::prefers_dense`].
 pub const DENSE_PATH_THRESHOLD: f64 = 0.5;
 
 /// Cumulative kernel-invocation counters, accumulated in the
@@ -60,7 +64,7 @@ pub struct KernelCounters {
     pub spmm: u64,
     /// SpMMᵀ evaluations (`Rᵀ·U` against the CSC view).
     pub spmm_t: u64,
-    /// Iterations that took the dense matmul path instead of the sparse
+    /// Iterations that took the fused dense step instead of the sparse
     /// kernels (masks above [`DENSE_PATH_THRESHOLD`]).
     pub dense_steps: u64,
     /// HALS coordinate sweeps (one full U-sweep + V-sweep each).
@@ -232,7 +236,7 @@ impl ObservedPattern {
         }
     }
 
-    /// Whether the dense matmul path is expected to beat the sparse
+    /// Whether the fused dense step is expected to beat the sparse
     /// kernels for this mask (see [`DENSE_PATH_THRESHOLD`]).
     pub fn prefers_dense(&self) -> bool {
         self.density() > DENSE_PATH_THRESHOLD
@@ -242,6 +246,15 @@ impl ObservedPattern {
     #[inline]
     pub fn x_vals(&self) -> &[f64] {
         &self.x_vals
+    }
+
+    /// The CSR index arrays `(row_ptr, col_idx)`: row `i` owns the packed
+    /// slots `row_ptr[i]..row_ptr[i + 1]`, in ascending column order.
+    /// Exposed for row-streaming kernels that fuse several products into
+    /// one pass over the pattern.
+    #[inline]
+    pub fn csr(&self) -> (&[usize], &[usize]) {
+        (&self.row_ptr, &self.col_idx)
     }
 
     /// `(column, packed slot)` pairs of row `i`, in column order.
@@ -410,27 +423,6 @@ impl ObservedPattern {
         Ok(())
     }
 
-    /// Packs the observed entries of a dense `N x M` matrix into `out`
-    /// (CSR order) — the bridge from the dense path back to the packed
-    /// representation.
-    pub fn gather_into(&self, dense: &Matrix, out: &mut [f64]) -> Result<()> {
-        if dense.shape() != (self.rows, self.cols) {
-            return Err(LinalgError::DimensionMismatch {
-                left: (self.rows, self.cols),
-                right: dense.shape(),
-                op: "gather_into",
-            });
-        }
-        self.check_vals(out, "gather_into")?;
-        for i in 0..self.rows {
-            let drow = dense.row(i);
-            for slot in self.row_ptr[i]..self.row_ptr[i + 1] {
-                out[slot] = drow[self.col_idx[slot]];
-            }
-        }
-        Ok(())
-    }
-
     /// `out[e] = x[e] − uv[e]`: the masked residual `R_Ω(X − UV)` in
     /// packed form.
     pub fn residual_into(&self, uv_vals: &[f64], out: &mut [f64]) -> Result<()> {
@@ -482,24 +474,26 @@ pub struct Workspace {
     pub denom_vt: Matrix,
     /// `N x K` scratch for graph products (`D·U`, `L·U`).
     pub reg_a: Matrix,
-    /// `N x K` scratch for graph products (`W·U`).
-    pub reg_b: Matrix,
+    /// `N x K` target of the fused dense step: it writes the updated `U`
+    /// here, then swaps the buffer with the caller's `U`.
+    pub u_next: Matrix,
+    /// Per-row-block reduction partials of the fused dense step. Empty
+    /// until the first dense step sizes it; reused afterwards.
+    pub block_partials: Vec<f64>,
     /// `max(N, M)` per-column scratch (HALS).
     pub col_scratch: Vec<f64>,
-    /// Dense `N x M` reconstruction buffer; allocated lazily on first
-    /// use of the dense path (see [`Self::dense_r`]).
-    pub dense_r: Option<Matrix>,
     /// Last-good `U` snapshot (`N x K`) for checkpoint/rollback;
     /// allocated lazily on the first [`Self::checkpoint`] so
     /// non-resilient fits never pay for it.
     pub snap_u: Option<Matrix>,
     /// Last-good `V` snapshot (`K x M`), paired with [`Self::snap_u`].
     pub snap_v: Option<Matrix>,
-    /// `true` when [`Self::uv_vals`] (and, on the dense path,
-    /// [`Self::dense_r`]) match the caller's current `(U, V)`. The
-    /// updaters set this on exit so the next step can skip the opening
-    /// SDDMM; clear it via [`Self::invalidate`] whenever `U` or `V` is
-    /// changed outside a step.
+    /// `true` when [`Self::uv_vals`] matches the caller's current
+    /// `(U, V)`. The sparse-engine updaters set this on exit so the next
+    /// step can skip the opening SDDMM (the fused dense step keeps no
+    /// packed reconstruction and clears it); clear it via
+    /// [`Self::invalidate`] whenever `U` or `V` is changed outside a
+    /// step.
     pub uv_fresh: bool,
     /// `true` once the current solve has recorded a checkpoint. Cleared
     /// by [`Self::begin_solve`] so a reused workspace keeps its snapshot
@@ -525,9 +519,9 @@ impl Workspace {
             numer_vt: Matrix::zeros(m, k),
             denom_vt: Matrix::zeros(m, k),
             reg_a: Matrix::zeros(n, k),
-            reg_b: Matrix::zeros(n, k),
+            u_next: Matrix::zeros(n, k),
+            block_partials: Vec::new(),
             col_scratch: vec![0.0; n.max(m)],
-            dense_r: None,
             snap_u: None,
             snap_v: None,
             uv_fresh: false,
@@ -538,8 +532,8 @@ impl Workspace {
 
     /// Re-sizes the nnz-dependent buffers to a new pattern over the
     /// **same grid shape** — the refit path for a changed mask. All
-    /// shape-dependent scratch (including lazily allocated snapshot and
-    /// dense buffers) is kept, so only the packed-value vectors can
+    /// shape-dependent scratch (including lazily sized snapshot and
+    /// block-partial buffers) is kept, so only the packed-value vectors can
     /// reallocate, and only when the new mask is larger.
     pub fn rebind(&mut self, pattern: &ObservedPattern) -> Result<()> {
         if (pattern.rows(), pattern.cols()) != (self.rows, self.cols) {
@@ -564,14 +558,6 @@ impl Workspace {
         self.uv_fresh = false;
         self.snap_armed = false;
         self.counters = KernelCounters::default();
-    }
-
-    /// The dense `N x M` reconstruction buffer, allocated on first use
-    /// (only the dense path ever touches it, so sparse fits never pay
-    /// the `N·M` memory).
-    pub fn dense_r(&mut self) -> &mut Matrix {
-        self.dense_r
-            .get_or_insert_with(|| Matrix::zeros(self.rows, self.cols))
     }
 
     /// Marks the cached reconstruction stale — call after mutating `U`
@@ -638,7 +624,7 @@ mod tests {
         let mut mask = Mask::empty(n, m);
         for i in 0..n {
             for j in 0..m {
-                if (i * m + j) % keep_mod != 0 {
+                if !(i * m + j).is_multiple_of(keep_mod) {
                     mask.set(i, j, true);
                 }
             }
@@ -745,17 +731,12 @@ mod tests {
     }
 
     #[test]
-    fn gather_residual_and_fit_term_agree_with_masks() {
+    fn residual_and_fit_term_agree_with_masks() {
         let (x, mask, p, u, v) = fixture(8, 5, 3, 3);
         let full = matmul(&u, &v).unwrap();
-        let mut uv = vec![0.0; p.nnz()];
-        p.gather_into(&full, &mut uv).unwrap();
         let vt = v.transpose();
-        let mut uv2 = vec![0.0; p.nnz()];
-        p.sddmm_into(&u, &vt, &mut uv2).unwrap();
-        for (a, b) in uv.iter().zip(&uv2) {
-            assert!((a - b).abs() < 1e-12);
-        }
+        let mut uv = vec![0.0; p.nnz()];
+        p.sddmm_into(&u, &vt, &mut uv).unwrap();
         let fit = p.fit_term(&uv).unwrap();
         let reference =
             crate::mask::masked_diff_norm_sq(&x, &full, &mask).unwrap();
@@ -788,10 +769,9 @@ mod tests {
         let vt = Matrix::zeros(3, 2);
         let mut bad = vec![0.0; 5];
         assert!(p.sddmm_into(&u, &vt, &mut bad).is_err());
-        assert!(p.sddmm_into(&Matrix::zeros(5, 2), &vt, &mut vec![0.0; 12]).is_err());
-        assert!(p.spmm_into(&vec![0.0; 12], &vt, &mut Matrix::zeros(3, 2)).is_err());
-        assert!(p.spmm_t_into(&vec![0.0; 12], &u, 9, &mut Matrix::zeros(3, 2)).is_err());
-        assert!(p.gather_into(&Matrix::zeros(2, 2), &mut vec![0.0; 12]).is_err());
+        assert!(p.sddmm_into(&Matrix::zeros(5, 2), &vt, &mut [0.0; 12]).is_err());
+        assert!(p.spmm_into(&[0.0; 12], &vt, &mut Matrix::zeros(3, 2)).is_err());
+        assert!(p.spmm_t_into(&[0.0; 12], &u, 9, &mut Matrix::zeros(3, 2)).is_err());
         assert!(p.fit_term(&[0.0]).is_err());
     }
 
@@ -808,9 +788,8 @@ mod tests {
         }
         assert_eq!(ptr_uv, ws.uv_vals.as_ptr());
         assert_eq!(ptr_nu, ws.numer_u.as_slice().as_ptr());
-        assert!(ws.dense_r.is_none());
-        let shape = ws.dense_r().shape();
-        assert_eq!(shape, (20, 8));
+        assert!(ws.block_partials.is_empty());
+        assert_eq!(ws.u_next.shape(), (20, 3));
     }
 
     #[test]

@@ -1,10 +1,10 @@
 //! Compressed sparse row (CSR) matrices.
 //!
-//! The SMFL update rule for `U` needs `D·U` and `W·U` every iteration,
-//! where `D` is the p-nearest-neighbour similarity matrix (at most `2p`
-//! nonzeros per row) and `W` is diagonal. Storing them dense would cost
-//! `O(N²)` memory and `O(N²K)` time per iteration; CSR keeps both at
-//! `O(nnz)` — this is ablation #2 of DESIGN.md.
+//! The SMFL update rule for `U` needs `D·U` every iteration, where `D`
+//! is the p-nearest-neighbour similarity matrix (at most `2p` nonzeros
+//! per row); the diagonal `W` is kept as a plain degree vector. Storing
+//! `D` dense would cost `O(N²)` memory and `O(N²K)` time per iteration;
+//! CSR keeps it at `O(nnz)` — this is ablation #2 of DESIGN.md.
 
 use crate::error::{LinalgError, Result};
 use crate::matrix::Matrix;
@@ -130,29 +130,6 @@ impl CsrMatrix {
         })
     }
 
-    /// Builds a diagonal CSR matrix from `diag`.
-    pub fn diagonal(diag: &[f64]) -> Self {
-        let n = diag.len();
-        let mut row_ptr = Vec::with_capacity(n + 1);
-        let mut col_idx = Vec::with_capacity(n);
-        let mut values = Vec::with_capacity(n);
-        row_ptr.push(0);
-        for (i, &d) in diag.iter().enumerate() {
-            if d != 0.0 {
-                col_idx.push(i);
-                values.push(d);
-            }
-            row_ptr.push(col_idx.len());
-        }
-        CsrMatrix {
-            rows: n,
-            cols: n,
-            row_ptr,
-            col_idx,
-            values,
-        }
-    }
-
     /// Number of rows.
     #[inline]
     pub fn rows(&self) -> usize {
@@ -211,8 +188,8 @@ impl CsrMatrix {
     }
 
     /// Sparse × dense product into a caller-owned output buffer
-    /// (overwritten) — lets the update loop evaluate `D·U`, `W·U` and
-    /// `L·U` every iteration without allocating.
+    /// (overwritten) — lets the update loop evaluate `D·U` and `L·U`
+    /// every iteration without allocating.
     pub fn spmm_into(&self, b: &Matrix, out: &mut Matrix) -> Result<()> {
         if self.cols != b.rows() {
             return Err(LinalgError::DimensionMismatch {
@@ -361,15 +338,6 @@ mod tests {
         let m = CsrMatrix::from_triplets(2, 2, &[(0, 0, 0.0), (1, 1, 5.0)]).unwrap();
         assert_eq!(m.nnz(), 1);
         assert_eq!(m.get(1, 1), 5.0);
-    }
-
-    #[test]
-    fn diagonal_constructor() {
-        let d = CsrMatrix::diagonal(&[1.0, 0.0, 3.0]);
-        assert_eq!(d.nnz(), 2);
-        assert_eq!(d.get(0, 0), 1.0);
-        assert_eq!(d.get(1, 1), 0.0);
-        assert_eq!(d.get(2, 2), 3.0);
     }
 
     #[test]

@@ -3,13 +3,15 @@
 //! `D` is the symmetric binary p-nearest-neighbour similarity matrix
 //! (Formula 3): `d_ij = 1` iff `x_i ∈ NN_p(x_j)` or `x_j ∈ NN_p(x_i)`,
 //! computed on the spatial information `SI`. `W` is the diagonal degree
-//! matrix (Formula 4), and the graph Laplacian is `L = W − D`. All three
-//! are stored sparse ([`CsrMatrix`]): each row of `D` holds at most `2p`
-//! entries, so the per-iteration products `D·U` / `W·U` in the update
-//! rule (Formula 13) cost `O(nnz·K)` instead of `O(N²K)`.
+//! matrix (Formula 4), stored as its diagonal, and the graph Laplacian
+//! is `L = W − D`. `D` and `L` are stored sparse ([`CsrMatrix`]): each
+//! row of `D` holds at most `2p` entries, so the per-iteration product
+//! `D·U` in the update rule (Formula 13) costs `O(nnz·K)` instead of
+//! `O(N²K)`, and `W·U` is a row scaling.
 
 use crate::kdtree::{brute_force_nearest, KdTree, Neighbor};
-use smfl_linalg::{CsrMatrix, Mask, Matrix, Result};
+use smfl_linalg::ops::dot;
+use smfl_linalg::{CsrMatrix, LinalgError, Mask, Matrix, Result};
 use std::time::{Duration, Instant};
 
 /// Wall-clock breakdown of one graph build, reported by
@@ -17,8 +19,8 @@ use std::time::{Duration, Instant};
 ///
 /// The two phases partition the pipeline: `knn` covers kd-tree
 /// construction (or the brute-force scan) plus the bulk neighbour
-/// queries; `assembly` covers symmetrization and the direct CSR
-/// emission of `D`, `W` and `L`.
+/// queries; `assembly` covers symmetrization, the degree vector and
+/// the direct CSR emission of `D` and `L`.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct GraphBuildStats {
     /// Time spent computing the directed p-NN edge lists.
@@ -42,8 +44,9 @@ pub enum NeighborSearch {
 pub struct SpatialGraph {
     /// Binary symmetric similarity matrix `D` (Formula 3).
     pub similarity: CsrMatrix,
-    /// Diagonal degree matrix `W` (Formula 4).
-    pub degree: CsrMatrix,
+    /// Diagonal of the degree matrix `W` (Formula 4):
+    /// `w_i = Σ_j d_ij`, the row sums of [`Self::similarity`].
+    pub degree: Vec<f64>,
     /// Graph Laplacian `L = W − D`.
     pub laplacian: CsrMatrix,
     /// Number of nearest neighbours `p` used.
@@ -105,8 +108,8 @@ impl SpatialGraph {
     ///
     /// The pipeline is (1) a bulk kNN pass answering all `N` queries in
     /// parallel chunks, then (2) a serial sort/merge assembly that
-    /// symmetrizes the directed edge lists and emits `D`, `W` and
-    /// `L = W − D` directly in CSR form — one counting pass, no hashing,
+    /// symmetrizes the directed edge lists and emits `D`, the degrees
+    /// `W` and `L = W − D` directly in CSR form — one counting pass, no hashing,
     /// no triplet intermediates.
     pub fn build_weighted_with_threads(
         si: &Matrix,
@@ -162,9 +165,8 @@ impl SpatialGraph {
                 assemble_symmetric(n, kk, &neighbors, move |d2| (-d2 / denom).exp())
             }
         }?;
-        let degrees = similarity.row_sums();
-        let degree = CsrMatrix::diagonal(&degrees);
-        let laplacian = assemble_laplacian(&similarity, &degrees)?;
+        let degree = similarity.row_sums();
+        let laplacian = assemble_laplacian(&similarity, &degree)?;
         let stats = GraphBuildStats {
             knn,
             assembly: assembly_t0.elapsed(),
@@ -191,9 +193,38 @@ impl SpatialGraph {
     }
 
     /// The spatial-regularization value `Tr(Uᵀ L U)` — the paper's
-    /// `O_SR(U)` (§II-C) evaluated without densifying `L`.
+    /// `O_SR(U)` (§II-C) — in degree form, one [`Self::laplacian_row`]
+    /// per row. Allocation-free: the fit loop evaluates it every
+    /// iteration.
     pub fn regularization(&self, u: &Matrix) -> Result<f64> {
-        self.laplacian.quadratic_form(u)
+        if u.rows() != self.len() {
+            return Err(LinalgError::DimensionMismatch {
+                left: (self.len(), self.len()),
+                right: u.shape(),
+                op: "regularization",
+            });
+        }
+        let k = u.cols();
+        Ok((0..self.len())
+            .map(|i| self.laplacian_row(u.as_slice(), k, i))
+            .sum())
+    }
+
+    /// Row `i`'s share of `Tr(Uᵀ L U)` in degree form,
+    /// `w_i·|u_i|² − 2·Σ_{j>i} d_ij·(u_i · u_j)`, for a row-major `N x k`
+    /// factor slice `u` — `D` is symmetric, so each edge is visited
+    /// once. Summed over all rows it is [`Self::regularization`];
+    /// row-streaming kernels call it directly.
+    #[inline]
+    pub fn laplacian_row(&self, u: &[f64], k: usize, i: usize) -> f64 {
+        let ui = &u[i * k..][..k];
+        let cross: f64 = self
+            .similarity
+            .row_entries(i)
+            .filter(|&(j, _)| j > i)
+            .map(|(j, d)| d * dot(ui, &u[j * k..][..k]))
+            .sum();
+        self.degree[i] * dot(ui, ui) - 2.0 * cross
     }
 
     /// Number of connected components of the similarity graph
@@ -399,7 +430,7 @@ mod tests {
         let g = SpatialGraph::build(&pts, 2, NeighborSearch::KdTree).unwrap();
         let sums = g.similarity.row_sums();
         for (i, &s) in sums.iter().enumerate() {
-            assert_eq!(g.degree.get(i, i), s);
+            assert_eq!(g.degree[i], s);
         }
     }
 
@@ -455,6 +486,19 @@ mod tests {
         }
         let qf = g.regularization(&u).unwrap();
         assert!((manual - qf).abs() < 1e-9, "manual {manual} vs qf {qf}");
+    }
+
+    #[test]
+    fn degree_form_matches_laplacian_quadratic_form() {
+        let pts = uniform_matrix(60, 2, 0.0, 1.0, 15);
+        let g = SpatialGraph::build(&pts, 4, NeighborSearch::KdTree).unwrap();
+        let u = uniform_matrix(60, 5, 0.0, 1.0, 16);
+        let degree_form = g.regularization(&u).unwrap();
+        let csr_form = g.laplacian.quadratic_form(&u).unwrap();
+        assert!((degree_form - csr_form).abs() <= 1e-12 * csr_form.abs().max(1.0));
+        assert!(g
+            .regularization(&uniform_matrix(59, 5, 0.0, 1.0, 16))
+            .is_err());
     }
 
     #[test]

@@ -191,8 +191,13 @@ proptest! {
         for s in g.laplacian.row_sums() {
             prop_assert!(s.abs() < 1e-12);
         }
+        prop_assert_eq!(&g.degree, &g.similarity.row_sums());
         let u = uniform_matrix(n, 3, -2.0, 2.0, useed);
-        prop_assert!(g.regularization(&u).unwrap() >= -1e-9);
+        let reg = g.regularization(&u).unwrap();
+        prop_assert!(reg >= -1e-9);
+        // The degree form agrees with the explicit Laplacian.
+        let qf = g.laplacian.quadratic_form(&u).unwrap();
+        prop_assert!((reg - qf).abs() <= 1e-10 * qf.abs().max(1.0));
     }
 }
 
