@@ -57,52 +57,47 @@ pub enum Updater {
     Hals,
 }
 
-/// Fault-tolerance policy for the fit engine (DESIGN.md §10).
+/// Failure-handling policy of the fit engine (DESIGN.md §10).
 ///
-/// Disabled by default: the plain [`crate::fit`] path is bitwise
-/// identical to the engine without any resilience machinery. When
-/// enabled, the fit gains input sanitization, per-iteration health
-/// checks, checkpoint/rollback with bounded deterministic restarts, and
-/// the SMFL → (drop Laplacian) → (drop landmarks) degradation ladder —
-/// every step recorded in the returned `FitReport`.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Resilience {
-    /// Master switch. `false` keeps the legacy fail-fast behavior.
-    pub enabled: bool,
-    /// Checkpoint restarts allowed before the engine gives up and
-    /// returns the best iterate with a terminal failure classification.
-    pub max_restarts: usize,
-    /// Relative objective-increase tolerance before an iteration is
-    /// classified `Diverged` (relative to the previous accepted value).
-    pub divergence_tol: f64,
-    /// Iterations without a new best objective before `Stalled` fires
-    /// and the fit stops early at the best iterate. `0` disables stall
-    /// detection.
-    pub stall_patience: usize,
-    /// Mask out unusable observed cells (non-finite anywhere; negative
-    /// under a multiplicative updater) instead of rejecting the input.
-    pub sanitize: bool,
-}
-
-impl Default for Resilience {
-    fn default() -> Self {
-        Resilience {
-            enabled: false,
-            max_restarts: 2,
-            divergence_tol: 1e-6,
-            stall_patience: 0,
-            sanitize: true,
-        }
-    }
+/// Every fit runs the same engine: the per-iteration health sentinel
+/// ([`crate::health::classify`]) checks every iterate under both
+/// policies. The policy decides what a failure does.
+///
+/// - [`Resilience::Strict`] (the default) rejects unusable inputs and
+///   returns an error on the first non-finite iterate.
+/// - [`Resilience::Recover`] sanitizes inputs, also watches for
+///   divergence and stalls, checkpoints the best iterate, restarts from
+///   it (at most [`Resilience::MAX_RESTARTS`] times, deterministically)
+///   and walks the degradation ladder (drop a degenerate Laplacian or
+///   landmarks). Every step is recorded in the returned `FitReport`.
+///
+/// On clean input both policies produce the same model, bit for bit.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub enum Resilience {
+    /// Fail fast: typed errors, no repair.
+    #[default]
+    Strict,
+    /// Repair and recover, recording every step.
+    Recover {
+        /// Iterations without a new best objective before `Stalled`
+        /// fires and the fit stops early at the best iterate. `0`
+        /// disables stall detection.
+        stall_patience: usize,
+    },
 }
 
 impl Resilience {
-    /// The resilient preset: enabled, with the default bounds.
-    pub fn on() -> Self {
-        Resilience {
-            enabled: true,
-            ..Self::default()
-        }
+    /// Checkpoint restarts (and landmark retries) allowed before the
+    /// engine gives up and returns the best iterate with a terminal
+    /// failure classification.
+    pub const MAX_RESTARTS: usize = 2;
+    /// Relative objective-increase tolerance before an iteration is
+    /// classified `Diverged` (relative to the previous accepted value).
+    pub const DIVERGENCE_TOL: f64 = 1e-6;
+
+    /// `true` under [`Resilience::Recover`].
+    pub fn recovers(&self) -> bool {
+        matches!(self, Resilience::Recover { .. })
     }
 }
 
@@ -136,7 +131,7 @@ pub struct SmflConfig {
     /// Edge weighting for the similarity matrix (the paper uses binary
     /// weights; heat-kernel weights are a GNMF-lineage extension).
     pub weighting: GraphWeighting,
-    /// Fault-tolerance policy (disabled by default; see [`Resilience`]).
+    /// Failure-handling policy (strict by default; see [`Resilience`]).
     pub resilience: Resilience,
 }
 
@@ -243,10 +238,9 @@ impl SmflConfig {
         self
     }
 
-    /// Enables fault tolerance with the default [`Resilience::on`]
-    /// bounds.
+    /// Switches to [`Resilience::Recover`], stall detection off.
     pub fn resilient(mut self) -> Self {
-        self.resilience = Resilience::on();
+        self.resilience = Resilience::Recover { stall_patience: 0 };
         self
     }
 }
@@ -305,16 +299,14 @@ mod tests {
     #[test]
     fn resilience_defaults_off_and_preset_on() {
         let c = SmflConfig::smfl(3, 2);
-        assert!(!c.resilience.enabled, "resilience must be opt-in");
-        assert!(c.resilience.sanitize);
-        assert_eq!(c.resilience.max_restarts, 2);
+        assert_eq!(c.resilience, Resilience::Strict, "recovery must be opt-in");
+        assert!(!c.resilience.recovers());
+        assert_eq!(Resilience::MAX_RESTARTS, 2);
         let r = SmflConfig::nmf(3).resilient();
-        assert!(r.resilience.enabled);
-        let custom = SmflConfig::nmf(3).with_resilience(Resilience {
-            stall_patience: 16,
-            ..Resilience::on()
-        });
-        assert!(custom.resilience.enabled);
-        assert_eq!(custom.resilience.stall_patience, 16);
+        assert_eq!(r.resilience, Resilience::Recover { stall_patience: 0 });
+        assert!(r.resilience.recovers());
+        let custom =
+            SmflConfig::nmf(3).with_resilience(Resilience::Recover { stall_patience: 16 });
+        assert_eq!(custom.resilience, Resilience::Recover { stall_patience: 16 });
     }
 }

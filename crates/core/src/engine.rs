@@ -6,13 +6,15 @@
 //!
 //! A solve owns no data: it initializes `U`/`V` (cold from the plan's
 //! seed, or warm from [`SolveOptions`]), injects the plan's landmarks,
-//! then iterates against the plan's pattern/graph/workspace. The
-//! resilient in-loop machinery (health sentinel, checkpoint/rollback,
-//! bounded deterministic restarts) lives here; compile-phase repair is
-//! [`crate::resilience`]'s job.
+//! then iterates against the plan's pattern/graph/workspace. One loop
+//! serves both [`Resilience`] policies: the health sentinel runs on
+//! every iteration, and the policy decides in one place what a failure
+//! does — `Strict` returns an error, `Recover` restarts from its
+//! checkpoint (bounded, deterministic) and rolls back to the best
+//! iterate. Compile-phase repair is [`crate::resilience`]'s job.
 
-use crate::config::Updater;
-use crate::health::{classify, FitEvent, FitFailure, HealthPolicy};
+use crate::config::{Resilience, Updater};
+use crate::health::{classify, FitEvent, FitFailure};
 use crate::landmarks::Landmarks;
 use crate::model::FittedModel;
 use crate::plan::{FitPlan, SolveOptions};
@@ -34,16 +36,15 @@ pub(crate) fn solve<S: TraceSink>(
 ) -> Result<FittedModel> {
     let FitPlan {
         config,
-        omega: _,
-        masked_x,
+        omega,
         pattern,
         graph,
         landmarks,
         workspace: ws,
         report: plan_report,
     } = plan;
-    let res = config.resilience;
-    let (n, m) = masked_x.shape();
+    let recover = config.resilience.recovers();
+    let (n, m) = omega.shape();
     let k = config.rank;
 
     // Reset per-solve workspace state (counters, checkpoint arming,
@@ -99,16 +100,12 @@ pub(crate) fn solve<S: TraceSink>(
         lambda: config.lambda,
         landmarks: landmarks.as_ref(),
     };
-    let policy = HealthPolicy {
-        divergence_tol: res.divergence_tol,
-        stall_patience: res.stall_patience,
-    };
     let v_start = landmarks.as_ref().map_or(0, Landmarks::spatial_cols);
 
-    // Algorithm 1 lines 7-9: iterate until convergence or t₁. The
-    // resilient engine additionally runs the health sentinel each
-    // iteration, checkpoints every new best iterate, and restarts from
-    // the checkpoint (bounded, deterministically perturbed) on failure.
+    // Algorithm 1 lines 7-9: iterate until convergence or t₁, with the
+    // health sentinel on every iteration. Under `Recover` every new best
+    // iterate is checkpointed, and a failure restarts from the
+    // checkpoint (bounded, deterministically perturbed).
     let mut history = Vec::with_capacity(config.max_iter.min(1024));
     let mut converged = false;
     let mut iterations = 0;
@@ -129,16 +126,7 @@ pub(crate) fn solve<S: TraceSink>(
         };
         let (fit_t, obj) = (terms.fit, terms.objective(config.lambda));
 
-        // Health classification: the resilient engine runs the full
-        // sentinel exactly as before; the legacy fail-fast path only
-        // ever reacted to a non-finite objective.
-        let health = if res.enabled {
-            classify(obj, prev_accepted, &u, &v, since_best, &policy)
-        } else if !obj.is_finite() {
-            Some(FitFailure::NonFinite)
-        } else {
-            None
-        };
+        let health = classify(obj, prev_accepted, &u, &v, since_best, &config.resilience);
 
         if S::ENABLED {
             sink.iter(&IterEvent {
@@ -155,16 +143,14 @@ pub(crate) fn solve<S: TraceSink>(
             });
         }
 
-        if !res.enabled {
-            // Legacy fail-fast path, kept bitwise identical.
-            if health.is_some() {
+        if let Some(failure) = health {
+            if !recover {
                 return Err(LinalgError::NoConvergence {
                     routine: "smfl_fit",
                     iterations: t,
                 });
             }
-        } else if let Some(failure) = health {
-            if failure == FitFailure::Stalled || restarts >= res.max_restarts {
+            if failure == FitFailure::Stalled || restarts >= Resilience::MAX_RESTARTS {
                 report.failure = Some(failure);
                 break;
             }
@@ -223,14 +209,14 @@ pub(crate) fn solve<S: TraceSink>(
         #[cfg(not(debug_assertions))]
         let _ = v_start;
 
-        if res.enabled {
-            if obj < best_obj {
-                best_obj = obj;
-                since_best = 0;
+        if obj < best_obj {
+            best_obj = obj;
+            since_best = 0;
+            if recover {
                 ws.checkpoint(&u, &v);
-            } else {
-                since_best += 1;
             }
+        } else {
+            since_best += 1;
         }
         let improved_enough = prev_accepted
             .is_some_and(|prev| (prev - obj).abs() <= config.tol * prev.abs().max(1.0));
@@ -243,34 +229,32 @@ pub(crate) fn solve<S: TraceSink>(
         }
     }
 
-    // Rollback: a resilient fit always returns its best recorded
+    // Rollback: a recovering fit always returns its best recorded
     // iterate. The checkpoint holds exactly the factors of
     // `min(history)`, so restoring makes the returned model's objective
-    // equal the best the trace ever saw.
-    if res.enabled {
-        let final_obj = history.last().copied().unwrap_or(f64::INFINITY);
-        let factors_bad = !u.all_finite() || !v.all_finite();
-        if ws.has_checkpoint() && (report.failure.is_some() || factors_bad || final_obj > best_obj)
-        {
-            if ws.restore(&mut u, &mut v) {
-                report.rolled_back = true;
-                record(&mut report, sink, FitEvent::RolledBack { iteration: iterations });
-            }
-        } else if factors_bad {
-            // No good iterate was ever recorded: return a finite,
-            // deterministic initialization with the failure on record
-            // rather than NaN factors.
-            let s = derive_seed(config.seed, 300);
-            u = positive_uniform_matrix(n, k, s).scale(1.0 / k as f64);
-            v = positive_uniform_matrix(k, m, s.wrapping_add(1));
-            if let Some(lm) = landmarks.as_ref() {
-                lm.inject(&mut v)?;
-            }
+    // equal the best the trace ever saw. A strict solve gets here only
+    // with finite factors and no checkpoint, so this is a no-op for it.
+    let final_obj = history.last().copied().unwrap_or(f64::INFINITY);
+    let factors_bad = !u.all_finite() || !v.all_finite();
+    if ws.has_checkpoint() && (report.failure.is_some() || factors_bad || final_obj > best_obj) {
+        if ws.restore(&mut u, &mut v) {
             report.rolled_back = true;
             record(&mut report, sink, FitEvent::RolledBack { iteration: iterations });
         }
-        report.record_tail(&history);
+    } else if factors_bad {
+        // No good iterate was ever recorded: return a finite,
+        // deterministic initialization with the failure on record
+        // rather than NaN factors.
+        let s = derive_seed(config.seed, 300);
+        u = positive_uniform_matrix(n, k, s).scale(1.0 / k as f64);
+        v = positive_uniform_matrix(k, m, s.wrapping_add(1));
+        if let Some(lm) = landmarks.as_ref() {
+            lm.inject(&mut v)?;
+        }
+        report.rolled_back = true;
+        record(&mut report, sink, FitEvent::RolledBack { iteration: iterations });
     }
+    report.record_tail(&history);
 
     if S::ENABLED {
         if let Some(t0) = loop_t0 {

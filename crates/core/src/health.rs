@@ -1,5 +1,5 @@
 //! Numeric-health monitoring and the fault-tolerance vocabulary of the
-//! resilient fit engine (DESIGN.md §10).
+//! fit engine (DESIGN.md §10).
 //!
 //! The paper's Propositions 5/7 guarantee a non-increasing objective
 //! only on clean inputs; real spatial tables carry NaN cells, duplicate
@@ -15,8 +15,10 @@
 //!   the returned `FittedModel` and deterministic for a given input and
 //!   seed (no wall-clock, no thread-count dependence);
 //! - [`classify`] — the sentinel itself: an `O(N·K + K·M)` scan of the
-//!   factors plus checks on the already-computed objective.
+//!   factors plus checks on the already-computed objective, run on every
+//!   iteration under either [`Resilience`] policy.
 
+use crate::config::Resilience;
 use smfl_linalg::Matrix;
 
 /// The one denominator guard of the optimizer family.
@@ -40,8 +42,8 @@ pub enum FitFailure {
     Stalled,
 }
 
-/// One recorded step of the resilient engine's recovery machinery, in
-/// the order it happened.
+/// One recorded step of the engine's recovery machinery, in the order
+/// it happened.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum FitEvent {
     /// Input sanitization masked out this many unusable observed cells
@@ -89,10 +91,12 @@ pub enum FitEvent {
     },
 }
 
-/// Audit trail of a resilient fit, attached to `FittedModel::report`.
+/// Audit trail of a fit, attached to `FittedModel::report`.
 ///
-/// Default (all-empty) for non-resilient fits. Deterministic: the same
-/// input, configuration and seed produce the identical report under any
+/// A clean fit records only [`FitReport::trace_tail`], under either
+/// policy; the events, restarts and rollbacks come from
+/// [`Resilience::Recover`]. Deterministic: the same input,
+/// configuration and seed produce the identical report under any
 /// `SMFL_THREADS` setting.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct FitReport {
@@ -136,17 +140,6 @@ impl FitReport {
     }
 }
 
-/// Tuning knobs of the health sentinel (mirrors
-/// `crate::config::Resilience`, passed by value to keep this module
-/// free of a config dependency).
-#[derive(Debug, Clone, Copy)]
-pub struct HealthPolicy {
-    /// Relative objective-increase tolerance before `Diverged` fires.
-    pub divergence_tol: f64,
-    /// Iterations without a new best before `Stalled` fires.
-    pub stall_patience: usize,
-}
-
 /// The per-iteration sentinel: classifies the state after one update
 /// step, or returns `None` when the iteration is healthy.
 ///
@@ -155,23 +148,30 @@ pub struct HealthPolicy {
 /// objective comparison is against the *previous accepted* value
 /// (`prev`), matching the paper's monotonicity statement; `since_best`
 /// counts iterations since the best objective improved.
+///
+/// Under [`Resilience::Strict`] only non-finite values are flagged;
+/// [`Resilience::Recover`] adds `Diverged` (beyond
+/// [`Resilience::DIVERGENCE_TOL`]) and `Stalled`.
 pub fn classify(
     obj: f64,
     prev: Option<f64>,
     u: &Matrix,
     v: &Matrix,
     since_best: usize,
-    policy: &HealthPolicy,
+    policy: &Resilience,
 ) -> Option<FitFailure> {
     if !obj.is_finite() || !u.all_finite() || !v.all_finite() {
         return Some(FitFailure::NonFinite);
     }
+    let Resilience::Recover { stall_patience } = *policy else {
+        return None;
+    };
     if let Some(p) = prev {
-        if obj > p + policy.divergence_tol * p.abs().max(1.0) {
+        if obj > p + Resilience::DIVERGENCE_TOL * p.abs().max(1.0) {
             return Some(FitFailure::Diverged);
         }
     }
-    if policy.stall_patience > 0 && since_best >= policy.stall_patience {
+    if stall_patience > 0 && since_best >= stall_patience {
         return Some(FitFailure::Stalled);
     }
     None
@@ -181,11 +181,8 @@ pub fn classify(
 mod tests {
     use super::*;
 
-    fn policy() -> HealthPolicy {
-        HealthPolicy {
-            divergence_tol: 1e-6,
-            stall_patience: 32,
-        }
+    fn policy() -> Resilience {
+        Resilience::Recover { stall_patience: 32 }
     }
 
     #[test]
@@ -240,11 +237,26 @@ mod tests {
             Some(FitFailure::Stalled)
         );
         // Patience 0 disables stall detection.
-        let p = HealthPolicy {
-            stall_patience: 0,
-            ..policy()
-        };
+        let p = Resilience::Recover { stall_patience: 0 };
         assert_eq!(classify(1.0, Some(1.0), &u, &v, 1000, &p), None);
+    }
+
+    #[test]
+    fn strict_flags_only_non_finite() {
+        let mut u = Matrix::filled(2, 2, 0.5);
+        let v = Matrix::filled(2, 2, 0.5);
+        let strict = Resilience::Strict;
+        // A clear rise and an endless stall are not failures under Strict.
+        assert_eq!(classify(1.5, Some(1.0), &u, &v, 1000, &strict), None);
+        assert_eq!(
+            classify(f64::NAN, Some(1.0), &u, &v, 0, &strict),
+            Some(FitFailure::NonFinite)
+        );
+        u.set(0, 1, f64::INFINITY);
+        assert_eq!(
+            classify(1.0, Some(2.0), &u, &v, 0, &strict),
+            Some(FitFailure::NonFinite)
+        );
     }
 
     #[test]
@@ -263,7 +275,7 @@ mod tests {
         assert!(!r.degraded());
         r.events.push(FitEvent::Sanitized { cells: 3 });
         assert!(!r.degraded());
-        r.events.push(FitEvent::LaplacianDropped { reason: "disconnected" });
+        r.events.push(FitEvent::LaplacianDropped { reason: "edgeless graph" });
         assert!(r.degraded());
         r.record_tail(&[1.0, 2.0, 3.0]);
         assert_eq!(r.trace_tail, vec![1.0, 2.0, 3.0]);

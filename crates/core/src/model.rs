@@ -19,7 +19,7 @@ use crate::health::FitReport;
 use crate::landmarks::Landmarks;
 use crate::plan::{FitPlan, SolveOptions};
 use crate::telemetry::{JsonlSink, NoopSink, RecordingSink, Trace, TraceSink};
-use smfl_linalg::{LinalgError, Mask, Matrix, Result};
+use smfl_linalg::{Mask, Matrix, Result};
 
 /// A fitted factorization `X ≈ U·V`.
 #[derive(Debug, Clone)]
@@ -40,8 +40,9 @@ pub struct FittedModel {
     pub converged: bool,
     /// Number of spatial columns `L` the model was fitted with.
     pub spatial_cols: usize,
-    /// Fault-tolerance audit trail (empty/default unless the fit ran
-    /// with `config.resilience.enabled`). See [`FitReport`].
+    /// Fault-tolerance audit trail: the objective tail on every fit,
+    /// plus the repair steps of a [`crate::Resilience::Recover`] fit.
+    /// See [`FitReport`].
     pub report: FitReport,
     /// Full telemetry trace — populated only by [`fit_traced`]
     /// (boxed so the common untraced model stays small).
@@ -119,6 +120,11 @@ impl FittedModel {
 /// - negative observed values (the multiplicative rules require
 ///   nonnegative data; min-max normalize first, as the paper does);
 /// - propagated substrate failures.
+///
+/// With `config.resilience` set to [`crate::Resilience::Recover`]
+/// (see [`SmflConfig::resilient`]) unusable cells are masked out instead
+/// of rejected, failed iterations restart from a checkpoint, and every
+/// repair step is recorded in the returned model's [`FitReport`].
 pub fn fit(x: &Matrix, omega: &Mask, config: &SmflConfig) -> Result<FittedModel> {
     fit_dispatch(x, omega, config, None)
 }
@@ -186,7 +192,8 @@ pub fn fit_traced(x: &Matrix, omega: &Mask, config: &SmflConfig) -> Result<Fitte
 /// carefully chosen landmarks can outperform automatic ones) and for
 /// the landmark-quality ablation.
 ///
-/// The landmark matrix must be `K x L` matching the configuration; the
+/// The landmark matrix must be `K x L` matching the configuration
+/// (`DimensionMismatch { op: "fit_with_landmarks" }` otherwise); the
 /// landmarks are used regardless of `config.variant`.
 pub fn fit_with_landmarks(
     x: &Matrix,
@@ -194,25 +201,7 @@ pub fn fit_with_landmarks(
     config: &SmflConfig,
     landmarks: Landmarks,
 ) -> Result<FittedModel> {
-    if landmarks.k() != config.rank || landmarks.spatial_cols() != config.spatial_cols {
-        return Err(LinalgError::DimensionMismatch {
-            left: (landmarks.k(), landmarks.spatial_cols()),
-            right: (config.rank, config.spatial_cols),
-            op: "fit_with_landmarks",
-        });
-    }
     fit_dispatch(x, omega, config, Some(landmarks))
-}
-
-/// [`fit`] with the fault-tolerance machinery enabled: input
-/// sanitization, per-iteration health checks, checkpoint/rollback with
-/// bounded deterministic restarts, and the degradation ladder
-/// SMFL → (drop Laplacian) → (drop landmarks). Every recovery step is
-/// recorded in the returned model's [`FitReport`].
-pub fn fit_resilient(x: &Matrix, omega: &Mask, config: &SmflConfig) -> Result<FittedModel> {
-    let mut cfg = config.clone();
-    cfg.resilience.enabled = true;
-    fit(x, omega, &cfg)
 }
 
 /// Fit + impute in one call: returns `X̂` with unobserved cells filled

@@ -12,23 +12,23 @@
 //!
 //! Each sub-artifact depends on a small key of config fields, which is
 //! what [`PlanCache`] exploits during model selection: landmarks are
-//! keyed on `(K, seed, t₂, resilience)`, the graph on `(p, weighting,
-//! search, resilience)`, the compiled pattern on the (sanitized) train
+//! keyed on `(K, seed, t₂, policy kind)`, the graph on `(p, weighting,
+//! search, policy kind)`, the compiled pattern on the (sanitized) train
 //! mask — all of them additionally on the SI matrix actually fed to
 //! them. `grid_search` over the paper's λ-sweep therefore runs k-means
 //! once per distinct `K` and builds one graph per distinct `p` instead
 //! of once per candidate × fold.
 
-use crate::config::{SmflConfig, Updater};
+use crate::config::{Resilience, SmflConfig, Updater};
 use crate::health::{FitEvent, FitReport};
 use crate::landmarks::Landmarks;
 use crate::model::FittedModel;
-use crate::resilience::{
-    build_graph_traced, graph_resilient, landmarks_resilient, record,
-};
+use crate::resilience::{build_graph, compute_landmarks, record, sanitize_inputs};
 use crate::telemetry::{NoopSink, Phase, SpanEvent, TraceSink};
 use smfl_linalg::{LinalgError, Mask, Matrix, ObservedPattern, Result, Workspace};
 use smfl_spatial::{fill_missing_si, GraphWeighting, NeighborSearch, SpatialGraph};
+use std::borrow::Cow;
+use std::mem::{discriminant, Discriminant};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -73,24 +73,22 @@ impl SolveOptions {
 /// A compiled fit: validated inputs plus every pre-loop artifact of
 /// Algorithm 1, ready to [`solve`](Self::solve) any number of times.
 ///
-/// The heavyweight artifacts (`ObservedPattern`, masked data, graph)
-/// are `Arc`-shared so a [`PlanCache`] can hand the same compiled
+/// The heavyweight artifacts (`ObservedPattern`, graph) are
+/// `Arc`-shared so a [`PlanCache`] can hand the same compiled
 /// objects to many plans without copying.
 #[derive(Debug, Clone)]
 pub struct FitPlan {
     pub(crate) config: SmflConfig,
     /// The (possibly sanitized) observation mask the plan was compiled
-    /// against.
+    /// against; also the plan's shape.
     pub(crate) omega: Mask,
-    /// `R_Ω(X)` for the dense kernel path.
-    pub(crate) masked_x: Arc<Matrix>,
-    /// Ω + observed values compiled for the fused sparse engine.
+    /// Ω + observed values, the only copy of the data a solve reads.
     pub(crate) pattern: Arc<ObservedPattern>,
     /// Similarity graph + Laplacian (`None` when λ = 0, the variant has
-    /// no spatial term, or the resilience ladder dropped it).
+    /// no spatial term, or the degradation ladder dropped it).
     pub(crate) graph: Option<Arc<SpatialGraph>>,
     /// Landmarks to freeze into `V` (`None` for NMF/SMF or when the
-    /// resilience ladder dropped them).
+    /// degradation ladder dropped them).
     pub(crate) landmarks: Option<Landmarks>,
     /// Pre-sized per-solve scratch (reused across solves).
     pub(crate) workspace: Workspace,
@@ -101,7 +99,7 @@ pub struct FitPlan {
 
 impl FitPlan {
     /// Compiles a plan for `(x, omega, config)` — the pre-loop phase of
-    /// [`crate::fit`], exactly: sanitization (resilient mode), input
+    /// [`crate::fit`], exactly: sanitization (`Recover` policy), input
     /// validation, SI fill, graph construction, landmark k-means, and
     /// pattern/workspace compilation, in that order.
     pub fn compile(x: &Matrix, omega: &Mask, config: &SmflConfig) -> Result<FitPlan> {
@@ -144,13 +142,6 @@ impl FitPlan {
         config: &SmflConfig,
         landmarks: Landmarks,
     ) -> Result<FitPlan> {
-        if landmarks.k() != config.rank || landmarks.spatial_cols() != config.spatial_cols {
-            return Err(LinalgError::DimensionMismatch {
-                left: (landmarks.k(), landmarks.spatial_cols()),
-                right: (config.rank, config.spatial_cols),
-                op: "fit_with_landmarks",
-            });
-        }
         Self::compile_full(x, omega, config, Some(landmarks), None, &mut NoopSink)
     }
 
@@ -166,35 +157,23 @@ impl FitPlan {
         mut cache: Option<&mut PlanCache>,
         sink: &mut S,
     ) -> Result<FitPlan> {
+        if let Some(lm) = &landmarks_override {
+            if lm.k() != config.rank || lm.spatial_cols() != config.spatial_cols {
+                return Err(LinalgError::DimensionMismatch {
+                    left: (lm.k(), lm.spatial_cols()),
+                    right: (config.rank, config.spatial_cols),
+                    op: "fit_with_landmarks",
+                });
+            }
+        }
         let compile_t0 = S::ENABLED.then(Instant::now);
-        let res = config.resilience;
         let mut report = FitReport::default();
         let mut cache_hits = 0usize;
 
-        // Input sanitization — resilient mode only; the default path
-        // rejects unusable cells in `validate` instead. Always runs
-        // uncached: it is the one stage that reads every observed cell
-        // of the caller's `x`.
-        let sanitized = if res.enabled && res.sanitize {
-            crate::resilience::sanitize_inputs(
-                x,
-                omega,
-                matches!(config.updater, Updater::Multiplicative),
-            )
-        } else {
-            None
-        };
-        let (x, omega) = match &sanitized {
-            Some((cx, co, removed)) => {
-                report.sanitized_cells = *removed;
-                record(&mut report, sink, FitEvent::Sanitized { cells: *removed });
-                (cx, co)
-            }
-            None => (x, omega),
-        };
-
-        validate(x, omega, config)?;
-        let (n, _m) = x.shape();
+        // Sanitization always runs uncached: it is the one stage that
+        // reads every observed cell of the caller's `x`.
+        let (x, omega) = sanitize_and_validate(x, omega, config, &mut report, sink)?;
+        let (x, omega) = (x.as_ref(), omega.as_ref());
         let k = config.rank;
         let l = config.spatial_cols;
 
@@ -219,7 +198,7 @@ impl FitPlan {
         }
 
         // Algorithm 1 lines 2-3: similarity graph on the mean-filled
-        // SI. In resilient mode a degenerate graph drops the Laplacian
+        // SI. Under `Recover` a degenerate graph drops the Laplacian
         // term (first rung of the degradation ladder) instead of
         // failing. A cache hit replays the build's recorded events so
         // the resulting report is identical to a fresh build's.
@@ -231,7 +210,7 @@ impl FitPlan {
                 p: config.p_neighbors,
                 weighting: config.weighting,
                 search: config.search,
-                resilient: res.enabled,
+                policy: discriminant(&config.resilience),
             };
             match cache.as_deref_mut().and_then(|c| c.lookup_graph(&key)) {
                 Some(entry) => {
@@ -244,11 +223,7 @@ impl FitPlan {
                 None => {
                     let t0 = S::ENABLED.then(Instant::now);
                     let ev_start = report.events.len();
-                    let graph = if res.enabled {
-                        graph_resilient(si, n, config, &mut report, sink)
-                    } else {
-                        Some(build_graph_traced(si, config, sink)?)
-                    };
+                    let graph = build_graph(si, config, &mut report, sink)?;
                     if let Some(t0) = t0 {
                         sink.span(&SpanEvent { phase: Phase::GraphBuild, wall: t0.elapsed() });
                     }
@@ -270,8 +245,8 @@ impl FitPlan {
         };
 
         // Algorithm 1 lines 4-6: landmarks (explicit override wins;
-        // else k-means on the mean-filled SI for the SMFL variant). In
-        // resilient mode degenerate landmarks are retried with deduped
+        // else k-means on the mean-filled SI for the SMFL variant).
+        // Under `Recover` degenerate landmarks are retried with deduped
         // coordinates and re-derived seeds, then dropped (second rung).
         let landmarks = match landmarks_override {
             Some(lm) => Some(lm),
@@ -283,8 +258,7 @@ impl FitPlan {
                     k,
                     seed: config.seed,
                     kmeans_max_iter: config.kmeans_max_iter,
-                    resilient: res.enabled,
-                    max_restarts: res.max_restarts,
+                    policy: discriminant(&config.resilience),
                 };
                 match cache.as_deref_mut().and_then(|c| c.lookup_landmarks(&key)) {
                     Some(entry) => {
@@ -300,11 +274,7 @@ impl FitPlan {
                     None => {
                         let t0 = S::ENABLED.then(Instant::now);
                         let ev_start = report.events.len();
-                        let lm = if res.enabled {
-                            landmarks_resilient(si, k, config, &mut report, sink)
-                        } else {
-                            Some(Landmarks::compute(si, k, config.kmeans_max_iter, config.seed)?)
-                        };
+                        let lm = compute_landmarks(si, k, config, &mut report, sink)?;
                         if let Some(t0) = t0 {
                             sink.span(&SpanEvent { phase: Phase::Landmarks, wall: t0.elapsed() });
                         }
@@ -327,22 +297,21 @@ impl FitPlan {
 
         // Compile Ω + X into the fused iteration engine's sparse
         // pattern. The per-plan scratch is always allocated fresh (it
-        // is rank-dependent and mutable); the pattern and masked data
-        // are shareable and cached by mask.
+        // is rank-dependent and mutable); the pattern is shareable and
+        // cached by mask.
         let pat_t0 = S::ENABLED.then(Instant::now);
-        let (masked_x, pattern, pattern_hit) =
+        let (pattern, pattern_hit) =
             match cache.as_deref_mut().and_then(|c| c.lookup_pattern(omega)) {
-                Some((mx, pat)) => {
+                Some(pat) => {
                     cache_hits += 1;
-                    (mx, pat, true)
+                    (pat, true)
                 }
                 None => {
-                    let mx = Arc::new(omega.apply(x)?);
                     let pat = Arc::new(ObservedPattern::compile(x, omega)?);
                     if let Some(c) = &mut cache {
-                        c.insert_pattern(omega.clone(), mx.clone(), pat.clone());
+                        c.insert_pattern(omega.clone(), pat.clone());
                     }
-                    (mx, pat, false)
+                    (pat, false)
                 }
             };
         let workspace = Workspace::new(&pattern, k);
@@ -363,7 +332,6 @@ impl FitPlan {
         Ok(FitPlan {
             config: config.clone(),
             omega: omega.clone(),
-            masked_x,
             pattern,
             graph,
             landmarks,
@@ -398,26 +366,10 @@ impl FitPlan {
     /// validation as a compile; graph and landmarks are kept as-is
     /// (they depend on the SI columns, which serving refits leave
     /// alone — recompile if yours change). When the (sanitized) mask
-    /// equals the plan's, the compiled pattern and masked data are
-    /// rewritten **in place** — zero heap allocation while the plan's
-    /// buffers are unshared; a changed mask recompiles the pattern and
-    /// resizes the workspace.
+    /// equals the plan's, the compiled pattern is refilled **in place**
+    /// — zero heap allocation while the plan's pattern is unshared; a
+    /// changed mask recompiles the pattern and resizes the workspace.
     pub fn rebind(&mut self, x: &Matrix, omega: &Mask) -> Result<()> {
-        let res = self.config.resilience;
-        let sanitized = if res.enabled && res.sanitize {
-            crate::resilience::sanitize_inputs(
-                x,
-                omega,
-                matches!(self.config.updater, Updater::Multiplicative),
-            )
-        } else {
-            None
-        };
-        let (x, omega, removed) = match &sanitized {
-            Some((cx, co, removed)) => (cx, co, *removed),
-            None => (x, omega, 0),
-        };
-        validate(x, omega, &self.config)?;
         if x.shape() != self.shape() {
             return Err(LinalgError::DimensionMismatch {
                 left: x.shape(),
@@ -425,21 +377,15 @@ impl FitPlan {
                 op: "plan_rebind",
             });
         }
-        if removed > 0 {
-            // Appended (not replacing) — the report is an audit trail.
-            self.report.sanitized_cells += removed;
-            self.report.events.push(FitEvent::Sanitized { cells: removed });
-        }
+        // Sanitization events are appended: the report is an audit trail.
+        let (x, omega) =
+            sanitize_and_validate(x, omega, &self.config, &mut self.report, &mut NoopSink)?;
         if *omega == self.omega {
-            Arc::make_mut(&mut self.pattern).refill(x, omega)?;
-            let mx = Arc::make_mut(&mut self.masked_x);
-            mx.as_mut_slice().copy_from_slice(x.as_slice());
-            omega.zero_unset(mx)?;
+            Arc::make_mut(&mut self.pattern).refill(&x, &omega)?;
         } else {
-            self.masked_x = Arc::new(omega.apply(x)?);
-            self.pattern = Arc::new(ObservedPattern::compile(x, omega)?);
+            self.pattern = Arc::new(ObservedPattern::compile(&x, &omega)?);
             self.workspace.rebind(&self.pattern)?;
-            self.omega = omega.clone();
+            self.omega = omega.into_owned();
         }
         Ok(())
     }
@@ -451,7 +397,7 @@ impl FitPlan {
 
     /// Grid shape `(N, M)` of the data the plan fits.
     pub fn shape(&self) -> (usize, usize) {
-        self.masked_x.shape()
+        self.omega.shape()
     }
 
     /// The landmarks the solve will freeze into `V`, if any.
@@ -476,8 +422,7 @@ struct LmKey {
     k: usize,
     seed: u64,
     kmeans_max_iter: usize,
-    resilient: bool,
-    max_restarts: usize,
+    policy: Discriminant<Resilience>,
 }
 
 #[derive(Debug, Clone)]
@@ -492,7 +437,7 @@ struct GraphKey {
     p: usize,
     weighting: GraphWeighting,
     search: NeighborSearch,
-    resilient: bool,
+    policy: Discriminant<Resilience>,
 }
 
 #[derive(Debug, Clone)]
@@ -509,14 +454,14 @@ pub struct PlanCacheStats {
     pub kmeans_runs: usize,
     /// Landmark stages served from cache.
     pub landmark_hits: usize,
-    /// Graph builds actually executed (cache misses; includes resilient
+    /// Graph builds actually executed (cache misses; includes `Recover`
     /// builds that ended up dropping the Laplacian).
     pub graph_builds: usize,
     /// Graph stages served from cache.
     pub graph_hits: usize,
     /// Observed-pattern compilations actually executed.
     pub pattern_compiles: usize,
-    /// Pattern + masked-data stages served from cache.
+    /// Pattern stages served from cache.
     pub pattern_hits: usize,
     /// Times the cache had to flush its landmark/graph entries because
     /// a compile presented a different SI matrix.
@@ -528,8 +473,8 @@ pub struct PlanCacheStats {
 /// similarity graphs and compiled patterns across candidates and
 /// folds.
 ///
-/// Keying: landmarks on `(K, seed, t₂, resilience)`, graphs on `(p,
-/// weighting, search, resilience)`, patterns on the sanitized mask —
+/// Keying: landmarks on `(K, seed, t₂, policy kind)`, graphs on `(p,
+/// weighting, search, policy kind)`, patterns on the sanitized mask —
 /// each entry implicitly also on the SI matrix it was built from (a
 /// compile presenting a different SI flushes the landmark and graph
 /// entries). **One cache serves one data matrix `x`**: the cache
@@ -544,7 +489,7 @@ pub struct PlanCache {
     si: Option<Matrix>,
     landmarks: Vec<(LmKey, LmEntry)>,
     graphs: Vec<(GraphKey, GraphEntry)>,
-    patterns: Vec<(Mask, Arc<Matrix>, Arc<ObservedPattern>)>,
+    patterns: Vec<(Mask, Arc<ObservedPattern>)>,
     stats: PlanCacheStats,
 }
 
@@ -609,27 +554,53 @@ impl PlanCache {
         self.landmarks.push((key, entry));
     }
 
-    fn lookup_pattern(&mut self, omega: &Mask) -> Option<(Arc<Matrix>, Arc<ObservedPattern>)> {
-        let hit = self
-            .patterns
-            .iter()
-            .find(|(m, _, _)| m == omega)
-            .map(|(_, mx, pat)| (mx.clone(), pat.clone()));
+    fn lookup_pattern(&mut self, omega: &Mask) -> Option<Arc<ObservedPattern>> {
+        let hit = self.patterns.iter().find(|(m, _)| m == omega).map(|(_, pat)| pat.clone());
         if hit.is_some() {
             self.stats.pattern_hits += 1;
         }
         hit
     }
 
-    fn insert_pattern(&mut self, omega: Mask, mx: Arc<Matrix>, pat: Arc<ObservedPattern>) {
+    fn insert_pattern(&mut self, omega: Mask, pat: Arc<ObservedPattern>) {
         self.stats.pattern_compiles += 1;
-        self.patterns.push((omega, mx, pat));
+        self.patterns.push((omega, pat));
     }
+}
+
+/// Sanitizes `(x, omega)` under [`Resilience::Recover`] (recording the
+/// masked cells in `report`), then validates the result — the input
+/// stage shared by [`FitPlan::compile_full`] and [`FitPlan::rebind`].
+/// Under `Strict` the inputs are borrowed unchanged and unusable cells
+/// fail validation instead.
+fn sanitize_and_validate<'a, S: TraceSink>(
+    x: &'a Matrix,
+    omega: &'a Mask,
+    config: &SmflConfig,
+    report: &mut FitReport,
+    sink: &mut S,
+) -> Result<(Cow<'a, Matrix>, Cow<'a, Mask>)> {
+    let multiplicative = matches!(config.updater, Updater::Multiplicative);
+    let sanitized = config
+        .resilience
+        .recovers()
+        .then(|| sanitize_inputs(x, omega, multiplicative))
+        .flatten();
+    let (x, omega, removed) = match sanitized {
+        Some((cx, co, removed)) => (Cow::Owned(cx), Cow::Owned(co), removed),
+        None => (Cow::Borrowed(x), Cow::Borrowed(omega), 0),
+    };
+    validate(&x, &omega, config)?;
+    if removed > 0 {
+        report.sanitized_cells += removed;
+        record(report, sink, FitEvent::Sanitized { cells: removed });
+    }
+    Ok((x, omega))
 }
 
 /// Input validation shared by every compile path (historically the
 /// `validate` of `model.rs`).
-pub(crate) fn validate(x: &Matrix, omega: &Mask, config: &SmflConfig) -> Result<()> {
+fn validate(x: &Matrix, omega: &Mask, config: &SmflConfig) -> Result<()> {
     if x.shape() != omega.shape() {
         return Err(LinalgError::DimensionMismatch {
             left: x.shape(),
@@ -658,9 +629,9 @@ pub(crate) fn validate(x: &Matrix, omega: &Mask, config: &SmflConfig) -> Result<
     }
     // One pass over the observed cells: non-finite values are never
     // usable (they poison every inner product); negative values break
-    // the multiplicative rules' nonnegativity invariant. In resilient
-    // mode with sanitization these cells were masked out before
-    // validation, so this check only fires on the fail-fast path.
+    // the multiplicative rules' nonnegativity invariant. Under `Recover`
+    // these cells were masked out before validation, so this check only
+    // fires on the strict path.
     let multiplicative = matches!(config.updater, Updater::Multiplicative);
     for (i, j) in omega.iter_set() {
         let v = x.get(i, j);

@@ -1,16 +1,20 @@
-//! Plan repair: the graceful-degradation ladder of the fault-tolerant
-//! engine (DESIGN.md §10), applied at *compile* time.
+//! The compile-time stages that depend on the [`Resilience`] policy:
+//! input sanitization, the graph stage and the landmark stage, with the
+//! graceful-degradation ladder of DESIGN.md §10.
 //!
-//! Every rung mutates the [`crate::plan::FitPlan`] under construction —
-//! sanitizing inputs, de-duplicating coordinates, re-seeding landmark
-//! k-means, dropping the Laplacian or the landmarks — and records what
-//! it did in the plan's [`FitReport`], so the solve loop
-//! ([`crate::engine`]) only ever sees a usable plan. The in-loop
-//! machinery (health sentinel, checkpoint/rollback, bounded restarts)
-//! stays in the engine; the deterministic seed derivation and restart
-//! perturbation it shares with this module live here.
+//! Under [`Resilience::Strict`] each stage does the plain computation
+//! and propagates its errors. Under [`Resilience::Recover`] a rung may
+//! mutate the [`crate::plan::FitPlan`] under construction — sanitizing
+//! inputs, de-duplicating coordinates, re-seeding landmark k-means,
+//! dropping the Laplacian or the landmarks — and records what it did in
+//! the plan's [`FitReport`], so the solve loop ([`crate::engine`]) only
+//! ever sees a usable plan. On clean input no rung fires and both
+//! policies compile the same plan. The in-loop machinery (health
+//! sentinel, checkpoint/rollback, bounded restarts) stays in the
+//! engine; the deterministic seed derivation and restart perturbation
+//! it shares with this module live here.
 
-use crate::config::SmflConfig;
+use crate::config::{Resilience, SmflConfig};
 use crate::health::{FitEvent, FitReport};
 use crate::landmarks::Landmarks;
 use crate::telemetry::{Phase, SpanEvent, TraceSink};
@@ -76,27 +80,30 @@ pub(crate) fn landmarks_healthy(lm: &Landmarks) -> bool {
     true
 }
 
-/// Landmark generation with the bounded deterministic retry policy:
-/// attempt 0 is bitwise-identical to the non-resilient path; on a
-/// degenerate result the coordinates are de-duplicated (jitter-free)
-/// and k-means re-seeded, up to `max_restarts` times; then landmarks
-/// are dropped (the last rung of the ladder before plain NMF).
-pub(crate) fn landmarks_resilient<S: TraceSink>(
+/// The landmark stage (Algorithm 1 lines 4-6): k-means on the SI.
+///
+/// Under `Strict` this is one k-means run whose error propagates.
+/// Under `Recover` attempt 0 is the same run; a failed or degenerate
+/// result de-duplicates the coordinates (jitter-free) and re-seeds
+/// k-means, up to [`Resilience::MAX_RESTARTS`] times, and then the
+/// landmarks are dropped (the last rung of the ladder before NMF).
+pub(crate) fn compute_landmarks<S: TraceSink>(
     si: &Matrix,
     k: usize,
     config: &SmflConfig,
     report: &mut FitReport,
     sink: &mut S,
-) -> Option<Landmarks> {
-    let max_attempts = config.resilience.max_restarts;
+) -> Result<Option<Landmarks>> {
+    let recover = config.resilience.recovers();
+    let max_attempts = if recover { Resilience::MAX_RESTARTS } else { 0 };
     let mut si_work: Option<Matrix> = None;
     for attempt in 0..=max_attempts {
         let src = si_work.as_ref().unwrap_or(si);
         let seed = derive_seed(config.seed, attempt as u64);
-        if let Ok(lm) = Landmarks::compute(src, k, config.kmeans_max_iter, seed) {
-            if landmarks_healthy(&lm) {
-                return Some(lm);
-            }
+        match Landmarks::compute(src, k, config.kmeans_max_iter, seed) {
+            Ok(lm) if !recover || landmarks_healthy(&lm) => return Ok(Some(lm)),
+            Err(err) if !recover => return Err(err),
+            _ => {}
         }
         if attempt == max_attempts {
             break;
@@ -117,42 +124,40 @@ pub(crate) fn landmarks_resilient<S: TraceSink>(
         sink,
         FitEvent::LandmarksDropped { reason: "degenerate after bounded retries" },
     );
-    None
+    Ok(None)
 }
 
-/// Graph construction with the degradation checks of the ladder's first
-/// rung: a failed build, non-finite edge weights, an edgeless graph or
-/// a disconnected one all drop the Laplacian term (recorded), leaving
-/// landmarks intact.
-pub(crate) fn graph_resilient<S: TraceSink>(
+/// The graph stage (Algorithm 1 lines 2-3): the p-NN similarity graph
+/// on the SI.
+///
+/// Under `Strict` build errors propagate. Under `Recover` a failed
+/// build, non-finite edge weights or an edgeless graph drop the
+/// Laplacian term (recorded), leaving landmarks intact. A disconnected
+/// graph is kept under both policies: its Laplacian is still PSD and
+/// regularizes each component on its own.
+pub(crate) fn build_graph<S: TraceSink>(
     si: &Matrix,
-    n: usize,
     config: &SmflConfig,
     report: &mut FitReport,
     sink: &mut S,
-) -> Option<SpatialGraph> {
+) -> Result<Option<SpatialGraph>> {
+    let recover = config.resilience.recovers();
     let reason = match build_graph_traced(si, config, sink) {
+        Ok(g) if !recover => return Ok(Some(g)),
+        Err(err) if !recover => return Err(err),
         Err(_) => "graph construction failed",
-        Ok(g) => {
-            if !g.all_finite() {
-                "non-finite edge weights"
-            } else if n > 1 && g.similarity.nnz() == 0 {
-                "edgeless graph"
-            } else if !g.is_connected() {
-                "disconnected graph"
-            } else {
-                return Some(g);
-            }
-        }
+        Ok(g) if !g.all_finite() => "non-finite edge weights",
+        Ok(g) if si.rows() > 1 && g.similarity.nnz() == 0 => "edgeless graph",
+        Ok(g) => return Ok(Some(g)),
     };
     record(report, sink, FitEvent::LaplacianDropped { reason });
-    None
+    Ok(None)
 }
 
 /// `SpatialGraph::build_weighted`, emitting the kNN/assembly sub-spans
 /// when the sink is enabled (the disabled path calls the plain builder
 /// so no clock is ever read).
-pub(crate) fn build_graph_traced<S: TraceSink>(
+fn build_graph_traced<S: TraceSink>(
     si: &Matrix,
     config: &SmflConfig,
     sink: &mut S,
@@ -180,10 +185,9 @@ pub(crate) fn blend_half(dst: &mut Matrix, fresh: &Matrix) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::SmflConfig;
-    use crate::health::{FitFailure, FitReport};
-    use crate::model::{fit, fit_resilient};
-    use smfl_linalg::Mask;
+    use crate::health::FitFailure;
+    use crate::model::fit;
+    use crate::plan::FitPlan;
 
     /// Synthetic low-rank nonnegative data with two leading coordinate
     /// columns — a miniature of the paper's setting.
@@ -207,20 +211,19 @@ mod tests {
     fn resilient_matches_default_on_clean_data() {
         let x = spatial_data(30, 6, 41);
         let omega = drop_cells(30, 6, 4);
-        // p = 8 keeps the kNN graph connected on this data, so no rung
-        // of the degradation ladder fires and both paths see the same
-        // model.
+        // Clean data: no rung of the degradation ladder fires and both
+        // policies see the same model.
         let cfg = SmflConfig::smfl(3, 2).with_p(8).with_max_iter(40).with_seed(5);
         let plain = fit(&x, &omega, &cfg).unwrap();
-        let resilient = fit_resilient(&x, &omega, &cfg).unwrap();
+        let resilient = fit(&x, &omega, &cfg.clone().resilient()).unwrap();
         assert!(plain.u.approx_eq(&resilient.u, 1e-9));
         assert!(plain.v.approx_eq(&resilient.v, 1e-9));
         assert_eq!(resilient.report.restarts, 0);
         assert!(resilient.report.failure.is_none());
         assert!(resilient.report.events.is_empty(), "{:?}", resilient.report.events);
         assert!(!resilient.report.trace_tail.is_empty());
-        // The default path carries an empty report.
-        assert_eq!(plain.report, FitReport::default());
+        // Strict and recovering fits report the same clean fit.
+        assert_eq!(plain.report, resilient.report);
     }
 
     #[test]
@@ -267,7 +270,7 @@ mod tests {
         assert!(fit(&x, &omega, &SmflConfig::smfl(3, 2)).is_err());
         // ...the resilient path repairs and fits.
         let model =
-            fit_resilient(&x, &omega, &SmflConfig::smfl(3, 2).with_max_iter(30)).unwrap();
+            fit(&x, &omega, &SmflConfig::smfl(3, 2).with_max_iter(30).resilient()).unwrap();
         assert!(model.u.all_finite() && model.v.all_finite());
         assert_eq!(model.report.sanitized_cells, 3);
         assert!(model
@@ -288,10 +291,7 @@ mod tests {
         let cfg = SmflConfig::nmf(2)
             .with_max_iter(200)
             .with_tol(-1.0)
-            .with_resilience(crate::config::Resilience {
-                stall_patience: 4,
-                ..crate::config::Resilience::on()
-            });
+            .with_resilience(Resilience::Recover { stall_patience: 4 });
         let model = fit(&x, &omega, &cfg).unwrap();
         assert_eq!(model.report.failure, Some(FitFailure::Stalled));
         assert!(
@@ -303,10 +303,11 @@ mod tests {
     }
 
     #[test]
-    fn resilient_drops_laplacian_on_disconnected_graph() {
+    fn resilient_keeps_laplacian_on_disconnected_graph() {
         // Two clusters far apart with p = 1: the kNN graph splits into
-        // two components, so the resilient engine drops the spatial term
-        // and records it.
+        // two components. Its Laplacian is still PSD and regularizes each
+        // component, so the recovering engine keeps the spatial term and
+        // records nothing — the same model as the strict fit.
         let n = 20;
         let x = Matrix::from_fn(n, 5, |i, j| {
             let base = if i < n / 2 { 0.0 } else { 1000.0 };
@@ -317,18 +318,19 @@ mod tests {
             }
         });
         let omega = Mask::full(n, 5);
-        let cfg = SmflConfig::smf(3, 2).with_p(1).with_max_iter(20);
-        // Default path fits happily (a disconnected Laplacian is still
-        // PSD) — no behavior change there.
-        assert!(fit(&x, &omega, &cfg).is_ok());
-        let model = fit_resilient(&x, &omega, &cfg).unwrap();
-        assert!(model.report.degraded());
-        assert!(model
-            .report
-            .events
-            .iter()
-            .any(|e| matches!(e, FitEvent::LaplacianDropped { reason: "disconnected graph" })));
+        let cfg = SmflConfig::smf(3, 2).with_p(1).with_max_iter(20).resilient();
+        let plan = FitPlan::compile(&x, &omega, &cfg).unwrap();
+        let graph = plan.graph().expect("Laplacian kept");
+        assert!(!graph.is_connected());
+        assert!(plan.report().events.is_empty(), "{:?}", plan.report().events);
+        let model = fit(&x, &omega, &cfg).unwrap();
+        assert!(!model.report.degraded());
+        assert!(model.report.events.is_empty(), "{:?}", model.report.events);
         assert!(model.u.all_finite() && model.v.all_finite());
+        let strict = fit(&x, &omega, &cfg.with_resilience(Resilience::Strict)).unwrap();
+        assert!(strict.u.approx_eq(&model.u, 0.0));
+        assert!(strict.v.approx_eq(&model.v, 0.0));
+        assert_eq!(strict.report, model.report);
     }
 
     #[test]
@@ -342,8 +344,8 @@ mod tests {
             _ => 0.2 + 0.02 * ((i * 7 + j) % 11) as f64,
         });
         let omega = Mask::full(n, 5);
-        let cfg = SmflConfig::smfl(3, 2).with_max_iter(15);
-        let model = fit_resilient(&x, &omega, &cfg).unwrap();
+        let cfg = SmflConfig::smfl(3, 2).with_max_iter(15).resilient();
+        let model = fit(&x, &omega, &cfg).unwrap();
         assert!(
             model.landmarks.is_some(),
             "landmarks should survive via retry: {:?}",
@@ -377,9 +379,9 @@ mod tests {
         let mut x = spatial_data(25, 5, 44);
         x.set(3, 2, f64::NAN);
         let omega = drop_cells(25, 5, 3);
-        let cfg = SmflConfig::smfl(3, 2).with_max_iter(25).with_seed(11);
-        let a = fit_resilient(&x, &omega, &cfg).unwrap();
-        let b = fit_resilient(&x, &omega, &cfg).unwrap();
+        let cfg = SmflConfig::smfl(3, 2).with_max_iter(25).with_seed(11).resilient();
+        let a = fit(&x, &omega, &cfg).unwrap();
+        let b = fit(&x, &omega, &cfg).unwrap();
         assert_eq!(a.report, b.report);
         assert!(a.u.approx_eq(&b.u, 0.0));
         assert!(a.v.approx_eq(&b.v, 0.0));

@@ -20,7 +20,7 @@
 //! - [`SpanEvent`] — one per pipeline [`Phase`] (SI fill, graph build
 //!   with its kNN/assembly split, landmark k-means, pattern compile,
 //!   the whole update loop);
-//! - engine events — every [`FitEvent`] the resilient engine records is
+//! - engine events — every [`FitEvent`] the engine records is
 //!   mirrored to the sink in order, so a trace's event stream equals
 //!   `FitReport::events` exactly.
 //!
@@ -145,7 +145,7 @@ pub trait TraceSink {
     /// One pipeline phase completed.
     fn span(&mut self, event: &SpanEvent);
 
-    /// The resilient engine recorded a [`FitEvent`] (mirrors
+    /// The engine recorded a [`FitEvent`] (mirrors
     /// `FitReport::events` in order).
     fn engine(&mut self, event: &FitEvent);
 
@@ -282,7 +282,7 @@ impl TraceSink for RecordingSink {
 /// (telemetry must never fail a fit); [`TraceSink::finish`] flushes.
 ///
 /// Activated process-wide by `SMFL_TRACE=path` (checked once per call
-/// to `fit`/`fit_resilient`), or used directly via
+/// to `fit`, under either resilience policy), or used directly via
 /// `model::fit_with_sink`.
 #[derive(Debug)]
 pub struct JsonlSink {

@@ -5,7 +5,7 @@
 //! patterns here are exactly the ones the dataset layer can produce.
 
 use proptest::prelude::*;
-use smfl_core::{fit, fit_resilient, repair, FitEvent, SmflConfig};
+use smfl_core::{fit, repair, FitEvent, SmflConfig};
 use smfl_datasets::{inject_duplicate_si, inject_inf_spike, inject_nan_burst};
 use smfl_linalg::random::uniform_matrix;
 use smfl_linalg::{Mask, Matrix};
@@ -54,7 +54,7 @@ proptest! {
 
         // Resilient path: Ok with finite factors, or typed error — the
         // injectors may have poisoned every observation of a column.
-        if let Ok(model) = fit_resilient(&x, &omega, &config) {
+        if let Ok(model) = fit(&x, &omega, &config.resilient()) {
             assert_model_sane(&model);
             prop_assert!(model.report.sanitized_cells > 0);
             prop_assert!(model
@@ -79,7 +79,7 @@ proptest! {
         inject_duplicate_si(&mut x, 2, rate, seed ^ 3);
         let omega = Mask::full(n, m);
         let config = SmflConfig::smfl(3, 2).with_max_iter(15).with_seed(seed);
-        if let Ok(model) = fit_resilient(&x, &omega, &config) {
+        if let Ok(model) = fit(&x, &omega, &config.resilient()) {
             assert_model_sane(&model);
         }
     }
@@ -102,7 +102,7 @@ proptest! {
             }
         }
         let config = SmflConfig::smfl(2, 2).with_p(p).with_max_iter(10).with_seed(seed);
-        if let Ok(model) = fit_resilient(&x, &omega, &config) {
+        if let Ok(model) = fit(&x, &omega, &config.resilient()) {
             assert_model_sane(&model);
         }
     }

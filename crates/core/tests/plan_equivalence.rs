@@ -8,7 +8,8 @@
 //! events, kernel counters; wall times are the only excluded field).
 //!
 //! The property is driven across all three updaters, all three
-//! variants, resilience on/off, and fault-injected inputs (NaN bursts /
+//! variants, both resilience policies (`Strict`, and `Recover` with and
+//! without stall detection), and fault-injected inputs (NaN bursts /
 //! Inf spikes from `smfl_datasets::inject`), so the split cannot drift
 //! from the wrappers on any path — healthy, degraded, or failing.
 //! A second suite pins the cached model-selection path: `grid_search`
@@ -21,7 +22,7 @@
 use proptest::prelude::*;
 use smfl_core::{
     fit_with_sink, grid_search, grid_search_uncached, FitPlan, ParamGrid, RecordingSink,
-    SmflConfig, SolveOptions, Trace, Variant,
+    Resilience, SmflConfig, SolveOptions, Trace, Variant,
 };
 use smfl_datasets::inject::{inject_inf_spike, inject_nan_burst};
 use smfl_linalg::random::uniform_matrix;
@@ -54,7 +55,7 @@ fn config_for(
     lambda: f64,
     p: usize,
     seed: u64,
-    resilient: bool,
+    policy: Resilience,
 ) -> SmflConfig {
     let base = match variant {
         Variant::Nmf => SmflConfig::nmf(rank),
@@ -72,11 +73,17 @@ fn config_for(
         1 => base.with_gradient_descent(5e-3),
         _ => base.with_hals(),
     };
-    if resilient {
-        base.resilient()
-    } else {
-        base
-    }
+    base.with_resilience(policy)
+}
+
+/// The policy axis: `Strict`, `Recover` without and with stall
+/// detection.
+fn policies() -> impl Strategy<Value = Resilience> {
+    (0usize..3).prop_map(|i| match i {
+        0 => Resilience::Strict,
+        1 => Resilience::Recover { stall_patience: 0 },
+        _ => Resilience::Recover { stall_patience: 4 },
+    })
 }
 
 /// Bitwise trace equality, wall times excluded (the only field the
@@ -135,8 +142,8 @@ fn assert_wrapper_equals_plan(x: &Matrix, omega: &Mask, cfg: &SmflConfig) {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
-    /// `fit` / `fit_resilient` ≡ `FitPlan::compile(...).solve()` on
-    /// clean inputs, across updaters, variants, and resilience modes.
+    /// `fit` ≡ `FitPlan::compile(...).solve()` on clean inputs, across
+    /// updaters, variants, and resilience policies.
     #[test]
     fn wrapper_equals_compile_solve_on_clean_inputs(
         n in 12usize..36,
@@ -146,19 +153,19 @@ proptest! {
         p in 1usize..6,
         missing in 0u32..80,
         updater in 0u8..3,
-        resilient in proptest::bool::ANY,
+        policy in policies(),
         seed in 0u64..10_000,
     ) {
         let (x, omega) = problem(n, m, seed, missing);
         for variant in [Variant::Nmf, Variant::Smf, Variant::Smfl] {
             let rank = rank.min(m.min(n));
-            let cfg = config_for(variant, updater, rank, lambda, p, seed, resilient);
+            let cfg = config_for(variant, updater, rank, lambda, p, seed, policy);
             assert_wrapper_equals_plan(&x, &omega, &cfg);
         }
     }
 
     /// Same property under fault injection: NaN bursts and Inf spikes
-    /// in the observed data. Resilient fits sanitize and degrade; plain
+    /// in the observed data. Recovering fits sanitize and degrade; strict
     /// fits reject — either way, wrapper and plan must agree exactly.
     #[test]
     fn wrapper_equals_compile_solve_on_faulty_inputs(
@@ -168,7 +175,7 @@ proptest! {
         inf_count in 0usize..4,
         missing in 0u32..40,
         updater in 0u8..3,
-        resilient in proptest::bool::ANY,
+        policy in policies(),
         seed in 0u64..10_000,
     ) {
         let (mut x, omega) = problem(n, m, seed, missing);
@@ -176,7 +183,7 @@ proptest! {
         if inf_count > 0 {
             inject_inf_spike(&mut x, inf_count, seed.wrapping_add(9));
         }
-        let cfg = config_for(Variant::Smfl, updater, 3, 0.4, 3, seed, resilient);
+        let cfg = config_for(Variant::Smfl, updater, 3, 0.4, 3, seed, policy);
         assert_wrapper_equals_plan(&x, &omega, &cfg);
     }
 }

@@ -20,6 +20,9 @@
 //! Laplacian term and `SpatialGraph::regularization` walk the graph
 //! without a temporary.
 //!
+//! A strict solve never checkpoints, so it never creates the snapshot
+//! buffers a recovering solve allocates on its first checkpoint.
+//!
 //! The telemetry layer (DESIGN.md §11) extends the contract: the no-op
 //! sink's instrumentation sites allocate nothing at all, and a
 //! recording sink allocates only on event-buffer growth (never when
@@ -60,10 +63,10 @@ unsafe impl GlobalAlloc for CountingAllocator {
 #[global_allocator]
 static GLOBAL: CountingAllocator = CountingAllocator;
 
-use smfl_core::health::{classify, HealthPolicy};
+use smfl_core::health::classify;
 use smfl_core::telemetry::{IterEvent, NoopSink, RecordingSink, TraceSink};
 use smfl_core::updater::{multiplicative_step, UpdateContext};
-use smfl_core::Landmarks;
+use smfl_core::{Landmarks, Resilience};
 use smfl_linalg::random::{positive_uniform_matrix, uniform_matrix};
 use smfl_linalg::{Mask, ObservedPattern, Workspace};
 use smfl_spatial::kmeans::{kmeans, KMeansAlgorithm, KMeansConfig};
@@ -126,9 +129,9 @@ fn multiplicative_step_allocates_nothing_after_warmup() {
         ws.denom_vt.as_slice().as_ptr(),
     );
 
-    // Steady state mirrors the resilient fit loop: update, health scan,
+    // Steady state mirrors the recovering fit loop: update, health scan,
     // checkpoint. All three must be allocation-free.
-    let policy = HealthPolicy { divergence_tol: 1e-6, stall_patience: 0 };
+    let policy = Resilience::Recover { stall_patience: 0 };
     let mut prev = None;
     COUNTING.store(true, Ordering::SeqCst);
     for _ in 0..10 {
@@ -293,23 +296,23 @@ fn multiplicative_step_allocates_nothing_after_warmup() {
 
     // --- Phase 5: warm-start refits through a compiled plan. ------------
     // The serving loop is `plan.rebind` + warm solve. On an unchanged
-    // mask the rebind rewrites the compiled pattern and masked data in
-    // place — zero allocations — and a warm solve's allocation count is
+    // mask the rebind refills the compiled pattern in place — zero
+    // allocations — and a warm solve's allocation count is
     // a fixed per-solve cost (history buffer + warm-factor clones),
     // independent of how many iterations it runs.
     use smfl_core::{fit as core_fit, FitPlan, SmflConfig, SolveOptions};
 
     let cfg = SmflConfig::nmf(k).with_seed(7).with_tol(0.0).with_max_iter(3);
-    let cold = core_fit(&x, &omega, &cfg).unwrap();
-    let opts = SolveOptions::warm_from(&cold);
+    let cold_nmf = core_fit(&x, &omega, &cfg).unwrap();
+    let opts = SolveOptions::warm_from(&cold_nmf);
 
     let mut plan_short = FitPlan::compile(&x, &omega, &cfg).unwrap();
     let mut plan_long =
         FitPlan::compile(&x, &omega, &cfg.clone().with_max_iter(23)).unwrap();
     let x2 = uniform_matrix(n, m, 0.0, 1.0, 14);
-    // Warmup: the first solve on each plan lazily creates the
-    // checkpoint double-buffer; the first rebind exercises nothing lazy
-    // but is warmed for symmetry.
+    // Warmup: neither the first solve nor the first rebind creates a
+    // lazy buffer on this strict, sparse-path plan (phase 6 checks the
+    // solve half), but both are warmed for symmetry.
     plan_short.rebind(&x2, &omega).unwrap();
     plan_short.solve_with(&opts).unwrap();
     plan_long.rebind(&x2, &omega).unwrap();
@@ -368,6 +371,41 @@ fn multiplicative_step_allocates_nothing_after_warmup() {
         23,
         "tol = 0 must run every iteration"
     );
+
+    // --- Phase 6: a strict solve allocates no checkpoint buffers. -------
+    // The snapshot pair (`snap_u`, `snap_v`) is created lazily by the
+    // first checkpoint, and only `Recover` checkpoints. So a strict warm
+    // solve on a fresh plan allocates exactly what it does on a reused
+    // one, while a recovering solve's first run allocates those two
+    // buffers on top — and both policies return the same model.
+    let strict_cfg = cfg.clone().with_max_iter(10);
+    let recover_cfg = strict_cfg.clone().resilient();
+    let opts = SolveOptions::warm_from(&cold_nmf);
+    let first_and_reused = |config: &SmflConfig| {
+        let mut plan = FitPlan::compile(&x, &omega, config).unwrap();
+        let mut model = None;
+        let first = count_allocs(|| model = Some(plan.solve_with(&opts).unwrap()));
+        let reused = count_allocs(|| {
+            plan.solve_with(&opts).unwrap();
+        });
+        (first, reused, model.unwrap())
+    };
+    let (strict_first, strict_reused, strict_model) = first_and_reused(&strict_cfg);
+    let (recover_first, recover_reused, recover_model) = first_and_reused(&recover_cfg);
+    assert_eq!(
+        strict_first, strict_reused,
+        "a strict solve on a fresh plan allocated {} more buffers than on a reused one",
+        strict_first as isize - strict_reused as isize
+    );
+    assert_eq!(strict_reused, recover_reused);
+    assert_eq!(
+        recover_first,
+        strict_first + 2,
+        "the recovering solve's first checkpoint must allocate exactly the snapshot pair"
+    );
+    assert!(strict_model.u.approx_eq(&recover_model.u, 0.0));
+    assert!(strict_model.v.approx_eq(&recover_model.v, 0.0));
+    assert_eq!(strict_model.report, recover_model.report);
 }
 
 /// An i.i.d. mask at `density`, with row 0 fully observed.

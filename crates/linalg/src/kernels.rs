@@ -483,8 +483,8 @@ pub struct Workspace {
     /// `max(N, M)` per-column scratch (HALS).
     pub col_scratch: Vec<f64>,
     /// Last-good `U` snapshot (`N x K`) for checkpoint/rollback;
-    /// allocated lazily on the first [`Self::checkpoint`] so
-    /// non-resilient fits never pay for it.
+    /// allocated lazily on the first [`Self::checkpoint`], so a fit
+    /// that never checkpoints (a strict solve) never pays for it.
     pub snap_u: Option<Matrix>,
     /// Last-good `V` snapshot (`K x M`), paired with [`Self::snap_u`].
     pub snap_v: Option<Matrix>,
