@@ -6,8 +6,8 @@
 //! Besides the criterion console output, `main` sweeps
 //! `N ∈ {2000, 20000, 100000}` at `p = 5`, times the full
 //! `SpatialGraph` build serial (1 thread) vs parallel (`max_threads()`),
-//! cross-checks that every configuration produces the **identical** CSR
-//! triple (and, where `O(N²)` is feasible, matches the brute-force
+//! cross-checks that every configuration produces the **identical**
+//! `(D, w)` (and, where `O(N²)` is feasible, matches the brute-force
 //! oracle bitwise), times Lloyd vs Hamerly k-means on the same points,
 //! and writes `BENCH_spatial.json` at the workspace root — the same
 //! shape as `BENCH_update_rules.json`.
@@ -15,7 +15,7 @@
 use criterion::{BenchmarkId, Criterion};
 use smfl_linalg::parallel::max_threads;
 use smfl_linalg::random::uniform_matrix;
-use smfl_spatial::graph::{NeighborSearch, SpatialGraph};
+use smfl_spatial::graph::{GraphWeighting, NeighborSearch, SpatialGraph};
 use smfl_spatial::kmeans::{kmeans, KMeansAlgorithm, KMeansConfig};
 use smfl_spatial::KdTree;
 use std::time::Instant;
@@ -97,6 +97,19 @@ fn time_secs(mut f: impl FnMut(), budget_s: f64, min_iters: u32) -> f64 {
     start.elapsed().as_secs_f64() / f64::from(iters)
 }
 
+/// The kd-tree binary graph built with an explicit thread count.
+fn graph_with_threads(pts: &smfl_linalg::Matrix, threads: usize) -> SpatialGraph {
+    SpatialGraph::build_instrumented(
+        pts,
+        P,
+        NeighborSearch::KdTree,
+        GraphWeighting::Binary,
+        threads,
+    )
+    .unwrap()
+    .0
+}
+
 fn json_report() {
     let threads = max_threads();
     eprintln!("\nmanual timing for BENCH_spatial.json (p={P}, parallel threads={threads})");
@@ -105,38 +118,33 @@ fn json_report() {
         let pts = uniform_matrix(n, 2, 0.0, 1.0, 7);
 
         // Correctness first: serial and parallel builds must produce the
-        // identical CSR triple; where O(N²) is affordable, both must also
+        // identical `(D, w)`; where O(N²) is affordable, both must also
         // match the brute-force oracle bitwise.
-        let serial = SpatialGraph::build_with_threads(&pts, P, NeighborSearch::KdTree, 1).unwrap();
-        let parallel =
-            SpatialGraph::build_with_threads(&pts, P, NeighborSearch::KdTree, threads).unwrap();
+        let serial = graph_with_threads(&pts, 1);
+        let parallel = graph_with_threads(&pts, threads);
         assert!(
-            serial.similarity == parallel.similarity
-                && serial.degree == parallel.degree
-                && serial.laplacian == parallel.laplacian,
+            serial.similarity == parallel.similarity && serial.degree == parallel.degree,
             "parallel graph differs from serial at n={n}"
         );
         let oracle_checked = n <= ORACLE_MAX_N;
         if oracle_checked {
             let oracle = SpatialGraph::build(&pts, P, NeighborSearch::BruteForce).unwrap();
             assert!(
-                parallel.similarity == oracle.similarity
-                    && parallel.laplacian == oracle.laplacian,
+                parallel.similarity == oracle.similarity && parallel.degree == oracle.degree,
                 "parallel graph differs from the brute-force oracle at n={n}"
             );
         }
 
         let serial_s = time_secs(
             || {
-                SpatialGraph::build_with_threads(&pts, P, NeighborSearch::KdTree, 1).unwrap();
+                graph_with_threads(&pts, 1);
             },
             0.3,
             2,
         );
         let parallel_s = time_secs(
             || {
-                SpatialGraph::build_with_threads(&pts, P, NeighborSearch::KdTree, threads)
-                    .unwrap();
+                graph_with_threads(&pts, threads);
             },
             0.3,
             2,

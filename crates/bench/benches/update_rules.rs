@@ -31,7 +31,7 @@ use smfl_core::Landmarks;
 use smfl_linalg::mask::{masked_diff_norm_sq, masked_product};
 use smfl_linalg::ops::{dot, matmul_at, matmul_at_into, matmul_bt, matmul_bt_into, matmul_into};
 use smfl_linalg::random::{positive_uniform_matrix, uniform_matrix};
-use smfl_linalg::{Mask, Matrix, ObservedPattern, Workspace};
+use smfl_linalg::{CsrMatrix, Mask, Matrix, ObservedPattern, Workspace};
 use smfl_spatial::{NeighborSearch, SpatialGraph};
 use std::time::Instant;
 
@@ -218,6 +218,9 @@ fn max_rel_diff(a: &Matrix, b: &Matrix) -> f64 {
 struct Lake {
     problem: Problem,
     graph: SpatialGraph,
+    /// `L = diag(w) − D` in CSR form, for the matmul formulation's
+    /// objective (the library works from `(D, w)` only).
+    laplacian: CsrMatrix,
     landmarks: Landmarks,
 }
 
@@ -230,10 +233,16 @@ fn lake() -> Lake {
     // The same draw as the problem's X: its first two columns are the SI.
     let si = positive_uniform_matrix(n, m, 11).columns(0, 2).unwrap();
     let graph = SpatialGraph::build(&si, 5, NeighborSearch::KdTree).unwrap();
+    let mut triplets: Vec<(usize, usize, f64)> = (0..n)
+        .flat_map(|i| graph.similarity.row_entries(i).map(move |(j, d)| (i, j, -d)))
+        .collect();
+    triplets.extend(graph.degree.iter().enumerate().map(|(i, &w)| (i, i, w)));
+    let laplacian = CsrMatrix::from_triplets(n, n, &triplets).unwrap();
     let landmarks = Landmarks::compute(&si, k, 300, 0).unwrap();
     Lake {
         problem,
         graph,
+        laplacian,
         landmarks,
     }
 }
@@ -333,7 +342,7 @@ fn matmul_step(lake: &Lake, s: &mut MatmulScratch, u: &mut Matrix, v: &mut Matri
             fit += d * d;
         }
     }
-    g.laplacian.spmm_into(u, &mut s.lu).unwrap();
+    lake.laplacian.spmm_into(u, &mut s.lu).unwrap();
     fit + LAKE_LAMBDA * dot(u.as_slice(), s.lu.as_slice())
 }
 

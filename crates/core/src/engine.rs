@@ -273,7 +273,6 @@ pub(crate) fn solve<S: TraceSink>(
         converged,
         spatial_cols: config.spatial_cols,
         report,
-        trace: None,
     })
 }
 

@@ -17,7 +17,7 @@
 //!
 //! where `r_ij = x_ij − (UV)_ij` is the current masked residual.
 //! On the fused engine the residual lives in *packed* form over the
-//! [`ObservedPattern`]: the `U` sweep walks CSR rows, the `V` sweep
+//! [`ObservedPattern`](smfl_linalg::ObservedPattern): the `U` sweep walks CSR rows, the `V` sweep
 //! walks CSC columns (both touching only observed entries, `O(|Ω|)` per
 //! coordinate pass instead of the previous `O(N·M)` mask probing), and
 //! the incremental residual maintenance updates the packed values in

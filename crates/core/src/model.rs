@@ -1,14 +1,17 @@
-//! The public fit API (paper Algorithm 1) and the fitted-model type.
+//! The one-shot fit API (paper Algorithm 1) and the fitted-model type.
 //!
-//! Every entry point here is a thin wrapper over the compile/solve
-//! split: [`crate::plan::FitPlan`] materializes the pre-loop artifacts
+//! [`fit`], [`impute`] and [`repair`] are the only one-shot entry
+//! points. Each is a thin wrapper over the compile/solve split:
+//! [`crate::plan::FitPlan`] materializes the pre-loop artifacts
 //! (sanitize → validate → SI fill → graph → landmarks → pattern +
-//! workspace) and [`crate::engine`] runs the update loop over the
-//! borrowed plan — `fit(x, omega, cfg)` is exactly
-//! `FitPlan::compile(x, omega, cfg)?.solve()`, bitwise. Use the plan
-//! API directly to amortize compilation across repeated solves
-//! (model selection, warm-started refits); use these wrappers for the
-//! one-shot fits of the paper's experiments.
+//! workspace) and its solve runs the update loop over the borrowed plan
+//! — `fit(x, omega, cfg)` is exactly
+//! `FitPlan::compile(x, omega, cfg)?.solve()`, bitwise. Everything else
+//! goes through the plan API: curated landmarks
+//! ([`FitPlan::compile_with_landmarks`]), telemetry into a caller's
+//! sink ([`FitPlan::compile_with_sink`] + [`FitPlan::solve_with_sink`]),
+//! and compilation amortized across repeated solves (model selection,
+//! warm-started refits).
 //!
 //! [`FittedModel::impute`] applies Formula 8
 //! (`X̂ ← R_Ω(X) + R_Ψ(X*)`), and [`repair`] reuses the same machinery
@@ -18,7 +21,7 @@ use crate::config::SmflConfig;
 use crate::health::FitReport;
 use crate::landmarks::Landmarks;
 use crate::plan::{FitPlan, SolveOptions};
-use crate::telemetry::{JsonlSink, NoopSink, RecordingSink, Trace, TraceSink};
+use crate::telemetry::{JsonlSink, NoopSink, TraceSink};
 use smfl_linalg::{Mask, Matrix, Result};
 
 /// A fitted factorization `X ≈ U·V`.
@@ -44,9 +47,6 @@ pub struct FittedModel {
     /// plus the repair steps of a [`crate::Resilience::Recover`] fit.
     /// See [`FitReport`].
     pub report: FitReport,
-    /// Full telemetry trace — populated only by [`fit_traced`]
-    /// (boxed so the common untraced model stays small).
-    pub trace: Option<Box<Trace>>,
 }
 
 impl FittedModel {
@@ -91,11 +91,6 @@ impl FittedModel {
         self.objective_history.last().copied()
     }
 
-    /// The recorded telemetry trace (`Some` only for [`fit_traced`]).
-    pub fn trace(&self) -> Option<&Trace> {
-        self.trace.as_deref()
-    }
-
     /// Warm-started refit on new data through an existing plan — the
     /// serving path for observations that trickle in. Rebinds `plan` to
     /// `(x, omega)` (in place when the mask is unchanged; see
@@ -125,83 +120,32 @@ impl FittedModel {
 /// (see [`SmflConfig::resilient`]) unusable cells are masked out instead
 /// of rejected, failed iterations restart from a checkpoint, and every
 /// repair step is recorded in the returned model's [`FitReport`].
+///
+/// The fit streams telemetry to the JSONL file named by the
+/// `SMFL_TRACE` environment variable when it is set. A trace file that
+/// cannot be created degrades to an untraced fit with a warning —
+/// telemetry never fails a fit.
 pub fn fit(x: &Matrix, omega: &Mask, config: &SmflConfig) -> Result<FittedModel> {
-    fit_dispatch(x, omega, config, None)
-}
-
-/// Routes a fit through the `SMFL_TRACE` JSONL sink when the
-/// environment asks for one, and through the erased [`NoopSink`]
-/// otherwise. A trace file that cannot be created degrades to an
-/// untraced fit with a warning — telemetry never fails a fit.
-fn fit_dispatch(
-    x: &Matrix,
-    omega: &Mask,
-    config: &SmflConfig,
-    landmarks_override: Option<Landmarks>,
-) -> Result<FittedModel> {
     match crate::telemetry::env_trace_path() {
         Some(path) => match JsonlSink::create(&path) {
-            Ok(mut sink) => fit_inner(x, omega, config, landmarks_override, &mut sink),
+            Ok(mut sink) => fit_inner(x, omega, config, &mut sink),
             Err(err) => {
                 eprintln!("SMFL_TRACE: cannot create {}: {err}; tracing disabled", path.display());
-                fit_inner(x, omega, config, landmarks_override, &mut NoopSink)
+                fit_inner(x, omega, config, &mut NoopSink)
             }
         },
-        None => fit_inner(x, omega, config, landmarks_override, &mut NoopSink),
+        None => fit_inner(x, omega, config, &mut NoopSink),
     }
 }
 
-/// Compile + solve against one shared sink — the one-shot pipeline
-/// every public wrapper funnels through.
+/// Compile + solve against one shared sink.
 fn fit_inner<S: TraceSink>(
     x: &Matrix,
     omega: &Mask,
     config: &SmflConfig,
-    landmarks_override: Option<Landmarks>,
     sink: &mut S,
 ) -> Result<FittedModel> {
-    let mut plan = FitPlan::compile_full(x, omega, config, landmarks_override, None, sink)?;
-    crate::engine::solve(&mut plan, &SolveOptions::default(), sink)
-}
-
-/// [`fit`] streaming telemetry into a caller-supplied [`TraceSink`].
-///
-/// With [`NoopSink`] this is exactly [`fit`] (same monomorphization);
-/// with any enabled sink the fit is numerically identical — only
-/// observed. The `SMFL_TRACE` environment toggle is bypassed.
-pub fn fit_with_sink<S: TraceSink>(
-    x: &Matrix,
-    omega: &Mask,
-    config: &SmflConfig,
-    sink: &mut S,
-) -> Result<FittedModel> {
-    fit_inner(x, omega, config, None, sink)
-}
-
-/// [`fit`] recording a full in-memory [`Trace`], attached to the
-/// returned model and readable via [`FittedModel::trace`].
-pub fn fit_traced(x: &Matrix, omega: &Mask, config: &SmflConfig) -> Result<FittedModel> {
-    let mut sink = RecordingSink::with_capacity(config.max_iter.min(1024));
-    let mut model = fit_inner(x, omega, config, None, &mut sink)?;
-    model.trace = Some(Box::new(sink.into_trace()));
-    Ok(model)
-}
-
-/// [`fit`] with explicitly supplied landmarks, bypassing the k-means
-/// computation — for *curated* landmarks (the paper's §IV-C notes that
-/// carefully chosen landmarks can outperform automatic ones) and for
-/// the landmark-quality ablation.
-///
-/// The landmark matrix must be `K x L` matching the configuration
-/// (`DimensionMismatch { op: "fit_with_landmarks" }` otherwise); the
-/// landmarks are used regardless of `config.variant`.
-pub fn fit_with_landmarks(
-    x: &Matrix,
-    omega: &Mask,
-    config: &SmflConfig,
-    landmarks: Landmarks,
-) -> Result<FittedModel> {
-    fit_dispatch(x, omega, config, Some(landmarks))
+    FitPlan::compile_with_sink(x, omega, config, sink)?.solve_with_sink(&SolveOptions::new(), sink)
 }
 
 /// Fit + impute in one call: returns `X̂` with unobserved cells filled
@@ -233,7 +177,6 @@ mod tests {
             converged: false,
             spatial_cols: 0,
             report: FitReport::default(),
-            trace: None,
         };
         assert_eq!(model.cluster_labels(), vec![0, 1, 0]);
     }

@@ -2,18 +2,18 @@
 //!
 //! A [`FitPlan`] is everything Algorithm 1 computes before its update
 //! loop, materialized as a reusable artifact: validated + sanitized
-//! inputs, the mean-filled SI, the p-NN similarity graph and Laplacian
+//! inputs, the mean-filled SI, the p-NN similarity graph `(D, w)`
 //! (lines 2-3), the k-means landmarks (lines 4-6), the compiled
 //! [`ObservedPattern`] of the fused sparse engine, and a sized
 //! [`Workspace`]. Compiling is the expensive, data-dependent phase;
-//! [`FitPlan::solve`] (the loop in [`crate::engine`]) is cheap per call
+//! [`FitPlan::solve`] (the update loop) is cheap per call
 //! and can be repeated — cold, or warm-started through
 //! [`SolveOptions::warm_from`] — without recompiling anything.
 //!
 //! Each sub-artifact depends on a small key of config fields, which is
 //! what [`PlanCache`] exploits during model selection: landmarks are
 //! keyed on `(K, seed, t₂, policy kind)`, the graph on `(p, weighting,
-//! search, policy kind)`, the compiled pattern on the (sanitized) train
+//! policy kind)`, the compiled pattern on the (sanitized) train
 //! mask — all of them additionally on the SI matrix actually fed to
 //! them. `grid_search` over the paper's λ-sweep therefore runs k-means
 //! once per distinct `K` and builds one graph per distinct `p` instead
@@ -26,7 +26,7 @@ use crate::model::FittedModel;
 use crate::resilience::{build_graph, compute_landmarks, record, sanitize_inputs};
 use crate::telemetry::{NoopSink, Phase, SpanEvent, TraceSink};
 use smfl_linalg::{LinalgError, Mask, Matrix, ObservedPattern, Result, Workspace};
-use smfl_spatial::{fill_missing_si, GraphWeighting, NeighborSearch, SpatialGraph};
+use smfl_spatial::{fill_missing_si, GraphWeighting, SpatialGraph};
 use std::borrow::Cow;
 use std::mem::{discriminant, Discriminant};
 use std::sync::Arc;
@@ -54,19 +54,7 @@ impl SolveOptions {
     /// the plan's shape and rank — a rank change invalidates a warm
     /// start (`DimensionMismatch { op: "warm_start" }` at solve time).
     pub fn warm_from(model: &FittedModel) -> Self {
-        Self::warm_factors(model.u.clone(), model.v.clone())
-    }
-
-    /// Warm-start from explicit `U` (`N x K`) and `V` (`K x M`)
-    /// factors. Both must be finite; landmark columns of `V` are
-    /// overwritten by the plan's landmarks at solve time.
-    pub fn warm_factors(u: Matrix, v: Matrix) -> Self {
-        SolveOptions { warm: Some((u, v)) }
-    }
-
-    /// `true` when this solve will seed from prior factors.
-    pub fn is_warm(&self) -> bool {
-        self.warm.is_some()
+        SolveOptions { warm: Some((model.u.clone(), model.v.clone())) }
     }
 }
 
@@ -84,7 +72,7 @@ pub struct FitPlan {
     pub(crate) omega: Mask,
     /// Ω + observed values, the only copy of the data a solve reads.
     pub(crate) pattern: Arc<ObservedPattern>,
-    /// Similarity graph + Laplacian (`None` when λ = 0, the variant has
+    /// Similarity graph `(D, w)` (`None` when λ = 0, the variant has
     /// no spatial term, or the degradation ladder dropped it).
     pub(crate) graph: Option<Arc<SpatialGraph>>,
     /// Landmarks to freeze into `V` (`None` for NMF/SMF or when the
@@ -133,9 +121,14 @@ impl FitPlan {
         Self::compile_full(x, omega, config, None, Some(cache), &mut NoopSink)
     }
 
-    /// [`compile`](Self::compile) with explicitly supplied (curated)
-    /// landmarks instead of the k-means computation, mirroring
-    /// [`crate::fit_with_landmarks`].
+    /// [`compile`](Self::compile) with explicitly supplied landmarks,
+    /// bypassing the k-means computation — for *curated* landmarks (the
+    /// paper's §IV-C notes that carefully chosen landmarks can
+    /// outperform automatic ones) and for the landmark-quality ablation.
+    ///
+    /// The landmark matrix must be `K x L` matching the configuration
+    /// (`DimensionMismatch { op: "compile_with_landmarks" }` otherwise);
+    /// the landmarks are used regardless of `config.variant`.
     pub fn compile_with_landmarks(
         x: &Matrix,
         omega: &Mask,
@@ -162,7 +155,7 @@ impl FitPlan {
                 return Err(LinalgError::DimensionMismatch {
                     left: (lm.k(), lm.spatial_cols()),
                     right: (config.rank, config.spatial_cols),
-                    op: "fit_with_landmarks",
+                    op: "compile_with_landmarks",
                 });
             }
         }
@@ -209,7 +202,6 @@ impl FitPlan {
             let key = GraphKey {
                 p: config.p_neighbors,
                 weighting: config.weighting,
-                search: config.search,
                 policy: discriminant(&config.resilience),
             };
             match cache.as_deref_mut().and_then(|c| c.lookup_graph(&key)) {
@@ -436,7 +428,6 @@ struct LmEntry {
 struct GraphKey {
     p: usize,
     weighting: GraphWeighting,
-    search: NeighborSearch,
     policy: Discriminant<Resilience>,
 }
 
@@ -474,7 +465,7 @@ pub struct PlanCacheStats {
 /// folds.
 ///
 /// Keying: landmarks on `(K, seed, t₂, policy kind)`, graphs on `(p,
-/// weighting, search, policy kind)`, patterns on the sanitized mask —
+/// weighting, policy kind)`, patterns on the sanitized mask —
 /// each entry implicitly also on the SI matrix it was built from (a
 /// compile presenting a different SI flushes the landmark and graph
 /// entries). **One cache serves one data matrix `x`**: the cache
@@ -753,11 +744,9 @@ mod tests {
         let cold = plan.solve().unwrap();
         // Corrupt the warm seed's landmark columns; the solve must
         // re-freeze them from the plan.
-        let mut bad_v = cold.v.clone();
-        bad_v.set(0, 0, 9.99);
-        let warm = plan
-            .solve_with(&SolveOptions::warm_factors(cold.u.clone(), bad_v))
-            .unwrap();
+        let mut bad = cold.clone();
+        bad.v.set(0, 0, 9.99);
+        let warm = plan.solve_with(&SolveOptions::warm_from(&bad)).unwrap();
         let lm = plan.landmarks().unwrap();
         assert!(lm.verify_injected(&warm.v), "landmark columns not re-frozen");
     }

@@ -19,7 +19,7 @@ use crate::health::{FitEvent, FitReport};
 use crate::landmarks::Landmarks;
 use crate::telemetry::{Phase, SpanEvent, TraceSink};
 use smfl_linalg::{Mask, Matrix, Result};
-use smfl_spatial::{dedupe_coordinates, SpatialGraph};
+use smfl_spatial::{dedupe_coordinates, NeighborSearch, SpatialGraph};
 
 /// Appends `event` to the report and mirrors it to the sink, keeping a
 /// trace's engine-event stream identical to `FitReport::events`.
@@ -154,23 +154,26 @@ pub(crate) fn build_graph<S: TraceSink>(
     Ok(None)
 }
 
-/// `SpatialGraph::build_weighted`, emitting the kNN/assembly sub-spans
-/// when the sink is enabled (the disabled path calls the plain builder
-/// so no clock is ever read).
+/// The kd-tree graph build, emitting the kNN/assembly sub-spans when
+/// the sink is enabled. The build reads the clock either way (four
+/// reads, negligible against the kNN pass).
 fn build_graph_traced<S: TraceSink>(
     si: &Matrix,
     config: &SmflConfig,
     sink: &mut S,
 ) -> Result<SpatialGraph> {
+    let (g, stats) = SpatialGraph::build_instrumented(
+        si,
+        config.p_neighbors,
+        NeighborSearch::KdTree,
+        config.weighting,
+        0,
+    )?;
     if S::ENABLED {
-        let (g, stats) =
-            SpatialGraph::build_instrumented(si, config.p_neighbors, config.search, config.weighting, 0)?;
         sink.span(&SpanEvent { phase: Phase::GraphKnn, wall: stats.knn });
         sink.span(&SpanEvent { phase: Phase::GraphAssembly, wall: stats.assembly });
-        Ok(g)
-    } else {
-        SpatialGraph::build_weighted(si, config.p_neighbors, config.search, config.weighting)
     }
+    Ok(g)
 }
 
 /// `dst = (dst + fresh) / 2` elementwise — the deterministic restart

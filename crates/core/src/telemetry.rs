@@ -6,7 +6,9 @@
 //! every instrumentation site when the sink is [`NoopSink`]: the fit
 //! loop guards each event construction — including the
 //! `Instant::now()` reads — behind `if S::ENABLED`, which const-folds
-//! to nothing for the no-op sink. The disabled path is therefore
+//! to nothing for the no-op sink. (The one exception is the graph
+//! build, which always times its kNN and assembly phases: four clock
+//! reads per compile.) The disabled path is therefore
 //! bitwise- and allocation-identical to an uninstrumented engine
 //! (asserted by `tests/trace.rs` and the counting-allocator test;
 //! bounded by `benches/trace_overhead.rs`).
@@ -29,11 +31,12 @@
 //! adds per iteration, paid unconditionally — they cannot change any
 //! `f64` result) and handed to the sink once at fit end.
 //!
-//! Two concrete sinks ship: [`RecordingSink`] buffers everything
-//! in memory as a [`Trace`] (powering the theorem-grade test suites and
-//! `FittedModel::trace()`), and [`JsonlSink`] streams one JSON object
-//! per event to a buffered file — enabled process-wide by pointing the
-//! `SMFL_TRACE` environment variable at a path.
+//! Two concrete sinks ship: [`RecordingSink`] buffers everything in
+//! memory as a [`Trace`] (powering the theorem-grade test suites; pass
+//! it to `FitPlan::compile_with_sink` and `solve_with_sink`), and
+//! [`JsonlSink`] streams one JSON object per event to a buffered file —
+//! enabled process-wide by pointing the `SMFL_TRACE` environment
+//! variable at a path.
 
 use crate::health::{FitEvent, FitFailure};
 use smfl_linalg::KernelCounters;
@@ -224,8 +227,9 @@ impl Trace {
     }
 }
 
-/// In-memory sink buffering a [`Trace`] — the test-suite workhorse and
-/// the backing of `FittedModel::trace()`.
+/// In-memory sink buffering a [`Trace`] — the test-suite workhorse.
+/// Pass one sink to both `FitPlan::compile_with_sink` and
+/// `FitPlan::solve_with_sink` to record a whole fit.
 #[derive(Debug, Clone, Default)]
 pub struct RecordingSink {
     trace: Trace,
@@ -282,8 +286,8 @@ impl TraceSink for RecordingSink {
 /// (telemetry must never fail a fit); [`TraceSink::finish`] flushes.
 ///
 /// Activated process-wide by `SMFL_TRACE=path` (checked once per call
-/// to `fit`, under either resilience policy), or used directly via
-/// `model::fit_with_sink`.
+/// to `fit`, under either resilience policy), or passed explicitly to
+/// `FitPlan::compile_with_sink` and `FitPlan::solve_with_sink`.
 #[derive(Debug)]
 pub struct JsonlSink {
     out: std::io::BufWriter<std::fs::File>,

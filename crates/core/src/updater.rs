@@ -209,6 +209,25 @@ pub(crate) fn update_v(v: &mut Matrix, numer_vt: &Matrix, denom_vt: &Matrix, sta
     }
 }
 
+/// `u ← u − scale·L·U` row by row, from `D·U` in `du` and the degrees:
+/// `(L·U)_ik = w_i·u_ik − (D·U)_ik`.
+fn subtract_laplacian_u(u: &mut Matrix, du: &Matrix, degree: &[f64], scale: f64) {
+    let k = u.cols();
+    if k == 0 {
+        return;
+    }
+    let rows = u
+        .as_mut_slice()
+        .chunks_exact_mut(k)
+        .zip(du.as_slice().chunks_exact(k))
+        .zip(degree);
+    for ((urow, drow), &w) in rows {
+        for (x, &d) in urow.iter_mut().zip(drow) {
+            *x -= scale * (w * *x - d);
+        }
+    }
+}
+
 /// One projected-gradient iteration (paper §III-B1). Returns the
 /// objective terms for the updated factors. Always runs on the sparse
 /// engine (the gradient only ever needs the masked residual).
@@ -222,15 +241,15 @@ pub fn gradient_step(
     let pattern = ctx.pattern;
     let nnz = pattern.nnz() as u64;
 
-    // ∂O/∂U = −2·R_Ω(X − UV)·Vᵀ + 2λ·L·U
+    // ∂O/∂U = −2·R_Ω(X − UV)·Vᵀ + 2λ·L·U, with L·U = w∘U − D·U
     ensure_uv(pattern, ws, u, v)?;
     pattern.residual_into(&ws.uv_vals, &mut ws.res_vals)?; // R_Ω(X − UV)
     pattern.spmm_into(&ws.res_vals, &ws.vt, &mut ws.numer_u)?;
     ws.counters.spmm += 1;
     ws.counters.masked_nnz += nnz;
     if let Some(g) = ctx.active_graph() {
-        g.laplacian.spmm_into(u, &mut ws.reg_a)?;
-        u.axpy(-2.0 * learning_rate * ctx.lambda, &ws.reg_a)?;
+        g.similarity.spmm_into(u, &mut ws.reg_a)?; // D·U
+        subtract_laplacian_u(u, &ws.reg_a, &g.degree, 2.0 * learning_rate * ctx.lambda);
     }
     u.axpy(2.0 * learning_rate, &ws.numer_u)?;
     u.clamp_min(0.0);

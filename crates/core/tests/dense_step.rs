@@ -1,22 +1,27 @@
-//! The fused dense multiplicative step against a naive oracle.
+//! The fused dense multiplicative step and the gradient step against
+//! naive oracles.
 //!
 //! Masks above 50% observed take the fused row-streaming step of
 //! `multiplicative_step`. This suite pins it to the textbook matmul
 //! formulation of Formulas 13/14 — dense `U·V`, masked, then the four
-//! products, the graph terms through dense `D`/`W`/`L` — which is kept
-//! here only, as a reference. It checks, step by step:
+//! products, the graph terms through dense `D`/`W`/`L` (with `L` built
+//! here as `diag(w) − D`) — which is kept here only, as a reference. It
+//! checks, step by step:
 //!
 //! - `U`, `V`, the fit term and the Laplacian term agree to 1e-10
 //!   relative, at `M ∈ {7, 13}` and `K ∈ {1, 6, 8, 11}` (`K = 11` runs
 //!   the runtime-rank instance), densities 0.6–1.0, with and without
 //!   the graph term and landmarks;
+//! - `gradient_step`, which applies `L·U` as `w∘U − D·U`, agrees with
+//!   the dense projected-gradient rule to 1e-12 relative, with and
+//!   without the graph and landmarks, at λ ∈ {0, 10};
 //! - landmark columns of `V` stay bitwise frozen;
 //! - above the parallel-dispatch threshold the objective stream and the
 //!   factors are bitwise identical at `SMFL_THREADS` 1 and 4 (checked in
 //!   child processes, since the thread count is fixed per process).
 
 use proptest::prelude::*;
-use smfl_core::updater::{multiplicative_step, UpdateContext, EPS};
+use smfl_core::updater::{gradient_step, multiplicative_step, UpdateContext, EPS};
 use smfl_core::Landmarks;
 use smfl_linalg::mask::masked_product;
 use smfl_linalg::ops::{matmul, matmul_at, matmul_bt};
@@ -27,6 +32,8 @@ use smfl_spatial::{NeighborSearch, SpatialGraph};
 use std::process::Command;
 
 const TOL: f64 = 1e-10;
+/// The gradient step differs from its oracle only in summation order.
+const GD_TOL: f64 = 1e-12;
 
 /// A spatial table (first two columns are coordinates) and an i.i.d.
 /// mask at `density`, with row 0 fully observed.
@@ -42,6 +49,72 @@ fn problem(n: usize, m: usize, density: f64, seed: u64) -> (Matrix, Mask) {
         }
     }
     (x, omega)
+}
+
+/// The graph Laplacian `L = diag(w) − D`, dense.
+fn dense_laplacian(g: &SpatialGraph) -> Matrix {
+    let mut l = g.similarity.to_dense().scale(-1.0);
+    for (i, &w) in g.degree.iter().enumerate() {
+        l.set(i, i, w);
+    }
+    l
+}
+
+/// `Σ_ij u_ij·(L·U)_ij = Tr(Uᵀ L U)`.
+fn laplacian_term(g: &SpatialGraph, u: &Matrix) -> f64 {
+    let lu = matmul(&dense_laplacian(g), u).unwrap();
+    u.as_slice().iter().zip(lu.as_slice()).map(|(a, b)| a * b).sum()
+}
+
+/// `‖R_Ω(X − UV)‖²`.
+fn fit_term(x: &Matrix, omega: &Mask, u: &Matrix, v: &Matrix) -> f64 {
+    let recon = matmul(u, v).unwrap();
+    omega
+        .iter_set()
+        .map(|(i, j)| {
+            let d = x.get(i, j) - recon.get(i, j);
+            d * d
+        })
+        .sum()
+}
+
+/// One projected-gradient step in dense form (paper §III-B1):
+/// `U ← max(0, U + 2η(R_Ω(X − UV)·Vᵀ − λ·L·U))`, then on the live
+/// columns `V ← max(0, V + 2η·Uᵀ·R_Ω(X − UV))` with the new `U`.
+/// `graph` is the active graph term (`None` when λ = 0). Returns
+/// `(U', V', fit, Tr(U'ᵀ L U'))`.
+fn gd_oracle_step(
+    x: &Matrix,
+    omega: &Mask,
+    u: &Matrix,
+    v: &Matrix,
+    graph: Option<(&SpatialGraph, f64)>,
+    v_start: usize,
+    eta: f64,
+) -> (Matrix, Matrix, f64, f64) {
+    let masked_x = omega.apply(x).unwrap();
+    let residual = |u: &Matrix| masked_x.sub(&masked_product(u, v, omega).unwrap()).unwrap();
+
+    let mut grad_u = matmul_bt(&residual(u), v).unwrap();
+    if let Some((g, lambda)) = graph {
+        grad_u.axpy(-lambda, &matmul(&dense_laplacian(g), u).unwrap()).unwrap();
+    }
+    let u_new = Matrix::from_fn(u.rows(), u.cols(), |i, t| {
+        (u.get(i, t) + 2.0 * eta * grad_u.get(i, t)).max(0.0)
+    });
+
+    let grad_v = matmul_at(&u_new, &residual(&u_new)).unwrap();
+    let v_new = Matrix::from_fn(v.rows(), v.cols(), |t, j| {
+        if j < v_start {
+            v.get(t, j)
+        } else {
+            (v.get(t, j) + 2.0 * eta * grad_v.get(t, j)).max(0.0)
+        }
+    });
+
+    let fit = fit_term(x, omega, &u_new, &v_new);
+    let laplacian = graph.map_or(0.0, |(g, _)| laplacian_term(g, &u_new));
+    (u_new, v_new, fit, laplacian)
 }
 
 /// One multiplicative step in the dense matmul formulation. Returns
@@ -86,21 +159,8 @@ fn oracle_step(
         }
     });
 
-    let recon = matmul(&u_new, &v_new).unwrap();
-    let mut fit = 0.0;
-    for (i, j) in omega.iter_set() {
-        let d = x.get(i, j) - recon.get(i, j);
-        fit += d * d;
-    }
-    let laplacian = graph.map_or(0.0, |(g, _)| {
-        let lu = matmul(&g.laplacian.to_dense(), &u_new).unwrap();
-        u_new
-            .as_slice()
-            .iter()
-            .zip(lu.as_slice())
-            .map(|(a, b)| a * b)
-            .sum()
-    });
+    let fit = fit_term(x, omega, &u_new, &v_new);
+    let laplacian = graph.map_or(0.0, |(g, _)| laplacian_term(g, &u_new));
     (u_new, v_new, fit, laplacian)
 }
 
@@ -181,6 +241,69 @@ proptest! {
         }
         prop_assert_eq!(ws.counters.dense_steps, 3);
         prop_assert_eq!(ws.counters.masked_nnz, 3 * pattern.nnz() as u64);
+    }
+
+    #[test]
+    fn gradient_step_matches_dense_oracle(
+        n in 20usize..70,
+        m_sel in 0usize..2,
+        k_sel in 0usize..3,
+        density in 0.3f64..1.0,
+        with_graph in 0usize..2,
+        lambda_sel in 0usize..2,
+        with_landmarks in 0usize..2,
+        seed in 0u64..10_000,
+    ) {
+        let m = [7, 13][m_sel];
+        let k = [1, 6, 11][k_sel];
+        let lambda = [0.0, 10.0][lambda_sel];
+        let eta = 2e-3;
+        let (x, omega) = problem(n, m, density, seed);
+        let pattern = ObservedPattern::compile(&x, &omega).unwrap();
+        let si = x.columns(0, 2).unwrap();
+        let graph = SpatialGraph::build(&si, 3, NeighborSearch::KdTree).unwrap();
+        let landmarks = (with_landmarks == 1).then(|| Landmarks::compute(&si, k, 50, seed).unwrap());
+        let ctx = UpdateContext {
+            pattern: &pattern,
+            graph: (with_graph == 1).then_some(&graph),
+            lambda,
+            landmarks: landmarks.as_ref(),
+        };
+        let v_start = landmarks.as_ref().map_or(0, Landmarks::spatial_cols);
+
+        let mut ws = Workspace::new(&pattern, k);
+        let mut u = positive_uniform_matrix(n, k, seed.wrapping_add(2)).scale(1.0 / k as f64);
+        let mut v = positive_uniform_matrix(k, m, seed.wrapping_add(3));
+        if let Some(lm) = &landmarks {
+            lm.inject(&mut v).unwrap();
+        }
+        let frozen: Vec<u64> = (0..k)
+            .flat_map(|t| (0..v_start).map(move |j| (t, j)))
+            .map(|(t, j)| v.get(t, j).to_bits())
+            .collect();
+
+        let oracle_graph = (with_graph == 1 && lambda != 0.0).then_some((&graph, lambda));
+        for step in 0..3 {
+            let (u_ref, v_ref, fit_ref, lap_ref) =
+                gd_oracle_step(&x, &omega, &u, &v, oracle_graph, v_start, eta);
+            let terms = gradient_step(&ctx, &mut ws, &mut u, &mut v, eta).unwrap();
+
+            let du = max_rel_diff(&u, &u_ref);
+            let dv = max_rel_diff(&v, &v_ref);
+            prop_assert!(du <= GD_TOL, "step {step}: U differs by {du:.2e}");
+            prop_assert!(dv <= GD_TOL, "step {step}: V differs by {dv:.2e}");
+            prop_assert!(rel_diff(terms.fit, fit_ref) <= GD_TOL,
+                "step {step}: fit {} vs oracle {fit_ref}", terms.fit);
+            prop_assert!(rel_diff(terms.laplacian, lap_ref) <= GD_TOL,
+                "step {step}: Laplacian {} vs oracle {lap_ref}", terms.laplacian);
+            prop_assert!(u.is_nonnegative(0.0));
+
+            let now: Vec<u64> = (0..k)
+                .flat_map(|t| (0..v_start).map(move |j| (t, j)))
+                .map(|(t, j)| v.get(t, j).to_bits())
+                .collect();
+            prop_assert_eq!(&now, &frozen);
+        }
     }
 }
 

@@ -18,9 +18,9 @@
 //! negative control proving the predicate is not vacuous.
 
 use proptest::prelude::*;
-use smfl_core::{fit_traced, fit_with_sink, RecordingSink, SmflConfig, Variant};
+use smfl_core::{FitPlan, FittedModel, RecordingSink, SmflConfig, SolveOptions, Trace, Variant};
 use smfl_linalg::random::uniform_matrix;
-use smfl_linalg::{Mask, Matrix};
+use smfl_linalg::{Mask, Matrix, Result};
 
 /// Random spatial problem: data in [0, 1], 2 coordinate columns, a mask
 /// with ~`missing_pct`% of cells hidden (at least one observed cell per
@@ -40,6 +40,15 @@ fn problem(n: usize, m: usize, seed: u64, missing_pct: u32) -> (Matrix, Mask) {
         omega.set(0, j, true);
     }
     (x, omega)
+}
+
+/// Compiles and solves into one `RecordingSink`, returning the outcome
+/// and everything the sink observed (also when the fit fails).
+fn fit_recorded(x: &Matrix, omega: &Mask, cfg: &SmflConfig) -> (Result<FittedModel>, Trace) {
+    let mut sink = RecordingSink::new();
+    let model = FitPlan::compile_with_sink(x, omega, cfg, &mut sink)
+        .and_then(|mut plan| plan.solve_with_sink(&SolveOptions::new(), &mut sink));
+    (model, sink.into_trace())
 }
 
 fn config_for(variant: Variant, rank: usize, lambda: f64, p: usize, seed: u64) -> SmflConfig {
@@ -76,8 +85,8 @@ proptest! {
         for variant in [Variant::Nmf, Variant::Smf, Variant::Smfl] {
             let rank = rank.min(m.min(n));
             let cfg = config_for(variant, rank, lambda, p, seed);
-            let model = fit_traced(&x, &omega, &cfg).unwrap();
-            let trace = model.trace().expect("fit_traced attaches a trace");
+            let (model, trace) = fit_recorded(&x, &omega, &cfg);
+            let model = model.unwrap();
 
             prop_assert!(
                 trace.non_increasing(1e-9),
@@ -122,8 +131,8 @@ proptest! {
             .with_max_iter(20)
             .with_seed(seed)
             .with_tol(0.0);
-        let model = fit_traced(&x, &omega, &cfg).unwrap();
-        let trace = model.trace().unwrap();
+        let (model, trace) = fit_recorded(&x, &omega, &cfg);
+        let model = model.unwrap();
         prop_assert!(trace.non_increasing(1e-9));
         prop_assert!(trace.landmarks_always_intact());
         prop_assert_eq!(trace.counters.hals_sweeps, model.iterations as u64);
@@ -146,11 +155,10 @@ fn predicate_catches_a_non_monotone_optimizer() {
             .with_seed(7)
             .with_tol(0.0)
             .with_gradient_descent(lr);
-        let mut sink = RecordingSink::new();
         // Divergence may abort the fit with an error; the sink keeps
         // whatever trajectory was recorded up to that point.
-        let _ = fit_with_sink(&x, &omega, &cfg, &mut sink);
-        if !sink.trace().non_increasing(1e-9) {
+        let (_, trace) = fit_recorded(&x, &omega, &cfg);
+        if !trace.non_increasing(1e-9) {
             caught = true;
             break;
         }

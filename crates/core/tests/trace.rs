@@ -1,8 +1,8 @@
 //! Integration contract of the telemetry layer (DESIGN.md §11):
 //!
-//! 1. observation must not perturb — a fit through [`NoopSink`], a
-//!    [`RecordingSink`], or no sink at all produces bitwise-identical
-//!    factors, history, and report;
+//! 1. observation must not perturb — a plan compiled and solved through
+//!    [`NoopSink`] or a [`RecordingSink`], or a plain `fit`, produces
+//!    bitwise-identical factors, history, and report;
 //! 2. an enabled trace is complete — every pipeline phase spanned,
 //!    kernel counters populated, one `IterEvent` per loop iteration;
 //! 3. the trace mirrors the resilient engine faithfully — its event
@@ -16,12 +16,12 @@
 //!    environment toggle — which exercises that toggle end to end.
 
 use smfl_core::{
-    fit, fit_traced, fit_with_sink, FitEvent, JsonlSink, NoopSink, Phase, RecordingSink,
-    SmflConfig,
+    fit, FitEvent, FitPlan, FittedModel, JsonlSink, NoopSink, Phase, RecordingSink, SmflConfig,
+    SolveOptions, TraceSink,
 };
 use smfl_datasets::{inject_inf_spike, inject_nan_burst};
 use smfl_linalg::random::uniform_matrix;
-use smfl_linalg::{Mask, Matrix};
+use smfl_linalg::{Mask, Matrix, Result};
 use std::path::PathBuf;
 use std::process::Command;
 
@@ -43,6 +43,16 @@ fn problem(n: usize, m: usize, seed: u64, missing_pct: u32) -> (Matrix, Mask) {
     (x, omega)
 }
 
+/// Compile + cold solve, both streaming into `sink`.
+fn fit_into<S: TraceSink>(
+    x: &Matrix,
+    omega: &Mask,
+    cfg: &SmflConfig,
+    sink: &mut S,
+) -> Result<FittedModel> {
+    FitPlan::compile_with_sink(x, omega, cfg, sink)?.solve_with_sink(&SolveOptions::new(), sink)
+}
+
 fn tmp(name: &str) -> PathBuf {
     PathBuf::from(env!("CARGO_TARGET_TMPDIR")).join(name)
 }
@@ -56,8 +66,9 @@ fn tracing_does_not_perturb_the_fit() {
     let cfg = SmflConfig::smfl(3, 2).with_max_iter(20).with_seed(5).with_tol(0.0);
 
     let plain = fit(&x, &omega, &cfg).unwrap();
-    let noop = fit_with_sink(&x, &omega, &cfg, &mut NoopSink).unwrap();
-    let traced = fit_traced(&x, &omega, &cfg).unwrap();
+    let noop = fit_into(&x, &omega, &cfg, &mut NoopSink).unwrap();
+    let mut sink = RecordingSink::new();
+    let traced = fit_into(&x, &omega, &cfg, &mut sink).unwrap();
 
     for other in [&noop, &traced] {
         assert!(plain.u.approx_eq(&other.u, 0.0), "U drifted under observation");
@@ -67,8 +78,7 @@ fn tracing_does_not_perturb_the_fit() {
         assert_eq!(plain.converged, other.converged);
         assert_eq!(plain.report, other.report);
     }
-    assert!(plain.trace().is_none() && noop.trace().is_none());
-    assert!(traced.trace().is_some());
+    assert_eq!(sink.trace().iterations.len(), traced.iterations);
 }
 
 // ---------------------------------------------------------------------
@@ -80,8 +90,9 @@ fn trace_covers_every_phase_and_counter() {
     // SDDMM/SpMM counters (not dense_steps) must move.
     let (x, omega) = problem(40, 6, 9, 60);
     let cfg = SmflConfig::smfl(3, 2).with_max_iter(15).with_seed(9).with_tol(0.0);
-    let model = fit_traced(&x, &omega, &cfg).unwrap();
-    let trace = model.trace().unwrap();
+    let mut sink = RecordingSink::new();
+    let model = fit_into(&x, &omega, &cfg, &mut sink).unwrap();
+    let trace = sink.trace();
 
     for phase in [
         Phase::SiFill,
@@ -126,7 +137,7 @@ fn resilient_trace_mirrors_fit_report() {
     let omega = Mask::full(n, 6);
     let cfg = SmflConfig::smfl(3, 2).with_max_iter(20).with_seed(99).resilient();
     let mut sink = RecordingSink::new();
-    let model = fit_with_sink(&x, &omega, &cfg, &mut sink).unwrap();
+    let model = fit_into(&x, &omega, &cfg, &mut sink).unwrap();
     let trace = sink.trace();
     assert!(!model.report.events.is_empty(), "storm produced no events");
     assert_eq!(trace.events, model.report.events);
@@ -147,7 +158,7 @@ fn resilient_trace_mirrors_fit_report() {
             .with_seed(7)
             .resilient();
         let mut sink = RecordingSink::new();
-        let Ok(model) = fit_with_sink(&x, &omega, &cfg, &mut sink) else {
+        let Ok(model) = fit_into(&x, &omega, &cfg, &mut sink) else {
             continue;
         };
         let trace = sink.trace();
@@ -179,7 +190,7 @@ fn jsonl_sink_writes_one_object_per_line() {
     let cfg = SmflConfig::smfl(3, 2).with_max_iter(10).with_seed(11).with_tol(0.0);
     let path = tmp("trace_jsonl_test.jsonl");
     let mut sink = JsonlSink::create(&path).unwrap();
-    let model = fit_with_sink(&x, &omega, &cfg, &mut sink).unwrap();
+    let model = fit_into(&x, &omega, &cfg, &mut sink).unwrap();
     drop(sink);
 
     let text = std::fs::read_to_string(&path).unwrap();

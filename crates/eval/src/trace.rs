@@ -1,6 +1,7 @@
 //! Table-style rendering of fit telemetry (DESIGN.md §11) for the
-//! efficiency experiments: turn a [`Trace`] recorded by
-//! `smfl_core::fit_traced` into the phase-breakdown and per-iteration
+//! efficiency experiments: turn a [`Trace`] recorded by a
+//! `smfl_core::RecordingSink` (passed to `FitPlan::compile_with_sink`
+//! and `solve_with_sink`) into the phase-breakdown and per-iteration
 //! timing views the experiment binaries print next to Fig. 9 numbers.
 
 use crate::timing::Timing;
@@ -80,7 +81,7 @@ pub fn render_table(trace: &Trace) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use smfl_core::{fit_traced, SmflConfig};
+    use smfl_core::{FitPlan, RecordingSink, SmflConfig, SolveOptions};
     use smfl_linalg::random::uniform_matrix;
     use smfl_linalg::Mask;
 
@@ -91,8 +92,12 @@ mod tests {
             omega.set(i, 2, false);
         }
         let cfg = SmflConfig::smfl(3, 2).with_max_iter(8).with_seed(3).with_tol(0.0);
-        let model = fit_traced(&x, &omega, &cfg).unwrap();
-        model.trace.as_deref().unwrap().clone()
+        let mut sink = RecordingSink::new();
+        FitPlan::compile_with_sink(&x, &omega, &cfg, &mut sink)
+            .unwrap()
+            .solve_with_sink(&SolveOptions::new(), &mut sink)
+            .unwrap();
+        sink.into_trace()
     }
 
     #[test]

@@ -26,7 +26,7 @@ const MAX_SWEEPS: usize = 100;
 /// # Errors
 /// - [`LinalgError::NotSquare`] if `a` is not square.
 /// - [`LinalgError::NoConvergence`] if the off-diagonal mass does not
-///   vanish within [`MAX_SWEEPS`] sweeps (does not happen for genuinely
+///   vanish within 100 Jacobi sweeps (does not happen for genuinely
 ///   symmetric finite inputs).
 ///
 /// The input is *assumed* symmetric; only the upper triangle is read.

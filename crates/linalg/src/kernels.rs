@@ -472,7 +472,7 @@ pub struct Workspace {
     pub numer_vt: Matrix,
     /// `M x K` denominator scratch for the `V` update (transposed layout).
     pub denom_vt: Matrix,
-    /// `N x K` scratch for graph products (`D·U`, `L·U`).
+    /// `N x K` scratch for the graph product `D·U`.
     pub reg_a: Matrix,
     /// `N x K` target of the fused dense step: it writes the updated `U`
     /// here, then swaps the buffer with the caller's `U`.

@@ -17,8 +17,8 @@
 //! - [`Mask`] — the `Ω` / `Ψ` observation bitsets and the masked
 //!   operators `R_Ω(·)` (paper §II-A), including `R_Ω(U·V)` evaluated
 //!   sparsely.
-//! - [`CsrMatrix`] — sparse storage for the kNN similarity matrix `D`,
-//!   the degree matrix `W` and the graph Laplacian `L` (paper §II-C).
+//! - [`CsrMatrix`] — sparse storage for the kNN similarity matrix `D`
+//!   (paper §II-C).
 //! - [`kernels`] — the fused sparse-residual iteration engine:
 //!   [`ObservedPattern`] compiles `Ω` + `X` into CSR/CSC once per fit,
 //!   and SDDMM / SpMM kernels evaluate the update-rule products at

@@ -208,11 +208,6 @@ impl Mask {
             .map(move |bit| bit - start_bit)
     }
 
-    /// Set columns of row `i`, collected into a vector.
-    pub fn row_set_cols(&self, i: usize) -> Vec<usize> {
-        self.iter_row_set(i).collect()
-    }
-
     /// `true` when every cell of row `i` is set.
     pub fn row_is_full(&self, i: usize) -> bool {
         self.iter_row_set(i).count() == self.cols
@@ -388,34 +383,6 @@ pub fn masked_diff_norm_sq(x: &Matrix, p: &Matrix, mask: &Mask) -> Result<f64> {
     Ok(acc)
 }
 
-/// `R_Ω(X)·Vᵀ` without materializing `R_Ω(X)`: accumulates
-/// `x_ij · v[:, j]` directly for each observed cell, so the masked copy
-/// of `X` never exists (previously the implementation contradicted this
-/// doc by calling `mask.apply`). Cost is `O(|Ω|·K)` plus one `K x M`
-/// transpose of `V`.
-pub fn masked_x_vt(x: &Matrix, v: &Matrix, mask: &Mask) -> Result<Matrix> {
-    if x.shape() != mask.shape() || x.cols() != v.cols() {
-        return Err(LinalgError::DimensionMismatch {
-            left: x.shape(),
-            right: v.shape(),
-            op: "masked_x_vt",
-        });
-    }
-    let vt = v.transpose();
-    let mut out = Matrix::zeros(x.rows(), v.rows());
-    for i in 0..x.rows() {
-        let xrow = x.row(i);
-        let orow = out.row_mut(i);
-        for j in mask.iter_row_set(i) {
-            let xij = xrow[j];
-            for (o, &vv) in orow.iter_mut().zip(vt.row(j)) {
-                *o += xij * vv;
-            }
-        }
-    }
-    Ok(out)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -479,7 +446,6 @@ mod tests {
         let m = Mask::from_positions(2, 3, &[(0, 0), (0, 1), (0, 2), (1, 1)]).unwrap();
         assert!(m.row_is_full(0));
         assert!(!m.row_is_full(1));
-        assert_eq!(m.row_set_cols(1), vec![1]);
     }
 
     #[test]
@@ -550,7 +516,6 @@ mod tests {
             let fast: Vec<usize> = m.iter_row_set(i).collect();
             let naive: Vec<usize> = (0..13).filter(|&j| m.get(i, j)).collect();
             assert_eq!(fast, naive, "row {i}");
-            assert_eq!(m.row_set_cols(i), naive);
         }
         let all: Vec<(usize, usize)> = m.iter_set().collect();
         let mut naive_all = Vec::new();
@@ -594,24 +559,5 @@ mod tests {
         }
         assert_eq!(p_out, out.as_slice().as_ptr());
         assert!(out.approx_eq(&masked_product(&u, &v, &mask).unwrap(), 0.0));
-    }
-
-    #[test]
-    fn masked_x_vt_shape_errors() {
-        let x = Matrix::zeros(4, 3);
-        let v = Matrix::zeros(2, 4); // cols mismatch
-        assert!(masked_x_vt(&x, &v, &Mask::full(4, 3)).is_err());
-        let v_ok = Matrix::zeros(2, 3);
-        assert!(masked_x_vt(&x, &v_ok, &Mask::full(3, 3)).is_err());
-    }
-
-    #[test]
-    fn masked_x_vt_matches_manual() {
-        let x = Matrix::from_fn(4, 3, |i, j| (i * 3 + j) as f64);
-        let v = Matrix::from_fn(2, 3, |i, j| (i + j) as f64);
-        let m = Mask::from_positions(4, 3, &[(0, 0), (1, 1), (3, 2)]).unwrap();
-        let got = masked_x_vt(&x, &v, &m).unwrap();
-        let expected = matmul(&m.apply(&x).unwrap(), &v.transpose()).unwrap();
-        assert!(got.approx_eq(&expected, 1e-12));
     }
 }

@@ -131,11 +131,6 @@ impl Matrix {
         &mut self.data
     }
 
-    /// Consumes the matrix and returns the backing buffer.
-    pub fn into_vec(self) -> Vec<f64> {
-        self.data
-    }
-
     /// Element at `(i, j)` without bounds checking beyond the slice's own.
     #[inline]
     pub fn get(&self, i: usize, j: usize) -> f64 {
@@ -148,17 +143,6 @@ impl Matrix {
     pub fn set(&mut self, i: usize, j: usize, value: f64) {
         debug_assert!(i < self.rows && j < self.cols);
         self.data[i * self.cols + j] = value;
-    }
-
-    /// Checked element access.
-    pub fn try_get(&self, i: usize, j: usize) -> Result<f64> {
-        if i >= self.rows || j >= self.cols {
-            return Err(LinalgError::IndexOutOfBounds {
-                index: (i, j),
-                shape: self.shape(),
-            });
-        }
-        Ok(self.data[i * self.cols + j])
     }
 
     /// Immutable slice of row `i`.
@@ -184,22 +168,6 @@ impl Matrix {
     pub fn col(&self, j: usize) -> Vec<f64> {
         debug_assert!(j < self.cols);
         (0..self.rows).map(|i| self.data[i * self.cols + j]).collect()
-    }
-
-    /// Writes `values` into column `j`.
-    ///
-    /// Returns [`LinalgError::BadLength`] when `values.len() != rows`.
-    pub fn set_col(&mut self, j: usize, values: &[f64]) -> Result<()> {
-        if values.len() != self.rows {
-            return Err(LinalgError::BadLength {
-                expected: self.rows,
-                actual: values.len(),
-            });
-        }
-        for (i, v) in values.iter().enumerate() {
-            self.data[i * self.cols + j] = *v;
-        }
-        Ok(())
     }
 
     /// Returns a new matrix containing columns `range` (half-open).
@@ -278,13 +246,6 @@ impl Matrix {
             rows: self.rows,
             cols: self.cols,
             data: self.data.iter().map(|&x| f(x)).collect(),
-        }
-    }
-
-    /// Applies `f` to every element in place.
-    pub fn map_inplace(&mut self, f: impl Fn(f64) -> f64) {
-        for x in &mut self.data {
-            *x = f(*x);
         }
     }
 
@@ -408,17 +369,6 @@ impl Matrix {
         }
     }
 
-    /// Maximum absolute elementwise difference to `other`.
-    pub fn max_abs_diff(&self, other: &Matrix) -> Result<f64> {
-        self.check_same_shape(other, "max_abs_diff")?;
-        Ok(self
-            .data
-            .iter()
-            .zip(&other.data)
-            .map(|(&a, &b)| (a - b).abs())
-            .fold(0.0, f64::max))
-    }
-
     /// `true` when all elements differ from `other` by at most `tol`.
     pub fn approx_eq(&self, other: &Matrix, tol: f64) -> bool {
         self.shape() == other.shape()
@@ -507,14 +457,6 @@ mod tests {
         let m = sample();
         assert_eq!(m.row(1), &[4.0, 5.0, 6.0]);
         assert_eq!(m.col(2), vec![3.0, 6.0]);
-    }
-
-    #[test]
-    fn set_col_roundtrip() {
-        let mut m = sample();
-        m.set_col(0, &[9.0, 8.0]).unwrap();
-        assert_eq!(m.col(0), vec![9.0, 8.0]);
-        assert!(m.set_col(0, &[1.0]).is_err());
     }
 
     #[test]
@@ -636,17 +578,11 @@ mod tests {
         let a = sample();
         let mut b = sample();
         b.set(1, 1, 5.5);
-        assert!((a.max_abs_diff(&b).unwrap() - 0.5).abs() < 1e-15);
+        // The largest difference is exactly 0.5.
         assert!(a.approx_eq(&b, 0.5));
+        assert!(!a.approx_eq(&b, 0.5 - 1e-15));
         assert!(!a.approx_eq(&b, 0.4));
         assert!(!a.approx_eq(&Matrix::zeros(1, 1), 10.0));
-    }
-
-    #[test]
-    fn try_get_bounds() {
-        let m = sample();
-        assert_eq!(m.try_get(1, 2).unwrap(), 6.0);
-        assert!(m.try_get(2, 0).is_err());
     }
 
     #[test]
@@ -655,12 +591,5 @@ mod tests {
         let rows: Vec<&[f64]> = m.row_iter().collect();
         assert_eq!(rows.len(), 2);
         assert_eq!(rows[1], &[4.0, 5.0, 6.0]);
-    }
-
-    #[test]
-    fn map_inplace_applies() {
-        let mut m = sample();
-        m.map_inplace(|x| x * x);
-        assert_eq!(m[(1, 2)], 36.0);
     }
 }

@@ -188,8 +188,8 @@ impl CsrMatrix {
     }
 
     /// Sparse × dense product into a caller-owned output buffer
-    /// (overwritten) — lets the update loop evaluate `D·U` and `L·U`
-    /// every iteration without allocating.
+    /// (overwritten) — lets the update loop evaluate `D·U` every
+    /// iteration without allocating.
     pub fn spmm_into(&self, b: &Matrix, out: &mut Matrix) -> Result<()> {
         if self.cols != b.rows() {
             return Err(LinalgError::DimensionMismatch {
@@ -220,20 +220,6 @@ impl CsrMatrix {
             }
         }
         Ok(())
-    }
-
-    /// Sparse × vector product.
-    pub fn spmv(&self, x: &[f64]) -> Result<Vec<f64>> {
-        if self.cols != x.len() {
-            return Err(LinalgError::DimensionMismatch {
-                left: (self.rows, self.cols),
-                right: (x.len(), 1),
-                op: "spmv",
-            });
-        }
-        Ok((0..self.rows)
-            .map(|i| self.row_entries(i).map(|(j, v)| v * x[j]).sum())
-            .collect())
     }
 
     /// Converts to a dense matrix (testing / small problems only).
@@ -366,14 +352,6 @@ mod tests {
         assert_eq!(ptr, out.as_slice().as_ptr());
         assert!(out.approx_eq(&m.spmm(&b).unwrap(), 1e-12));
         assert!(m.spmm_into(&b, &mut Matrix::zeros(2, 2)).is_err());
-    }
-
-    #[test]
-    fn spmv_matches_dense() {
-        let m = sample();
-        let y = m.spmv(&[1.0, 2.0, 3.0]).unwrap();
-        assert_eq!(y, vec![7.0, 0.0, 11.0]);
-        assert!(m.spmv(&[1.0]).is_err());
     }
 
     #[test]

@@ -45,21 +45,6 @@ impl Svd {
         matmul(&us, &self.v.transpose())
     }
 
-    /// Reconstructs keeping only the top `rank` singular values.
-    pub fn reconstruct_truncated(&self, rank: usize) -> Result<Matrix> {
-        let mut kept = self.sigma.clone();
-        for s in kept.iter_mut().skip(rank) {
-            *s = 0.0;
-        }
-        let us = scale_cols(&self.u, &kept);
-        matmul(&us, &self.v.transpose())
-    }
-
-    /// Nuclear norm `sum_i σ_i`.
-    pub fn nuclear_norm(&self) -> f64 {
-        self.sigma.iter().sum()
-    }
-
     /// Effective rank: number of singular values above `tol`.
     pub fn rank(&self, tol: f64) -> usize {
         self.sigma.iter().filter(|&&s| s > tol).count()
@@ -181,7 +166,8 @@ mod tests {
         let s = thin_svd(&a).unwrap();
         let rec = s.reconstruct_soft_threshold(0.5).unwrap();
         let s2 = thin_svd(&rec).unwrap();
-        assert!(s2.nuclear_norm() < s.nuclear_norm());
+        let nuclear_norm = |s: &Svd| s.sigma.iter().sum::<f64>();
+        assert!(nuclear_norm(&s2) < nuclear_norm(&s));
         // Thresholding by more than sigma_max gives the zero matrix.
         let zero = s.reconstruct_soft_threshold(s.sigma[0] + 1.0).unwrap();
         assert!(zero.frobenius_norm() < 1e-10);
@@ -191,20 +177,19 @@ mod tests {
     fn truncated_reconstruction_is_best_low_rank() {
         let a = tall();
         let s = thin_svd(&a).unwrap();
-        let r1 = s.reconstruct_truncated(1).unwrap();
-        let r2 = s.reconstruct_truncated(2).unwrap();
+        let truncated = |rank: usize| {
+            let kept: Vec<f64> =
+                s.sigma.iter().enumerate().map(|(i, &x)| if i < rank { x } else { 0.0 }).collect();
+            matmul(&scale_cols(&s.u, &kept), &s.v.transpose()).unwrap()
+        };
+        let r1 = truncated(1);
+        let r2 = truncated(2);
         let e1 = a.sub(&r1).unwrap().frobenius_norm();
         let e2 = a.sub(&r2).unwrap().frobenius_norm();
         assert!(e2 <= e1 + 1e-12, "more rank must not increase error");
         // Eckart-Young: truncation error equals the tail singular values.
         let tail: f64 = s.sigma[1..].iter().map(|x| x * x).sum::<f64>();
         assert!((e1 * e1 - tail).abs() < 1e-6);
-    }
-
-    #[test]
-    fn nuclear_norm_is_sigma_sum() {
-        let s = thin_svd(&tall()).unwrap();
-        assert!((s.nuclear_norm() - s.sigma.iter().sum::<f64>()).abs() < 1e-12);
     }
 
     #[test]

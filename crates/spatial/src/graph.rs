@@ -1,13 +1,14 @@
-//! The kNN similarity graph and graph Laplacian of the paper (§II-C).
+//! The kNN similarity graph of the paper (§II-C).
 //!
 //! `D` is the symmetric binary p-nearest-neighbour similarity matrix
 //! (Formula 3): `d_ij = 1` iff `x_i ∈ NN_p(x_j)` or `x_j ∈ NN_p(x_i)`,
 //! computed on the spatial information `SI`. `W` is the diagonal degree
-//! matrix (Formula 4), stored as its diagonal, and the graph Laplacian
-//! is `L = W − D`. `D` and `L` are stored sparse ([`CsrMatrix`]): each
-//! row of `D` holds at most `2p` entries, so the per-iteration product
-//! `D·U` in the update rule (Formula 13) costs `O(nnz·K)` instead of
-//! `O(N²K)`, and `W·U` is a row scaling.
+//! matrix (Formula 4), stored as its diagonal `w`. The graph Laplacian
+//! `L = W − D` is never materialized: every consumer works from `(D, w)`
+//! — `L·U = w∘U − D·U`, and `Tr(UᵀLU)` in degree form. `D` is stored
+//! sparse ([`CsrMatrix`]): each row holds at most `2p` entries, so the
+//! per-iteration product `D·U` in the update rule (Formula 13) costs
+//! `O(nnz·K)` instead of `O(N²K)`, and `W·U` is a row scaling.
 
 use crate::kdtree::{brute_force_nearest, KdTree, Neighbor};
 use smfl_linalg::ops::dot;
@@ -19,8 +20,8 @@ use std::time::{Duration, Instant};
 ///
 /// The two phases partition the pipeline: `knn` covers kd-tree
 /// construction (or the brute-force scan) plus the bulk neighbour
-/// queries; `assembly` covers symmetrization, the degree vector and
-/// the direct CSR emission of `D` and `L`.
+/// queries; `assembly` covers symmetrization, the direct CSR emission
+/// of `D` and the degree vector.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct GraphBuildStats {
     /// Time spent computing the directed p-NN edge lists.
@@ -32,14 +33,17 @@ pub struct GraphBuildStats {
 /// How neighbour lists are computed when building the graph.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum NeighborSearch {
-    /// KD-tree (`O(N log N)` in low dimension) — the default.
+    /// KD-tree (`O(N log N)` in low dimension) — what every fit uses.
     KdTree,
     /// Brute force (`O(N²L)`, the cost the paper's Proposition 1 quotes);
-    /// kept as the correctness oracle and for the DESIGN.md ablation.
+    /// kept as the correctness oracle of the kd-tree (tests and the
+    /// `spatial` bench compare the two graphs bit for bit).
     BruteForce,
 }
 
-/// The spatial graph triple `(D, W, L)` of the paper.
+/// The spatial graph `(D, w)` of the paper: the similarity matrix and
+/// the diagonal of the degree matrix, which together determine the
+/// Laplacian `L = W − D`.
 #[derive(Debug, Clone)]
 pub struct SpatialGraph {
     /// Binary symmetric similarity matrix `D` (Formula 3).
@@ -47,8 +51,6 @@ pub struct SpatialGraph {
     /// Diagonal of the degree matrix `W` (Formula 4):
     /// `w_i = Σ_j d_ij`, the row sums of [`Self::similarity`].
     pub degree: Vec<f64>,
-    /// Graph Laplacian `L = W − D`.
-    pub laplacian: CsrMatrix,
     /// Number of nearest neighbours `p` used.
     pub p: usize,
 }
@@ -56,10 +58,11 @@ pub struct SpatialGraph {
 /// Edge-weighting scheme for the similarity matrix.
 ///
 /// The paper uses [`GraphWeighting::Binary`] (Formula 3); the GNMF
-/// lineage it builds on (Cai et al. [9]) also studies heat-kernel
-/// weights `d_ij = exp(−‖x_i − x_j‖² / (2σ²))`, which downweight the
-/// farthest of the p neighbours — provided as an extension and ablated
-/// in `bench/benches/` (DESIGN.md ablation list).
+/// lineage it builds on (Cai et al., the paper's reference \[9\]) also
+/// studies heat-kernel weights `d_ij = exp(−‖x_i − x_j‖² / (2σ²))`,
+/// which downweight the farthest of the p neighbours — provided as an
+/// extension. No bench ablates it; the unit tests and
+/// `smfl-core`'s `weighting` suite cover it.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum GraphWeighting {
     /// `d_ij ∈ {0, 1}` — the paper's Formula 3.
@@ -72,59 +75,28 @@ pub enum GraphWeighting {
 }
 
 impl SpatialGraph {
-    /// Builds the graph from spatial coordinates `si` (`N x L`) with `p`
-    /// nearest neighbours per point.
+    /// Builds the binary graph (Formula 3) from spatial coordinates
+    /// `si` (`N x L`) with `p` nearest neighbours per point, using every
+    /// available thread.
     ///
     /// Neighbour ties are broken by index, matching the brute-force
     /// oracle, so both [`NeighborSearch`] variants yield identical
     /// graphs.
     pub fn build(si: &Matrix, p: usize, search: NeighborSearch) -> Result<SpatialGraph> {
-        Self::build_weighted(si, p, search, GraphWeighting::Binary)
+        Self::build_instrumented(si, p, search, GraphWeighting::Binary, 0).map(|(g, _)| g)
     }
 
-    /// [`SpatialGraph::build`] with an explicit thread count (`0` =
-    /// automatic) bounding both kd-tree construction and the bulk kNN
-    /// query. Every thread count yields the identical graph.
-    pub fn build_with_threads(
-        si: &Matrix,
-        p: usize,
-        search: NeighborSearch,
-        threads: usize,
-    ) -> Result<SpatialGraph> {
-        Self::build_weighted_with_threads(si, p, search, GraphWeighting::Binary, threads)
-    }
-
-    /// [`SpatialGraph::build`] with an explicit edge-weighting scheme.
-    pub fn build_weighted(
-        si: &Matrix,
-        p: usize,
-        search: NeighborSearch,
-        weighting: GraphWeighting,
-    ) -> Result<SpatialGraph> {
-        Self::build_weighted_with_threads(si, p, search, weighting, 0)
-    }
-
-    /// The full-control constructor: explicit weighting and thread count.
+    /// The full-control constructor: explicit edge weighting and thread
+    /// count (`0` = automatic; it bounds both kd-tree construction and
+    /// the bulk kNN query, and every count yields the identical graph).
+    /// Also returns the per-phase wall-clock breakdown
+    /// ([`GraphBuildStats`]), at the cost of four monotonic-clock reads.
     ///
     /// The pipeline is (1) a bulk kNN pass answering all `N` queries in
     /// parallel chunks, then (2) a serial sort/merge assembly that
-    /// symmetrizes the directed edge lists and emits `D`, the degrees
-    /// `W` and `L = W − D` directly in CSR form — one counting pass, no hashing,
-    /// no triplet intermediates.
-    pub fn build_weighted_with_threads(
-        si: &Matrix,
-        p: usize,
-        search: NeighborSearch,
-        weighting: GraphWeighting,
-        threads: usize,
-    ) -> Result<SpatialGraph> {
-        Self::build_instrumented(si, p, search, weighting, threads).map(|(g, _)| g)
-    }
-
-    /// [`SpatialGraph::build_weighted_with_threads`] that additionally
-    /// returns the per-phase wall-clock breakdown ([`GraphBuildStats`]).
-    /// The graph itself is computed identically — the only extra work is
-    /// four monotonic-clock reads, negligible against a build.
+    /// symmetrizes the directed edge lists and emits `D` directly in CSR
+    /// form — one counting pass, no hashing, no triplet intermediates —
+    /// followed by the degrees `w`.
     pub fn build_instrumented(
         si: &Matrix,
         p: usize,
@@ -166,7 +138,6 @@ impl SpatialGraph {
             }
         }?;
         let degree = similarity.row_sums();
-        let laplacian = assemble_laplacian(&similarity, &degree)?;
         let stats = GraphBuildStats {
             knn,
             assembly: assembly_t0.elapsed(),
@@ -175,7 +146,6 @@ impl SpatialGraph {
             SpatialGraph {
                 similarity,
                 degree,
-                laplacian,
                 p,
             },
             stats,
@@ -260,13 +230,13 @@ impl SpatialGraph {
         self.connected_components() <= 1
     }
 
-    /// `true` when every stored edge weight (and hence degree and
-    /// Laplacian entry) is finite. Non-finite SI coordinates propagate
-    /// NaN distances into heat-kernel weights; the fit engine uses this
-    /// to decide whether the Laplacian term is safe to keep.
+    /// `true` when every stored edge weight and every degree is finite.
+    /// Non-finite SI coordinates propagate NaN distances into heat-kernel
+    /// weights; the fit engine uses this to decide whether the Laplacian
+    /// term is safe to keep.
     pub fn all_finite(&self) -> bool {
         self.similarity.values().iter().all(|v| v.is_finite())
-            && self.laplacian.values().iter().all(|v| v.is_finite())
+            && self.degree.iter().all(|v| v.is_finite())
     }
 }
 
@@ -332,37 +302,6 @@ where
     CsrMatrix::from_parts(n, n, row_ptr, col_idx, values)
 }
 
-/// Builds `L = W − D` directly in CSR form from the similarity matrix
-/// and its row sums: each row is the negated similarity row with the
-/// degree spliced in at its column-sorted diagonal position (omitted
-/// when zero, matching `from_triplets` zero-dropping).
-fn assemble_laplacian(similarity: &CsrMatrix, degrees: &[f64]) -> Result<CsrMatrix> {
-    let n = similarity.rows();
-    let mut row_ptr = Vec::with_capacity(n + 1);
-    let mut col_idx = Vec::with_capacity(similarity.nnz() + n);
-    let mut values = Vec::with_capacity(similarity.nnz() + n);
-    row_ptr.push(0usize);
-    for (i, &deg) in degrees.iter().enumerate() {
-        // Similarity has no self-loops, so the diagonal slot is free.
-        let mut inserted = deg == 0.0;
-        for (j, v) in similarity.row_entries(i) {
-            if !inserted && j > i {
-                col_idx.push(i);
-                values.push(deg);
-                inserted = true;
-            }
-            col_idx.push(j);
-            values.push(-v);
-        }
-        if !inserted {
-            col_idx.push(i);
-            values.push(deg);
-        }
-        row_ptr.push(col_idx.len());
-    }
-    CsrMatrix::from_parts(n, n, row_ptr, col_idx, values)
-}
-
 /// Prepares spatial information for graph construction when some SI
 /// cells are unobserved (paper §II-C): a missing `x_ij` is initialized
 /// with the mean of the *observed* values in column `j`. This filled
@@ -400,6 +339,24 @@ mod tests {
         Matrix::from_fn(n, 2, |i, j| if j == 0 { i as f64 } else { 0.0 })
     }
 
+    fn weighted_graph(
+        si: &Matrix,
+        p: usize,
+        search: NeighborSearch,
+        weighting: GraphWeighting,
+    ) -> SpatialGraph {
+        SpatialGraph::build_instrumented(si, p, search, weighting, 0).unwrap().0
+    }
+
+    /// `L = diag(w) − D` in CSR form, for checks against the degree form.
+    fn laplacian(g: &SpatialGraph) -> CsrMatrix {
+        let mut triplets: Vec<(usize, usize, f64)> = (0..g.len())
+            .flat_map(|i| g.similarity.row_entries(i).map(move |(j, d)| (i, j, -d)))
+            .collect();
+        triplets.extend(g.degree.iter().enumerate().map(|(i, &w)| (i, i, w)));
+        CsrMatrix::from_triplets(g.len(), g.len(), &triplets).unwrap()
+    }
+
     #[test]
     fn line_graph_with_p1() {
         // Points on a line, p = 1: each interior point links to a
@@ -421,7 +378,7 @@ mod tests {
         let a = SpatialGraph::build(&pts, 3, NeighborSearch::KdTree).unwrap();
         let b = SpatialGraph::build(&pts, 3, NeighborSearch::BruteForce).unwrap();
         assert!(a.similarity.to_dense().approx_eq(&b.similarity.to_dense(), 0.0));
-        assert!(a.laplacian.to_dense().approx_eq(&b.laplacian.to_dense(), 0.0));
+        assert_eq!(a.degree, b.degree);
     }
 
     #[test]
@@ -438,7 +395,7 @@ mod tests {
     fn laplacian_rows_sum_to_zero() {
         let pts = uniform_matrix(30, 2, 0.0, 1.0, 5);
         let g = SpatialGraph::build(&pts, 3, NeighborSearch::KdTree).unwrap();
-        for s in g.laplacian.row_sums() {
+        for s in laplacian(&g).row_sums() {
             assert!(s.abs() < 1e-12);
         }
     }
@@ -494,7 +451,7 @@ mod tests {
         let g = SpatialGraph::build(&pts, 4, NeighborSearch::KdTree).unwrap();
         let u = uniform_matrix(60, 5, 0.0, 1.0, 16);
         let degree_form = g.regularization(&u).unwrap();
-        let csr_form = g.laplacian.quadratic_form(&u).unwrap();
+        let csr_form = laplacian(&g).quadratic_form(&u).unwrap();
         assert!((degree_form - csr_form).abs() <= 1e-12 * csr_form.abs().max(1.0));
         assert!(g
             .regularization(&uniform_matrix(59, 5, 0.0, 1.0, 16))
@@ -544,13 +501,12 @@ mod tests {
     #[test]
     fn heat_kernel_weights_decay_with_distance() {
         let pts = line_points(5);
-        let g = SpatialGraph::build_weighted(
+        let g = weighted_graph(
             &pts,
             2,
             NeighborSearch::BruteForce,
             GraphWeighting::HeatKernel { sigma: 1.0 },
-        )
-        .unwrap();
+        );
         // Point 0's neighbours are 1 (dist 1) and 2 (dist 2): the closer
         // edge must carry the larger weight.
         let w01 = g.similarity.get(0, 1);
@@ -559,7 +515,7 @@ mod tests {
         assert!(w01 <= 1.0 && w02 > 0.0);
         assert!(g.similarity.is_symmetric(1e-12));
         // Laplacian rows still sum to zero.
-        for s in g.laplacian.row_sums() {
+        for s in laplacian(&g).row_sums() {
             assert!(s.abs() < 1e-12);
         }
     }
@@ -568,26 +524,19 @@ mod tests {
     fn binary_weighting_matches_default_build() {
         let pts = smfl_linalg::random::uniform_matrix(40, 2, 0.0, 1.0, 3);
         let a = SpatialGraph::build(&pts, 3, NeighborSearch::KdTree).unwrap();
-        let b = SpatialGraph::build_weighted(
-            &pts,
-            3,
-            NeighborSearch::KdTree,
-            GraphWeighting::Binary,
-        )
-        .unwrap();
+        let b = weighted_graph(&pts, 3, NeighborSearch::KdTree, GraphWeighting::Binary);
         assert!(a.similarity.to_dense().approx_eq(&b.similarity.to_dense(), 0.0));
     }
 
     #[test]
     fn heat_kernel_regularization_still_psd() {
         let pts = smfl_linalg::random::uniform_matrix(25, 2, 0.0, 1.0, 5);
-        let g = SpatialGraph::build_weighted(
+        let g = weighted_graph(
             &pts,
             3,
             NeighborSearch::KdTree,
             GraphWeighting::HeatKernel { sigma: 0.2 },
-        )
-        .unwrap();
+        );
         for seed in 0..3 {
             let u = smfl_linalg::random::uniform_matrix(25, 3, -2.0, 2.0, seed);
             assert!(g.regularization(&u).unwrap() >= -1e-9);
@@ -597,25 +546,34 @@ mod tests {
     #[test]
     fn graph_is_invariant_across_thread_counts() {
         let pts = uniform_matrix(120, 2, 0.0, 1.0, 33);
-        let serial = SpatialGraph::build_with_threads(&pts, 4, NeighborSearch::KdTree, 1).unwrap();
+        let build = |threads| {
+            SpatialGraph::build_instrumented(
+                &pts,
+                4,
+                NeighborSearch::KdTree,
+                GraphWeighting::Binary,
+                threads,
+            )
+            .unwrap()
+            .0
+        };
+        let serial = build(1);
         for threads in [0usize, 2, 5] {
-            let g =
-                SpatialGraph::build_with_threads(&pts, 4, NeighborSearch::KdTree, threads).unwrap();
+            let g = build(threads);
             assert_eq!(g.similarity, serial.similarity);
             assert_eq!(g.degree, serial.degree);
-            assert_eq!(g.laplacian, serial.laplacian);
         }
         // And the oracle path agrees bitwise as well.
         let oracle = SpatialGraph::build(&pts, 4, NeighborSearch::BruteForce).unwrap();
         assert_eq!(serial.similarity, oracle.similarity);
-        assert_eq!(serial.laplacian, oracle.laplacian);
+        assert_eq!(serial.degree, oracle.degree);
     }
 
     #[test]
     fn p_zero_yields_edgeless_graph() {
         let g = SpatialGraph::build(&line_points(4), 0, NeighborSearch::KdTree).unwrap();
         assert_eq!(g.similarity.nnz(), 0);
-        assert_eq!(g.laplacian.nnz(), 0);
+        assert!(g.degree.iter().all(|&w| w == 0.0));
     }
 
     #[test]
@@ -657,13 +615,12 @@ mod tests {
         // NaN coordinates produce NaN heat-kernel weights.
         let mut bad_pts = pts.clone();
         bad_pts.set(2, 0, f64::NAN);
-        let bad = SpatialGraph::build_weighted(
+        let bad = weighted_graph(
             &bad_pts,
             2,
             NeighborSearch::BruteForce,
             GraphWeighting::HeatKernel { sigma: 1.0 },
-        )
-        .unwrap();
+        );
         assert!(!bad.all_finite());
     }
 }

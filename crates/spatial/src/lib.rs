@@ -7,17 +7,18 @@
 //!   oracle) used for the similarity matrix `D` and by several baselines
 //!   (kNN, kNNE, LOESS, IIM, DLM). Construction and bulk queries run in
 //!   parallel with thread-count-invariant results.
-//! - [`kmeans`] — Lloyd / Hamerly k-means with k-means++ seeding; its
+//! - [`kmeans`](mod@kmeans) — Lloyd / Hamerly k-means with k-means++ seeding; its
 //!   cluster centres are the paper's *landmarks* `C` (§III-A). The
 //!   Hamerly engine (default) prunes assignment work via triangle
 //!   inequalities while staying bitwise-identical to Lloyd.
-//! - [`graph`] — the `(D, W, L)` triple of paper §II-C in sparse form
-//!   (assembled hash-free, straight into CSR), plus the missing-SI
+//! - [`graph`] — the similarity matrix `D` and degrees `w` of paper
+//!   §II-C (`D` assembled hash-free, straight into CSR; the Laplacian
+//!   `L = W − D` is used only through them), plus the missing-SI
 //!   column-mean initialization rule.
 //! - [`metric`] — Euclidean / haversine distances, including the single
 //!   shared [`metric::sq_dist`] kernel.
 //!
-//! ## Example: landmarks + Laplacian in five lines
+//! ## Example: landmarks + similarity graph in five lines
 //!
 //! ```
 //! use smfl_linalg::random::uniform_matrix;
@@ -25,7 +26,7 @@
 //!
 //! let si = uniform_matrix(50, 2, 0.0, 1.0, 7);
 //! let landmarks = kmeans(&si, &KMeansConfig::new(5))?.centers; // C: 5 x 2
-//! let graph = SpatialGraph::build(&si, 3, NeighborSearch::KdTree)?; // D, W, L
+//! let graph = SpatialGraph::build(&si, 3, NeighborSearch::KdTree)?; // D and w
 //! assert_eq!(landmarks.shape(), (5, 2));
 //! assert!(graph.similarity.is_symmetric(0.0));
 //! # Ok::<(), smfl_linalg::LinalgError>(())

@@ -1,28 +1,30 @@
 //! Consistency checks across crate boundaries: search-backend
-//! equivalence inside a full fit, CSV round-trips of generated datasets,
+//! equivalence on a fit's spatial information, CSV round-trips of generated datasets,
 //! route bookkeeping, and seed determinism end to end.
 
 use smfl_core::{fit, SmflConfig};
 use smfl_datasets::csv::{from_csv_str, to_csv_string};
 use smfl_datasets::{inject_missing, lake, vehicle, Scale};
 use smfl_eval::route_fuel;
-use smfl_spatial::NeighborSearch;
+use smfl_spatial::{fill_missing_si, NeighborSearch, SpatialGraph};
 
 #[test]
-fn kdtree_and_bruteforce_graphs_give_identical_fits() {
-    // DESIGN.md ablation #3 at pipeline scale: the two neighbour-search
-    // backends must produce bit-identical models.
+fn kdtree_and_bruteforce_give_identical_graphs() {
+    // DESIGN.md ablation #3 at pipeline scale: on the mean-filled SI a
+    // fit builds its graph from, the kd-tree every fit uses and the
+    // brute-force oracle must produce bit-identical graphs.
     let full = lake(Scale::Small, 2);
     let d = full.data.rows_range(0, 250).unwrap();
     let mut omega = smfl_linalg::Mask::full(250, full.m());
     for i in (0..250).step_by(7) {
         omega.set(i, 3, false);
     }
-    let base = SmflConfig::smfl(5, 2).with_max_iter(40);
-    let a = fit(&d, &omega, &base.clone().with_search(NeighborSearch::KdTree)).unwrap();
-    let b = fit(&d, &omega, &base.with_search(NeighborSearch::BruteForce)).unwrap();
-    assert!(a.u.approx_eq(&b.u, 0.0), "U differs between search backends");
-    assert!(a.v.approx_eq(&b.v, 0.0), "V differs between search backends");
+    let cfg = SmflConfig::smfl(5, 2);
+    let si = fill_missing_si(&d, &omega, cfg.spatial_cols);
+    let a = SpatialGraph::build(&si, cfg.p_neighbors, NeighborSearch::KdTree).unwrap();
+    let b = SpatialGraph::build(&si, cfg.p_neighbors, NeighborSearch::BruteForce).unwrap();
+    assert_eq!(a.similarity, b.similarity, "D differs between search backends");
+    assert_eq!(a.degree, b.degree, "w differs between search backends");
 }
 
 #[test]
