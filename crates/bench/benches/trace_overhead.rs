@@ -22,7 +22,7 @@
 //! root with the measured overheads.
 
 use criterion::{BenchmarkId, Criterion};
-use smfl_core::updater::{multiplicative_step, UpdateContext};
+use smfl_core::updater::{multiplicative_step, score, UpdateContext};
 use smfl_core::{
     fit, FitPlan, FittedModel, JsonlSink, RecordingSink, SmflConfig, SolveOptions, TraceSink,
 };
@@ -79,11 +79,19 @@ fn raw_fit(x: &Matrix, omega: &Mask, max_iter: usize) -> Vec<f64> {
         lambda: 0.0,
         landmarks: None,
     };
+    // Each step scores the iterate it reads; the last one gets a
+    // scoring-only pass.
     let mut history = Vec::with_capacity(max_iter);
-    for _ in 0..max_iter {
-        let obj = multiplicative_step(&ctx, &mut ws, &mut u, &mut v).unwrap().objective(0.0);
-        assert!(obj.is_finite());
-        history.push(obj);
+    for t in 0..max_iter {
+        let obj = multiplicative_step(&ctx, &mut ws, &u, &v).unwrap().objective(0.0);
+        if t > 0 {
+            assert!(obj.is_finite());
+            history.push(obj);
+        }
+        ws.commit(&mut u, &mut v);
+    }
+    if max_iter > 0 {
+        history.push(score(&ctx, &mut ws, &u, &v).unwrap().objective(0.0));
     }
     history
 }

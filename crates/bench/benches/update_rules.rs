@@ -26,7 +26,8 @@
 //! runs) at the workspace root.
 
 use criterion::{BenchmarkId, Criterion};
-use smfl_core::updater::{multiplicative_step, UpdateContext};
+use smfl_core::objective::ObjectiveTerms;
+use smfl_core::updater::{multiplicative_step, score, UpdateContext};
 use smfl_core::Landmarks;
 use smfl_linalg::mask::{masked_diff_norm_sq, masked_product};
 use smfl_linalg::ops::{dot, matmul_at, matmul_at_into, matmul_bt, matmul_bt_into, matmul_into};
@@ -133,7 +134,7 @@ fn bench_fused_vs_dense(c: &mut Criterion) {
                 let mut ws = Workspace::new(&p.pattern, K);
                 let mut u = p.u0.clone();
                 let mut v = p.v0.clone();
-                b.iter(|| multiplicative_step(&ctx, &mut ws, &mut u, &mut v).unwrap());
+                b.iter(|| fused_step(&ctx, &mut ws, &mut u, &mut v));
             },
         );
         group.bench_with_input(
@@ -175,14 +176,26 @@ fn bench_iteration_cost(c: &mut Criterion) {
                     let mut v = p.v0.clone();
                     if let Some(lm) = lm {
                         lm.inject(&mut v).unwrap();
-                        ws.invalidate();
                     }
-                    b.iter(|| multiplicative_step(&ctx, &mut ws, &mut u, &mut v).unwrap());
+                    b.iter(|| fused_step(&ctx, &mut ws, &mut u, &mut v));
                 },
             );
         }
     }
     group.finish();
+}
+
+/// One multiplicative step, committed: returns the score of the
+/// factors it read (the library's step contract).
+fn fused_step(
+    ctx: &UpdateContext<'_>,
+    ws: &mut Workspace,
+    u: &mut Matrix,
+    v: &mut Matrix,
+) -> ObjectiveTerms {
+    let terms = multiplicative_step(ctx, ws, u, v).unwrap();
+    ws.commit(u, v);
+    terms
 }
 
 /// Wall-clock timing of one path until ≥`budget_s` seconds and ≥5
@@ -201,6 +214,11 @@ fn time_path(mut step: impl FnMut() -> f64, budget_s: f64) -> f64 {
         }
     }
     start.elapsed().as_secs_f64() / f64::from(iters)
+}
+
+/// `|a − b|` relative to `max(|b|, 1)`.
+fn rel_diff(a: f64, b: f64) -> f64 {
+    (a - b).abs() / b.abs().max(1.0)
 }
 
 /// Largest relative elementwise difference between two equal-shape
@@ -354,7 +372,7 @@ fn bench_lake(c: &mut Criterion) {
         let ctx = lake.ctx();
         let mut ws = Workspace::new(&lake.problem.pattern, k);
         let (mut u, mut v) = lake.init();
-        b.iter(|| multiplicative_step(&ctx, &mut ws, &mut u, &mut v).unwrap());
+        b.iter(|| fused_step(&ctx, &mut ws, &mut u, &mut v));
     });
     group.bench_function("matmul", |b| {
         let mut scratch = MatmulScratch::new(n, m, k);
@@ -385,14 +403,21 @@ fn lake_report() -> String {
     let mut scratch = MatmulScratch::new(n, m, k);
     let (mut uf, mut vf) = lake.init();
     let (mut um, mut vm) = lake.init();
+    // The fused step scores the factors it reads, the matmul step the
+    // ones it writes: compare each matmul objective with the next score.
     let mut obj_diff = 0.0f64;
+    let mut om = None;
     for _ in 0..5 {
-        let of = multiplicative_step(&ctx, &mut ws, &mut uf, &mut vf)
-            .unwrap()
-            .objective(LAKE_LAMBDA);
-        let om = matmul_step(&lake, &mut scratch, &mut um, &mut vm);
-        obj_diff = obj_diff.max((of - om).abs() / om.abs().max(1.0));
+        let of = fused_step(&ctx, &mut ws, &mut uf, &mut vf).objective(LAKE_LAMBDA);
+        if let Some(om) = om {
+            obj_diff = obj_diff.max(rel_diff(of, om));
+        }
+        om = Some(matmul_step(&lake, &mut scratch, &mut um, &mut vm));
     }
+    let of = score(&ctx, &mut ws, &uf, &vf)
+        .unwrap()
+        .objective(LAKE_LAMBDA);
+    obj_diff = obj_diff.max(rel_diff(of, om.unwrap()));
     let factor_diff = max_rel_diff(&uf, &um).max(max_rel_diff(&vf, &vm));
     assert!(
         factor_diff <= 1e-10 && obj_diff <= 1e-10,
@@ -403,7 +428,7 @@ fn lake_report() -> String {
     for _ in 0..LAKE_RUNS {
         let t = Instant::now();
         for _ in 0..LAKE_ITERS {
-            std::hint::black_box(multiplicative_step(&ctx, &mut ws, &mut uf, &mut vf).unwrap());
+            std::hint::black_box(fused_step(&ctx, &mut ws, &mut uf, &mut vf));
         }
         fused_ms.push(t.elapsed().as_secs_f64() * 1e3 / LAKE_ITERS as f64);
         let t = Instant::now();
@@ -444,14 +469,24 @@ fn json_report() {
         let (mut ud, mut vd) = (p.u0.clone(), p.v0.clone());
         let ctx = fused_ctx(&p);
         let mut ws = Workspace::new(&p.pattern, K);
+        // Each fused score is of the factors the previous reference
+        // step wrote.
         let mut fit_diff = 0.0f64;
+        let mut fd = None;
         for _ in 0..3 {
-            let ff = multiplicative_step(&ctx, &mut ws, &mut uf, &mut vf)
-                .unwrap()
-                .fit;
-            let fd = dense_reference_step(&p.masked_x, &p.omega, &mut ud, &mut vd);
-            fit_diff = fit_diff.max((ff - fd).abs() / fd.abs().max(1.0));
+            let ff = fused_step(&ctx, &mut ws, &mut uf, &mut vf).fit;
+            if let Some(fd) = fd {
+                fit_diff = fit_diff.max(rel_diff(ff, fd));
+            }
+            fd = Some(dense_reference_step(
+                &p.masked_x,
+                &p.omega,
+                &mut ud,
+                &mut vd,
+            ));
         }
+        let ff = score(&ctx, &mut ws, &uf, &vf).unwrap().fit;
+        fit_diff = fit_diff.max(rel_diff(ff, fd.unwrap()));
         let factor_diff = max_rel_diff(&uf, &ud).max(max_rel_diff(&vf, &vd));
         assert!(
             factor_diff <= 1e-10 && fit_diff <= 1e-10,
@@ -463,11 +498,7 @@ fn json_report() {
             let ctx = fused_ctx(&p);
             let mut u = p.u0.clone();
             let mut v = p.v0.clone();
-            let mut step = || {
-                multiplicative_step(&ctx, &mut ws, &mut u, &mut v)
-                    .unwrap()
-                    .fit
-            };
+            let mut step = || fused_step(&ctx, &mut ws, &mut u, &mut v).fit;
             time_path(&mut step, 0.5)
         };
         let dense_s = {

@@ -5,20 +5,25 @@
 //! At small `M` and `K` the separate kernels of the sparse engine are
 //! bound by per-call overhead, not arithmetic: each is a full pass over
 //! `N x M` or `N x K` data with inner loops of length 6–7. This step
-//! streams the CSR rows of the pattern instead and keeps each row's
-//! reconstruction `r_ij = u_i · v_j` in registers:
+//! streams the pattern instead, once by rows and once by columns, and
+//! keeps each reconstruction `r_ij = u_i · v_j` in registers:
 //!
-//! 1. **U and V pass** — per row `i`, the numerator
+//! 1. **Row pass** — per row `i` of the input `U`, the numerator
 //!    `Σ_j x_ij·v_j + λ·(D·U)_i` and denominator `Σ_j r_ij·v_j + λ·w_i·u_i`
-//!    accumulate in `K` registers, and the updated row goes to
-//!    [`Workspace::u_next`], which is then swapped with `U`; every read
-//!    is of the old `U`. Formula 14 needs only that new row and the old
-//!    `V`, so the same visit adds the row's share of the `M x K`
-//!    numerator `Uᵀ·R_Ω(X)` and denominator `Uᵀ·R_Ω(UV)` (live columns
-//!    only). `V` is updated after the pass.
-//! 2. **Objective pass** — the fit term `‖R_Ω(X − UV)‖_F²` of the final
-//!    factors and the Laplacian term `Σ_i w_i·|u_i|² − Σ_ij d_ij·(u_i · u_j)`
-//!    of the new `U`.
+//!    accumulate in `K` registers and the updated row goes to
+//!    [`Workspace::u_next`]. The same visit scores the *input* factors:
+//!    the fit term `Σ_j (x_ij − r_ij)²` from the `r_ij` it forms anyway,
+//!    and the Laplacian term `w_i·|u_i|² − u_i·(D·U)_i` from a `D·U` row
+//!    accumulated beside the numerator.
+//! 2. **Column pass** — per live column `j` (the CSC view, values read
+//!    through `csc_perm`), Formula 14's numerator `Σ_i x_ij·u'_i` and
+//!    denominator `Σ_i (u'_i · v_j)·u'_i` over the new rows `u'_i` and
+//!    the old `v_j`, in registers; the new column goes to
+//!    [`Workspace::v_next`], whose frozen landmark columns are copied
+//!    unchanged.
+//!
+//! The step returns the score of the factors it read; the caller judges
+//! it before committing the candidate.
 //!
 //! The body is written once, generic over the rank: `K ≤ 8` dispatches
 //! to a compile-time-`K` instance whose loops unroll and whose
@@ -27,15 +32,16 @@
 //!
 //! Parallelism: below `PARALLEL_FLOP_THRESHOLD` (judged, like the sparse
 //! kernels, by `2·|Ω|·K` per pass) everything runs on the calling
-//! thread. Above it both passes run over row blocks in parallel. New `U`
-//! rows are independent; the V, fit and Laplacian sums are reduced over
-//! fixed [`BLOCK_ROWS`]-row blocks in block order, whether one thread or
-//! many computed them, so results are bitwise identical at any
-//! `SMFL_THREADS`.
+//! thread. Above it the row pass runs over row blocks and the column
+//! pass over columns, in parallel. New rows and columns are independent;
+//! the fit and Laplacian sums are reduced over fixed [`BLOCK_ROWS`]-row
+//! blocks in block order, and each column folds its sums over the same
+//! blocks, whether one thread or many computed them, so results are
+//! bitwise identical at any `SMFL_THREADS`.
 
 use crate::health::DENOM_EPS as EPS;
 use crate::objective::ObjectiveTerms;
-use crate::updater::{update_v, UpdateContext};
+use crate::updater::UpdateContext;
 use smfl_linalg::ops::dot;
 use smfl_linalg::parallel::{parallel_over_rows, threads_for};
 use smfl_linalg::{LinalgError, Matrix, Result, Workspace};
@@ -49,9 +55,8 @@ const BLOCK_ROWS: usize = 512;
 trait Rank: Copy + Send + Sync {
     fn k(self) -> usize;
 
-    /// Runs `f` on two zeroed `K`-slot accumulators (one row's
-    /// numerator and denominator).
-    fn with_acc<T>(self, f: impl FnOnce(&mut [f64], &mut [f64]) -> T) -> T;
+    /// Runs `f` on four zeroed `K`-slot accumulators.
+    fn with_acc<T>(self, f: impl FnOnce([&mut [f64]; 4]) -> T) -> T;
 }
 
 #[derive(Clone, Copy)]
@@ -64,8 +69,9 @@ impl<const K: usize> Rank for Fixed<K> {
     }
 
     #[inline(always)]
-    fn with_acc<T>(self, f: impl FnOnce(&mut [f64], &mut [f64]) -> T) -> T {
-        f(&mut [0.0; K], &mut [0.0; K])
+    fn with_acc<T>(self, f: impl FnOnce([&mut [f64]; 4]) -> T) -> T {
+        let [a, b, c, d] = &mut [[0.0; K]; 4];
+        f([a, b, c, d])
     }
 }
 
@@ -78,19 +84,25 @@ impl Rank for Runtime {
         self.0
     }
 
-    /// Two small allocations per row block (not per row).
-    fn with_acc<T>(self, f: impl FnOnce(&mut [f64], &mut [f64]) -> T) -> T {
-        f(&mut vec![0.0; self.0], &mut vec![0.0; self.0])
+    /// One small allocation per row block or column run (not per row).
+    fn with_acc<T>(self, f: impl FnOnce([&mut [f64]; 4]) -> T) -> T {
+        let k = self.0;
+        let mut acc = vec![0.0; 4 * k];
+        let (a, rest) = acc.split_at_mut(k);
+        let (b, rest) = rest.split_at_mut(k);
+        let (c, d) = rest.split_at_mut(k);
+        f([a, b, c, d])
     }
 }
 
-/// One multiplicative iteration on the fused dense path. Returns the
-/// objective terms for the updated `(U, V)`.
+/// One multiplicative iteration on the fused dense path: writes the
+/// updated factors to `ws.u_next` / `ws.v_next` and returns the
+/// objective terms of the input `(U, V)`.
 pub(crate) fn fused_dense_step(
     ctx: &UpdateContext<'_>,
     ws: &mut Workspace,
-    u: &mut Matrix,
-    v: &mut Matrix,
+    u: &Matrix,
+    v: &Matrix,
 ) -> Result<ObjectiveTerms> {
     let (n, m) = (ctx.pattern.rows(), ctx.pattern.cols());
     let k = u.cols();
@@ -98,6 +110,7 @@ pub(crate) fn fused_dense_step(
         (u.shape(), (n, k), "dense_step_u"),
         (v.shape(), (k, m), "dense_step_v"),
         (ws.u_next.shape(), (n, k), "dense_step_workspace"),
+        (ws.v_next.shape(), (k, m), "dense_step_workspace"),
         (ws.vt.shape(), (m, k), "dense_step_workspace"),
     ] {
         if shape != want {
@@ -127,185 +140,183 @@ fn step<R: Rank>(
     rank: R,
     ctx: &UpdateContext<'_>,
     ws: &mut Workspace,
-    u: &mut Matrix,
-    v: &mut Matrix,
+    u: &Matrix,
+    v: &Matrix,
 ) -> Result<ObjectiveTerms> {
     let pattern = ctx.pattern;
     let (n, m) = (pattern.rows(), pattern.cols());
     let k = rank.k();
     let (row_ptr, col_idx) = pattern.csr();
+    let (csc_ptr, csc_rows, csc_perm) = pattern.csc();
     let xv = pattern.x_vals();
     let graph = ctx.active_graph();
     let lambda = ctx.lambda;
     let v_start = ctx.v_start_col();
     let threads = threads_for(2 * pattern.nnz() * k);
     let blocks = n.div_ceil(BLOCK_ROWS);
-    // Per block: the V numerator and denominator (M x K each) in the
-    // first pass, the fit and Laplacian sums in the second.
-    let stride = 2 * m * k;
-    if ws.block_partials.len() < blocks * stride.max(2) {
-        ws.block_partials.resize(blocks * stride.max(2), 0.0);
+    // Per block: the fit and Laplacian sums of the input factors.
+    if ws.block_partials.len() < 2 * blocks {
+        ws.block_partials.resize(2 * blocks, 0.0);
     }
     v.transpose_into(&mut ws.vt)?;
 
-    // ---- Pass 1: U by Formula 13, then its V numerator/denominator ----
+    // ---- Row pass: U by Formula 13, and the score of (U, V) ----
+    let uu = u.as_slice();
     {
-        let (uu, vt) = (u.as_slice(), ws.vt.as_slice());
-        let partials = &mut ws.block_partials[..blocks * stride];
-        over_blocks(
-            threads,
-            n,
-            k,
-            ws.u_next.as_mut_slice(),
-            partials,
-            stride,
-            |b, out, part| {
-                // Re-read the rank in every closure: the closure body is
-                // compiled out of line, where a captured `k` is a runtime
-                // load and the fixed-K loops would not unroll.
-                let k = rank.k();
-                part.fill(0.0);
-                let (nv, dv) = part.split_at_mut(m * k);
-                rank.with_acc(|numer, denom| {
-                    for (i, unew) in (b * BLOCK_ROWS..).zip(out.chunks_exact_mut(k)) {
-                        let ui = &uu[i * k..][..k];
-                        let span = row_ptr[i]..row_ptr[i + 1];
-                        numer.fill(0.0);
-                        denom.fill(0.0);
-                        for (&j, &x) in col_idx[span.clone()].iter().zip(&xv[span.clone()]) {
-                            let vj = &vt[j * k..][..k];
-                            let r = dot(ui, vj);
-                            for ((nt, dt), &b) in numer.iter_mut().zip(denom.iter_mut()).zip(vj) {
-                                *nt += x * b;
-                                *dt += r * b;
-                            }
-                        }
-                        if let Some(g) = graph {
-                            for (t, d) in g.similarity.row_entries(i) {
-                                let ld = lambda * d;
-                                for (nt, &b) in numer.iter_mut().zip(&uu[t * k..][..k]) {
-                                    *nt += ld * b;
-                                }
-                            }
-                            let w = g.degree[i];
-                            for (dt, &a) in denom.iter_mut().zip(ui) {
-                                *dt += lambda * (w * a);
-                            }
-                        }
-                        for (((o, &a), &nt), &dt) in
-                            unew.iter_mut().zip(ui).zip(&*numer).zip(&*denom)
-                        {
-                            *o = a * (nt / (dt + EPS));
-                        }
-
-                        // Formula 14's products need only this row of the new
-                        // U (and the old V): accumulate them right away.
-                        let unew = &*unew;
-                        for (&j, &x) in col_idx[span.clone()].iter().zip(&xv[span]) {
-                            if j < v_start {
-                                continue;
-                            }
-                            let r = dot(unew, &vt[j * k..][..k]);
-                            let nrow = &mut nv[j * k..][..k];
-                            let drow = &mut dv[j * k..][..k];
-                            for ((nt, dt), &a) in nrow.iter_mut().zip(drow.iter_mut()).zip(unew) {
-                                *nt += x * a;
-                                *dt += r * a;
-                            }
-                        }
-                    }
-                })
-            },
-        );
-    }
-    std::mem::swap(u, &mut ws.u_next);
-    {
-        let (numer, denom) = (ws.numer_vt.as_mut_slice(), ws.denom_vt.as_mut_slice());
-        numer.fill(0.0);
-        denom.fill(0.0);
-        for part in ws.block_partials[..blocks * stride].chunks_exact(stride) {
-            let (nv, dv) = part.split_at(m * k);
-            for (acc, &p) in numer.iter_mut().zip(nv) {
-                *acc += p;
-            }
-            for (acc, &p) in denom.iter_mut().zip(dv) {
-                *acc += p;
-            }
-        }
-    }
-    update_v(v, &ws.numer_vt, &ws.denom_vt, v_start);
-    debug_assert!(ctx.landmarks.is_none_or(|lm| lm.verify_injected(v)));
-    v.transpose_into(&mut ws.vt)?;
-
-    // ---- Pass 2: fit and Laplacian terms of the final factors ----
-    {
-        let (uu, vt) = (u.as_slice(), ws.vt.as_slice());
-        let partials = &mut ws.block_partials[..2 * blocks];
-        parallel_over_rows(partials, 2, blocks, threads, |b0, b1, chunk| {
+        let vt = ws.vt.as_slice();
+        let row_block = |b: usize, out: &mut [f64], sums: &mut [f64]| {
+            // Re-read the rank in every closure: the closure body is
+            // compiled out of line, where a captured `k` is a runtime
+            // load and the fixed-K loops would not unroll.
             let k = rank.k();
-            for (b, sums) in (b0..b1).zip(chunk.chunks_exact_mut(2)) {
-                let (mut fit, mut lap) = (0.0, 0.0);
-                for i in b * BLOCK_ROWS..((b + 1) * BLOCK_ROWS).min(n) {
+            let (mut fit, mut lap) = (0.0, 0.0);
+            rank.with_acc(|[numer, denom, du, _]| {
+                let first = b * BLOCK_ROWS;
+                for i in first..(first + BLOCK_ROWS).min(n) {
+                    let unew = &mut out[(i - first) * k..][..k];
                     let ui = &uu[i * k..][..k];
-                    for s in row_ptr[i]..row_ptr[i + 1] {
-                        let d = xv[s] - dot(ui, &vt[col_idx[s] * k..][..k]);
+                    let span = row_ptr[i]..row_ptr[i + 1];
+                    numer.fill(0.0);
+                    denom.fill(0.0);
+                    for (&j, &x) in col_idx[span.clone()].iter().zip(&xv[span]) {
+                        let vj = &vt[j * k..][..k];
+                        let r = dot(ui, vj);
+                        let d = x - r;
                         fit += d * d;
+                        for ((nt, dt), &b) in numer.iter_mut().zip(denom.iter_mut()).zip(vj) {
+                            *nt += x * b;
+                            *dt += r * b;
+                        }
                     }
                     if let Some(g) = graph {
-                        lap += g.laplacian_row(uu, k, i);
+                        du.fill(0.0);
+                        for (t, d) in g.similarity.row_entries(i) {
+                            let ld = lambda * d;
+                            let ut = &uu[t * k..][..k];
+                            for ((nt, gt), &b) in numer.iter_mut().zip(du.iter_mut()).zip(ut) {
+                                *nt += ld * b;
+                                *gt += d * b;
+                            }
+                        }
+                        let w = g.degree[i];
+                        lap += w * dot(ui, ui) - dot(ui, du);
+                        for (dt, &a) in denom.iter_mut().zip(ui) {
+                            *dt += lambda * (w * a);
+                        }
+                    }
+                    for (((o, &a), &nt), &dt) in unew.iter_mut().zip(ui).zip(&*numer).zip(&*denom) {
+                        *o = a * (nt / (dt + EPS));
                     }
                 }
-                sums.copy_from_slice(&[fit, lap]);
-            }
-        });
+            });
+            sums.copy_from_slice(&[fit, lap]);
+        };
+        let partials = &mut ws.block_partials[..2 * blocks];
+        over_blocks(threads, n, k, ws.u_next.as_mut_slice(), partials, row_block);
     }
     let (fit, laplacian) = ws.block_partials[..2 * blocks]
         .chunks_exact(2)
         .fold((0.0, 0.0), |(f, l), s| (f + s[0], l + s[1]));
 
+    // ---- Column pass: V by Formula 14 from the new U, in place in Vᵀ ----
+    // Each live column reads and rewrites only its own row of `vt`; the
+    // frozen landmark rows are left as they are.
+    {
+        let un = ws.u_next.as_slice();
+        let live = &mut ws.vt.as_mut_slice()[v_start * k..];
+        parallel_over_rows(live, k, m - v_start, threads, |c0, c1, chunk| {
+            let k = rank.k();
+            for j in v_start + c0..v_start + c1 {
+                let vj = &mut chunk[(j - v_start - c0) * k..][..k];
+                rank.with_acc(|[numer, denom, bn, bd]| {
+                    // Sum per BLOCK_ROWS-row block, then fold the blocks in
+                    // order: the association of a row-blocked reduction,
+                    // so V is bitwise that of fits recorded with one.
+                    let mut block = usize::MAX;
+                    for e in csc_ptr[j]..csc_ptr[j + 1] {
+                        let i = csc_rows[e];
+                        if i / BLOCK_ROWS != block {
+                            fold_block(numer, denom, bn, bd);
+                            block = i / BLOCK_ROWS;
+                        }
+                        let x = xv[csc_perm[e]];
+                        let ui = &un[i * k..][..k];
+                        let r = dot(ui, vj);
+                        for ((nt, dt), &a) in bn.iter_mut().zip(bd.iter_mut()).zip(ui) {
+                            *nt += x * a;
+                            *dt += r * a;
+                        }
+                    }
+                    fold_block(numer, denom, bn, bd);
+                    for ((o, &nt), &dt) in vj.iter_mut().zip(&*numer).zip(&*denom) {
+                        *o = *o * nt / (dt + EPS);
+                    }
+                });
+            }
+        });
+    }
+    ws.vt.transpose_into(&mut ws.v_next)?;
+    debug_assert!(ctx
+        .landmarks
+        .is_none_or(|lm| lm.verify_injected(&ws.v_next)));
+
     ws.counters.dense_steps += 1;
     ws.counters.masked_nnz += pattern.nnz() as u64;
-    // This path keeps no packed reconstruction.
-    ws.uv_fresh = false;
     Ok(ObjectiveTerms { fit, laplacian })
 }
 
-/// Runs `body(block, u_rows, partial)` for every [`BLOCK_ROWS`]-row
-/// block, where `u_rows` is the block's rows of the row-major
-/// `N x k` output `out` and `partial` its `stride`-long slot of
-/// `partials`. With `threads > 1` each thread takes a contiguous run of
-/// blocks; the per-block results do not depend on the split.
+/// Adds one block's column sums into the running totals and clears them.
+#[inline(always)]
+fn fold_block(numer: &mut [f64], denom: &mut [f64], bn: &mut [f64], bd: &mut [f64]) {
+    for (acc, p) in numer.iter_mut().zip(bn.iter_mut()) {
+        *acc += *p;
+        *p = 0.0;
+    }
+    for (acc, p) in denom.iter_mut().zip(bd.iter_mut()) {
+        *acc += *p;
+        *p = 0.0;
+    }
+}
+
+/// Runs `body(block, u_rows, sums)` for every [`BLOCK_ROWS`]-row block,
+/// where `u_rows` is the block's rows of the row-major `N x k` output
+/// `out` and `sums` its two-slot share of `partials`. With `threads > 1`
+/// each thread takes a contiguous run of blocks; the per-block results
+/// do not depend on the split.
 fn over_blocks<F>(
     threads: usize,
     n: usize,
     k: usize,
     out: &mut [f64],
     partials: &mut [f64],
-    stride: usize,
     body: F,
 ) where
     F: Fn(usize, &mut [f64], &mut [f64]) + Sync,
 {
     let blocks = n.div_ceil(BLOCK_ROWS);
-    if blocks == 0 || stride == 0 {
-        return; // no rows, no columns or K = 0: nothing to update
-    }
-    let per = blocks.div_ceil(threads.max(1));
-    let run = |first: usize, out: &mut [f64], parts: &mut [f64]| {
-        let rows = out.chunks_mut(BLOCK_ROWS * k);
-        for ((b, o), p) in (first..).zip(rows).zip(parts.chunks_exact_mut(stride)) {
-            body(b, o, p);
+    let per = blocks.div_ceil(threads.max(1)).max(1);
+    // Rows of blocks `first..end`.
+    let rows_in = |first: usize, end: usize| (end * BLOCK_ROWS).min(n) - first * BLOCK_ROWS;
+    let run = |first: usize, mut out: &mut [f64], parts: &mut [f64]| {
+        for (b, sums) in (first..).zip(parts.chunks_exact_mut(2)) {
+            let (rows, rest) = std::mem::take(&mut out).split_at_mut(rows_in(b, b + 1) * k);
+            out = rest;
+            body(b, rows, sums);
         }
     };
-    if per == blocks {
+    if per >= blocks {
         run(0, out, partials);
         return;
     }
     let run = &run;
     std::thread::scope(|s| {
-        let outs = out.chunks_mut(per * BLOCK_ROWS * k);
-        for (t, (o, p)) in outs.zip(partials.chunks_mut(per * stride)).enumerate() {
-            s.spawn(move || run(t * per, o, p));
+        let mut out = out;
+        for (t, parts) in partials.chunks_mut(2 * per).enumerate() {
+            let first = t * per;
+            let (rows, rest) =
+                std::mem::take(&mut out).split_at_mut(rows_in(first, first + per) * k);
+            out = rest;
+            s.spawn(move || run(first, rows, parts));
         }
     });
 }

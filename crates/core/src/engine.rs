@@ -20,10 +20,10 @@ use crate::model::FittedModel;
 use crate::plan::{FitPlan, SolveOptions};
 use crate::resilience::{blend_half, derive_seed, record};
 use crate::telemetry::{IterEvent, Phase, SpanEvent, TraceSink};
-use crate::updater::{gradient_step, multiplicative_step, UpdateContext};
+use crate::updater::{gradient_step, multiplicative_step, score, UpdateContext};
 use smfl_linalg::random::positive_uniform_matrix;
 use smfl_linalg::{LinalgError, Result};
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 /// Runs the update loop over `plan`, returning a fitted model. The
 /// plan is borrowed mutably for its workspace (scratch + checkpoint
@@ -47,10 +47,10 @@ pub(crate) fn solve<S: TraceSink>(
     let (n, m) = omega.shape();
     let k = config.rank;
 
-    // Reset per-solve workspace state (counters, checkpoint arming,
-    // cached reconstruction) while keeping every buffer allocated — a
-    // no-op on a freshly compiled plan, which keeps the first solve
-    // bitwise-identical to the historical fused path.
+    // Reset per-solve workspace state (counters, checkpoint arming)
+    // while keeping every buffer allocated — a no-op on a freshly
+    // compiled plan, which keeps the first solve bitwise-identical to
+    // the historical fused path.
     ws.begin_solve();
     let mut report = plan_report.clone();
 
@@ -103,9 +103,15 @@ pub(crate) fn solve<S: TraceSink>(
     let v_start = landmarks.as_ref().map_or(0, Landmarks::spatial_cols);
 
     // Algorithm 1 lines 7-9: iterate until convergence or t₁, with the
-    // health sentinel on every iteration. Under `Recover` every new best
-    // iterate is checkpointed, and a failure restarts from the
-    // checkpoint (bounded, deterministically perturbed).
+    // health sentinel on every iteration. Each update pass scores the
+    // iterate it reads and leaves the next one in `ws.u_next`/`ws.v_next`;
+    // the loop judges that score (health, best/checkpoint, `tol`,
+    // history) before committing the candidate by a buffer swap, so a
+    // stop, a failure or a rollback never has an update to undo. One
+    // scoring-only pass judges the last committed iterate. Under
+    // `Recover` every new best iterate is checkpointed, and a failure
+    // restarts from the checkpoint (bounded, deterministically
+    // perturbed).
     let mut history = Vec::with_capacity(config.max_iter.min(1024));
     let mut converged = false;
     let mut iterations = 0;
@@ -114,32 +120,51 @@ pub(crate) fn solve<S: TraceSink>(
     let mut since_best = 0usize;
     let mut restarts = 0usize;
     let mut lr_scale = 1.0f64;
+    // The iteration that produced the current `(u, v)`, with the wall
+    // time of its update pass. `None` for a freshly started iterate
+    // (cold, warm or restarted), which is not an iteration: never judged.
+    let mut pending: Option<(usize, Duration)> = None;
+    // The iteration the next update pass computes.
+    let mut t = 0;
     let loop_t0 = S::ENABLED.then(Instant::now);
-    for t in 0..config.max_iter {
-        let iter_t0 = S::ENABLED.then(Instant::now);
-        let terms = match config.updater {
-            Updater::Multiplicative => multiplicative_step(&ctx, ws, &mut u, &mut v)?,
-            Updater::GradientDescent { learning_rate } => {
-                gradient_step(&ctx, ws, &mut u, &mut v, learning_rate * lr_scale)?
+    loop {
+        let last = t == config.max_iter;
+        if last && pending.is_none() {
+            break;
+        }
+        let pass_t0 = S::ENABLED.then(Instant::now);
+        let terms = if last {
+            score(&ctx, ws, &u, &v)?
+        } else {
+            match config.updater {
+                Updater::Multiplicative => multiplicative_step(&ctx, ws, &u, &v)?,
+                Updater::GradientDescent { learning_rate } => {
+                    gradient_step(&ctx, ws, &u, &v, learning_rate * lr_scale)?
+                }
+                Updater::Hals => crate::hals::hals_step(&ctx, ws, &u, &v)?,
             }
-            Updater::Hals => crate::hals::hals_step(&ctx, ws, &mut u, &mut v)?,
         };
-        let (fit_t, obj) = (terms.fit, terms.objective(config.lambda));
+        let wall = pass_t0.map_or(Duration::ZERO, |t0| t0.elapsed());
+        let Some((judged, judged_wall)) = pending else {
+            ws.commit(&mut u, &mut v);
+            pending = Some((t, wall));
+            t += 1;
+            continue;
+        };
 
+        let (fit_t, obj) = (terms.fit, terms.objective(config.lambda));
         let health = classify(obj, prev_accepted, &u, &v, since_best, &config.resilience);
 
         if S::ENABLED {
             sink.iter(&IterEvent {
-                iteration: t,
+                iteration: judged,
                 objective: obj,
                 fit_term: fit_t,
                 laplacian_term: obj - fit_t,
-                wall: iter_t0.map_or(std::time::Duration::ZERO, |t0| t0.elapsed()),
+                wall: judged_wall,
                 health,
                 accepted: health.is_none(),
-                landmarks_intact: landmarks
-                    .as_ref()
-                    .is_none_or(|lm| lm.verify_injected(&v)),
+                landmarks_intact: landmarks.as_ref().is_none_or(|lm| lm.verify_injected(&v)),
             });
         }
 
@@ -147,7 +172,7 @@ pub(crate) fn solve<S: TraceSink>(
             if !recover {
                 return Err(LinalgError::NoConvergence {
                     routine: "smfl_fit",
-                    iterations: t,
+                    iterations: judged,
                 });
             }
             if failure == FitFailure::Stalled || restarts >= Resilience::MAX_RESTARTS {
@@ -156,7 +181,7 @@ pub(crate) fn solve<S: TraceSink>(
             }
             restarts += 1;
             report.restarts = restarts;
-            record(&mut report, sink, FitEvent::Restarted { iteration: t, failure });
+            record(&mut report, sink, FitEvent::Restarted { iteration: judged, failure });
             if matches!(config.updater, Updater::GradientDescent { .. }) {
                 lr_scale *= 0.5;
             }
@@ -171,7 +196,6 @@ pub(crate) fn solve<S: TraceSink>(
                     if let Some(lm) = landmarks.as_ref() {
                         lm.inject(&mut v)?;
                     }
-                    ws.invalidate();
                 }
             } else {
                 // Failure before any accepted iterate: fresh re-init.
@@ -181,10 +205,12 @@ pub(crate) fn solve<S: TraceSink>(
                 if let Some(lm) = landmarks.as_ref() {
                     lm.inject(&mut v)?;
                 }
-                ws.invalidate();
             }
             prev_accepted = None;
             since_best = 0;
+            // The failed iterate's candidate is dropped uncommitted, and
+            // iteration `t` runs again from the restarted iterate.
+            pending = None;
             continue;
         }
 
@@ -193,7 +219,7 @@ pub(crate) fn solve<S: TraceSink>(
         // negative, so only live columns of V are checked).
         debug_assert!(
             !u.all_finite() || u.is_nonnegative(0.0),
-            "U left the nonnegative orthant at iteration {t}"
+            "U left the nonnegative orthant at iteration {judged}"
         );
         #[cfg(debug_assertions)]
         if v.all_finite() {
@@ -201,7 +227,7 @@ pub(crate) fn solve<S: TraceSink>(
                 for j in v_start..v.cols() {
                     debug_assert!(
                         v.get(kk, j) >= 0.0,
-                        "V went negative at ({kk}, {j}), iteration {t}"
+                        "V went negative at ({kk}, {j}), iteration {judged}"
                     );
                 }
             }
@@ -222,21 +248,32 @@ pub(crate) fn solve<S: TraceSink>(
             .is_some_and(|prev| (prev - obj).abs() <= config.tol * prev.abs().max(1.0));
         prev_accepted = Some(obj);
         history.push(obj);
-        iterations = t + 1;
+        iterations = judged + 1;
         if improved_enough {
             converged = true;
             break;
         }
+        if last {
+            break;
+        }
+        ws.commit(&mut u, &mut v);
+        pending = Some((t, wall));
+        t += 1;
     }
 
     // Rollback: a recovering fit always returns its best recorded
     // iterate. The checkpoint holds exactly the factors of
     // `min(history)`, so restoring makes the returned model's objective
-    // equal the best the trace ever saw. A strict solve gets here only
-    // with finite factors and no checkpoint, so this is a no-op for it.
+    // equal the best the trace ever saw. It is also taken when a restart
+    // was the last event, since the restarted iterate was never scored.
+    // A strict solve gets here only with finite, judged factors and no
+    // checkpoint, so this is a no-op for it.
     let final_obj = history.last().copied().unwrap_or(f64::INFINITY);
     let factors_bad = !u.all_finite() || !v.all_finite();
-    if ws.has_checkpoint() && (report.failure.is_some() || factors_bad || final_obj > best_obj) {
+    let unjudged = pending.is_none();
+    if ws.has_checkpoint()
+        && (report.failure.is_some() || factors_bad || unjudged || final_obj > best_obj)
+    {
         if ws.restore(&mut u, &mut v) {
             report.rolled_back = true;
             record(&mut report, sink, FitEvent::RolledBack { iteration: iterations });

@@ -28,7 +28,7 @@
 //! proves for its rules, by a different argument.
 
 use crate::objective::ObjectiveTerms;
-use crate::updater::UpdateContext;
+use crate::updater::{open_sparse_step, UpdateContext};
 use smfl_linalg::kernels::Workspace;
 use smfl_linalg::{Matrix, Result};
 
@@ -36,34 +36,34 @@ use smfl_linalg::{Matrix, Result};
 use crate::health::DENOM_EPS as EPS;
 
 /// One full HALS sweep (all K columns of `U`, then all live entries of
-/// `V`). Returns the objective terms for the updated factors, exactly
-/// like the other updaters.
+/// `V`) into `ws.u_next` / `ws.v_next`. Returns the objective terms of
+/// the input factors, like the other updaters.
 pub fn hals_step(
     ctx: &UpdateContext<'_>,
     ws: &mut Workspace,
-    u: &mut Matrix,
-    v: &mut Matrix,
+    u: &Matrix,
+    v: &Matrix,
 ) -> Result<ObjectiveTerms> {
     let pattern = ctx.pattern;
     let (n, m) = (pattern.rows(), pattern.cols());
     let k = u.cols();
-    let v_start = ctx.landmarks.map_or(0, crate::landmarks::Landmarks::spatial_cols);
+    let v_start = ctx.v_start_col();
 
-    // Packed masked residual r = R_Ω(X − UV), maintained incrementally.
-    if !ws.uv_fresh {
-        v.transpose_into(&mut ws.vt)?;
-        pattern.sddmm_into(u, &ws.vt, &mut ws.uv_vals)?;
-        ws.counters.sddmm += 1;
-        ws.counters.masked_nnz += pattern.nnz() as u64;
-    }
+    // Packed masked residual r = R_Ω(X − UV) of the input, maintained
+    // incrementally; the sweeps run on copies of the input factors.
+    let fit = open_sparse_step(pattern, ws, u, v)?;
     pattern.residual_into(&ws.uv_vals, &mut ws.res_vals)?;
+    ws.u_next.as_mut_slice().copy_from_slice(u.as_slice());
+    ws.v_next.as_mut_slice().copy_from_slice(v.as_slice());
     let r = &mut ws.res_vals;
 
     // ---- U sweep: one latent column at a time ----
-    let graph = ctx.graph.filter(|_| ctx.lambda != 0.0);
+    let graph = ctx.active_graph();
+    let mut laplacian = 0.0;
     for c in 0..k {
-        // D·U column c into per-column scratch (recomputed per column to
-        // reflect the running U).
+        // D·U column c into per-column scratch. Column c is still the
+        // input's here (earlier sweeps touched only columns < c), so it
+        // also yields column c's share of the input's Tr(UᵀLU).
         if let Some(g) = graph {
             for i in 0..n {
                 ws.col_scratch[i] = g
@@ -86,6 +86,7 @@ pub fn hals_step(
             if let Some(g) = graph {
                 numer += ctx.lambda * ws.col_scratch[i];
                 denom += ctx.lambda * g.degree[i];
+                laplacian += old * (g.degree[i] * old - ws.col_scratch[i]);
             }
             let new = (numer / (denom + EPS)).max(0.0);
             if new != old {
@@ -94,7 +95,7 @@ pub fn hals_step(
                 for (j, slot) in pattern.row_entries(i) {
                     r[slot] -= delta * v.get(c, j);
                 }
-                u.set(i, c, new);
+                ws.u_next.set(i, c, new);
             }
         }
     }
@@ -105,36 +106,31 @@ pub fn hals_step(
             let mut numer = 0.0;
             let mut denom = 0.0;
             for (i, slot) in pattern.col_entries(j) {
-                let uic = u.get(i, c);
+                let uic = ws.u_next.get(i, c);
                 numer += uic * r[slot];
                 denom += uic * uic;
             }
-            let old = v.get(c, j);
+            let old = ws.v_next.get(c, j);
             numer += old * denom;
             let new = (numer / (denom + EPS)).max(0.0);
             if new != old {
                 let delta = new - old;
                 for (i, slot) in pattern.col_entries(j) {
-                    r[slot] -= delta * u.get(i, c);
+                    r[slot] -= delta * ws.u_next.get(i, c);
                 }
-                v.set(c, j, new);
+                ws.v_next.set(c, j, new);
             }
         }
     }
-    debug_assert!(ctx.landmarks.is_none_or(|lm| lm.verify_injected(v)));
+    debug_assert!(ctx
+        .landmarks
+        .is_none_or(|lm| lm.verify_injected(&ws.v_next)));
 
-    // Recompute the reconstruction exactly (the incremental residual is
-    // within FP noise, but the cached uv_vals must be bit-faithful for
-    // the next step's warm start).
-    v.transpose_into(&mut ws.vt)?;
-    pattern.sddmm_into(u, &ws.vt, &mut ws.uv_vals)?;
-    ws.counters.sddmm += 1;
     ws.counters.hals_sweeps += 1;
     // Each sweep walks every observed entry once per latent column for
     // both factor passes.
     ws.counters.masked_nnz += (2 * k * pattern.nnz()) as u64;
-    ws.uv_fresh = true;
-    ctx.terms(pattern.fit_term(&ws.uv_vals)?, u)
+    Ok(ObjectiveTerms { fit, laplacian })
 }
 
 #[cfg(test)]
@@ -164,6 +160,18 @@ mod tests {
         Setup { x, pattern, graph }
     }
 
+    /// One committed sweep; returns the score of the factors it read.
+    fn sweep(
+        ctx: &UpdateContext<'_>,
+        ws: &mut Workspace,
+        u: &mut Matrix,
+        v: &mut Matrix,
+    ) -> Result<ObjectiveTerms> {
+        let terms = hals_step(ctx, ws, u, v)?;
+        ws.commit(u, v);
+        Ok(terms)
+    }
+
     impl Setup {
         fn ctx<'a>(
             &'a self,
@@ -189,7 +197,7 @@ mod tests {
         let mut v = positive_uniform_matrix(4, 5, 3);
         let mut prev = f64::INFINITY;
         for _ in 0..15 {
-            let obj = hals_step(&ctx, &mut ws, &mut u, &mut v).unwrap().objective(0.2);
+            let obj = sweep(&ctx, &mut ws, &mut u, &mut v).unwrap().objective(0.2);
             assert!(obj <= prev + 1e-9, "objective rose: {prev} -> {obj}");
             prev = obj;
         }
@@ -207,7 +215,7 @@ mod tests {
         let mut v = positive_uniform_matrix(3, 5, 6);
         lm.inject(&mut v).unwrap();
         for _ in 0..8 {
-            hals_step(&ctx, &mut ws, &mut u, &mut v).unwrap();
+            sweep(&ctx, &mut ws, &mut u, &mut v).unwrap();
             assert!(u.is_nonnegative(0.0));
             assert!(v.is_nonnegative(0.0));
             assert!(lm.verify_injected(&v));
@@ -227,7 +235,7 @@ mod tests {
             let mut v = positive_uniform_matrix(4, 6, 9);
             let mut obj = f64::INFINITY;
             for _ in 0..sweeps {
-                obj = hals_step(&ctx, &mut ws, &mut u, &mut v).unwrap().objective(0.0);
+                obj = sweep(&ctx, &mut ws, &mut u, &mut v).unwrap().objective(0.0);
             }
             obj
         };
@@ -238,9 +246,10 @@ mod tests {
             let mut v = positive_uniform_matrix(4, 6, 9);
             let mut obj = f64::INFINITY;
             for _ in 0..sweeps {
-                obj = crate::updater::multiplicative_step(&ctx, &mut ws, &mut u, &mut v)
+                obj = crate::updater::multiplicative_step(&ctx, &mut ws, &u, &v)
                     .unwrap()
                     .objective(0.0);
+                ws.commit(&mut u, &mut v);
             }
             obj
         };
@@ -261,10 +270,12 @@ mod tests {
         let mut ws = Workspace::new(&s.pattern, 3);
         let mut u = positive_uniform_matrix(20, 3, 11).scale(1.0 / 3.0);
         let mut v = positive_uniform_matrix(3, 4, 12);
-        hals_step(&ctx, &mut ws, &mut u, &mut v).unwrap();
-        // ws.res_vals holds the maintained residual for the *final*
-        // factors; compare to x - fresh SDDMM (ws.uv_vals is fresh).
-        for (slot, (&res, &uv)) in ws.res_vals.iter().zip(&ws.uv_vals).enumerate() {
+        sweep(&ctx, &mut ws, &mut u, &mut v).unwrap();
+        // ws.res_vals holds the maintained residual for the committed
+        // factors; compare to x - a fresh SDDMM of them.
+        let mut uv = vec![0.0; s.pattern.nnz()];
+        s.pattern.sddmm_into(&u, &v.transpose(), &mut uv).unwrap();
+        for (slot, (&res, &uv)) in ws.res_vals.iter().zip(&uv).enumerate() {
             let fresh = s.pattern.x_vals()[slot] - uv;
             assert!(
                 (res - fresh).abs() < 1e-9,

@@ -360,7 +360,8 @@ impl FitPlan {
     /// alone — recompile if yours change). When the (sanitized) mask
     /// equals the plan's, the compiled pattern is refilled **in place**
     /// — zero heap allocation while the plan's pattern is unshared; a
-    /// changed mask recompiles the pattern and resizes the workspace.
+    /// changed mask recompiles the pattern (the workspace's packed
+    /// buffers follow it on the next solve's first sparse step).
     pub fn rebind(&mut self, x: &Matrix, omega: &Mask) -> Result<()> {
         if x.shape() != self.shape() {
             return Err(LinalgError::DimensionMismatch {
@@ -376,7 +377,6 @@ impl FitPlan {
             Arc::make_mut(&mut self.pattern).refill(&x, &omega)?;
         } else {
             self.pattern = Arc::new(ObservedPattern::compile(&x, &omega)?);
-            self.workspace.rebind(&self.pattern)?;
             self.omega = omega.into_owned();
         }
         Ok(())

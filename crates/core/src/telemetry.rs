@@ -60,7 +60,8 @@ pub struct IterEvent {
     pub fit_term: f64,
     /// The spatial-regularization term (`objective - fit_term`).
     pub laplacian_term: f64,
-    /// Wall time of this iteration (update step + objective + health).
+    /// Wall time of the update pass that produced this iterate (the
+    /// same pass scored the iterate before it).
     pub wall: Duration,
     /// Health classification of the iterate (`None` when healthy).
     pub health: Option<FitFailure>,

@@ -9,6 +9,17 @@
 //!   learning rate (§III-B1), kept feasible by clamping at zero. This is
 //!   the `SMF-GD` optimizer of Fig. 5.
 //!
+//! **Step contract** (shared with [`crate::hals::hals_step`]): a step
+//! reads the committed `(U, V)`, writes the next iterate into
+//! [`Workspace::u_next`] / [`Workspace::v_next`] (frozen landmark
+//! columns included), and returns the [`ObjectiveTerms`] — fit term
+//! `‖R_Ω(X − UV)‖_F²` and Laplacian term `Tr(UᵀLU)` — of the factors it
+//! **read**, computed from the reconstruction and `D·U` the update forms
+//! anyway. The caller judges that score and then adopts the candidate
+//! with [`Workspace::commit`], so stopping, failing or rolling back never
+//! needs an undo. [`score`] evaluates the last committed iterate, which
+//! no further step reads.
+//!
 //! The multiplicative step has two implementations, picked per mask by
 //! [`ObservedPattern::prefers_dense`]:
 //!
@@ -16,24 +27,18 @@
 //!   observed): the reconstruction is evaluated at observed entries only
 //!   (SDDMM into the packed [`Workspace::uv_vals`]) and the four
 //!   update-rule products are CSR SpMM / SpMMᵀ against the per-fit
-//!   [`ObservedPattern`]. The step leaves `ws.uv_vals` valid for the
-//!   returned factors (`ws.uv_fresh`), letting the next step skip its
-//!   opening SDDMM; mutate `U`/`V` between steps only via
-//!   [`Workspace::invalidate`].
+//!   [`ObservedPattern`]: one SDDMM of the input, which also gives the
+//!   fit term, and one of the new `U` for the `V` update.
 //! - **Fused dense** (denser masks, which covers every paper
-//!   experiment): one row pass updates `U` and builds the `V`
-//!   numerator/denominator from each new row, a second sums the fit and
-//!   Laplacian terms; each row's reconstruction lives only in
+//!   experiment): one row pass updates `U` and scores the input, one
+//!   column pass updates `V`; each reconstruction lives only in
 //!   registers. See `dense_step.rs`.
 //!
 //! All scratch lives in the caller's [`Workspace`]: a serial step
-//! allocates nothing (the fused step's runtime-rank instance, `K > 8`,
-//! takes two `K`-length accumulators per row block), and neither path
-//! ever builds an `N x M` matrix.
-//!
-//! Each step returns the [`ObjectiveTerms`] — fit term
-//! `‖R_Ω(X − UV)‖_F²` and Laplacian term `Tr(UᵀLU)` — for the final
-//! factors, so the fit loop needs no further work for the objective.
+//! allocates nothing once the workspace is sized (the fused step's
+//! runtime-rank instance, `K > 8`, takes a `4·K` accumulator per row
+//! block and per column), and neither path ever builds an `N x M`
+//! matrix.
 //!
 //! Landmark handling: `Φ` covers the *whole* first `L` columns of `V`
 //! (Definition 1), so the `V` update simply starts at column `L`; the
@@ -43,6 +48,7 @@
 use crate::landmarks::Landmarks;
 use crate::objective::ObjectiveTerms;
 use smfl_linalg::kernels::{ObservedPattern, Workspace};
+use smfl_linalg::ops::dot;
 use smfl_linalg::{Matrix, Result};
 use smfl_spatial::SpatialGraph;
 
@@ -73,42 +79,37 @@ impl UpdateContext<'_> {
     pub(crate) fn active_graph(&self) -> Option<&SpatialGraph> {
         self.graph.filter(|_| self.lambda != 0.0)
     }
-
-    /// The objective terms for final factors `u` with fit term `fit`.
-    pub(crate) fn terms(&self, fit: f64, u: &Matrix) -> Result<ObjectiveTerms> {
-        let laplacian = match self.active_graph() {
-            Some(g) => g.regularization(u)?,
-            None => 0.0,
-        };
-        Ok(ObjectiveTerms { fit, laplacian })
-    }
 }
 
-/// Refreshes `ws.vt` and `ws.uv_vals` for the current `(U, V)` unless
-/// the workspace already vouches for them.
-fn ensure_uv(
-    pattern: &ObservedPattern,
+/// The objective terms of `(u, v)` without updating them: the scoring
+/// pass that closes a fit, since each step scores only the factors it
+/// reads. One serial pass over the CSR rows plus one over the graph.
+pub fn score(
+    ctx: &UpdateContext<'_>,
     ws: &mut Workspace,
     u: &Matrix,
     v: &Matrix,
-) -> Result<()> {
-    if !ws.uv_fresh {
-        v.transpose_into(&mut ws.vt)?;
-        pattern.sddmm_into(u, &ws.vt, &mut ws.uv_vals)?;
-        ws.counters.sddmm += 1;
-        ws.counters.masked_nnz += pattern.nnz() as u64;
-    }
-    Ok(())
+) -> Result<ObjectiveTerms> {
+    v.transpose_into(&mut ws.vt)?;
+    let laplacian = match ctx.active_graph() {
+        Some(g) => g.regularization(u)?,
+        None => 0.0,
+    };
+    Ok(ObjectiveTerms {
+        fit: ctx.pattern.fit_term_from(u, &ws.vt)?,
+        laplacian,
+    })
 }
 
-/// One multiplicative iteration: updates `U` by Formula 13, then `V` by
-/// Formula 14 using the refreshed `U` (Algorithm 1 lines 8-9). Returns
-/// the objective terms for the *final* `(U, V)`.
+/// One multiplicative iteration: the candidate `U` by Formula 13, then
+/// `V` by Formula 14 using that candidate (Algorithm 1 lines 8-9), into
+/// `ws.u_next` / `ws.v_next`. Returns the objective terms of the input
+/// `(u, v)`.
 pub fn multiplicative_step(
     ctx: &UpdateContext<'_>,
     ws: &mut Workspace,
-    u: &mut Matrix,
-    v: &mut Matrix,
+    u: &Matrix,
+    v: &Matrix,
 ) -> Result<ObjectiveTerms> {
     if ctx.pattern.prefers_dense() {
         crate::dense_step::fused_dense_step(ctx, ws, u, v)
@@ -117,169 +118,192 @@ pub fn multiplicative_step(
     }
 }
 
+/// `Vᵀ` and the packed reconstruction of the input, and its fit term:
+/// the opening of every sparse-engine step.
+pub(crate) fn open_sparse_step(
+    pattern: &ObservedPattern,
+    ws: &mut Workspace,
+    u: &Matrix,
+    v: &Matrix,
+) -> Result<f64> {
+    ws.size_sparse(pattern.nnz());
+    v.transpose_into(&mut ws.vt)?;
+    pattern.sddmm_into(u, &ws.vt, &mut ws.uv_vals)?;
+    ws.counters.sddmm += 1;
+    ws.counters.masked_nnz += pattern.nnz() as u64;
+    pattern.fit_term(&ws.uv_vals)
+}
+
+/// `Tr(UᵀLU) = Σ_i w_i·|u_i|² − u_i·(D·U)_i`, from `D·U` in `du`.
+fn laplacian_from_du(u: &Matrix, du: &Matrix, degree: &[f64]) -> f64 {
+    let k = u.cols().max(1);
+    u.as_slice()
+        .chunks_exact(k)
+        .zip(du.as_slice().chunks_exact(k))
+        .zip(degree)
+        .map(|((ui, gi), &w)| w * dot(ui, ui) - dot(ui, gi))
+        .sum()
+}
+
 /// The multiplicative step on the sparse kernels (SDDMM + SpMM/SpMMᵀ).
 fn sparse_multiplicative_step(
     ctx: &UpdateContext<'_>,
     ws: &mut Workspace,
-    u: &mut Matrix,
-    v: &mut Matrix,
+    u: &Matrix,
+    v: &Matrix,
 ) -> Result<ObjectiveTerms> {
     let pattern = ctx.pattern;
     let nnz = pattern.nnz() as u64;
 
-    // ---- U update (Formula 13) ----
-    ensure_uv(pattern, ws, u, v)?;
-    pattern.spmm_into(pattern.x_vals(), &ws.vt, &mut ws.numer_u)?; // R_Ω(X)·Vᵀ
+    // ---- Score the input; U update (Formula 13) ----
+    let fit = open_sparse_step(pattern, ws, u, v)?;
+    pattern.spmm_into(pattern.x_vals(), &ws.vt, &mut ws.u_next)?; // R_Ω(X)·Vᵀ
     pattern.spmm_into(&ws.uv_vals, &ws.vt, &mut ws.denom_u)?; // R_Ω(UV)·Vᵀ
     ws.counters.spmm += 2;
     ws.counters.masked_nnz += 2 * nnz;
-    match ctx.active_graph() {
+    let laplacian = match ctx.active_graph() {
         Some(g) => {
             g.similarity.spmm_into(u, &mut ws.reg_a)?; // D·U
             update_u_with_graph(u, ws, &g.degree, ctx.lambda);
+            laplacian_from_du(u, &ws.reg_a, &g.degree)
         }
         None => {
-            for ((x, &n), &d) in u
+            for ((o, &x), &d) in ws
+                .u_next
                 .as_mut_slice()
                 .iter_mut()
-                .zip(ws.numer_u.as_slice())
+                .zip(u.as_slice())
                 .zip(ws.denom_u.as_slice())
             {
-                *x *= n / (d + EPS);
+                *o = x * (*o / (d + EPS));
             }
+            0.0
         }
-    }
+    };
 
     // ---- V update (Formula 14), live columns only ----
-    pattern.sddmm_into(u, &ws.vt, &mut ws.uv_vals)?; // with refreshed U
+    pattern.sddmm_into(&ws.u_next, &ws.vt, &mut ws.uv_vals)?; // with the new U
     ws.counters.sddmm += 1;
     ws.counters.masked_nnz += nnz;
+    ws.v_next.as_mut_slice().copy_from_slice(v.as_slice());
     let start = ctx.v_start_col();
     if start < v.cols() {
         // Uᵀ·R_Ω(X) and Uᵀ·R_Ω(UV), transposed layout, frozen landmark
         // rows skipped inside the kernel.
-        pattern.spmm_t_into(pattern.x_vals(), u, start, &mut ws.numer_vt)?;
-        pattern.spmm_t_into(&ws.uv_vals, u, start, &mut ws.denom_vt)?;
+        pattern.spmm_t_into(pattern.x_vals(), &ws.u_next, start, &mut ws.numer_vt)?;
+        pattern.spmm_t_into(&ws.uv_vals, &ws.u_next, start, &mut ws.denom_vt)?;
         ws.counters.spmm_t += 2;
         ws.counters.masked_nnz += 2 * nnz;
-        update_v(v, &ws.numer_vt, &ws.denom_vt, start);
+        for k in 0..v.rows() {
+            for j in start..v.cols() {
+                let val = v.get(k, j) * ws.numer_vt.get(j, k) / (ws.denom_vt.get(j, k) + EPS);
+                ws.v_next.set(k, j, val);
+            }
+        }
     }
     // Landmarks were never touched (whole columns skipped), so no
     // re-injection is needed; debug-check the invariant anyway.
-    debug_assert!(ctx.landmarks.is_none_or(|lm| lm.verify_injected(v)));
-
-    v.transpose_into(&mut ws.vt)?;
-    pattern.sddmm_into(u, &ws.vt, &mut ws.uv_vals)?;
-    ws.counters.sddmm += 1;
-    ws.counters.masked_nnz += nnz;
-    ws.uv_fresh = true;
-    ctx.terms(pattern.fit_term(&ws.uv_vals)?, u)
+    debug_assert!(ctx
+        .landmarks
+        .is_none_or(|lm| lm.verify_injected(&ws.v_next)));
+    Ok(ObjectiveTerms { fit, laplacian })
 }
 
 /// Formula 13 with the spatial terms folded in elementwise:
-/// `u_ik ← u_ik·(N_ik + λ·(D·U)_ik) / (Dn_ik + λ·w_i·u_ik + EPS)`, with
-/// `N`/`Dn` in `ws.numer_u`/`ws.denom_u` and `D·U` in `ws.reg_a`.
-fn update_u_with_graph(u: &mut Matrix, ws: &Workspace, degree: &[f64], lambda: f64) {
+/// `u'_ik = u_ik·(N_ik + λ·(D·U)_ik) / (Dn_ik + λ·w_i·u_ik + EPS)`, with
+/// the numerator `N` already in `ws.u_next` (overwritten by `u'`), `Dn`
+/// in `ws.denom_u` and `D·U` in `ws.reg_a`.
+fn update_u_with_graph(u: &Matrix, ws: &mut Workspace, degree: &[f64], lambda: f64) {
     let k = u.cols();
     if k == 0 {
         return;
     }
-    let rows = u
+    let rows = ws
+        .u_next
         .as_mut_slice()
         .chunks_exact_mut(k)
-        .zip(ws.numer_u.as_slice().chunks_exact(k))
+        .zip(u.as_slice().chunks_exact(k))
         .zip(ws.denom_u.as_slice().chunks_exact(k))
         .zip(ws.reg_a.as_slice().chunks_exact(k))
         .zip(degree);
-    for ((((urow, nrow), drow), grow), &w) in rows {
-        for (((x, &n), &d), &g) in urow.iter_mut().zip(nrow).zip(drow).zip(grow) {
-            *x *= (n + lambda * g) / (d + lambda * (w * *x) + EPS);
+    for ((((orow, urow), drow), grow), &w) in rows {
+        for (((o, &x), &d), &g) in orow.iter_mut().zip(urow).zip(drow).zip(grow) {
+            *o = x * ((*o + lambda * g) / (d + lambda * (w * x) + EPS));
         }
     }
 }
 
-/// Formula 14's elementwise rule on the live columns `start..M`, from
-/// numerator and denominator in transposed (`M x K`) layout.
-pub(crate) fn update_v(v: &mut Matrix, numer_vt: &Matrix, denom_vt: &Matrix, start: usize) {
-    for k in 0..v.rows() {
-        for j in start..v.cols() {
-            let val = v.get(k, j) * numer_vt.get(j, k) / (denom_vt.get(j, k) + EPS);
-            v.set(k, j, val);
-        }
-    }
-}
-
-/// `u ← u − scale·L·U` row by row, from `D·U` in `du` and the degrees:
-/// `(L·U)_ik = w_i·u_ik − (D·U)_ik`.
-fn subtract_laplacian_u(u: &mut Matrix, du: &Matrix, degree: &[f64], scale: f64) {
-    let k = u.cols();
-    if k == 0 {
-        return;
-    }
-    let rows = u
-        .as_mut_slice()
-        .chunks_exact_mut(k)
-        .zip(du.as_slice().chunks_exact(k))
-        .zip(degree);
-    for ((urow, drow), &w) in rows {
-        for (x, &d) in urow.iter_mut().zip(drow) {
-            *x -= scale * (w * *x - d);
-        }
-    }
-}
-
-/// One projected-gradient iteration (paper §III-B1). Returns the
-/// objective terms for the updated factors. Always runs on the sparse
-/// engine (the gradient only ever needs the masked residual).
+/// One projected-gradient iteration (paper §III-B1) into `ws.u_next` /
+/// `ws.v_next`. Returns the objective terms of the input factors.
+/// Always runs on the sparse engine (the gradient only ever needs the
+/// masked residual).
 pub fn gradient_step(
     ctx: &UpdateContext<'_>,
     ws: &mut Workspace,
-    u: &mut Matrix,
-    v: &mut Matrix,
+    u: &Matrix,
+    v: &Matrix,
     learning_rate: f64,
 ) -> Result<ObjectiveTerms> {
     let pattern = ctx.pattern;
     let nnz = pattern.nnz() as u64;
+    let k = u.cols();
 
     // ∂O/∂U = −2·R_Ω(X − UV)·Vᵀ + 2λ·L·U, with L·U = w∘U − D·U
-    ensure_uv(pattern, ws, u, v)?;
+    let fit = open_sparse_step(pattern, ws, u, v)?;
     pattern.residual_into(&ws.uv_vals, &mut ws.res_vals)?; // R_Ω(X − UV)
-    pattern.spmm_into(&ws.res_vals, &ws.vt, &mut ws.numer_u)?;
+    pattern.spmm_into(&ws.res_vals, &ws.vt, &mut ws.u_next)?;
     ws.counters.spmm += 1;
     ws.counters.masked_nnz += nnz;
-    if let Some(g) = ctx.active_graph() {
-        g.similarity.spmm_into(u, &mut ws.reg_a)?; // D·U
-        subtract_laplacian_u(u, &ws.reg_a, &g.degree, 2.0 * learning_rate * ctx.lambda);
-    }
-    u.axpy(2.0 * learning_rate, &ws.numer_u)?;
-    u.clamp_min(0.0);
+    let step = 2.0 * learning_rate;
+    let laplacian = match ctx.active_graph() {
+        Some(g) if k > 0 => {
+            g.similarity.spmm_into(u, &mut ws.reg_a)?; // D·U
+            let scale = step * ctx.lambda;
+            let rows = ws
+                .u_next
+                .as_mut_slice()
+                .chunks_exact_mut(k)
+                .zip(u.as_slice().chunks_exact(k))
+                .zip(ws.reg_a.as_slice().chunks_exact(k))
+                .zip(&g.degree);
+            for (((orow, urow), drow), &w) in rows {
+                for ((o, &x), &d) in orow.iter_mut().zip(urow).zip(drow) {
+                    *o = x - scale * (w * x - d) + step * *o;
+                }
+            }
+            laplacian_from_du(u, &ws.reg_a, &g.degree)
+        }
+        _ => {
+            for (o, &x) in ws.u_next.as_mut_slice().iter_mut().zip(u.as_slice()) {
+                *o = x + step * *o;
+            }
+            0.0
+        }
+    };
+    ws.u_next.clamp_min(0.0);
 
     // ∂O/∂V = −2·Uᵀ·R_Ω(X − UV), frozen columns get zero gradient.
-    pattern.sddmm_into(u, &ws.vt, &mut ws.uv_vals)?;
+    pattern.sddmm_into(&ws.u_next, &ws.vt, &mut ws.uv_vals)?;
     ws.counters.sddmm += 1;
     ws.counters.masked_nnz += nnz;
     pattern.residual_into(&ws.uv_vals, &mut ws.res_vals)?;
+    ws.v_next.as_mut_slice().copy_from_slice(v.as_slice());
     let start = ctx.v_start_col();
     if start < v.cols() {
-        pattern.spmm_t_into(&ws.res_vals, u, start, &mut ws.numer_vt)?;
+        pattern.spmm_t_into(&ws.res_vals, &ws.u_next, start, &mut ws.numer_vt)?;
         ws.counters.spmm_t += 1;
         ws.counters.masked_nnz += nnz;
         for k in 0..v.rows() {
             for j in start..v.cols() {
-                let step = 2.0 * learning_rate * ws.numer_vt.get(j, k);
-                let val = (v.get(k, j) + step).max(0.0);
-                v.set(k, j, val);
+                let val = (v.get(k, j) + step * ws.numer_vt.get(j, k)).max(0.0);
+                ws.v_next.set(k, j, val);
             }
         }
     }
-    debug_assert!(ctx.landmarks.is_none_or(|lm| lm.verify_injected(v)));
-
-    v.transpose_into(&mut ws.vt)?;
-    pattern.sddmm_into(u, &ws.vt, &mut ws.uv_vals)?;
-    ws.counters.sddmm += 1;
-    ws.counters.masked_nnz += nnz;
-    ws.uv_fresh = true;
-    ctx.terms(pattern.fit_term(&ws.uv_vals)?, u)
+    debug_assert!(ctx
+        .landmarks
+        .is_none_or(|lm| lm.verify_injected(&ws.v_next)));
+    Ok(ObjectiveTerms { fit, laplacian })
 }
 
 #[cfg(test)]
@@ -316,6 +340,19 @@ mod tests {
         }
     }
 
+    /// One committed multiplicative step; returns the score of the
+    /// factors it read.
+    fn mult(
+        ctx: &UpdateContext<'_>,
+        ws: &mut Workspace,
+        u: &mut Matrix,
+        v: &mut Matrix,
+    ) -> Result<ObjectiveTerms> {
+        let terms = multiplicative_step(ctx, ws, u, v)?;
+        ws.commit(u, v);
+        Ok(terms)
+    }
+
     impl Setup {
         fn ctx<'a>(
             &'a self,
@@ -343,9 +380,7 @@ mod tests {
         let mut v = positive_uniform_matrix(4, 5, 3);
         let mut prev = f64::INFINITY;
         for _ in 0..20 {
-            let obj = multiplicative_step(&ctx, &mut ws, &mut u, &mut v)
-                .unwrap()
-                .objective(0.1);
+            let obj = mult(&ctx, &mut ws, &mut u, &mut v).unwrap().objective(0.1);
             assert!(obj <= prev + 1e-9, "objective rose: {prev} -> {obj}");
             prev = obj;
         }
@@ -360,7 +395,7 @@ mod tests {
         let mut u = positive_uniform_matrix(20, 3, 6);
         let mut v = positive_uniform_matrix(3, 4, 7);
         for _ in 0..10 {
-            multiplicative_step(&ctx, &mut ws, &mut u, &mut v).unwrap();
+            mult(&ctx, &mut ws, &mut u, &mut v).unwrap();
             assert!(u.is_nonnegative(0.0));
             assert!(v.is_nonnegative(0.0));
             assert!(u.all_finite());
@@ -381,9 +416,10 @@ mod tests {
             lm.inject(&mut v).unwrap();
             for _ in 0..8 {
                 if gd {
-                    gradient_step(&ctx, &mut ws, &mut u, &mut v, 0.01).unwrap();
+                    gradient_step(&ctx, &mut ws, &u, &v, 0.01).unwrap();
+                    ws.commit(&mut u, &mut v);
                 } else {
-                    multiplicative_step(&ctx, &mut ws, &mut u, &mut v).unwrap();
+                    mult(&ctx, &mut ws, &mut u, &mut v).unwrap();
                 }
                 assert!(lm.verify_injected(&v), "landmarks drifted (gd={gd})");
             }
@@ -400,9 +436,8 @@ mod tests {
         let before = crate::objective::objective(&s.x, &s.omega, &u, &v, 0.0, None).unwrap();
         let mut last = before;
         for _ in 0..50 {
-            last = gradient_step(&ctx, &mut ws, &mut u, &mut v, 1e-3)
-                .unwrap()
-                .objective(0.0);
+            last = gradient_step(&ctx, &mut ws, &u, &v, 1e-3).unwrap().objective(0.0);
+            ws.commit(&mut u, &mut v);
         }
         assert!(last < before, "GD failed to reduce objective: {before} -> {last}");
         assert!(u.is_nonnegative(0.0) && v.is_nonnegative(0.0));
@@ -432,7 +467,7 @@ mod tests {
             let mut u = positive_uniform_matrix(15, 3, 15);
             let mut v = positive_uniform_matrix(3, 4, 16);
             for _ in 0..5 {
-                multiplicative_step(&ctx, &mut ws, &mut u, &mut v).unwrap();
+                mult(&ctx, &mut ws, &mut u, &mut v).unwrap();
             }
             (u, v)
         };
@@ -453,8 +488,8 @@ mod tests {
         let without = s.ctx(false, 0.0, None);
         let mut ws1 = Workspace::new(&s.pattern, 2);
         let mut ws2 = Workspace::new(&s.pattern, 2);
-        multiplicative_step(&with_graph, &mut ws1, &mut u1, &mut v1).unwrap();
-        multiplicative_step(&without, &mut ws2, &mut u2, &mut v2).unwrap();
+        mult(&with_graph, &mut ws1, &mut u1, &mut v1).unwrap();
+        mult(&without, &mut ws2, &mut u2, &mut v2).unwrap();
         assert!(u1.approx_eq(&u2, 0.0));
         assert!(v1.approx_eq(&v2, 0.0));
     }
@@ -479,9 +514,10 @@ mod tests {
             }
             let (mut u2, mut v2) = (u1.clone(), v1.clone());
             for _ in 0..6 {
-                let a = sparse_multiplicative_step(&ctx, &mut ws_sparse, &mut u1, &mut v1).unwrap();
-                let b = crate::dense_step::fused_dense_step(&ctx, &mut ws_dense, &mut u2, &mut v2)
-                    .unwrap();
+                let a = sparse_multiplicative_step(&ctx, &mut ws_sparse, &u1, &v1).unwrap();
+                let b = crate::dense_step::fused_dense_step(&ctx, &mut ws_dense, &u2, &v2).unwrap();
+                ws_sparse.commit(&mut u1, &mut v1);
+                ws_dense.commit(&mut u2, &mut v2);
                 assert!((a.fit - b.fit).abs() <= 1e-10 * a.fit.abs().max(1.0));
                 assert!((a.laplacian - b.laplacian).abs() <= 1e-10 * a.laplacian.abs().max(1.0));
                 assert!(u1.approx_eq(&u2, 1e-10));

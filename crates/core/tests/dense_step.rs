@@ -5,23 +5,29 @@
 //! `multiplicative_step`. This suite pins it to the textbook matmul
 //! formulation of Formulas 13/14 — dense `U·V`, masked, then the four
 //! products, the graph terms through dense `D`/`W`/`L` (with `L` built
-//! here as `diag(w) − D`) — which is kept here only, as a reference. It
-//! checks, step by step:
+//! here as `diag(w) − D`) — which is kept here only, as a reference.
+//! A step scores the factors it reads and writes the next iterate into
+//! the workspace, which the caller then commits. The suite checks, step
+//! by step:
 //!
-//! - `U`, `V`, the fit term and the Laplacian term agree to 1e-10
+//! - the returned fit and Laplacian terms equal the dense objective
+//!   terms of the step's *input* to 1e-12 relative, and
+//!   `updater::score` those of the final factors;
+//! - the committed `U` and `V` agree with the dense rule to 1e-10
 //!   relative, at `M ∈ {7, 13}` and `K ∈ {1, 6, 8, 11}` (`K = 11` runs
 //!   the runtime-rank instance), densities 0.6–1.0, with and without
 //!   the graph term and landmarks;
 //! - `gradient_step`, which applies `L·U` as `w∘U − D·U`, agrees with
 //!   the dense projected-gradient rule to 1e-12 relative, with and
 //!   without the graph and landmarks, at λ ∈ {0, 10};
-//! - landmark columns of `V` stay bitwise frozen;
+//! - landmark columns stay bitwise frozen in both the committed `V`
+//!   and the candidate `Workspace::v_next`;
 //! - above the parallel-dispatch threshold the objective stream and the
 //!   factors are bitwise identical at `SMFL_THREADS` 1 and 4 (checked in
 //!   child processes, since the thread count is fixed per process).
 
 use proptest::prelude::*;
-use smfl_core::updater::{gradient_step, multiplicative_step, UpdateContext, EPS};
+use smfl_core::updater::{gradient_step, multiplicative_step, score, UpdateContext, EPS};
 use smfl_core::Landmarks;
 use smfl_linalg::mask::masked_product;
 use smfl_linalg::ops::{matmul, matmul_at, matmul_bt};
@@ -34,6 +40,9 @@ use std::process::Command;
 const TOL: f64 = 1e-10;
 /// The gradient step differs from its oracle only in summation order.
 const GD_TOL: f64 = 1e-12;
+/// The objective terms differ from the dense ones only in summation
+/// order.
+const TERMS_TOL: f64 = 1e-12;
 
 /// A spatial table (first two columns are coordinates) and an i.i.d.
 /// mask at `density`, with row 0 fully observed.
@@ -66,6 +75,27 @@ fn laplacian_term(g: &SpatialGraph, u: &Matrix) -> f64 {
     u.as_slice().iter().zip(lu.as_slice()).map(|(a, b)| a * b).sum()
 }
 
+/// The dense `(fit, Tr(UᵀLU))` of `(u, v)`; the Laplacian term is zero
+/// without an active graph.
+fn dense_terms(
+    x: &Matrix,
+    omega: &Mask,
+    u: &Matrix,
+    v: &Matrix,
+    graph: Option<(&SpatialGraph, f64)>,
+) -> (f64, f64) {
+    let laplacian = graph.map_or(0.0, |(g, _)| laplacian_term(g, u));
+    (fit_term(x, omega, u, v), laplacian)
+}
+
+/// The bits of the frozen landmark columns `0..v_start` of `v`.
+fn frozen_bits(v: &Matrix, v_start: usize) -> Vec<u64> {
+    (0..v.rows())
+        .flat_map(|t| (0..v_start).map(move |j| (t, j)))
+        .map(|(t, j)| v.get(t, j).to_bits())
+        .collect()
+}
+
 /// `‖R_Ω(X − UV)‖²`.
 fn fit_term(x: &Matrix, omega: &Mask, u: &Matrix, v: &Matrix) -> f64 {
     let recon = matmul(u, v).unwrap();
@@ -82,7 +112,7 @@ fn fit_term(x: &Matrix, omega: &Mask, u: &Matrix, v: &Matrix) -> f64 {
 /// `U ← max(0, U + 2η(R_Ω(X − UV)·Vᵀ − λ·L·U))`, then on the live
 /// columns `V ← max(0, V + 2η·Uᵀ·R_Ω(X − UV))` with the new `U`.
 /// `graph` is the active graph term (`None` when λ = 0). Returns
-/// `(U', V', fit, Tr(U'ᵀ L U'))`.
+/// `(U', V')`.
 fn gd_oracle_step(
     x: &Matrix,
     omega: &Mask,
@@ -91,7 +121,7 @@ fn gd_oracle_step(
     graph: Option<(&SpatialGraph, f64)>,
     v_start: usize,
     eta: f64,
-) -> (Matrix, Matrix, f64, f64) {
+) -> (Matrix, Matrix) {
     let masked_x = omega.apply(x).unwrap();
     let residual = |u: &Matrix| masked_x.sub(&masked_product(u, v, omega).unwrap()).unwrap();
 
@@ -111,14 +141,11 @@ fn gd_oracle_step(
             (v.get(t, j) + 2.0 * eta * grad_v.get(t, j)).max(0.0)
         }
     });
-
-    let fit = fit_term(x, omega, &u_new, &v_new);
-    let laplacian = graph.map_or(0.0, |(g, _)| laplacian_term(g, &u_new));
-    (u_new, v_new, fit, laplacian)
+    (u_new, v_new)
 }
 
 /// One multiplicative step in the dense matmul formulation. Returns
-/// `(U', V', fit, Tr(U'ᵀ L U'))`.
+/// `(U', V')`.
 fn oracle_step(
     x: &Matrix,
     omega: &Mask,
@@ -126,7 +153,7 @@ fn oracle_step(
     v: &Matrix,
     graph: Option<(&SpatialGraph, f64)>,
     v_start: usize,
-) -> (Matrix, Matrix, f64, f64) {
+) -> (Matrix, Matrix) {
     let masked_x = omega.apply(x).unwrap();
 
     // Formula 13: U ∘ (R_Ω(X)·Vᵀ + λ·D·U) / (R_Ω(UV)·Vᵀ + λ·W·U).
@@ -158,10 +185,7 @@ fn oracle_step(
             v.get(t, j) * numer.get(t, j) / (denom.get(t, j) + EPS)
         }
     });
-
-    let fit = fit_term(x, omega, &u_new, &v_new);
-    let laplacian = graph.map_or(0.0, |(g, _)| laplacian_term(g, &u_new));
-    (u_new, v_new, fit, laplacian)
+    (u_new, v_new)
 }
 
 fn rel_diff(a: f64, b: f64) -> f64 {
@@ -212,33 +236,31 @@ proptest! {
         if let Some(lm) = &landmarks {
             lm.inject(&mut v).unwrap();
         }
-        let frozen: Vec<u64> = (0..k)
-            .flat_map(|t| (0..v_start).map(move |j| (t, j)))
-            .map(|(t, j)| v.get(t, j).to_bits())
-            .collect();
+        let frozen = frozen_bits(&v, v_start);
+        let oracle_graph = (with_graph == 1).then_some((&graph, lambda));
 
         for step in 0..3 {
-            let oracle_graph = (with_graph == 1).then_some((&graph, lambda));
-            let (u_ref, v_ref, fit_ref, lap_ref) =
-                oracle_step(&x, &omega, &u, &v, oracle_graph, v_start);
-            let terms = multiplicative_step(&ctx, &mut ws, &mut u, &mut v).unwrap();
+            let (u_ref, v_ref) = oracle_step(&x, &omega, &u, &v, oracle_graph, v_start);
+            let (fit_ref, lap_ref) = dense_terms(&x, &omega, &u, &v, oracle_graph);
+            let terms = multiplicative_step(&ctx, &mut ws, &u, &v).unwrap();
+            prop_assert!(rel_diff(terms.fit, fit_ref) <= TERMS_TOL,
+                "step {step}: fit {} vs oracle {fit_ref}", terms.fit);
+            prop_assert!(rel_diff(terms.laplacian, lap_ref) <= TERMS_TOL,
+                "step {step}: Laplacian {} vs oracle {lap_ref}", terms.laplacian);
+            prop_assert_eq!(&frozen_bits(&ws.v_next, v_start), &frozen);
+            ws.commit(&mut u, &mut v);
 
             let du = max_rel_diff(&u, &u_ref);
             let dv = max_rel_diff(&v, &v_ref);
             prop_assert!(du <= TOL, "step {step}: U differs by {du:.2e}");
             prop_assert!(dv <= TOL, "step {step}: V differs by {dv:.2e}");
-            prop_assert!(rel_diff(terms.fit, fit_ref) <= TOL,
-                "step {step}: fit {} vs oracle {fit_ref}", terms.fit);
-            prop_assert!(rel_diff(terms.laplacian, lap_ref) <= TOL,
-                "step {step}: Laplacian {} vs oracle {lap_ref}", terms.laplacian);
             prop_assert!(u.is_nonnegative(0.0));
-
-            let now: Vec<u64> = (0..k)
-                .flat_map(|t| (0..v_start).map(move |j| (t, j)))
-                .map(|(t, j)| v.get(t, j).to_bits())
-                .collect();
-            prop_assert_eq!(&now, &frozen);
+            prop_assert_eq!(&frozen_bits(&v, v_start), &frozen);
         }
+        let (fit_ref, lap_ref) = dense_terms(&x, &omega, &u, &v, oracle_graph);
+        let last = score(&ctx, &mut ws, &u, &v).unwrap();
+        prop_assert!(rel_diff(last.fit, fit_ref) <= TERMS_TOL);
+        prop_assert!(rel_diff(last.laplacian, lap_ref) <= TERMS_TOL);
         prop_assert_eq!(ws.counters.dense_steps, 3);
         prop_assert_eq!(ws.counters.masked_nnz, 3 * pattern.nnz() as u64);
     }
@@ -277,32 +299,26 @@ proptest! {
         if let Some(lm) = &landmarks {
             lm.inject(&mut v).unwrap();
         }
-        let frozen: Vec<u64> = (0..k)
-            .flat_map(|t| (0..v_start).map(move |j| (t, j)))
-            .map(|(t, j)| v.get(t, j).to_bits())
-            .collect();
+        let frozen = frozen_bits(&v, v_start);
 
         let oracle_graph = (with_graph == 1 && lambda != 0.0).then_some((&graph, lambda));
         for step in 0..3 {
-            let (u_ref, v_ref, fit_ref, lap_ref) =
-                gd_oracle_step(&x, &omega, &u, &v, oracle_graph, v_start, eta);
-            let terms = gradient_step(&ctx, &mut ws, &mut u, &mut v, eta).unwrap();
+            let (u_ref, v_ref) = gd_oracle_step(&x, &omega, &u, &v, oracle_graph, v_start, eta);
+            let (fit_ref, lap_ref) = dense_terms(&x, &omega, &u, &v, oracle_graph);
+            let terms = gradient_step(&ctx, &mut ws, &u, &v, eta).unwrap();
+            prop_assert!(rel_diff(terms.fit, fit_ref) <= GD_TOL,
+                "step {step}: fit {} vs oracle {fit_ref}", terms.fit);
+            prop_assert!(rel_diff(terms.laplacian, lap_ref) <= GD_TOL,
+                "step {step}: Laplacian {} vs oracle {lap_ref}", terms.laplacian);
+            prop_assert_eq!(&frozen_bits(&ws.v_next, v_start), &frozen);
+            ws.commit(&mut u, &mut v);
 
             let du = max_rel_diff(&u, &u_ref);
             let dv = max_rel_diff(&v, &v_ref);
             prop_assert!(du <= GD_TOL, "step {step}: U differs by {du:.2e}");
             prop_assert!(dv <= GD_TOL, "step {step}: V differs by {dv:.2e}");
-            prop_assert!(rel_diff(terms.fit, fit_ref) <= GD_TOL,
-                "step {step}: fit {} vs oracle {fit_ref}", terms.fit);
-            prop_assert!(rel_diff(terms.laplacian, lap_ref) <= GD_TOL,
-                "step {step}: Laplacian {} vs oracle {lap_ref}", terms.laplacian);
             prop_assert!(u.is_nonnegative(0.0));
-
-            let now: Vec<u64> = (0..k)
-                .flat_map(|t| (0..v_start).map(move |j| (t, j)))
-                .map(|(t, j)| v.get(t, j).to_bits())
-                .collect();
-            prop_assert_eq!(&now, &frozen);
+            prop_assert_eq!(&frozen_bits(&v, v_start), &frozen);
         }
     }
 }
@@ -342,7 +358,8 @@ fn dense_step_thread_child() {
         let mut v = positive_uniform_matrix(k, m, 6);
         lm.inject(&mut v).unwrap();
         for _ in 0..4 {
-            let terms = multiplicative_step(&ctx, &mut ws, &mut u, &mut v).unwrap();
+            let terms = multiplicative_step(&ctx, &mut ws, &u, &v).unwrap();
+            ws.commit(&mut u, &mut v);
             lines.push(format!(
                 "k={k} objective {:x}",
                 terms.objective(lambda).to_bits()

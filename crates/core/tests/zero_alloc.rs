@@ -17,8 +17,13 @@
 //!
 //! The fused dense step (masks above 50% observed, graph term and
 //! landmarks on) carries the same contract, objective included: its
-//! Laplacian term and `SpatialGraph::regularization` walk the graph
-//! without a temporary.
+//! Laplacian term, the closing `updater::score` and
+//! `SpatialGraph::regularization` walk the graph without a temporary,
+//! and a dense-path multiplicative fit never sizes the sparse-engine
+//! scratch.
+//!
+//! A step writes its candidate into the workspace and `commit` swaps it
+//! in, so the factor buffers alternate between two fixed allocations.
 //!
 //! A strict solve never checkpoints, so it never creates the snapshot
 //! buffers a recovering solve allocates on its first checkpoint.
@@ -65,10 +70,10 @@ static GLOBAL: CountingAllocator = CountingAllocator;
 
 use smfl_core::health::classify;
 use smfl_core::telemetry::{IterEvent, NoopSink, RecordingSink, TraceSink};
-use smfl_core::updater::{multiplicative_step, UpdateContext};
+use smfl_core::updater::{multiplicative_step, score, UpdateContext};
 use smfl_core::{Landmarks, Resilience};
 use smfl_linalg::random::{positive_uniform_matrix, uniform_matrix};
-use smfl_linalg::{Mask, ObservedPattern, Workspace};
+use smfl_linalg::{Mask, Matrix, ObservedPattern, Workspace};
 use smfl_spatial::kmeans::{kmeans, KMeansAlgorithm, KMeansConfig};
 use smfl_spatial::{KdTree, NeighborSearch, SpatialGraph};
 
@@ -113,34 +118,43 @@ fn multiplicative_step_allocates_nothing_after_warmup() {
     let mut u = positive_uniform_matrix(n, k, 9);
     let mut v = positive_uniform_matrix(k, m, 10);
 
-    // Warmup: first iterations may lazily create buffers — including the
-    // checkpoint double-buffer, which allocates once on first use.
+    // Warmup: first iterations may lazily create buffers — the sparse
+    // scratch on the first step, and the checkpoint double-buffer, which
+    // allocates once on first use.
     for _ in 0..3 {
-        multiplicative_step(&ctx, &mut ws, &mut u, &mut v).unwrap();
+        multiplicative_step(&ctx, &mut ws, &u, &v).unwrap();
+        ws.commit(&mut u, &mut v);
     }
     ws.checkpoint(&u, &v);
 
-    let ptrs_before = (
-        ws.uv_vals.as_ptr(),
-        ws.vt.as_slice().as_ptr(),
-        ws.numer_u.as_slice().as_ptr(),
-        ws.denom_u.as_slice().as_ptr(),
-        ws.numer_vt.as_slice().as_ptr(),
-        ws.denom_vt.as_slice().as_ptr(),
-    );
+    let ptrs = |ws: &Workspace, u: &Matrix| {
+        // `commit` swaps U with the candidate buffer: the pair is stable.
+        let (a, b) = (u.as_slice().as_ptr(), ws.u_next.as_slice().as_ptr());
+        (
+            ws.uv_vals.as_ptr(),
+            ws.vt.as_slice().as_ptr(),
+            ws.reg_a.as_slice().as_ptr(),
+            ws.denom_u.as_slice().as_ptr(),
+            ws.numer_vt.as_slice().as_ptr(),
+            ws.denom_vt.as_slice().as_ptr(),
+            a.min(b),
+            a.max(b),
+        )
+    };
+    let ptrs_before = ptrs(&ws, &u);
 
-    // Steady state mirrors the recovering fit loop: update, health scan,
-    // checkpoint. All three must be allocation-free.
+    // Steady state mirrors the recovering fit loop: update (scoring its
+    // input), health scan, checkpoint, commit. All must be
+    // allocation-free.
     let policy = Resilience::Recover { stall_patience: 0 };
     let mut prev = None;
     COUNTING.store(true, Ordering::SeqCst);
     for _ in 0..10 {
-        let fit = multiplicative_step(&ctx, &mut ws, &mut u, &mut v)
-            .unwrap()
-            .fit;
+        let fit = multiplicative_step(&ctx, &mut ws, &u, &v).unwrap().fit;
         assert!(classify(fit, prev, &u, &v, 0, &policy).is_none());
         prev = Some(fit);
         ws.checkpoint(&u, &v);
+        ws.commit(&mut u, &mut v);
     }
     COUNTING.store(false, Ordering::SeqCst);
     let allocs = ALLOCS.load(Ordering::SeqCst);
@@ -152,15 +166,7 @@ fn multiplicative_step_allocates_nothing_after_warmup() {
     );
     assert!(ws.has_checkpoint());
 
-    let ptrs_after = (
-        ws.uv_vals.as_ptr(),
-        ws.vt.as_slice().as_ptr(),
-        ws.numer_u.as_slice().as_ptr(),
-        ws.denom_u.as_slice().as_ptr(),
-        ws.numer_vt.as_slice().as_ptr(),
-        ws.denom_vt.as_slice().as_ptr(),
-    );
-    assert_eq!(ptrs_before, ptrs_after, "workspace buffers were reallocated");
+    assert_eq!(ptrs_before, ptrs(&ws, &u), "workspace buffers were reallocated");
     assert!(u.all_finite() && v.all_finite());
 
     // --- Phase 1b: the fused dense step with graph and landmarks. -------
@@ -187,14 +193,17 @@ fn multiplicative_step_allocates_nothing_after_warmup() {
     let mut v = positive_uniform_matrix(k, m, 17);
     lm.inject(&mut v).unwrap();
     for _ in 0..3 {
-        multiplicative_step(&dense_ctx, &mut ws, &mut u, &mut v).unwrap();
+        multiplicative_step(&dense_ctx, &mut ws, &u, &v).unwrap();
+        ws.commit(&mut u, &mut v);
     }
     let dense_allocs = count_allocs(|| {
         for _ in 0..10 {
-            let terms = multiplicative_step(&dense_ctx, &mut ws, &mut u, &mut v).unwrap();
+            let terms = multiplicative_step(&dense_ctx, &mut ws, &u, &v).unwrap();
             assert!(terms.laplacian > 0.0);
             assert!(graph.regularization(&u).unwrap() > 0.0);
+            ws.commit(&mut u, &mut v);
         }
+        assert!(score(&dense_ctx, &mut ws, &u, &v).unwrap().laplacian > 0.0);
     });
     assert_eq!(
         dense_allocs, 0,
@@ -203,6 +212,13 @@ fn multiplicative_step_allocates_nothing_after_warmup() {
     );
     assert_eq!(ws.counters.dense_steps, 13);
     assert!(lm.verify_injected(&v));
+    assert!(
+        ws.uv_vals.is_empty()
+            && ws.res_vals.is_empty()
+            && ws.denom_u.as_slice().is_empty()
+            && ws.reg_a.as_slice().is_empty(),
+        "the fused dense step sized the sparse-engine scratch"
+    );
 
     // --- Phase 2: bulk kNN allocates nothing per query. -----------------
     // threads = 1 keeps the run on this thread (spawning allocates); the
@@ -375,9 +391,12 @@ fn multiplicative_step_allocates_nothing_after_warmup() {
     // --- Phase 6: a strict solve allocates no checkpoint buffers. -------
     // The snapshot pair (`snap_u`, `snap_v`) is created lazily by the
     // first checkpoint, and only `Recover` checkpoints. So a strict warm
-    // solve on a fresh plan allocates exactly what it does on a reused
-    // one, while a recovering solve's first run allocates those two
+    // solve on a fresh plan allocates what it does on a reused one plus
+    // the sparse-engine scratch its first step sizes (`uv_vals`,
+    // `res_vals`, `denom_u`, `reg_a`; this plan takes the sparse path),
+    // while a recovering solve's first run allocates the two snapshot
     // buffers on top — and both policies return the same model.
+    const SPARSE_SCRATCH_BUFFERS: usize = 4;
     let strict_cfg = cfg.clone().with_max_iter(10);
     let recover_cfg = strict_cfg.clone().resilient();
     let opts = SolveOptions::warm_from(&cold_nmf);
@@ -393,7 +412,8 @@ fn multiplicative_step_allocates_nothing_after_warmup() {
     let (strict_first, strict_reused, strict_model) = first_and_reused(&strict_cfg);
     let (recover_first, recover_reused, recover_model) = first_and_reused(&recover_cfg);
     assert_eq!(
-        strict_first, strict_reused,
+        strict_first,
+        strict_reused + SPARSE_SCRATCH_BUFFERS,
         "a strict solve on a fresh plan allocated {} more buffers than on a reused one",
         strict_first as isize - strict_reused as isize
     );

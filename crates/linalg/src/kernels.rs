@@ -18,7 +18,8 @@
 //!   result) driven by the CSC view, covering `Uᵀ·R_Ω(UV)` and
 //!   `Uᵀ·R_Ω(X)` in transposed layout;
 //! - [`ObservedPattern::fit_term`] — `‖R_Ω(X − UV)‖_F²` straight off
-//!   the packed values.
+//!   the packed values ([`ObservedPattern::fit_term_from`] evaluates it
+//!   from the factors, with no packed buffer).
 //!
 //! Every kernel writes into caller-owned buffers; the per-fit
 //! [`Workspace`] owns all of them, so the inner loop of the
@@ -26,10 +27,10 @@
 //! allocations** after the first iteration. Work per iteration drops
 //! from `O(N·M·K)` to `O(|Ω|·K)`. For dense masks
 //! ([`ObservedPattern::prefers_dense`]) the multiplicative updater
-//! instead streams the CSR rows itself ([`ObservedPattern::csr`]),
-//! fusing the reconstruction into both factor updates; its scratch
-//! (the next-`U` buffer and the per-block reduction partials) lives
-//! here too. No `N x M` buffer exists on either path.
+//! instead streams the CSR rows and CSC columns itself
+//! ([`ObservedPattern::csr`], [`ObservedPattern::csc`]), fusing the
+//! reconstruction into both factor updates. No `N x M` buffer exists
+//! on either path.
 //!
 //! Parallelism reuses [`crate::parallel`]'s row-striping: the
 //! dense-output kernels go through `parallel_over_rows`, and the SDDMM
@@ -264,6 +265,15 @@ impl ObservedPattern {
         self.col_idx[range.clone()].iter().zip(range).map(|(&j, s)| (j, s))
     }
 
+    /// The CSC index arrays `(csc_ptr, csc_rows, csc_perm)`: column `j`
+    /// owns the entries `csc_ptr[j]..csc_ptr[j + 1]`, in ascending row
+    /// order; `csc_rows[e]` is entry `e`'s row and `csc_perm[e]` its
+    /// packed CSR slot (so `x_vals()[csc_perm[e]]` is its value).
+    #[inline]
+    pub fn csc(&self) -> (&[usize], &[usize], &[usize]) {
+        (&self.csc_ptr, &self.csc_rows, &self.csc_perm)
+    }
+
     /// `(row, packed slot)` pairs of column `j`, in row order. The slot
     /// indexes the same CSR-ordered value arrays as [`Self::row_entries`].
     pub fn col_entries(&self, j: usize) -> impl Iterator<Item = (usize, usize)> + '_ {
@@ -448,35 +458,56 @@ impl ObservedPattern {
             })
             .sum())
     }
+
+    /// `‖R_Ω(X − UV)‖_F²` from the factors (`vt` is `V` transposed):
+    /// one serial pass over the CSR rows, with no packed buffer.
+    pub fn fit_term_from(&self, u: &Matrix, vt: &Matrix) -> Result<f64> {
+        self.check_factors(u, vt, "fit_term_from")?;
+        let mut fit = 0.0;
+        for i in 0..self.rows {
+            let urow = u.row(i);
+            for slot in self.row_ptr[i]..self.row_ptr[i + 1] {
+                let d = self.x_vals[slot] - dot(urow, vt.row(self.col_idx[slot]));
+                fit += d * d;
+            }
+        }
+        Ok(fit)
+    }
 }
 
-/// Per-fit scratch buffers for the update loop. Allocated once (sized to
-/// an [`ObservedPattern`] and a rank `K`) and reused every iteration, so
-/// the updaters allocate nothing in steady state.
+/// Per-fit scratch buffers for the update loop, reused every iteration,
+/// so the updaters allocate nothing in steady state.
+///
+/// An update step reads the committed `(U, V)` and writes the next
+/// iterate into [`Self::u_next`] / [`Self::v_next`]; the caller judges
+/// the step's score of its input and then adopts the candidate with
+/// [`Self::commit`] (a buffer swap), or drops it by not committing.
+/// Buffers only some steps read are sized on first use: the sparse-engine
+/// scratch by [`Self::size_sparse`] (the fused dense step never reads it),
+/// the dense step's block partials by that step, and the checkpoint pair
+/// by [`Self::checkpoint`].
 #[derive(Debug, Clone)]
 pub struct Workspace {
-    rows: usize,
-    cols: usize,
-    /// Packed `R_Ω(U·V)` — the SDDMM output. Valid for the current
-    /// factors whenever [`Self::uv_fresh`] is set.
+    /// Packed `R_Ω(U·V)` — the SDDMM output (sparse engine).
     pub uv_vals: Vec<f64>,
-    /// Packed residual / general per-entry scratch.
+    /// Packed residual / general per-entry scratch (sparse engine).
     pub res_vals: Vec<f64>,
-    /// `Vᵀ` (`M x K`), refreshed after each `V` update.
+    /// `Vᵀ` (`M x K`) of the step's input.
     pub vt: Matrix,
-    /// `N x K` numerator scratch for the `U` update.
-    pub numer_u: Matrix,
-    /// `N x K` denominator scratch for the `U` update.
+    /// `N x K` denominator scratch for the `U` update (sparse engine;
+    /// the numerator is formed in [`Self::u_next`] itself).
     pub denom_u: Matrix,
     /// `M x K` numerator scratch for the `V` update (transposed layout).
     pub numer_vt: Matrix,
     /// `M x K` denominator scratch for the `V` update (transposed layout).
     pub denom_vt: Matrix,
-    /// `N x K` scratch for the graph product `D·U`.
+    /// `N x K` scratch for the graph product `D·U` (sparse engine).
     pub reg_a: Matrix,
-    /// `N x K` target of the fused dense step: it writes the updated `U`
-    /// here, then swaps the buffer with the caller's `U`.
+    /// `N x K`: the candidate `U` a step writes.
     pub u_next: Matrix,
+    /// `K x M`: the candidate `V` a step writes, frozen landmark columns
+    /// included.
+    pub v_next: Matrix,
     /// Per-row-block reduction partials of the fused dense step. Empty
     /// until the first dense step sizes it; reused afterwards.
     pub block_partials: Vec<f64>,
@@ -488,13 +519,6 @@ pub struct Workspace {
     pub snap_u: Option<Matrix>,
     /// Last-good `V` snapshot (`K x M`), paired with [`Self::snap_u`].
     pub snap_v: Option<Matrix>,
-    /// `true` when [`Self::uv_vals`] matches the caller's current
-    /// `(U, V)`. The sparse-engine updaters set this on exit so the next
-    /// step can skip the opening SDDMM (the fused dense step keeps no
-    /// packed reconstruction and clears it); clear it via
-    /// [`Self::invalidate`] whenever `U` or `V` is changed outside a
-    /// step.
-    pub uv_fresh: bool,
     /// `true` once the current solve has recorded a checkpoint. Cleared
     /// by [`Self::begin_solve`] so a reused workspace keeps its snapshot
     /// *buffers* (no realloc) but never restores a stale iterate from a
@@ -505,65 +529,58 @@ pub struct Workspace {
 }
 
 impl Workspace {
-    /// Allocates all buffers for `pattern` at rank `k`.
+    /// Allocates the buffers every step needs for `pattern` at rank `k`.
     pub fn new(pattern: &ObservedPattern, k: usize) -> Self {
         let (n, m) = (pattern.rows(), pattern.cols());
         Workspace {
-            rows: n,
-            cols: m,
-            uv_vals: vec![0.0; pattern.nnz()],
-            res_vals: vec![0.0; pattern.nnz()],
+            uv_vals: Vec::new(),
+            res_vals: Vec::new(),
             vt: Matrix::zeros(m, k),
-            numer_u: Matrix::zeros(n, k),
-            denom_u: Matrix::zeros(n, k),
+            denom_u: Matrix::zeros(0, 0),
             numer_vt: Matrix::zeros(m, k),
             denom_vt: Matrix::zeros(m, k),
-            reg_a: Matrix::zeros(n, k),
+            reg_a: Matrix::zeros(0, 0),
             u_next: Matrix::zeros(n, k),
+            v_next: Matrix::zeros(k, m),
             block_partials: Vec::new(),
             col_scratch: vec![0.0; n.max(m)],
             snap_u: None,
             snap_v: None,
-            uv_fresh: false,
             snap_armed: false,
             counters: KernelCounters::default(),
         }
     }
 
-    /// Re-sizes the nnz-dependent buffers to a new pattern over the
-    /// **same grid shape** — the refit path for a changed mask. All
-    /// shape-dependent scratch (including lazily sized snapshot and
-    /// block-partial buffers) is kept, so only the packed-value vectors can
-    /// reallocate, and only when the new mask is larger.
-    pub fn rebind(&mut self, pattern: &ObservedPattern) -> Result<()> {
-        if (pattern.rows(), pattern.cols()) != (self.rows, self.cols) {
-            return Err(LinalgError::DimensionMismatch {
-                left: (pattern.rows(), pattern.cols()),
-                right: (self.rows, self.cols),
-                op: "workspace_rebind",
-            });
+    /// Sizes the sparse-engine scratch (`uv_vals`, `res_vals`,
+    /// `denom_u`, `reg_a`) for a pattern with `nnz` observed entries.
+    /// Allocates on first use and when a changed mask grows the packed
+    /// vectors; a no-op in steady state.
+    pub fn size_sparse(&mut self, nnz: usize) {
+        self.uv_vals.resize(nnz, 0.0);
+        self.res_vals.resize(nnz, 0.0);
+        let (n, k) = self.u_next.shape();
+        if self.denom_u.shape() != (n, k) {
+            self.denom_u = Matrix::zeros(n, k);
+            self.reg_a = Matrix::zeros(n, k);
         }
-        self.uv_vals.resize(pattern.nnz(), 0.0);
-        self.res_vals.resize(pattern.nnz(), 0.0);
-        self.uv_fresh = false;
-        Ok(())
     }
 
-    /// Resets the per-solve state (cached reconstruction, checkpoint
-    /// arming, kernel counters) while keeping every buffer allocated —
-    /// called by the engine at the start of each solve so a plan's
-    /// workspace can be reused across solves without carrying state
-    /// over. A no-op on a freshly constructed workspace.
+    /// Adopts the candidate a step left in [`Self::u_next`] /
+    /// [`Self::v_next`] as the new `(u, v)`: a buffer swap, so the old
+    /// factors become the next step's output buffers.
+    pub fn commit(&mut self, u: &mut Matrix, v: &mut Matrix) {
+        std::mem::swap(u, &mut self.u_next);
+        std::mem::swap(v, &mut self.v_next);
+    }
+
+    /// Resets the per-solve state (checkpoint arming, kernel counters)
+    /// while keeping every buffer allocated — called by the engine at
+    /// the start of each solve so a plan's workspace can be reused
+    /// across solves without carrying state over. A no-op on a freshly
+    /// constructed workspace.
     pub fn begin_solve(&mut self) {
-        self.uv_fresh = false;
         self.snap_armed = false;
         self.counters = KernelCounters::default();
-    }
-
-    /// Marks the cached reconstruction stale — call after mutating `U`
-    /// or `V` outside an update step.
-    pub fn invalidate(&mut self) {
-        self.uv_fresh = false;
     }
 
     /// Records `(u, v)` as the last-good iterate. The snapshot buffers
@@ -592,10 +609,9 @@ impl Workspace {
         self.snap_armed && self.snap_u.is_some() && self.snap_v.is_some()
     }
 
-    /// Restores the last checkpoint into `(u, v)` and invalidates the
-    /// cached reconstruction. Returns `false` (leaving `u`/`v` alone)
-    /// when no checkpoint was recorded this solve or the shapes
-    /// disagree.
+    /// Restores the last checkpoint into `(u, v)`. Returns `false`
+    /// (leaving `u`/`v` alone) when no checkpoint was recorded this
+    /// solve or the shapes disagree.
     pub fn restore(&mut self, u: &mut Matrix, v: &mut Matrix) -> bool {
         if !self.snap_armed {
             return false;
@@ -608,7 +624,6 @@ impl Workspace {
         }
         u.as_mut_slice().copy_from_slice(su.as_slice());
         v.as_mut_slice().copy_from_slice(sv.as_slice());
-        self.uv_fresh = false;
         true
     }
 }
@@ -741,6 +756,7 @@ mod tests {
         let reference =
             crate::mask::masked_diff_norm_sq(&x, &full, &mask).unwrap();
         assert!((fit - reference).abs() < 1e-10);
+        assert!((p.fit_term_from(&u, &vt).unwrap() - reference).abs() < 1e-10);
 
         let mut res = vec![0.0; p.nnz()];
         p.residual_into(&uv, &mut res).unwrap();
@@ -779,17 +795,21 @@ mod tests {
     fn workspace_buffers_are_stable_across_reuse() {
         let (_, _, p, u, v) = fixture(20, 8, 3, 3);
         let mut ws = Workspace::new(&p, 3);
+        assert!(ws.uv_vals.is_empty(), "sparse scratch is sized on first use");
+        ws.size_sparse(p.nnz());
         let ptr_uv = ws.uv_vals.as_ptr();
-        let ptr_nu = ws.numer_u.as_slice().as_ptr();
+        let ptr_du = ws.denom_u.as_slice().as_ptr();
         for _ in 0..4 {
+            ws.size_sparse(p.nnz());
             v.transpose_into(&mut ws.vt).unwrap();
             p.sddmm_into(&u, &ws.vt, &mut ws.uv_vals).unwrap();
-            p.spmm_into(&ws.uv_vals, &ws.vt, &mut ws.numer_u).unwrap();
+            p.spmm_into(&ws.uv_vals, &ws.vt, &mut ws.denom_u).unwrap();
         }
         assert_eq!(ptr_uv, ws.uv_vals.as_ptr());
-        assert_eq!(ptr_nu, ws.numer_u.as_slice().as_ptr());
+        assert_eq!(ptr_du, ws.denom_u.as_slice().as_ptr());
         assert!(ws.block_partials.is_empty());
         assert_eq!(ws.u_next.shape(), (20, 3));
+        assert_eq!(ws.v_next.shape(), (3, 8));
     }
 
     #[test]
@@ -807,11 +827,9 @@ mod tests {
         // Steady-state checkpointing keeps the same buffers.
         ws.checkpoint(&u, &v);
         assert_eq!(ptr_u, ws.snap_u.as_ref().unwrap().as_slice().as_ptr());
-        ws.uv_fresh = true;
         assert!(ws.restore(&mut cu, &mut cv));
         assert!(cu.approx_eq(&u, 0.0));
         assert!(cv.approx_eq(&v, 0.0));
-        assert!(!ws.uv_fresh, "restore must invalidate the cached reconstruction");
         // Shape mismatch is rejected, not silently corrupted.
         assert!(!ws.restore(&mut Matrix::zeros(3, 2), &mut cv));
     }

@@ -155,14 +155,19 @@ impl CsrMatrix {
         &self.values
     }
 
-    /// `(column, value)` pairs of row `i`.
-    pub fn row_entries(&self, i: usize) -> impl Iterator<Item = (usize, f64)> + '_ {
+    /// Row `i` as its column indices (strictly ascending — both
+    /// constructors guarantee it) and values.
+    #[inline]
+    pub fn row(&self, i: usize) -> (&[usize], &[f64]) {
         debug_assert!(i < self.rows);
         let range = self.row_ptr[i]..self.row_ptr[i + 1];
-        self.col_idx[range.clone()]
-            .iter()
-            .zip(&self.values[range])
-            .map(|(&j, &v)| (j, v))
+        (&self.col_idx[range.clone()], &self.values[range])
+    }
+
+    /// `(column, value)` pairs of row `i`.
+    pub fn row_entries(&self, i: usize) -> impl Iterator<Item = (usize, f64)> + '_ {
+        let (cols, vals) = self.row(i);
+        cols.iter().zip(vals).map(|(&j, &v)| (j, v))
     }
 
     /// Value at `(i, j)`; zero when the position is not stored.

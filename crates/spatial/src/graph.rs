@@ -164,8 +164,9 @@ impl SpatialGraph {
 
     /// The spatial-regularization value `Tr(Uᵀ L U)` — the paper's
     /// `O_SR(U)` (§II-C) — in degree form, one [`Self::laplacian_row`]
-    /// per row. Allocation-free: the fit loop evaluates it every
-    /// iteration.
+    /// per row. Allocation-free; the fit loop calls it once, to score
+    /// the final iterate (each update step scores its input from the
+    /// `D·U` it forms anyway).
     pub fn regularization(&self, u: &Matrix) -> Result<f64> {
         if u.rows() != self.len() {
             return Err(LinalgError::DimensionMismatch {
@@ -183,16 +184,18 @@ impl SpatialGraph {
     /// Row `i`'s share of `Tr(Uᵀ L U)` in degree form,
     /// `w_i·|u_i|² − 2·Σ_{j>i} d_ij·(u_i · u_j)`, for a row-major `N x k`
     /// factor slice `u` — `D` is symmetric, so each edge is visited
-    /// once. Summed over all rows it is [`Self::regularization`];
-    /// row-streaming kernels call it directly.
+    /// once; the row's columns ascend, so the `j > i` half starts at a
+    /// binary-searched offset. Summed over all rows it is
+    /// [`Self::regularization`].
     #[inline]
     pub fn laplacian_row(&self, u: &[f64], k: usize, i: usize) -> f64 {
         let ui = &u[i * k..][..k];
-        let cross: f64 = self
-            .similarity
-            .row_entries(i)
-            .filter(|&(j, _)| j > i)
-            .map(|(j, d)| d * dot(ui, &u[j * k..][..k]))
+        let (cols, vals) = self.similarity.row(i);
+        let upper = cols.partition_point(|&j| j <= i);
+        let cross: f64 = cols[upper..]
+            .iter()
+            .zip(&vals[upper..])
+            .map(|(&j, &d)| d * dot(ui, &u[j * k..][..k]))
             .sum();
         self.degree[i] * dot(ui, ui) - 2.0 * cross
     }
