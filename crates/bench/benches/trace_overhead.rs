@@ -17,9 +17,13 @@
 //! Per-iteration cost is isolated by differencing: each path is timed
 //! at `max_iter = 5` and `max_iter = 65` (min of several runs each),
 //! and the slope `(t65 - t5) / 60` cancels the one-time preprocessing.
-//! `main` also cross-checks that all four paths produce bitwise-equal
-//! objective histories, then writes `BENCH_trace.json` at the workspace
-//! root with the measured overheads.
+//! The four paths are timed in interleaved rounds, in reverse order
+//! every other round, so a drift of the machine's speed during the run
+//! lands on every path alike; each overhead is the median of its
+//! per-round ratios to `raw`, reported with their range. `main` also
+//! cross-checks that all four paths produce bitwise-equal objective
+//! histories, then writes `BENCH_trace.json` at the workspace root with
+//! the measured overheads.
 
 use criterion::{BenchmarkId, Criterion};
 use smfl_core::updater::{multiplicative_step, score, UpdateContext};
@@ -42,6 +46,8 @@ const SEED: u64 = 17;
 const ITERS_LO: usize = 5;
 const ITERS_HI: usize = 65;
 const TIMING_RUNS: usize = 7;
+/// Interleaved measurement rounds (even, so both orders count alike).
+const ROUNDS: usize = 6;
 
 fn problem() -> (Matrix, Mask) {
     let x = positive_uniform_matrix(N, M, SEED);
@@ -135,28 +141,44 @@ fn jsonl_path() -> std::path::PathBuf {
     std::env::temp_dir().join("smfl_trace_overhead_bench.jsonl")
 }
 
-struct Measurement {
-    raw: f64,
-    noop: f64,
-    record: f64,
-    jsonl: f64,
-}
-
-fn measure(x: &Matrix, omega: &Mask) -> Measurement {
-    Measurement {
-        raw: per_iter(|iters| {
+/// Per-iteration seconds of the paths `raw`, `noop`, `record`, `jsonl`
+/// in each of [`ROUNDS`] interleaved rounds, odd rounds in reverse order.
+fn measure(x: &Matrix, omega: &Mask) -> Vec<[f64; 4]> {
+    let paths: [&dyn Fn(usize); 4] = [
+        &|iters| {
             std::hint::black_box(raw_fit(x, omega, iters));
-        }),
-        noop: per_iter(|iters| {
+        },
+        &|iters| {
             std::hint::black_box(fit(x, omega, &config(iters)).unwrap());
-        }),
-        record: per_iter(|iters| {
+        },
+        &|iters| {
             std::hint::black_box(fit_recorded(x, omega, &config(iters)));
-        }),
-        jsonl: per_iter(|iters| {
+        },
+        &|iters| {
             let mut sink = JsonlSink::create(&jsonl_path()).unwrap();
             std::hint::black_box(fit_into(x, omega, &config(iters), &mut sink));
-        }),
+        },
+    ];
+    (0..ROUNDS)
+        .map(|round| {
+            let mut slopes = [0.0; 4];
+            for i in 0..4 {
+                let p = if round.is_multiple_of(2) { i } else { 3 - i };
+                slopes[p] = per_iter(paths[p]);
+            }
+            slopes
+        })
+        .collect()
+}
+
+/// Median of `values` (sorted in place).
+fn median(values: &mut [f64]) -> f64 {
+    values.sort_by(f64::total_cmp);
+    let mid = values.len() / 2;
+    if values.len().is_multiple_of(2) {
+        0.5 * (values[mid - 1] + values[mid])
+    } else {
+        values[mid]
     }
 }
 
@@ -205,26 +227,27 @@ fn main() {
     bench_sink_modes(&mut c, &x, &omega);
     c.final_summary();
 
-    // The differencing measurement, retried: the <1% bound is about
-    // codegen, not scheduler luck, so a noisy attempt is re-run.
-    let mut m = measure(&x, &omega);
-    let mut noop_pct = overhead_pct(m.raw, m.noop);
-    for _ in 0..2 {
-        if noop_pct.abs() < 1.0 {
-            break;
-        }
-        m = measure(&x, &omega);
-        noop_pct = overhead_pct(m.raw, m.noop);
-    }
-    let record_pct = overhead_pct(m.raw, m.record);
-    let jsonl_pct = overhead_pct(m.raw, m.jsonl);
+    // The differencing measurement in interleaved rounds: each path's
+    // overhead is taken against `raw` of the same round.
+    let rounds = measure(&x, &omega);
+    let column = |p: usize| rounds.iter().map(|r| r[p]).collect::<Vec<_>>();
+    let pcts = |p: usize| {
+        rounds
+            .iter()
+            .map(|r| overhead_pct(r[0], r[p]))
+            .collect::<Vec<_>>()
+    };
+    let mut noop_pcts = pcts(1);
+    let noop_pct = median(&mut noop_pcts);
+    let (noop_lo, noop_hi) = (noop_pcts[0], noop_pcts[ROUNDS - 1]);
+    let record_pct = median(&mut pcts(2));
+    let jsonl_pct = median(&mut pcts(3));
+    let us = |p: usize| median(&mut column(p)) * 1e6;
+    let (raw_us, noop_us, record_us, jsonl_us) = (us(0), us(1), us(2), us(3));
     eprintln!(
-        "\nper-iteration: raw {:.3} µs, noop {:.3} µs ({noop_pct:+.2}%), \
-         record {:.3} µs ({record_pct:+.2}%), jsonl {:.3} µs ({jsonl_pct:+.2}%)",
-        m.raw * 1e6,
-        m.noop * 1e6,
-        m.record * 1e6,
-        m.jsonl * 1e6,
+        "\nper-iteration (median of {ROUNDS} rounds): raw {raw_us:.3} µs, \
+         noop {noop_us:.3} µs ({noop_pct:+.2}%, rounds {noop_lo:+.2}% to {noop_hi:+.2}%), \
+         record {record_us:.3} µs ({record_pct:+.2}%), jsonl {jsonl_us:.3} µs ({jsonl_pct:+.2}%)",
     );
     assert!(
         noop_pct < 1.0,
@@ -234,19 +257,17 @@ fn main() {
     let json = format!(
         "{{\n  \"bench\": \"trace_overhead\",\n  \
          \"shape\": {{\"n\": {N}, \"m\": {M}, \"k\": {K}, \"density\": {DENSITY}}},\n  \
-         \"method\": \"per-iteration slope between max_iter={ITERS_LO} and {ITERS_HI} fits, min of {TIMING_RUNS} runs\",\n  \
+         \"method\": \"per-iteration slope between max_iter={ITERS_LO} and {ITERS_HI} fits, min of {TIMING_RUNS} runs; \
+         {ROUNDS} interleaved rounds, odd rounds in reverse order; overheads are medians of per-round ratios to raw\",\n  \
          \"bitwise_identical_to_raw_loop\": true,\n  \
-         \"raw_us_per_iter\": {:.3},\n  \
-         \"noop_us_per_iter\": {:.3},\n  \
-         \"recording_us_per_iter\": {:.3},\n  \
-         \"jsonl_us_per_iter\": {:.3},\n  \
+         \"raw_us_per_iter\": {raw_us:.3},\n  \
+         \"noop_us_per_iter\": {noop_us:.3},\n  \
+         \"recording_us_per_iter\": {record_us:.3},\n  \
+         \"jsonl_us_per_iter\": {jsonl_us:.3},\n  \
          \"noop_overhead_pct\": {noop_pct:.3},\n  \
+         \"noop_overhead_pct_range\": [{noop_lo:.3}, {noop_hi:.3}],\n  \
          \"recording_overhead_pct\": {record_pct:.3},\n  \
          \"jsonl_overhead_pct\": {jsonl_pct:.3}\n}}\n",
-        m.raw * 1e6,
-        m.noop * 1e6,
-        m.record * 1e6,
-        m.jsonl * 1e6,
     );
     let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_trace.json");
     std::fs::write(path, json).unwrap();

@@ -1,7 +1,6 @@
 //! Optimizer comparison (extension): the paper's multiplicative rules
-//! vs projected gradient descent (its §III-B1) vs HALS (the classical
-//! NMF workhorse, our extension). Reports imputation RMS and iterations
-//! to convergence at the shared operating point.
+//! vs projected gradient descent (its §III-B1). Reports imputation RMS
+//! and iterations to convergence at the shared operating point.
 
 use smfl_bench::harness::RESERVE_COMPLETE;
 use smfl_bench::{print_table, HarnessConfig};
@@ -19,7 +18,6 @@ fn main() {
     let optimizers = [
         ("Multiplicative", base.clone()),
         ("GradientDescent", base.clone().with_gradient_descent(2e-4)),
-        ("HALS", base.clone().with_hals()),
     ];
 
     let headers = ["Optimizer", "RMS", "Iterations", "Final objective"];

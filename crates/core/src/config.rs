@@ -51,10 +51,6 @@ pub enum Updater {
         /// Step size `θ = δ` shared by all entries.
         learning_rate: f64,
     },
-    /// Hierarchical alternating least squares (extension beyond the
-    /// paper): exact nonnegative coordinate updates, typically fewer
-    /// sweeps to a given objective. See [`crate::hals`].
-    Hals,
 }
 
 /// Failure-handling policy of the fit engine (DESIGN.md §10).
@@ -208,12 +204,6 @@ impl SmflConfig {
     /// Switches to projected gradient descent.
     pub fn with_gradient_descent(mut self, learning_rate: f64) -> Self {
         self.updater = Updater::GradientDescent { learning_rate };
-        self
-    }
-
-    /// Switches to the HALS optimizer.
-    pub fn with_hals(mut self) -> Self {
-        self.updater = Updater::Hals;
         self
     }
 

@@ -141,7 +141,6 @@ pub(crate) fn solve<S: TraceSink>(
                 Updater::GradientDescent { learning_rate } => {
                     gradient_step(&ctx, ws, &u, &v, learning_rate * lr_scale)?
                 }
-                Updater::Hals => crate::hals::hals_step(&ctx, ws, &u, &v)?,
             }
         };
         let wall = pass_t0.map_or(Duration::ZERO, |t0| t0.elapsed());
@@ -186,7 +185,7 @@ pub(crate) fn solve<S: TraceSink>(
                 lr_scale *= 0.5;
             }
             if ws.restore(&mut u, &mut v) {
-                if !matches!(config.updater, Updater::GradientDescent { .. }) {
+                if matches!(config.updater, Updater::Multiplicative) {
                     // Re-running the same rules from the same point would
                     // reproduce the failure; blend in a fresh positive
                     // init (seeded, no wall-clock) to shift the iterate.

@@ -6,7 +6,7 @@
 //! coordinates and degenerate neighbourhoods. This module supplies
 //!
 //! - [`DENOM_EPS`] — the single denominator/epsilon guard shared by the
-//!   multiplicative rules, HALS and every other division-by-maybe-zero
+//!   multiplicative rules and every other division-by-maybe-zero
 //!   site in the optimizers (previously scattered ad-hoc `1e-12`s);
 //! - [`FitFailure`] — the failure taxonomy the per-iteration sentinel
 //!   classifies into (`NonFinite`, `Diverged`, `Stalled`);
@@ -23,11 +23,11 @@ use smfl_linalg::Matrix;
 
 /// The one denominator guard of the optimizer family.
 ///
-/// Every multiplicative ratio `n / (d + DENOM_EPS)` and HALS coordinate
-/// quotient uses this constant, following standard Lee–Seung practice:
-/// large enough to keep `0/0 → 0` instead of NaN, small enough
-/// (`1e-12`, far below the unit-normalized data scale) not to bias any
-/// update with a non-vanishing denominator.
+/// Every multiplicative ratio `n / (d + DENOM_EPS)` uses this constant,
+/// following standard Lee–Seung practice: large enough to keep
+/// `0/0 → 0` instead of NaN, small enough (`1e-12`, far below the
+/// unit-normalized data scale) not to bias any update with a
+/// non-vanishing denominator.
 pub const DENOM_EPS: f64 = 1e-12;
 
 /// How a fit iteration failed, as classified by the health sentinel.

@@ -42,9 +42,8 @@
 #![warn(missing_docs)]
 
 pub mod config;
-mod dense_step;
 mod engine;
-pub mod hals;
+mod fused_step;
 pub mod health;
 pub mod io;
 pub mod landmarks;

@@ -177,7 +177,7 @@ fn build_graph_traced<S: TraceSink>(
 }
 
 /// `dst = (dst + fresh) / 2` elementwise — the deterministic restart
-/// perturbation for the multiplicative/HALS optimizers (both operands
+/// perturbation for the multiplicative optimizer (both operands
 /// positive, so feasibility is preserved).
 pub(crate) fn blend_half(dst: &mut Matrix, fresh: &Matrix) {
     for (a, &b) in dst.as_mut_slice().iter_mut().zip(fresh.as_slice()) {

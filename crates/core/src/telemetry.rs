@@ -378,8 +378,8 @@ impl TraceSink for JsonlSink {
         let _ = writeln!(
             self.out,
             "{{\"type\":\"counters\",\"sddmm\":{},\"spmm\":{},\"spmm_t\":{},\
-             \"dense_steps\":{},\"hals_sweeps\":{},\"masked_nnz\":{}}}",
-            c.sddmm, c.spmm, c.spmm_t, c.dense_steps, c.hals_sweeps, c.masked_nnz,
+             \"dense_steps\":{},\"masked_nnz\":{}}}",
+            c.sddmm, c.spmm, c.spmm_t, c.dense_steps, c.masked_nnz,
         );
     }
 

@@ -9,30 +9,31 @@
 //!   learning rate (§III-B1), kept feasible by clamping at zero. This is
 //!   the `SMF-GD` optimizer of Fig. 5.
 //!
-//! **Step contract** (shared with [`crate::hals::hals_step`]): a step
-//! reads the committed `(U, V)`, writes the next iterate into
-//! [`Workspace::u_next`] / [`Workspace::v_next`] (frozen landmark
-//! columns included), and returns the [`ObjectiveTerms`] — fit term
-//! `‖R_Ω(X − UV)‖_F²` and Laplacian term `Tr(UᵀLU)` — of the factors it
-//! **read**, computed from the reconstruction and `D·U` the update forms
-//! anyway. The caller judges that score and then adopts the candidate
-//! with [`Workspace::commit`], so stopping, failing or rolling back never
-//! needs an undo. [`score`] evaluates the last committed iterate, which
-//! no further step reads.
+//! **Step contract**: a step reads the committed `(U, V)`, writes the
+//! next iterate into [`Workspace::u_next`] / [`Workspace::v_next`]
+//! (frozen landmark columns included), and returns the
+//! [`ObjectiveTerms`] — fit term `‖R_Ω(X − UV)‖_F²` and Laplacian term
+//! `Tr(UᵀLU)` — of the factors it **read**, computed from the
+//! reconstruction and `D·U` the update forms anyway. The caller judges
+//! that score and then adopts the candidate with [`Workspace::commit`],
+//! so stopping, failing or rolling back never needs an undo. [`score`]
+//! evaluates the last committed iterate, which no further step reads.
 //!
-//! The multiplicative step has two implementations, picked per mask by
-//! [`ObservedPattern::prefers_dense`]:
+//! Both rules share one body, the fused step of `fused_step.rs`: a row
+//! pass updates `U` and scores the input, a column pass updates `V`, and
+//! each reconstruction lives only in registers. The rules differ only in
+//! how an entry combines the passes' sums. Gradient descent takes the
+//! fused step at every density. The multiplicative step picks its
+//! implementation per mask by [`ObservedPattern::prefers_dense`]:
 //!
-//! - **Sparse** (masks at most `kernels::DENSE_PATH_THRESHOLD`
-//!   observed): the reconstruction is evaluated at observed entries only
-//!   (SDDMM into the packed [`Workspace::uv_vals`]) and the four
-//!   update-rule products are CSR SpMM / SpMMᵀ against the per-fit
-//!   [`ObservedPattern`]: one SDDMM of the input, which also gives the
-//!   fit term, and one of the new `U` for the `V` update.
-//! - **Fused dense** (denser masks, which covers every paper
-//!   experiment): one row pass updates `U` and scores the input, one
-//!   column pass updates `V`; each reconstruction lives only in
-//!   registers. See `dense_step.rs`.
+//! - **Fused** (masks above `kernels::DENSE_PATH_THRESHOLD` observed,
+//!   which covers every paper experiment).
+//! - **Sparse** (sparser masks): the reconstruction is evaluated at
+//!   observed entries only (SDDMM into the packed
+//!   [`Workspace::uv_vals`]) and the four update-rule products are CSR
+//!   SpMM / SpMMᵀ against the per-fit [`ObservedPattern`]: one SDDMM of
+//!   the input, which also gives the fit term, and one of the new `U`
+//!   for the `V` update.
 //!
 //! All scratch lives in the caller's [`Workspace`]: a serial step
 //! allocates nothing once the workspace is sized (the fused step's
@@ -45,6 +46,7 @@
 //! kernels skip the frozen columns entirely — this is the computation
 //! the paper's §IV-E efficiency claim refers to.
 
+use crate::fused_step::{fused_step, Gradient, Multiplicative};
 use crate::landmarks::Landmarks;
 use crate::objective::ObjectiveTerms;
 use smfl_linalg::kernels::{ObservedPattern, Workspace};
@@ -112,26 +114,10 @@ pub fn multiplicative_step(
     v: &Matrix,
 ) -> Result<ObjectiveTerms> {
     if ctx.pattern.prefers_dense() {
-        crate::dense_step::fused_dense_step(ctx, ws, u, v)
+        fused_step(ctx, ws, u, v, Multiplicative)
     } else {
         sparse_multiplicative_step(ctx, ws, u, v)
     }
-}
-
-/// `Vᵀ` and the packed reconstruction of the input, and its fit term:
-/// the opening of every sparse-engine step.
-pub(crate) fn open_sparse_step(
-    pattern: &ObservedPattern,
-    ws: &mut Workspace,
-    u: &Matrix,
-    v: &Matrix,
-) -> Result<f64> {
-    ws.size_sparse(pattern.nnz());
-    v.transpose_into(&mut ws.vt)?;
-    pattern.sddmm_into(u, &ws.vt, &mut ws.uv_vals)?;
-    ws.counters.sddmm += 1;
-    ws.counters.masked_nnz += pattern.nnz() as u64;
-    pattern.fit_term(&ws.uv_vals)
 }
 
 /// `Tr(UᵀLU) = Σ_i w_i·|u_i|² − u_i·(D·U)_i`, from `D·U` in `du`.
@@ -156,7 +142,12 @@ fn sparse_multiplicative_step(
     let nnz = pattern.nnz() as u64;
 
     // ---- Score the input; U update (Formula 13) ----
-    let fit = open_sparse_step(pattern, ws, u, v)?;
+    ws.size_sparse(pattern.nnz());
+    v.transpose_into(&mut ws.vt)?;
+    pattern.sddmm_into(u, &ws.vt, &mut ws.uv_vals)?; // R_Ω(UV)
+    ws.counters.sddmm += 1;
+    ws.counters.masked_nnz += nnz;
+    let fit = pattern.fit_term(&ws.uv_vals)?;
     pattern.spmm_into(pattern.x_vals(), &ws.vt, &mut ws.u_next)?; // R_Ω(X)·Vᵀ
     pattern.spmm_into(&ws.uv_vals, &ws.vt, &mut ws.denom_u)?; // R_Ω(UV)·Vᵀ
     ws.counters.spmm += 2;
@@ -234,9 +225,9 @@ fn update_u_with_graph(u: &Matrix, ws: &mut Workspace, degree: &[f64], lambda: f
 }
 
 /// One projected-gradient iteration (paper §III-B1) into `ws.u_next` /
-/// `ws.v_next`. Returns the objective terms of the input factors.
-/// Always runs on the sparse engine (the gradient only ever needs the
-/// masked residual).
+/// `ws.v_next`: `U ← max(0, U − η·∂O/∂U)`, then `V ← max(0, V − η·∂O/∂V)`
+/// on the live columns, at the new `U`. Returns the objective terms of
+/// the input factors.
 pub fn gradient_step(
     ctx: &UpdateContext<'_>,
     ws: &mut Workspace,
@@ -244,66 +235,10 @@ pub fn gradient_step(
     v: &Matrix,
     learning_rate: f64,
 ) -> Result<ObjectiveTerms> {
-    let pattern = ctx.pattern;
-    let nnz = pattern.nnz() as u64;
-    let k = u.cols();
-
-    // ∂O/∂U = −2·R_Ω(X − UV)·Vᵀ + 2λ·L·U, with L·U = w∘U − D·U
-    let fit = open_sparse_step(pattern, ws, u, v)?;
-    pattern.residual_into(&ws.uv_vals, &mut ws.res_vals)?; // R_Ω(X − UV)
-    pattern.spmm_into(&ws.res_vals, &ws.vt, &mut ws.u_next)?;
-    ws.counters.spmm += 1;
-    ws.counters.masked_nnz += nnz;
-    let step = 2.0 * learning_rate;
-    let laplacian = match ctx.active_graph() {
-        Some(g) if k > 0 => {
-            g.similarity.spmm_into(u, &mut ws.reg_a)?; // D·U
-            let scale = step * ctx.lambda;
-            let rows = ws
-                .u_next
-                .as_mut_slice()
-                .chunks_exact_mut(k)
-                .zip(u.as_slice().chunks_exact(k))
-                .zip(ws.reg_a.as_slice().chunks_exact(k))
-                .zip(&g.degree);
-            for (((orow, urow), drow), &w) in rows {
-                for ((o, &x), &d) in orow.iter_mut().zip(urow).zip(drow) {
-                    *o = x - scale * (w * x - d) + step * *o;
-                }
-            }
-            laplacian_from_du(u, &ws.reg_a, &g.degree)
-        }
-        _ => {
-            for (o, &x) in ws.u_next.as_mut_slice().iter_mut().zip(u.as_slice()) {
-                *o = x + step * *o;
-            }
-            0.0
-        }
+    let rule = Gradient {
+        step: 2.0 * learning_rate,
     };
-    ws.u_next.clamp_min(0.0);
-
-    // ∂O/∂V = −2·Uᵀ·R_Ω(X − UV), frozen columns get zero gradient.
-    pattern.sddmm_into(&ws.u_next, &ws.vt, &mut ws.uv_vals)?;
-    ws.counters.sddmm += 1;
-    ws.counters.masked_nnz += nnz;
-    pattern.residual_into(&ws.uv_vals, &mut ws.res_vals)?;
-    ws.v_next.as_mut_slice().copy_from_slice(v.as_slice());
-    let start = ctx.v_start_col();
-    if start < v.cols() {
-        pattern.spmm_t_into(&ws.res_vals, &ws.u_next, start, &mut ws.numer_vt)?;
-        ws.counters.spmm_t += 1;
-        ws.counters.masked_nnz += nnz;
-        for k in 0..v.rows() {
-            for j in start..v.cols() {
-                let val = (v.get(k, j) + step * ws.numer_vt.get(j, k)).max(0.0);
-                ws.v_next.set(k, j, val);
-            }
-        }
-    }
-    debug_assert!(ctx
-        .landmarks
-        .is_none_or(|lm| lm.verify_injected(&ws.v_next)));
-    Ok(ObjectiveTerms { fit, laplacian })
+    fused_step(ctx, ws, u, v, rule)
 }
 
 #[cfg(test)]
@@ -496,9 +431,9 @@ mod tests {
 
     #[test]
     fn sparse_and_dense_paths_agree() {
-        // ~90% observed: the public entry point takes the fused dense
-        // step. Drive both implementations directly from the same start,
-        // with graph and landmarks, and compare after every iteration.
+        // ~90% observed: the public entry point takes the fused step.
+        // Drive both implementations directly from the same start, with
+        // graph and landmarks, and compare after every iteration.
         let s = setup(18, 5, 30);
         let si = s.x.columns(0, 2).unwrap();
         let lm = Landmarks::compute(&si, 3, 300, 0).unwrap();
@@ -515,7 +450,7 @@ mod tests {
             let (mut u2, mut v2) = (u1.clone(), v1.clone());
             for _ in 0..6 {
                 let a = sparse_multiplicative_step(&ctx, &mut ws_sparse, &u1, &v1).unwrap();
-                let b = crate::dense_step::fused_dense_step(&ctx, &mut ws_dense, &u2, &v2).unwrap();
+                let b = fused_step(&ctx, &mut ws_dense, &u2, &v2, Multiplicative).unwrap();
                 ws_sparse.commit(&mut u1, &mut v1);
                 ws_dense.commit(&mut u2, &mut v2);
                 assert!((a.fit - b.fit).abs() <= 1e-10 * a.fit.abs().max(1.0));

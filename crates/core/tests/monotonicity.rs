@@ -114,29 +114,6 @@ proptest! {
             }
         }
     }
-
-    /// The HALS extension carries the same guarantee (exact coordinate
-    /// minimization), observed through the same sink.
-    #[test]
-    fn hals_trajectory_non_increasing(
-        n in 12usize..30,
-        m in 4usize..8,
-        missing in 0u32..60,
-        seed in 0u64..10_000,
-    ) {
-        let (x, omega) = problem(n, m, seed, missing);
-        let cfg = SmflConfig::smfl(3, 2)
-            .with_lambda(0.3)
-            .with_hals()
-            .with_max_iter(20)
-            .with_seed(seed)
-            .with_tol(0.0);
-        let (model, trace) = fit_recorded(&x, &omega, &cfg);
-        let model = model.unwrap();
-        prop_assert!(trace.non_increasing(1e-9));
-        prop_assert!(trace.landmarks_always_intact());
-        prop_assert_eq!(trace.counters.hals_sweeps, model.iterations as u64);
-    }
 }
 
 /// Negative control: the predicate must *fail* on a genuinely

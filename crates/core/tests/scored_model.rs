@@ -9,8 +9,8 @@
 //! rollback — the factors it returns must be ones it scored. The
 //! reported objective is `final_objective()`, or the best history entry
 //! when the fit rolled back; it must match `objective::objective` of the
-//! returned factors to 1e-12 relative, for every updater, on the fused
-//! dense path and the sparse kernels, under `Strict` and `Recover`.
+//! returned factors to 1e-12 relative, for both updaters, at a dense and
+//! a sparse mask, under `Strict` and `Recover`.
 
 use smfl_core::objective::objective;
 use smfl_core::{FitPlan, FittedModel, Resilience, SmflConfig};
@@ -31,7 +31,8 @@ fn data(seed: u64) -> Matrix {
 
 /// Coordinates always observed; each attribute cell observed with
 /// probability `density`. At 0.9 the multiplicative updater takes the
-/// fused dense step, at 0.2 (about 47% of all cells) the sparse kernels.
+/// fused step, at 0.2 (about 47% of all cells) the sparse kernels;
+/// gradient descent takes the fused step at both.
 fn mask(density: f64, seed: u64) -> Mask {
     let sel = uniform_matrix(N, M, 0.0, 1.0, seed);
     let mut omega = Mask::full(N, M);
@@ -81,10 +82,9 @@ fn every_updater_path_and_policy_returns_scored_factors() {
     let x = data(1);
     // Each updater with a `tol` it reaches well inside the budget.
     type WithUpdater = fn(SmflConfig) -> SmflConfig;
-    let updaters: [(&str, WithUpdater, f64); 3] = [
+    let updaters: [(&str, WithUpdater, f64); 2] = [
         ("multiplicative", |c| c, 1e-3),
         ("gradient", |c| c.with_gradient_descent(2e-2), 1e-2),
-        ("hals", |c| c.with_hals(), 1e-3),
     ];
     let mut stopped_early = 0;
     for density in [0.9, 0.2] {
@@ -113,7 +113,7 @@ fn every_updater_path_and_policy_returns_scored_factors() {
             }
         }
     }
-    assert_eq!(stopped_early, 12, "every tol > 0 fit must stop early");
+    assert_eq!(stopped_early, 8, "every tol > 0 fit must stop early");
 }
 
 #[test]

@@ -242,14 +242,20 @@ fn traced_objectives_are_thread_invariant() {
     for threads in ["1", "4"] {
         let path = tmp(&format!("trace_threads_{threads}.jsonl"));
         let _ = std::fs::remove_file(&path);
-        let status = Command::new(&exe)
+        // Captured, so the child's test lines do not interleave with
+        // this suite's.
+        let child = Command::new(&exe)
             .args(["trace_child_fit", "--exact", "--test-threads=1"])
             .env("SMFL_TRACE_CHILD", "1")
             .env("SMFL_THREADS", threads)
             .env("SMFL_TRACE", &path)
-            .status()
+            .output()
             .expect("failed to spawn child test process");
-        assert!(status.success(), "child with SMFL_THREADS={threads} failed");
+        assert!(
+            child.status.success(),
+            "child with SMFL_THREADS={threads} failed:\n{}",
+            String::from_utf8_lossy(&child.stdout)
+        );
 
         let text = std::fs::read_to_string(&path)
             .unwrap_or_else(|e| panic!("SMFL_TRACE produced no file for {threads} threads: {e}"));

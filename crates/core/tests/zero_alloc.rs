@@ -15,12 +15,12 @@
 //!    same computation (20x the queries / 20 extra k-means iterations
 //!    must not change the count, so the marginal cost is provably zero).
 //!
-//! The fused dense step (masks above 50% observed, graph term and
-//! landmarks on) carries the same contract, objective included: its
-//! Laplacian term, the closing `updater::score` and
-//! `SpatialGraph::regularization` walk the graph without a temporary,
-//! and a dense-path multiplicative fit never sizes the sparse-engine
-//! scratch.
+//! The fused step — both rules, graph term and landmarks on, the
+//! multiplicative one at a mask above 50% observed — carries the same
+//! contract, objective included: its Laplacian term, the closing
+//! `updater::score` and `SpatialGraph::regularization` walk the graph
+//! without a temporary, and a fused-path fit never sizes the
+//! sparse-engine scratch.
 //!
 //! A step writes its candidate into the workspace and `commit` swaps it
 //! in, so the factor buffers alternate between two fixed allocations.
@@ -70,7 +70,7 @@ static GLOBAL: CountingAllocator = CountingAllocator;
 
 use smfl_core::health::classify;
 use smfl_core::telemetry::{IterEvent, NoopSink, RecordingSink, TraceSink};
-use smfl_core::updater::{multiplicative_step, score, UpdateContext};
+use smfl_core::updater::{gradient_step, multiplicative_step, score, UpdateContext};
 use smfl_core::{Landmarks, Resilience};
 use smfl_linalg::random::{positive_uniform_matrix, uniform_matrix};
 use smfl_linalg::{Mask, Matrix, ObservedPattern, Workspace};
@@ -169,15 +169,16 @@ fn multiplicative_step_allocates_nothing_after_warmup() {
     assert_eq!(ptrs_before, ptrs(&ws, &u), "workspace buffers were reallocated");
     assert!(u.all_finite() && v.all_finite());
 
-    // --- Phase 1b: the fused dense step with graph and landmarks. -------
-    // ~90% observed takes the dense path; the objective terms (fit and
+    // --- Phase 1b: the fused step with graph and landmarks. -------------
+    // ~90% observed takes the fused path; the objective terms (fit and
     // Laplacian) come out of the step, and the standalone degree-form
-    // regularization must be allocation-free too.
+    // regularization must be allocation-free too. Gradient steps run on
+    // the same passes.
     let dense_omega = mask_with_density(n, m, 0.9, 15);
     let dense_pattern = ObservedPattern::compile(&x, &dense_omega).unwrap();
     assert!(
         dense_pattern.prefers_dense(),
-        "phase 1b must exercise the dense path"
+        "phase 1b must exercise the fused path"
     );
     let si = x.columns(0, 2).unwrap();
     let graph = SpatialGraph::build(&si, 3, NeighborSearch::KdTree).unwrap();
@@ -203,21 +204,27 @@ fn multiplicative_step_allocates_nothing_after_warmup() {
             assert!(graph.regularization(&u).unwrap() > 0.0);
             ws.commit(&mut u, &mut v);
         }
+        for _ in 0..10 {
+            let terms = gradient_step(&dense_ctx, &mut ws, &u, &v, 1e-3).unwrap();
+            assert!(terms.laplacian > 0.0);
+            ws.commit(&mut u, &mut v);
+        }
         assert!(score(&dense_ctx, &mut ws, &u, &v).unwrap().laplacian > 0.0);
     });
     assert_eq!(
         dense_allocs, 0,
-        "fused dense step + objective heap-allocated {dense_allocs} times \
-         across 10 steady-state iterations"
+        "fused step + objective heap-allocated {dense_allocs} times \
+         across 20 steady-state iterations"
     );
-    assert_eq!(ws.counters.dense_steps, 13);
+    assert_eq!(ws.counters.dense_steps, 23);
     assert!(lm.verify_injected(&v));
     assert!(
         ws.uv_vals.is_empty()
-            && ws.res_vals.is_empty()
             && ws.denom_u.as_slice().is_empty()
-            && ws.reg_a.as_slice().is_empty(),
-        "the fused dense step sized the sparse-engine scratch"
+            && ws.reg_a.as_slice().is_empty()
+            && ws.numer_vt.as_slice().is_empty()
+            && ws.denom_vt.as_slice().is_empty(),
+        "the fused step sized the sparse-engine scratch"
     );
 
     // --- Phase 2: bulk kNN allocates nothing per query. -----------------
@@ -393,10 +400,11 @@ fn multiplicative_step_allocates_nothing_after_warmup() {
     // first checkpoint, and only `Recover` checkpoints. So a strict warm
     // solve on a fresh plan allocates what it does on a reused one plus
     // the sparse-engine scratch its first step sizes (`uv_vals`,
-    // `res_vals`, `denom_u`, `reg_a`; this plan takes the sparse path),
-    // while a recovering solve's first run allocates the two snapshot
-    // buffers on top — and both policies return the same model.
-    const SPARSE_SCRATCH_BUFFERS: usize = 4;
+    // `denom_u`, `reg_a`, `numer_vt`, `denom_vt`; this plan takes the
+    // sparse path), while a recovering solve's first run allocates the
+    // two snapshot buffers on top — and both policies return the same
+    // model.
+    const SPARSE_SCRATCH_BUFFERS: usize = 5;
     let strict_cfg = cfg.clone().with_max_iter(10);
     let recover_cfg = strict_cfg.clone().resilient();
     let opts = SolveOptions::warm_from(&cold_nmf);

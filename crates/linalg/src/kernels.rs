@@ -22,15 +22,15 @@
 //!   from the factors, with no packed buffer).
 //!
 //! Every kernel writes into caller-owned buffers; the per-fit
-//! [`Workspace`] owns all of them, so the inner loop of the
-//! multiplicative / gradient / HALS updaters performs **zero heap
-//! allocations** after the first iteration. Work per iteration drops
-//! from `O(N·M·K)` to `O(|Ω|·K)`. For dense masks
-//! ([`ObservedPattern::prefers_dense`]) the multiplicative updater
-//! instead streams the CSR rows and CSC columns itself
-//! ([`ObservedPattern::csr`], [`ObservedPattern::csc`]), fusing the
-//! reconstruction into both factor updates. No `N x M` buffer exists
-//! on either path.
+//! [`Workspace`] owns all of them, so the inner loop of the updaters
+//! performs **zero heap allocations** after the first iteration. Work
+//! per iteration drops from `O(N·M·K)` to `O(|Ω|·K)`. These kernels
+//! serve the multiplicative updater on sparse masks. The fused step —
+//! gradient descent at every density, the multiplicative rules on dense
+//! masks ([`ObservedPattern::prefers_dense`]) — instead streams the CSR
+//! rows and CSC columns itself ([`ObservedPattern::csr`],
+//! [`ObservedPattern::csc`]), fusing the reconstruction into both factor
+//! updates. No `N x M` buffer exists on either path.
 //!
 //! Parallelism reuses [`crate::parallel`]'s row-striping: the
 //! dense-output kernels go through `parallel_over_rows`, and the SDDMM
@@ -65,11 +65,10 @@ pub struct KernelCounters {
     pub spmm: u64,
     /// SpMMᵀ evaluations (`Rᵀ·U` against the CSC view).
     pub spmm_t: u64,
-    /// Iterations that took the fused dense step instead of the sparse
-    /// kernels (masks above [`DENSE_PATH_THRESHOLD`]).
+    /// Iterations that took the fused row/column step instead of the
+    /// sparse kernels: every gradient-descent step, and multiplicative
+    /// steps on masks above [`DENSE_PATH_THRESHOLD`].
     pub dense_steps: u64,
-    /// HALS coordinate sweeps (one full U-sweep + V-sweep each).
-    pub hals_sweeps: u64,
     /// Total packed observed entries processed across all counted
     /// kernel calls.
     pub masked_nnz: u64,
@@ -433,17 +432,6 @@ impl ObservedPattern {
         Ok(())
     }
 
-    /// `out[e] = x[e] − uv[e]`: the masked residual `R_Ω(X − UV)` in
-    /// packed form.
-    pub fn residual_into(&self, uv_vals: &[f64], out: &mut [f64]) -> Result<()> {
-        self.check_vals(uv_vals, "residual_into")?;
-        self.check_vals(out, "residual_into")?;
-        for ((o, &x), &p) in out.iter_mut().zip(&self.x_vals).zip(uv_vals) {
-            *o = x - p;
-        }
-        Ok(())
-    }
-
     /// `‖R_Ω(X − UV)‖_F²` from the packed reconstruction — the fit term
     /// of the objective (paper Formula 10), no dense temporaries.
     pub fn fit_term(&self, uv_vals: &[f64]) -> Result<f64> {
@@ -483,23 +471,23 @@ impl ObservedPattern {
 /// the step's score of its input and then adopts the candidate with
 /// [`Self::commit`] (a buffer swap), or drops it by not committing.
 /// Buffers only some steps read are sized on first use: the sparse-engine
-/// scratch by [`Self::size_sparse`] (the fused dense step never reads it),
-/// the dense step's block partials by that step, and the checkpoint pair
-/// by [`Self::checkpoint`].
+/// scratch by [`Self::size_sparse`] (the fused step never reads it), the
+/// fused step's block partials by that step, and the checkpoint pair by
+/// [`Self::checkpoint`].
 #[derive(Debug, Clone)]
 pub struct Workspace {
     /// Packed `R_Ω(U·V)` — the SDDMM output (sparse engine).
     pub uv_vals: Vec<f64>,
-    /// Packed residual / general per-entry scratch (sparse engine).
-    pub res_vals: Vec<f64>,
     /// `Vᵀ` (`M x K`) of the step's input.
     pub vt: Matrix,
     /// `N x K` denominator scratch for the `U` update (sparse engine;
     /// the numerator is formed in [`Self::u_next`] itself).
     pub denom_u: Matrix,
-    /// `M x K` numerator scratch for the `V` update (transposed layout).
+    /// `M x K` numerator scratch for the `V` update (sparse engine,
+    /// transposed layout).
     pub numer_vt: Matrix,
-    /// `M x K` denominator scratch for the `V` update (transposed layout).
+    /// `M x K` denominator scratch for the `V` update (sparse engine,
+    /// transposed layout).
     pub denom_vt: Matrix,
     /// `N x K` scratch for the graph product `D·U` (sparse engine).
     pub reg_a: Matrix,
@@ -508,11 +496,9 @@ pub struct Workspace {
     /// `K x M`: the candidate `V` a step writes, frozen landmark columns
     /// included.
     pub v_next: Matrix,
-    /// Per-row-block reduction partials of the fused dense step. Empty
-    /// until the first dense step sizes it; reused afterwards.
+    /// Per-row-block reduction partials of the fused step. Empty until
+    /// the first fused step sizes it; reused afterwards.
     pub block_partials: Vec<f64>,
-    /// `max(N, M)` per-column scratch (HALS).
-    pub col_scratch: Vec<f64>,
     /// Last-good `U` snapshot (`N x K`) for checkpoint/rollback;
     /// allocated lazily on the first [`Self::checkpoint`], so a fit
     /// that never checkpoints (a strict solve) never pays for it.
@@ -534,16 +520,14 @@ impl Workspace {
         let (n, m) = (pattern.rows(), pattern.cols());
         Workspace {
             uv_vals: Vec::new(),
-            res_vals: Vec::new(),
             vt: Matrix::zeros(m, k),
             denom_u: Matrix::zeros(0, 0),
-            numer_vt: Matrix::zeros(m, k),
-            denom_vt: Matrix::zeros(m, k),
+            numer_vt: Matrix::zeros(0, 0),
+            denom_vt: Matrix::zeros(0, 0),
             reg_a: Matrix::zeros(0, 0),
             u_next: Matrix::zeros(n, k),
             v_next: Matrix::zeros(k, m),
             block_partials: Vec::new(),
-            col_scratch: vec![0.0; n.max(m)],
             snap_u: None,
             snap_v: None,
             snap_armed: false,
@@ -551,17 +535,21 @@ impl Workspace {
         }
     }
 
-    /// Sizes the sparse-engine scratch (`uv_vals`, `res_vals`,
-    /// `denom_u`, `reg_a`) for a pattern with `nnz` observed entries.
+    /// Sizes the sparse-engine scratch (`uv_vals`, `denom_u`, `reg_a`,
+    /// `numer_vt`, `denom_vt`) for a pattern with `nnz` observed entries.
     /// Allocates on first use and when a changed mask grows the packed
-    /// vectors; a no-op in steady state.
+    /// vector; a no-op in steady state.
     pub fn size_sparse(&mut self, nnz: usize) {
         self.uv_vals.resize(nnz, 0.0);
-        self.res_vals.resize(nnz, 0.0);
         let (n, k) = self.u_next.shape();
         if self.denom_u.shape() != (n, k) {
             self.denom_u = Matrix::zeros(n, k);
             self.reg_a = Matrix::zeros(n, k);
+        }
+        let m = self.v_next.cols();
+        if self.numer_vt.shape() != (m, k) {
+            self.numer_vt = Matrix::zeros(m, k);
+            self.denom_vt = Matrix::zeros(m, k);
         }
     }
 
@@ -758,9 +746,12 @@ mod tests {
         assert!((fit - reference).abs() < 1e-10);
         assert!((p.fit_term_from(&u, &vt).unwrap() - reference).abs() < 1e-10);
 
-        let mut res = vec![0.0; p.nnz()];
-        p.residual_into(&uv, &mut res).unwrap();
-        let direct: f64 = res.iter().map(|&r| r * r).sum();
+        let direct: f64 = p
+            .x_vals()
+            .iter()
+            .zip(&uv)
+            .map(|(&x, &r)| (x - r) * (x - r))
+            .sum();
         assert!((direct - fit).abs() < 1e-10);
     }
 
@@ -796,9 +787,12 @@ mod tests {
         let (_, _, p, u, v) = fixture(20, 8, 3, 3);
         let mut ws = Workspace::new(&p, 3);
         assert!(ws.uv_vals.is_empty(), "sparse scratch is sized on first use");
+        assert!(ws.numer_vt.as_slice().is_empty() && ws.denom_vt.as_slice().is_empty());
         ws.size_sparse(p.nnz());
+        assert_eq!(ws.numer_vt.shape(), (8, 3));
         let ptr_uv = ws.uv_vals.as_ptr();
         let ptr_du = ws.denom_u.as_slice().as_ptr();
+        let ptr_nv = ws.numer_vt.as_slice().as_ptr();
         for _ in 0..4 {
             ws.size_sparse(p.nnz());
             v.transpose_into(&mut ws.vt).unwrap();
@@ -807,6 +801,7 @@ mod tests {
         }
         assert_eq!(ptr_uv, ws.uv_vals.as_ptr());
         assert_eq!(ptr_du, ws.denom_u.as_slice().as_ptr());
+        assert_eq!(ptr_nv, ws.numer_vt.as_slice().as_ptr());
         assert!(ws.block_partials.is_empty());
         assert_eq!(ws.u_next.shape(), (20, 3));
         assert_eq!(ws.v_next.shape(), (3, 8));
