@@ -175,7 +175,7 @@ impl RahaLite {
         let si = x.columns(0, self.spatial_cols.min(m))?;
         let graph = SpatialGraph::build(&si, self.k.min(n - 1), NeighborSearch::KdTree)?;
         for i in 0..n {
-            let neighbours: Vec<usize> = graph.similarity.row_entries(i).map(|(j, _)| j).collect();
+            let neighbours = graph.neighbors(i);
             if neighbours.is_empty() {
                 continue;
             }

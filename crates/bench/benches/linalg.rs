@@ -1,12 +1,11 @@
-//! Substrate micro-benchmarks: the dense/sparse kernels that dominate
-//! one SMFL iteration, plus DESIGN.md ablation #2 (CSR vs dense
-//! Laplacian products).
+//! Substrate micro-benchmarks: the dense and masked kernels of one
+//! SMFL iteration, and the thin SVD behind the baselines.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use smfl_linalg::mask::masked_product;
 use smfl_linalg::ops::{matmul, matmul_at, matmul_bt};
-use smfl_linalg::random::{positive_uniform_matrix, uniform_matrix};
-use smfl_linalg::{thin_svd, CsrMatrix, Mask};
+use smfl_linalg::random::uniform_matrix;
+use smfl_linalg::{thin_svd, Mask};
 
 fn bench_matmul_orientations(c: &mut Criterion) {
     let mut group = c.benchmark_group("matmul_orientations");
@@ -53,32 +52,6 @@ fn bench_masked_product(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_csr_vs_dense_laplacian(c: &mut Criterion) {
-    // Ablation #2: D·U via CSR (O(nnz·K)) vs densified D (O(N²·K)).
-    let mut group = c.benchmark_group("laplacian_products");
-    let n = 2000;
-    let k = 8;
-    let u = positive_uniform_matrix(n, k, 1);
-    // p=3 kNN-like sparsity: ~6 entries per row.
-    let mut triplets = Vec::new();
-    for i in 0..n {
-        for d in 1..=3usize {
-            let j = (i + d * 7) % n;
-            triplets.push((i, j, 1.0));
-            triplets.push((j, i, 1.0));
-        }
-    }
-    let sparse = CsrMatrix::from_triplets(n, n, &triplets).unwrap();
-    let dense = sparse.to_dense();
-    group.bench_function("csr_spmm", |b| {
-        b.iter(|| sparse.spmm(&u).unwrap());
-    });
-    group.bench_function("dense_matmul", |b| {
-        b.iter(|| matmul(&dense, &u).unwrap());
-    });
-    group.finish();
-}
-
 fn bench_thin_svd(c: &mut Criterion) {
     let mut group = c.benchmark_group("thin_svd");
     for &n in &[500usize, 2000] {
@@ -94,7 +67,6 @@ criterion_group!(
     benches,
     bench_matmul_orientations,
     bench_masked_product,
-    bench_csr_vs_dense_laplacian,
     bench_thin_svd
 );
 criterion_main!(benches);

@@ -118,15 +118,14 @@ fn main() {
     );
     assert_eq!(stats.kmeans_runs, grid.ranks.len(), "one k-means per distinct K");
     assert_eq!(stats.graph_builds, grid.ps.len(), "one graph per distinct p");
-    assert_eq!(stats.pattern_compiles, FOLDS, "one pattern per fold");
     assert_eq!(stats.si_resets, 0, "attribute-only holdouts must share the SI");
 
     let search_speedup = naive_s / cached_s;
     eprintln!(
         "grid search ({candidates} candidates x {FOLDS} folds): cached {cached_s:.3}s, \
          naive {naive_s:.3}s ({search_speedup:.2}x); kmeans {} vs {naive_stage_runs}, \
-         graphs {} vs {naive_stage_runs}, patterns {} vs {naive_stage_runs}",
-        stats.kmeans_runs, stats.graph_builds, stats.pattern_compiles,
+         graphs {} vs {naive_stage_runs}",
+        stats.kmeans_runs, stats.graph_builds,
     );
 
     // --- Warm vs cold refit. --------------------------------------------
@@ -177,10 +176,8 @@ fn main() {
          \"search_speedup\": {search_speedup:.3},\n  \
          \"kmeans_runs_cached\": {},\n  \
          \"graph_builds_cached\": {},\n  \
-         \"pattern_compiles_cached\": {},\n  \
          \"landmark_hits\": {},\n  \
          \"graph_hits\": {},\n  \
-         \"pattern_hits\": {},\n  \
          \"warm_refit_iterations\": {},\n  \
          \"cold_refit_iterations\": {},\n  \
          \"warm_refit_s\": {warm_s:.5},\n  \
@@ -189,10 +186,8 @@ fn main() {
          \"cold_final_objective\": {cold_obj:.9}\n}}\n",
         stats.kmeans_runs,
         stats.graph_builds,
-        stats.pattern_compiles,
         stats.landmark_hits,
         stats.graph_hits,
-        stats.pattern_hits,
         warm.iterations,
         cold.iterations,
     );

@@ -1,5 +1,5 @@
 //! Spatial-preprocessing benchmarks: the parallel pipeline of graph
-//! construction (kd-tree build + bulk kNN + hash-free CSR assembly),
+//! construction (kd-tree build + bulk kNN + hash-free adjacency assembly),
 //! the kd-tree-vs-brute-force ablation (DESIGN.md #3), and the
 //! Hamerly-vs-Lloyd k-means ablation.
 //!
@@ -7,7 +7,7 @@
 //! `N ∈ {2000, 20000, 100000}` at `p = 5`, times the full
 //! `SpatialGraph` build serial (1 thread) vs parallel (`max_threads()`),
 //! cross-checks that every configuration produces the **identical**
-//! `(D, w)` (and, where `O(N²)` is feasible, matches the brute-force
+//! adjacency (and, where `O(N²)` is feasible, matches the brute-force
 //! oracle bitwise), times Lloyd vs Hamerly k-means on the same points,
 //! and writes `BENCH_spatial.json` at the workspace root — the same
 //! shape as `BENCH_update_rules.json`.
@@ -15,7 +15,7 @@
 use criterion::{BenchmarkId, Criterion};
 use smfl_linalg::parallel::max_threads;
 use smfl_linalg::random::uniform_matrix;
-use smfl_spatial::graph::{GraphWeighting, NeighborSearch, SpatialGraph};
+use smfl_spatial::graph::{NeighborSearch, SpatialGraph};
 use smfl_spatial::kmeans::{kmeans, KMeansAlgorithm, KMeansConfig};
 use smfl_spatial::KdTree;
 use std::time::Instant;
@@ -99,15 +99,9 @@ fn time_secs(mut f: impl FnMut(), budget_s: f64, min_iters: u32) -> f64 {
 
 /// The kd-tree binary graph built with an explicit thread count.
 fn graph_with_threads(pts: &smfl_linalg::Matrix, threads: usize) -> SpatialGraph {
-    SpatialGraph::build_instrumented(
-        pts,
-        P,
-        NeighborSearch::KdTree,
-        GraphWeighting::Binary,
-        threads,
-    )
-    .unwrap()
-    .0
+    SpatialGraph::build_instrumented(pts, P, NeighborSearch::KdTree, threads)
+        .unwrap()
+        .0
 }
 
 fn json_report() {
@@ -118,19 +112,19 @@ fn json_report() {
         let pts = uniform_matrix(n, 2, 0.0, 1.0, 7);
 
         // Correctness first: serial and parallel builds must produce the
-        // identical `(D, w)`; where O(N²) is affordable, both must also
+        // identical adjacency; where O(N²) is affordable, both must also
         // match the brute-force oracle bitwise.
         let serial = graph_with_threads(&pts, 1);
         let parallel = graph_with_threads(&pts, threads);
         assert!(
-            serial.similarity == parallel.similarity && serial.degree == parallel.degree,
+            serial == parallel,
             "parallel graph differs from serial at n={n}"
         );
         let oracle_checked = n <= ORACLE_MAX_N;
         if oracle_checked {
             let oracle = SpatialGraph::build(&pts, P, NeighborSearch::BruteForce).unwrap();
             assert!(
-                parallel.similarity == oracle.similarity && parallel.degree == oracle.degree,
+                parallel == oracle,
                 "parallel graph differs from the brute-force oracle at n={n}"
             );
         }
@@ -180,7 +174,7 @@ fn json_report() {
 
         eprintln!(
             "  n {n}: graph serial {:.2} ms, parallel {:.2} ms ({speedup:.2}x, identical \
-             CSR{}), kmeans lloyd {:.2} ms vs hamerly {:.2} ms ({kmeans_speedup:.2}x)",
+             adjacency{}), kmeans lloyd {:.2} ms vs hamerly {:.2} ms ({kmeans_speedup:.2}x)",
             serial_s * 1e3,
             parallel_s * 1e3,
             if oracle_checked { " + oracle" } else { "" },
@@ -194,7 +188,7 @@ fn json_report() {
              \"oracle_checked\": {oracle_checked}, \
              \"kmeans_lloyd_ms\": {:.6}, \"kmeans_hamerly_ms\": {:.6}, \
              \"kmeans_speedup\": {kmeans_speedup:.3}}}",
-            parallel.similarity.nnz(),
+            parallel.nnz(),
             serial_s * 1e3,
             parallel_s * 1e3,
             lloyd_s * 1e3,
@@ -203,7 +197,7 @@ fn json_report() {
     }
     let json = format!(
         "{{\n  \"bench\": \"spatial\",\n  \"p\": {P},\n  \"threads\": {threads},\n  \
-         \"pipeline\": \"parallel kd-tree build + bulk kNN + hash-free CSR assembly vs the same pipeline on 1 thread\",\n  \
+         \"pipeline\": \"parallel kd-tree build + bulk kNN + hash-free adjacency assembly vs the same pipeline on 1 thread\",\n  \
          \"results\": [\n{}\n  ]\n}}\n",
         rows.join(",\n")
     );

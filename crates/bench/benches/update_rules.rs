@@ -32,7 +32,7 @@ use smfl_core::Landmarks;
 use smfl_linalg::mask::{masked_diff_norm_sq, masked_product};
 use smfl_linalg::ops::{dot, matmul_at, matmul_at_into, matmul_bt, matmul_bt_into, matmul_into};
 use smfl_linalg::random::{positive_uniform_matrix, uniform_matrix};
-use smfl_linalg::{CsrMatrix, Mask, Matrix, ObservedPattern, Workspace};
+use smfl_linalg::{Mask, Matrix, ObservedPattern, Workspace};
 use smfl_spatial::{NeighborSearch, SpatialGraph};
 use std::time::Instant;
 
@@ -236,9 +236,6 @@ fn max_rel_diff(a: &Matrix, b: &Matrix) -> f64 {
 struct Lake {
     problem: Problem,
     graph: SpatialGraph,
-    /// `L = diag(w) − D` in CSR form, for the matmul formulation's
-    /// objective (the library works from `(D, w)` only).
-    laplacian: CsrMatrix,
     landmarks: Landmarks,
 }
 
@@ -251,16 +248,10 @@ fn lake() -> Lake {
     // The same draw as the problem's X: its first two columns are the SI.
     let si = positive_uniform_matrix(n, m, 11).columns(0, 2).unwrap();
     let graph = SpatialGraph::build(&si, 5, NeighborSearch::KdTree).unwrap();
-    let mut triplets: Vec<(usize, usize, f64)> = (0..n)
-        .flat_map(|i| graph.similarity.row_entries(i).map(move |(j, d)| (i, j, -d)))
-        .collect();
-    triplets.extend(graph.degree.iter().enumerate().map(|(i, &w)| (i, i, w)));
-    let laplacian = CsrMatrix::from_triplets(n, n, &triplets).unwrap();
     let landmarks = Landmarks::compute(&si, k, 300, 0).unwrap();
     Lake {
         problem,
         graph,
-        laplacian,
         landmarks,
     }
 }
@@ -319,15 +310,16 @@ fn matmul_step(lake: &Lake, s: &mut MatmulScratch, u: &mut Matrix, v: &mut Matri
     p.omega.zero_unset(&mut s.r).unwrap();
     matmul_bt_into(&p.masked_x, v, &mut s.numer_u).unwrap();
     matmul_bt_into(&s.r, v, &mut s.denom_u).unwrap();
-    g.similarity.spmm_into(u, &mut s.du).unwrap();
+    adjacency_product(g, u, &mut s.du);
     s.numer_u.axpy(LAKE_LAMBDA, &s.du).unwrap();
-    for ((drow, urow), &w) in s
+    for (i, (drow, urow)) in s
         .denom_u
         .as_mut_slice()
         .chunks_exact_mut(k)
         .zip(u.as_slice().chunks_exact(k))
-        .zip(&g.degree)
+        .enumerate()
     {
+        let w = g.degree(i);
         for (d, &a) in drow.iter_mut().zip(urow) {
             *d += LAKE_LAMBDA * (w * a);
         }
@@ -360,8 +352,34 @@ fn matmul_step(lake: &Lake, s: &mut MatmulScratch, u: &mut Matrix, v: &mut Matri
             fit += d * d;
         }
     }
-    lake.laplacian.spmm_into(u, &mut s.lu).unwrap();
+    // L·U = w∘U − D·U, from the adjacency (a dense L is N² at Lake's N).
+    adjacency_product(g, u, &mut s.lu);
+    for (i, (lrow, urow)) in s
+        .lu
+        .as_mut_slice()
+        .chunks_exact_mut(k)
+        .zip(u.as_slice().chunks_exact(k))
+        .enumerate()
+    {
+        let w = g.degree(i);
+        for (l, &a) in lrow.iter_mut().zip(urow) {
+            *l = w * a - *l;
+        }
+    }
     fit + LAKE_LAMBDA * dot(u.as_slice(), s.lu.as_slice())
+}
+
+/// `out = D·U`: row `i` sums `u`'s rows at `i`'s neighbours.
+fn adjacency_product(g: &SpatialGraph, u: &Matrix, out: &mut Matrix) {
+    out.as_mut_slice().fill(0.0);
+    for i in 0..g.len() {
+        let orow = out.row_mut(i);
+        for &t in g.neighbors(i) {
+            for (o, &b) in orow.iter_mut().zip(u.row(t)) {
+                *o += b;
+            }
+        }
+    }
 }
 
 fn bench_lake(c: &mut Criterion) {

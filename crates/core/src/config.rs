@@ -11,8 +11,6 @@
 //! Defaults follow the paper: `t₁ = 500` update iterations, `t₂ = 300`
 //! k-means iterations, `λ = 0.1`, `p = 3` (the sweet spots of Figs. 6/7).
 
-use smfl_spatial::GraphWeighting;
-
 /// Which member of the model family to fit.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Variant {
@@ -122,9 +120,6 @@ pub struct SmflConfig {
     pub variant: Variant,
     /// Optimizer.
     pub updater: Updater,
-    /// Edge weighting for the similarity matrix (the paper uses binary
-    /// weights; heat-kernel weights are a GNMF-lineage extension).
-    pub weighting: GraphWeighting,
     /// Failure-handling policy (strict by default; see [`Resilience`]).
     pub resilience: Resilience,
 }
@@ -143,7 +138,6 @@ impl SmflConfig {
             seed: 0,
             variant: Variant::Smfl,
             updater: Updater::Multiplicative,
-            weighting: GraphWeighting::Binary,
             resilience: Resilience::default(),
         }
     }
@@ -204,12 +198,6 @@ impl SmflConfig {
     /// Switches to projected gradient descent.
     pub fn with_gradient_descent(mut self, learning_rate: f64) -> Self {
         self.updater = Updater::GradientDescent { learning_rate };
-        self
-    }
-
-    /// Overrides the graph edge weighting.
-    pub fn with_weighting(mut self, weighting: GraphWeighting) -> Self {
-        self.weighting = weighting;
         self
     }
 

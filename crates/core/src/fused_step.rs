@@ -251,15 +251,15 @@ fn step<R: Rank>(
                     }
                     if let Some(g) = graph {
                         du.fill(0.0);
-                        for (t, d) in g.similarity.row_entries(i) {
-                            let ld = lambda * d;
+                        let nbrs = g.neighbors(i);
+                        for &t in nbrs {
                             let ut = &uu[t * k..][..k];
                             for ((nt, gt), &b) in numer.iter_mut().zip(du.iter_mut()).zip(ut) {
-                                *nt += ld * b;
-                                *gt += d * b;
+                                *nt += lambda * b;
+                                *gt += b;
                             }
                         }
-                        let w = g.degree[i];
+                        let w = nbrs.len() as f64;
                         lap += w * dot(ui, ui) - dot(ui, du);
                         for (dt, &a) in denom.iter_mut().zip(ui) {
                             *dt += lambda * (w * a);

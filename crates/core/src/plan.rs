@@ -2,7 +2,7 @@
 //!
 //! A [`FitPlan`] is everything Algorithm 1 computes before its update
 //! loop, materialized as a reusable artifact: validated + sanitized
-//! inputs, the mean-filled SI, the p-NN similarity graph `(D, w)`
+//! inputs, the mean-filled SI, the p-NN similarity graph `D`
 //! (lines 2-3), the k-means landmarks (lines 4-6), the compiled
 //! [`ObservedPattern`] of the fused sparse engine, and a sized
 //! [`Workspace`]. Compiling is the expensive, data-dependent phase;
@@ -10,14 +10,15 @@
 //! and can be repeated — cold, or warm-started through
 //! [`SolveOptions::warm_from`] — without recompiling anything.
 //!
-//! Each sub-artifact depends on a small key of config fields, which is
-//! what [`PlanCache`] exploits during model selection: landmarks are
-//! keyed on `(K, seed, t₂, policy kind)`, the graph on `(p, weighting,
-//! policy kind)`, the compiled pattern on the (sanitized) train
-//! mask — all of them additionally on the SI matrix actually fed to
-//! them. `grid_search` over the paper's λ-sweep therefore runs k-means
-//! once per distinct `K` and builds one graph per distinct `p` instead
-//! of once per candidate × fold.
+//! The landmarks and the graph depend only on a small key of config
+//! fields and on the SI, which is what [`PlanCache`] exploits during
+//! model selection: landmarks are keyed on `(K, seed, t₂, policy
+//! kind)`, the graph on `(p, policy kind)` — both additionally on the
+//! SI matrix actually fed to them. `grid_search` over the paper's
+//! λ-sweep therefore runs k-means once per distinct `K` and builds one
+//! graph per distinct `p` instead of once per candidate × fold. The
+//! compiled pattern holds the observed values of `x` and is compiled
+//! fresh by every plan.
 
 use crate::config::{Resilience, SmflConfig, Updater};
 use crate::health::{FitEvent, FitReport};
@@ -26,7 +27,7 @@ use crate::model::FittedModel;
 use crate::resilience::{build_graph, compute_landmarks, record, sanitize_inputs};
 use crate::telemetry::{NoopSink, Phase, SpanEvent, TraceSink};
 use smfl_linalg::{LinalgError, Mask, Matrix, ObservedPattern, Result, Workspace};
-use smfl_spatial::{fill_missing_si, GraphWeighting, SpatialGraph};
+use smfl_spatial::{fill_missing_si, SpatialGraph};
 use std::borrow::Cow;
 use std::mem::{discriminant, Discriminant};
 use std::sync::Arc;
@@ -61,9 +62,8 @@ impl SolveOptions {
 /// A compiled fit: validated inputs plus every pre-loop artifact of
 /// Algorithm 1, ready to [`solve`](Self::solve) any number of times.
 ///
-/// The heavyweight artifacts (`ObservedPattern`, graph) are
-/// `Arc`-shared so a [`PlanCache`] can hand the same compiled
-/// objects to many plans without copying.
+/// The graph is `Arc`-shared so a [`PlanCache`] can hand the same
+/// compiled graph to many plans without copying.
 #[derive(Debug, Clone)]
 pub struct FitPlan {
     pub(crate) config: SmflConfig,
@@ -71,8 +71,8 @@ pub struct FitPlan {
     /// against; also the plan's shape.
     pub(crate) omega: Mask,
     /// Ω + observed values, the only copy of the data a solve reads.
-    pub(crate) pattern: Arc<ObservedPattern>,
-    /// Similarity graph `(D, w)` (`None` when λ = 0, the variant has
+    pub(crate) pattern: ObservedPattern,
+    /// Similarity graph `D` (`None` when λ = 0, the variant has
     /// no spatial term, or the degradation ladder dropped it).
     pub(crate) graph: Option<Arc<SpatialGraph>>,
     /// Landmarks to freeze into `V` (`None` for NMF/SMF or when the
@@ -108,10 +108,7 @@ impl FitPlan {
     }
 
     /// [`compile`](Self::compile) through a [`PlanCache`], reusing any
-    /// cached landmarks / graph / compiled pattern whose key matches.
-    /// All plans served by one cache **must** share the same data
-    /// matrix `x` — the cache keys sub-artifacts on config fields, the
-    /// SI and the mask, and cannot detect a swapped `x` on its own.
+    /// cached landmarks and graph whose key and SI match.
     pub fn compile_cached(
         x: &Matrix,
         omega: &Mask,
@@ -201,7 +198,6 @@ impl FitPlan {
             })?;
             let key = GraphKey {
                 p: config.p_neighbors,
-                weighting: config.weighting,
                 policy: discriminant(&config.resilience),
             };
             match cache.as_deref_mut().and_then(|c| c.lookup_graph(&key)) {
@@ -288,29 +284,14 @@ impl FitPlan {
         };
 
         // Compile Ω + X into the fused iteration engine's sparse
-        // pattern. The per-plan scratch is always allocated fresh (it
-        // is rank-dependent and mutable); the pattern is shareable and
-        // cached by mask.
+        // pattern, and size the per-plan scratch. Neither is cached: the
+        // pattern holds the observed values of `x`, and the scratch is
+        // rank-dependent and mutable.
         let pat_t0 = S::ENABLED.then(Instant::now);
-        let (pattern, pattern_hit) =
-            match cache.as_deref_mut().and_then(|c| c.lookup_pattern(omega)) {
-                Some(pat) => {
-                    cache_hits += 1;
-                    (pat, true)
-                }
-                None => {
-                    let pat = Arc::new(ObservedPattern::compile(x, omega)?);
-                    if let Some(c) = &mut cache {
-                        c.insert_pattern(omega.clone(), pat.clone());
-                    }
-                    (pat, false)
-                }
-            };
+        let pattern = ObservedPattern::compile(x, omega)?;
         let workspace = Workspace::new(&pattern, k);
         if let Some(t0) = pat_t0 {
-            if !pattern_hit {
-                sink.span(&SpanEvent { phase: Phase::PatternCompile, wall: t0.elapsed() });
-            }
+            sink.span(&SpanEvent { phase: Phase::PatternCompile, wall: t0.elapsed() });
         }
 
         if let Some(t0) = compile_t0 {
@@ -359,9 +340,9 @@ impl FitPlan {
     /// (they depend on the SI columns, which serving refits leave
     /// alone — recompile if yours change). When the (sanitized) mask
     /// equals the plan's, the compiled pattern is refilled **in place**
-    /// — zero heap allocation while the plan's pattern is unshared; a
-    /// changed mask recompiles the pattern (the workspace's packed
-    /// buffers follow it on the next solve's first sparse step).
+    /// — zero heap allocation; a changed mask recompiles the pattern
+    /// (the workspace's packed buffers follow it on the next solve's
+    /// first sparse step).
     pub fn rebind(&mut self, x: &Matrix, omega: &Mask) -> Result<()> {
         if x.shape() != self.shape() {
             return Err(LinalgError::DimensionMismatch {
@@ -374,9 +355,9 @@ impl FitPlan {
         let (x, omega) =
             sanitize_and_validate(x, omega, &self.config, &mut self.report, &mut NoopSink)?;
         if *omega == self.omega {
-            Arc::make_mut(&mut self.pattern).refill(&x, &omega)?;
+            self.pattern.refill(&x, &omega)?;
         } else {
-            self.pattern = Arc::new(ObservedPattern::compile(&x, &omega)?);
+            self.pattern = ObservedPattern::compile(&x, &omega)?;
             self.omega = omega.into_owned();
         }
         Ok(())
@@ -427,7 +408,6 @@ struct LmEntry {
 #[derive(Debug, Clone, PartialEq)]
 struct GraphKey {
     p: usize,
-    weighting: GraphWeighting,
     policy: Discriminant<Resilience>,
 }
 
@@ -450,26 +430,21 @@ pub struct PlanCacheStats {
     pub graph_builds: usize,
     /// Graph stages served from cache.
     pub graph_hits: usize,
-    /// Observed-pattern compilations actually executed.
-    pub pattern_compiles: usize,
-    /// Pattern stages served from cache.
-    pub pattern_hits: usize,
     /// Times the cache had to flush its landmark/graph entries because
     /// a compile presented a different SI matrix.
     pub si_resets: usize,
 }
 
 /// Cross-compile cache of a plan's shareable sub-artifacts, used by
-/// [`crate::grid_search`] to avoid recomputing k-means landmarks,
-/// similarity graphs and compiled patterns across candidates and
-/// folds.
+/// [`crate::grid_search`] to avoid recomputing k-means landmarks and
+/// similarity graphs across candidates and folds.
 ///
 /// Keying: landmarks on `(K, seed, t₂, policy kind)`, graphs on `(p,
-/// weighting, policy kind)`, patterns on the sanitized mask —
-/// each entry implicitly also on the SI matrix it was built from (a
-/// compile presenting a different SI flushes the landmark and graph
-/// entries). **One cache serves one data matrix `x`**: the cache
-/// cannot detect a swapped `x` with an unchanged mask and SI.
+/// policy kind)` — each entry implicitly also on the SI matrix it was
+/// built from (a compile presenting a different SI flushes every
+/// entry). Nothing else a plan holds is cached: the compiled pattern
+/// carries the observed values of `x`, so every compile builds its
+/// own.
 ///
 /// Event replay: each entry stores the `FitEvent`s its original build
 /// recorded (e.g. `LaplacianDropped`), and a hit replays them into the
@@ -480,7 +455,6 @@ pub struct PlanCache {
     si: Option<Matrix>,
     landmarks: Vec<(LmKey, LmEntry)>,
     graphs: Vec<(GraphKey, GraphEntry)>,
-    patterns: Vec<(Mask, Arc<ObservedPattern>)>,
     stats: PlanCacheStats,
 }
 
@@ -500,7 +474,6 @@ impl PlanCache {
         self.si = None;
         self.landmarks.clear();
         self.graphs.clear();
-        self.patterns.clear();
     }
 
     /// Keeps the landmark/graph entries only while the presented SI
@@ -543,19 +516,6 @@ impl PlanCache {
     fn insert_landmarks(&mut self, key: LmKey, entry: LmEntry) {
         self.stats.kmeans_runs += 1;
         self.landmarks.push((key, entry));
-    }
-
-    fn lookup_pattern(&mut self, omega: &Mask) -> Option<Arc<ObservedPattern>> {
-        let hit = self.patterns.iter().find(|(m, _)| m == omega).map(|(_, pat)| pat.clone());
-        if hit.is_some() {
-            self.stats.pattern_hits += 1;
-        }
-        hit
-    }
-
-    fn insert_pattern(&mut self, omega: Mask, pat: Arc<ObservedPattern>) {
-        self.stats.pattern_compiles += 1;
-        self.patterns.push((omega, pat));
     }
 }
 
@@ -633,9 +593,9 @@ fn validate(x: &Matrix, omega: &Mask, config: &SmflConfig) -> Result<()> {
             });
         }
         if multiplicative && v < 0.0 {
-            return Err(LinalgError::BadLength {
-                expected: 0,
-                actual: i * m + j,
+            return Err(LinalgError::Negative {
+                op: "fit",
+                index: (i, j),
             });
         }
     }
@@ -719,9 +679,42 @@ mod tests {
         assert_eq!(stats.landmark_hits, 1);
         assert_eq!(stats.graph_builds, 1);
         assert_eq!(stats.graph_hits, 2);
-        assert_eq!(stats.pattern_compiles, 1);
-        assert_eq!(stats.pattern_hits, 2);
         assert_eq!(stats.si_resets, 0);
+    }
+
+    #[test]
+    fn cached_compile_fits_the_data_it_is_given() {
+        // Same mask, same SI columns, new attribute values: the cache
+        // may share the graph and landmarks, but the plan must fit x₂.
+        let x1 = spatial_data(40, 6, 33);
+        let mut x2 = x1.clone();
+        for i in 0..x2.rows() {
+            for j in 2..x2.cols() {
+                x2.set(i, j, x1.get(i, j) * 0.5 + 0.1);
+            }
+        }
+        let omega = drop_cells(40, 6, 4);
+        let cfg = SmflConfig::smfl(3, 2).with_max_iter(15);
+        let mut cache = PlanCache::new();
+        FitPlan::compile_cached(&x1, &omega, &cfg, &mut cache).unwrap();
+        let cached = FitPlan::compile_cached(&x2, &omega, &cfg, &mut cache)
+            .unwrap()
+            .solve()
+            .unwrap();
+        let fresh = FitPlan::compile(&x2, &omega, &cfg).unwrap().solve().unwrap();
+        assert!(fresh.u.approx_eq(&cached.u, 0.0));
+        assert!(fresh.v.approx_eq(&cached.v, 0.0));
+        assert_eq!(fresh.objective_history, cached.objective_history);
+        let stats = cache.stats();
+        assert_eq!((stats.graph_hits, stats.landmark_hits, stats.si_resets), (1, 1, 0));
+    }
+
+    #[test]
+    fn negative_observed_value_is_a_typed_error() {
+        let mut x = spatial_data(10, 5, 34);
+        x.set(2, 3, -0.5);
+        let err = FitPlan::compile(&x, &Mask::full(10, 5), &SmflConfig::nmf(2)).unwrap_err();
+        assert_eq!(err, LinalgError::Negative { op: "fit", index: (2, 3) });
     }
 
     #[test]

@@ -131,10 +131,10 @@ pub(crate) fn compute_landmarks<S: TraceSink>(
 /// on the SI.
 ///
 /// Under `Strict` build errors propagate. Under `Recover` a failed
-/// build, non-finite edge weights or an edgeless graph drop the
-/// Laplacian term (recorded), leaving landmarks intact. A disconnected
-/// graph is kept under both policies: its Laplacian is still PSD and
-/// regularizes each component on its own.
+/// build or an edgeless graph drops the Laplacian term (recorded),
+/// leaving landmarks intact. A disconnected graph is kept under both
+/// policies: its Laplacian is still PSD and regularizes each component
+/// on its own.
 pub(crate) fn build_graph<S: TraceSink>(
     si: &Matrix,
     config: &SmflConfig,
@@ -146,8 +146,7 @@ pub(crate) fn build_graph<S: TraceSink>(
         Ok(g) if !recover => return Ok(Some(g)),
         Err(err) if !recover => return Err(err),
         Err(_) => "graph construction failed",
-        Ok(g) if !g.all_finite() => "non-finite edge weights",
-        Ok(g) if si.rows() > 1 && g.similarity.nnz() == 0 => "edgeless graph",
+        Ok(g) if si.rows() > 1 && g.nnz() == 0 => "edgeless graph",
         Ok(g) => return Ok(Some(g)),
     };
     record(report, sink, FitEvent::LaplacianDropped { reason });
@@ -162,13 +161,8 @@ fn build_graph_traced<S: TraceSink>(
     config: &SmflConfig,
     sink: &mut S,
 ) -> Result<SpatialGraph> {
-    let (g, stats) = SpatialGraph::build_instrumented(
-        si,
-        config.p_neighbors,
-        NeighborSearch::KdTree,
-        config.weighting,
-        0,
-    )?;
+    let (g, stats) =
+        SpatialGraph::build_instrumented(si, config.p_neighbors, NeighborSearch::KdTree, 0)?;
     if S::ENABLED {
         sink.span(&SpanEvent { phase: Phase::GraphKnn, wall: stats.knn });
         sink.span(&SpanEvent { phase: Phase::GraphAssembly, wall: stats.assembly });

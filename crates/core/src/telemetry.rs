@@ -80,7 +80,7 @@ pub enum Phase {
     SiFill,
     /// Bulk kNN queries of the graph build (sub-span of `GraphBuild`).
     GraphKnn,
-    /// CSR assembly of the graph build (sub-span of `GraphBuild`).
+    /// Adjacency assembly of the graph build (sub-span of `GraphBuild`).
     GraphAssembly,
     /// The whole spatial-graph construction.
     GraphBuild,

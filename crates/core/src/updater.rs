@@ -121,14 +121,28 @@ pub fn multiplicative_step(
 }
 
 /// `Tr(UᵀLU) = Σ_i w_i·|u_i|² − u_i·(D·U)_i`, from `D·U` in `du`.
-fn laplacian_from_du(u: &Matrix, du: &Matrix, degree: &[f64]) -> f64 {
+fn laplacian_from_du(u: &Matrix, du: &Matrix, g: &SpatialGraph) -> f64 {
     let k = u.cols().max(1);
     u.as_slice()
         .chunks_exact(k)
         .zip(du.as_slice().chunks_exact(k))
-        .zip(degree)
-        .map(|((ui, gi), &w)| w * dot(ui, ui) - dot(ui, gi))
+        .enumerate()
+        .map(|(i, (ui, gi))| g.degree(i) * dot(ui, ui) - dot(ui, gi))
         .sum()
+}
+
+/// `out = D·U`: row `i` is the sum of `u`'s rows at `i`'s neighbours,
+/// in ascending neighbour order.
+fn adjacency_product(g: &SpatialGraph, u: &Matrix, out: &mut Matrix) {
+    out.as_mut_slice().fill(0.0);
+    for i in 0..g.len() {
+        let orow = out.row_mut(i);
+        for &t in g.neighbors(i) {
+            for (o, &b) in orow.iter_mut().zip(u.row(t)) {
+                *o += b;
+            }
+        }
+    }
 }
 
 /// The multiplicative step on the sparse kernels (SDDMM + SpMM/SpMMᵀ).
@@ -154,9 +168,9 @@ fn sparse_multiplicative_step(
     ws.counters.masked_nnz += 2 * nnz;
     let laplacian = match ctx.active_graph() {
         Some(g) => {
-            g.similarity.spmm_into(u, &mut ws.reg_a)?; // D·U
-            update_u_with_graph(u, ws, &g.degree, ctx.lambda);
-            laplacian_from_du(u, &ws.reg_a, &g.degree)
+            adjacency_product(g, u, &mut ws.reg_a); // D·U
+            update_u_with_graph(u, ws, g, ctx.lambda);
+            laplacian_from_du(u, &ws.reg_a, g)
         }
         None => {
             for ((o, &x), &d) in ws
@@ -204,7 +218,7 @@ fn sparse_multiplicative_step(
 /// `u'_ik = u_ik·(N_ik + λ·(D·U)_ik) / (Dn_ik + λ·w_i·u_ik + EPS)`, with
 /// the numerator `N` already in `ws.u_next` (overwritten by `u'`), `Dn`
 /// in `ws.denom_u` and `D·U` in `ws.reg_a`.
-fn update_u_with_graph(u: &Matrix, ws: &mut Workspace, degree: &[f64], lambda: f64) {
+fn update_u_with_graph(u: &Matrix, ws: &mut Workspace, g: &SpatialGraph, lambda: f64) {
     let k = u.cols();
     if k == 0 {
         return;
@@ -215,11 +229,11 @@ fn update_u_with_graph(u: &Matrix, ws: &mut Workspace, degree: &[f64], lambda: f
         .chunks_exact_mut(k)
         .zip(u.as_slice().chunks_exact(k))
         .zip(ws.denom_u.as_slice().chunks_exact(k))
-        .zip(ws.reg_a.as_slice().chunks_exact(k))
-        .zip(degree);
-    for ((((orow, urow), drow), grow), &w) in rows {
-        for (((o, &x), &d), &g) in orow.iter_mut().zip(urow).zip(drow).zip(grow) {
-            *o = x * ((*o + lambda * g) / (d + lambda * (w * x) + EPS));
+        .zip(ws.reg_a.as_slice().chunks_exact(k));
+    for (i, (((orow, urow), drow), grow)) in rows.enumerate() {
+        let w = g.degree(i);
+        for (((o, &x), &d), &du) in orow.iter_mut().zip(urow).zip(drow).zip(grow) {
+            *o = x * ((*o + lambda * du) / (d + lambda * (w * x) + EPS));
         }
     }
 }

@@ -62,11 +62,22 @@ fn problem(n: usize, m: usize, density: f64, seed: u64) -> (Matrix, Mask) {
     (x, omega)
 }
 
+/// The similarity matrix `D`, dense, from the graph's adjacency.
+fn dense_similarity(g: &SpatialGraph) -> Matrix {
+    let mut d = Matrix::zeros(g.len(), g.len());
+    for i in 0..g.len() {
+        for &j in g.neighbors(i) {
+            d.set(i, j, 1.0);
+        }
+    }
+    d
+}
+
 /// The graph Laplacian `L = diag(w) − D`, dense.
 fn dense_laplacian(g: &SpatialGraph) -> Matrix {
-    let mut l = g.similarity.to_dense().scale(-1.0);
-    for (i, &w) in g.degree.iter().enumerate() {
-        l.set(i, i, w);
+    let mut l = dense_similarity(g).scale(-1.0);
+    for i in 0..g.len() {
+        l.set(i, i, g.degree(i));
     }
     l
 }
@@ -163,11 +174,11 @@ fn oracle_step(
     let mut numer = matmul_bt(&masked_x, v).unwrap();
     let mut denom = matmul_bt(&r, v).unwrap();
     if let Some((g, lambda)) = graph {
-        let d = g.similarity.to_dense();
+        let d = dense_similarity(g);
         let w = Matrix::from_fn(
             u.rows(),
             u.rows(),
-            |i, j| if i == j { g.degree[i] } else { 0.0 },
+            |i, j| if i == j { g.degree(i) } else { 0.0 },
         );
         numer.axpy(lambda, &matmul(&d, u).unwrap()).unwrap();
         denom.axpy(lambda, &matmul(&w, u).unwrap()).unwrap();

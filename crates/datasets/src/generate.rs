@@ -443,7 +443,7 @@ mod tests {
         let mut neigh_diff = 0.0;
         let mut neigh_cnt = 0usize;
         for i in 0..d.n() {
-            for (j, _) in g.similarity.row_entries(i) {
+            for &j in g.neighbors(i) {
                 neigh_diff += (col[i] - col[j]).abs();
                 neigh_cnt += 1;
             }
@@ -517,7 +517,7 @@ mod tests {
         let mut neigh_diff = 0.0;
         let mut cnt = 0usize;
         for i in 0..d.n() {
-            for (j, _) in g.similarity.row_entries(i) {
+            for &j in g.neighbors(i) {
                 neigh_diff += (fuel[i] - fuel[j]).abs();
                 cnt += 1;
             }

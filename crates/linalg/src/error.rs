@@ -55,6 +55,14 @@ pub enum LinalgError {
         /// Position of the first non-finite cell.
         index: (usize, usize),
     },
+    /// A value that must be nonnegative was negative. Holds the
+    /// operation name and the (row, col) of the first offending cell.
+    Negative {
+        /// Name of the operation that found the value.
+        op: &'static str,
+        /// Position of the first negative cell.
+        index: (usize, usize),
+    },
     /// An internal invariant was violated — a bug surfaced as a
     /// recoverable error instead of a panic, so a serving process can
     /// reject the one request and stay up.
@@ -90,6 +98,11 @@ impl fmt::Display for LinalgError {
             LinalgError::NonFinite { op, index } => write!(
                 f,
                 "non-finite value in {op} at ({}, {})",
+                index.0, index.1
+            ),
+            LinalgError::Negative { op, index } => write!(
+                f,
+                "negative value in {op} at ({}, {})",
                 index.0, index.1
             ),
             LinalgError::Internal { invariant } => {
@@ -150,6 +163,10 @@ mod tests {
         assert_eq!(
             LinalgError::NonFinite { op: "fit", index: (3, 1) }.to_string(),
             "non-finite value in fit at (3, 1)"
+        );
+        assert_eq!(
+            LinalgError::Negative { op: "fit", index: (2, 4) }.to_string(),
+            "negative value in fit at (2, 4)"
         );
         assert_eq!(
             LinalgError::Internal { invariant: "si computed" }.to_string(),

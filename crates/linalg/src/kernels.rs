@@ -273,17 +273,6 @@ impl ObservedPattern {
         (&self.csc_ptr, &self.csc_rows, &self.csc_perm)
     }
 
-    /// `(row, packed slot)` pairs of column `j`, in row order. The slot
-    /// indexes the same CSR-ordered value arrays as [`Self::row_entries`].
-    pub fn col_entries(&self, j: usize) -> impl Iterator<Item = (usize, usize)> + '_ {
-        debug_assert!(j < self.cols);
-        let range = self.csc_ptr[j]..self.csc_ptr[j + 1];
-        self.csc_rows[range.clone()]
-            .iter()
-            .zip(&self.csc_perm[range])
-            .map(|(&i, &s)| (i, s))
-    }
-
     fn check_factors(&self, u: &Matrix, vt: &Matrix, op: &'static str) -> Result<usize> {
         if u.rows() != self.rows || vt.rows() != self.cols || u.cols() != vt.cols() {
             return Err(LinalgError::DimensionMismatch {
@@ -663,10 +652,12 @@ mod tests {
     #[test]
     fn csc_view_is_a_permutation_of_csr() {
         let (_, _, p, _, _) = fixture(9, 6, 2, 4);
+        let (csc_ptr, csc_rows, csc_perm) = p.csc();
         let mut seen = vec![false; p.nnz()];
         for j in 0..p.cols() {
             let mut last_row = None;
-            for (i, slot) in p.col_entries(j) {
+            for e in csc_ptr[j]..csc_ptr[j + 1] {
+                let (i, slot) = (csc_rows[e], csc_perm[e]);
                 assert!(last_row < Some(i), "CSC rows must ascend");
                 last_row = Some(i);
                 // slot must point at the CSR entry for (i, j)

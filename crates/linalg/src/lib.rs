@@ -1,6 +1,6 @@
 //! # smfl-linalg
 //!
-//! Dense and sparse linear-algebra substrate for the SMFL reproduction
+//! Linear-algebra substrate for the SMFL reproduction
 //! (*Matrix Factorization with Landmarks for Spatial Data*, ICDE 2023).
 //!
 //! The paper's algorithms are expressed over NumPy-class primitives; this
@@ -17,8 +17,6 @@
 //! - [`Mask`] — the `Ω` / `Ψ` observation bitsets and the masked
 //!   operators `R_Ω(·)` (paper §II-A), including `R_Ω(U·V)` evaluated
 //!   sparsely.
-//! - [`CsrMatrix`] — sparse storage for the kNN similarity matrix `D`
-//!   (paper §II-C).
 //! - [`kernels`] — the fused sparse-residual iteration engine:
 //!   [`ObservedPattern`] compiles `Ω` + `X` into CSR/CSC once per fit,
 //!   and SDDMM / SpMM kernels evaluate the update-rule products at
@@ -51,12 +49,10 @@ pub mod ops;
 pub mod parallel;
 pub mod random;
 pub mod solve;
-pub mod sparse;
 pub mod svd;
 
 pub use error::{LinalgError, Result};
 pub use kernels::{KernelCounters, ObservedPattern, Workspace};
 pub use mask::Mask;
 pub use matrix::Matrix;
-pub use sparse::CsrMatrix;
 pub use svd::{thin_svd, Svd};

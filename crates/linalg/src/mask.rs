@@ -316,24 +316,6 @@ impl Mask {
 /// sparse, only the observed dot products are computed
 /// (`|Ω| · K` work instead of `N·M·K`).
 pub fn masked_product(u: &Matrix, v: &Matrix, mask: &Mask) -> Result<Matrix> {
-    let mut vt = Matrix::zeros(v.cols(), v.rows());
-    let mut out = Matrix::zeros(u.rows(), v.cols());
-    masked_product_into(u, v, mask, &mut vt, &mut out)?;
-    Ok(out)
-}
-
-/// [`masked_product`] into caller-owned buffers: `vt` is a
-/// `v.cols() x v.rows()` scratch for the transpose of `V` and `out`
-/// receives the result, so repeated calls (the pre-engine hot path)
-/// allocate nothing. The `vt` scratch is only written on the sparse
-/// branch; `out` is fully overwritten either way.
-pub fn masked_product_into(
-    u: &Matrix,
-    v: &Matrix,
-    mask: &Mask,
-    vt: &mut Matrix,
-    out: &mut Matrix,
-) -> Result<()> {
     if u.cols() != v.rows() {
         return Err(LinalgError::DimensionMismatch {
             left: u.shape(),
@@ -348,12 +330,12 @@ pub fn masked_product_into(
             op: "masked_product",
         });
     }
+    let mut out = Matrix::zeros(u.rows(), v.cols());
     if mask.density() > 0.5 {
-        matmul_into(u, v, out)?;
-        mask.zero_unset(out)
+        matmul_into(u, v, &mut out)?;
+        mask.zero_unset(&mut out)?;
     } else {
-        v.transpose_into(vt)?;
-        out.as_mut_slice().fill(0.0);
+        let vt = v.transpose();
         for i in 0..mask.rows() {
             let urow = u.row(i);
             let orow = out.row_mut(i);
@@ -361,8 +343,8 @@ pub fn masked_product_into(
                 orow[j] = crate::ops::dot(urow, vt.row(j));
             }
         }
-        Ok(())
     }
+    Ok(out)
 }
 
 /// `||R_mask(X − P)||_F²`: the masked squared reconstruction error — the
@@ -544,20 +526,5 @@ mod tests {
         let mut untouched = x.clone();
         Mask::full(9, 13).zero_unset(&mut untouched).unwrap();
         assert!(untouched.approx_eq(&x, 0.0));
-    }
-
-    #[test]
-    fn masked_product_into_reuses_buffers() {
-        let u = Matrix::from_fn(6, 3, |i, j| (i + j) as f64 * 0.3);
-        let v = Matrix::from_fn(3, 5, |i, j| (2 * i + j) as f64 * 0.2);
-        let mask = Mask::from_positions(6, 5, &[(0, 0), (3, 2), (5, 4)]).unwrap();
-        let mut vt = Matrix::zeros(5, 3);
-        let mut out = Matrix::zeros(6, 5);
-        let p_out = out.as_slice().as_ptr();
-        for _ in 0..3 {
-            masked_product_into(&u, &v, &mask, &mut vt, &mut out).unwrap();
-        }
-        assert_eq!(p_out, out.as_slice().as_ptr());
-        assert!(out.approx_eq(&masked_product(&u, &v, &mask).unwrap(), 0.0));
     }
 }

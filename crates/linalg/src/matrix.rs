@@ -359,16 +359,6 @@ impl Matrix {
         self.data.iter().all(|&x| x >= -tol)
     }
 
-    /// Clamps every element to be at least `floor` (used to keep
-    /// multiplicative updates strictly positive).
-    pub fn clamp_min(&mut self, floor: f64) {
-        for x in &mut self.data {
-            if *x < floor {
-                *x = floor;
-            }
-        }
-    }
-
     /// `true` when all elements differ from `other` by at most `tol`.
     pub fn approx_eq(&self, other: &Matrix, tol: f64) -> bool {
         self.shape() == other.shape()
@@ -564,13 +554,6 @@ mod tests {
         m.set(0, 0, -0.5);
         assert!(!m.is_nonnegative(1e-9));
         assert!(m.is_nonnegative(1.0));
-    }
-
-    #[test]
-    fn clamp_min_floors() {
-        let mut m = Matrix::from_vec(1, 3, vec![-1.0, 0.0, 2.0]).unwrap();
-        m.clamp_min(1e-3);
-        assert_eq!(m.as_slice(), &[1e-3, 1e-3, 2.0]);
     }
 
     #[test]

@@ -3,12 +3,12 @@
 //! These pin down the algebraic identities the SMFL updater relies on:
 //! associativity-free product orientations agreeing with explicit
 //! transposes, mask algebra partitioning cells exactly, SVD
-//! reconstruction, and CSR/dense agreement.
+//! reconstruction.
 
 use proptest::prelude::*;
 use smfl_linalg::mask::{masked_diff_norm_sq, masked_product};
 use smfl_linalg::ops::{matmul, matmul_at, matmul_bt};
-use smfl_linalg::{thin_svd, CsrMatrix, Mask, Matrix};
+use smfl_linalg::{thin_svd, Mask, Matrix};
 
 /// Strategy: a rows x cols matrix with entries in [-5, 5].
 fn matrix(rows: usize, cols: usize) -> impl Strategy<Value = Matrix> {
@@ -155,46 +155,5 @@ proptest! {
             prop_assert!(w[0] >= w[1] - 1e-10);
         }
         prop_assert!(s.sigma.iter().all(|&x| x >= 0.0));
-    }
-
-    #[test]
-    fn csr_spmm_matches_dense(n in 1usize..8, m in 1usize..8, k in 1usize..6, seed in 0u64..200) {
-        let sel = smfl_linalg::random::uniform_matrix(n, m, 0.0, 1.0, seed);
-        let mut triplets = Vec::new();
-        for i in 0..n {
-            for j in 0..m {
-                let v = sel.get(i, j);
-                if v > 0.5 {
-                    triplets.push((i, j, v));
-                }
-            }
-        }
-        let sp = CsrMatrix::from_triplets(n, m, &triplets).unwrap();
-        let b = smfl_linalg::random::uniform_matrix(m, k, -1.0, 1.0, seed + 5);
-        let sparse = sp.spmm(&b).unwrap();
-        let dense = matmul(&sp.to_dense(), &b).unwrap();
-        prop_assert!(sparse.approx_eq(&dense, 1e-10));
-    }
-
-    #[test]
-    fn csr_quadratic_form_matches_trace(n in 1usize..7, k in 1usize..5, seed in 0u64..200) {
-        let sel = smfl_linalg::random::uniform_matrix(n, n, -1.0, 1.0, seed);
-        // symmetrize to mimic a Laplacian-like operator
-        let sym = sel.add(&sel.transpose()).unwrap();
-        let mut triplets = Vec::new();
-        for i in 0..n {
-            for j in 0..n {
-                let v = sym.get(i, j);
-                if v.abs() > 0.7 {
-                    triplets.push((i, j, v));
-                }
-            }
-        }
-        let sp = CsrMatrix::from_triplets(n, n, &triplets).unwrap();
-        let u = smfl_linalg::random::uniform_matrix(n, k, -1.0, 1.0, seed + 3);
-        let qf = sp.quadratic_form(&u).unwrap();
-        let dense = matmul(&sp.to_dense(), &u).unwrap();
-        let trace = matmul_at(&u, &dense).unwrap().trace().unwrap();
-        prop_assert!((qf - trace).abs() < 1e-9);
     }
 }

@@ -2,17 +2,19 @@
 //!
 //! `D` is the symmetric binary p-nearest-neighbour similarity matrix
 //! (Formula 3): `d_ij = 1` iff `x_i ∈ NN_p(x_j)` or `x_j ∈ NN_p(x_i)`,
-//! computed on the spatial information `SI`. `W` is the diagonal degree
-//! matrix (Formula 4), stored as its diagonal `w`. The graph Laplacian
-//! `L = W − D` is never materialized: every consumer works from `(D, w)`
-//! — `L·U = w∘U − D·U`, and `Tr(UᵀLU)` in degree form. `D` is stored
-//! sparse ([`CsrMatrix`]): each row holds at most `2p` entries, so the
-//! per-iteration product `D·U` in the update rule (Formula 13) costs
-//! `O(nnz·K)` instead of `O(N²K)`, and `W·U` is a row scaling.
+//! computed on the spatial information `SI`. A binary `D` is its
+//! adjacency, so the graph stores exactly that: CSR row offsets and
+//! each row's neighbour indices, ascending, with no self loops. The
+//! degree `w_i` of Formula 4 is the length of row `i`. The graph
+//! Laplacian `L = W − D` is never materialized: every consumer works
+//! from the adjacency — `L·U = w∘U − D·U`, and `Tr(UᵀLU)` in degree
+//! form. Each row holds at most `2p` neighbours, so the per-iteration
+//! product `D·U` in the update rule (Formula 13) costs `O(nnz·K)`
+//! instead of `O(N²K)`, and `W·U` is a row scaling.
 
 use crate::kdtree::{brute_force_nearest, KdTree, Neighbor};
 use smfl_linalg::ops::dot;
-use smfl_linalg::{CsrMatrix, LinalgError, Mask, Matrix, Result};
+use smfl_linalg::{LinalgError, Mask, Matrix, Result};
 use std::time::{Duration, Instant};
 
 /// Wall-clock breakdown of one graph build, reported by
@@ -20,13 +22,12 @@ use std::time::{Duration, Instant};
 ///
 /// The two phases partition the pipeline: `knn` covers kd-tree
 /// construction (or the brute-force scan) plus the bulk neighbour
-/// queries; `assembly` covers symmetrization, the direct CSR emission
-/// of `D` and the degree vector.
+/// queries; `assembly` covers symmetrization into the CSR adjacency.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct GraphBuildStats {
     /// Time spent computing the directed p-NN edge lists.
     pub knn: Duration,
-    /// Time spent assembling the CSR triple from the edge lists.
+    /// Time spent assembling the CSR adjacency from the edge lists.
     pub assembly: Duration,
 }
 
@@ -41,37 +42,17 @@ pub enum NeighborSearch {
     BruteForce,
 }
 
-/// The spatial graph `(D, w)` of the paper: the similarity matrix and
-/// the diagonal of the degree matrix, which together determine the
+/// The spatial graph of the paper: the binary similarity matrix `D`
+/// as its adjacency, which also gives the degrees `w` and so the
 /// Laplacian `L = W − D`.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SpatialGraph {
-    /// Binary symmetric similarity matrix `D` (Formula 3).
-    pub similarity: CsrMatrix,
-    /// Diagonal of the degree matrix `W` (Formula 4):
-    /// `w_i = Σ_j d_ij`, the row sums of [`Self::similarity`].
-    pub degree: Vec<f64>,
+    /// Row `i`'s neighbours are `adjacency[offsets[i]..offsets[i + 1]]`.
+    offsets: Vec<usize>,
+    /// Neighbour indices, strictly ascending within each row.
+    adjacency: Vec<usize>,
     /// Number of nearest neighbours `p` used.
     pub p: usize,
-}
-
-/// Edge-weighting scheme for the similarity matrix.
-///
-/// The paper uses [`GraphWeighting::Binary`] (Formula 3); the GNMF
-/// lineage it builds on (Cai et al., the paper's reference \[9\]) also
-/// studies heat-kernel weights `d_ij = exp(−‖x_i − x_j‖² / (2σ²))`,
-/// which downweight the farthest of the p neighbours — provided as an
-/// extension. No bench ablates it; the unit tests and
-/// `smfl-core`'s `weighting` suite cover it.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum GraphWeighting {
-    /// `d_ij ∈ {0, 1}` — the paper's Formula 3.
-    Binary,
-    /// `d_ij = exp(−dist² / (2σ²))` on the same p-NN support.
-    HeatKernel {
-        /// Kernel bandwidth σ.
-        sigma: f64,
-    },
 }
 
 impl SpatialGraph {
@@ -83,25 +64,24 @@ impl SpatialGraph {
     /// oracle, so both [`NeighborSearch`] variants yield identical
     /// graphs.
     pub fn build(si: &Matrix, p: usize, search: NeighborSearch) -> Result<SpatialGraph> {
-        Self::build_instrumented(si, p, search, GraphWeighting::Binary, 0).map(|(g, _)| g)
+        Self::build_instrumented(si, p, search, 0).map(|(g, _)| g)
     }
 
-    /// The full-control constructor: explicit edge weighting and thread
-    /// count (`0` = automatic; it bounds both kd-tree construction and
-    /// the bulk kNN query, and every count yields the identical graph).
-    /// Also returns the per-phase wall-clock breakdown
-    /// ([`GraphBuildStats`]), at the cost of four monotonic-clock reads.
+    /// [`build`](Self::build) with an explicit thread count (`0` =
+    /// automatic; it bounds both kd-tree construction and the bulk kNN
+    /// query, and every count yields the identical graph). Also returns
+    /// the per-phase wall-clock breakdown ([`GraphBuildStats`]), at the
+    /// cost of four monotonic-clock reads.
     ///
     /// The pipeline is (1) a bulk kNN pass answering all `N` queries in
     /// parallel chunks, then (2) a serial sort/merge assembly that
-    /// symmetrizes the directed edge lists and emits `D` directly in CSR
-    /// form — one counting pass, no hashing, no triplet intermediates —
-    /// followed by the degrees `w`.
+    /// symmetrizes the directed edge lists straight into the CSR
+    /// adjacency — one counting pass, no hashing, no triplet
+    /// intermediates.
     pub fn build_instrumented(
         si: &Matrix,
         p: usize,
         search: NeighborSearch,
-        weighting: GraphWeighting,
         threads: usize,
     ) -> Result<(SpatialGraph, GraphBuildStats)> {
         let n = si.rows();
@@ -125,27 +105,15 @@ impl SpatialGraph {
         };
         let knn = knn_t0.elapsed();
         let assembly_t0 = Instant::now();
-        // Hoist the weighting dispatch out of the per-edge loop; both
-        // directions of an edge see bitwise-identical squared distances
-        // ((a−b)² ≡ (b−a)² summed in the same dimension order), so the
-        // weight function is evaluated once per direction with equal
-        // results and the adjacent dedupe below is order-independent.
-        let similarity = match weighting {
-            GraphWeighting::Binary => assemble_symmetric(n, kk, &neighbors, |_| 1.0),
-            GraphWeighting::HeatKernel { sigma } => {
-                let denom = (2.0 * sigma * sigma).max(1e-300);
-                assemble_symmetric(n, kk, &neighbors, move |d2| (-d2 / denom).exp())
-            }
-        }?;
-        let degree = similarity.row_sums();
+        let (offsets, adjacency) = assemble_symmetric(n, kk, &neighbors);
         let stats = GraphBuildStats {
             knn,
             assembly: assembly_t0.elapsed(),
         };
         Ok((
             SpatialGraph {
-                similarity,
-                degree,
+                offsets,
+                adjacency,
                 p,
             },
             stats,
@@ -154,12 +122,30 @@ impl SpatialGraph {
 
     /// Number of vertices.
     pub fn len(&self) -> usize {
-        self.similarity.rows()
+        self.offsets.len() - 1
     }
 
     /// `true` for an empty graph.
     pub fn is_empty(&self) -> bool {
         self.len() == 0
+    }
+
+    /// Number of nonzeros of `D`: each undirected edge counts twice.
+    pub fn nnz(&self) -> usize {
+        self.adjacency.len()
+    }
+
+    /// The neighbours of vertex `i` (the columns `j` with `d_ij = 1`),
+    /// strictly ascending and never `i` itself.
+    #[inline]
+    pub fn neighbors(&self, i: usize) -> &[usize] {
+        &self.adjacency[self.offsets[i]..self.offsets[i + 1]]
+    }
+
+    /// The degree `w_i = Σ_j d_ij` (Formula 4): the length of row `i`.
+    #[inline]
+    pub fn degree(&self, i: usize) -> f64 {
+        (self.offsets[i + 1] - self.offsets[i]) as f64
     }
 
     /// The spatial-regularization value `Tr(Uᵀ L U)` — the paper's
@@ -182,27 +168,22 @@ impl SpatialGraph {
     }
 
     /// Row `i`'s share of `Tr(Uᵀ L U)` in degree form,
-    /// `w_i·|u_i|² − 2·Σ_{j>i} d_ij·(u_i · u_j)`, for a row-major `N x k`
-    /// factor slice `u` — `D` is symmetric, so each edge is visited
-    /// once; the row's columns ascend, so the `j > i` half starts at a
-    /// binary-searched offset. Summed over all rows it is
+    /// `w_i·|u_i|² − 2·Σ_{j>i, d_ij=1} u_i · u_j`, for a row-major
+    /// `N x k` factor slice `u` — `D` is symmetric, so each edge is
+    /// visited once; the row's neighbours ascend, so the `j > i` half
+    /// starts at a binary-searched offset. Summed over all rows it is
     /// [`Self::regularization`].
     #[inline]
     pub fn laplacian_row(&self, u: &[f64], k: usize, i: usize) -> f64 {
         let ui = &u[i * k..][..k];
-        let (cols, vals) = self.similarity.row(i);
-        let upper = cols.partition_point(|&j| j <= i);
-        let cross: f64 = cols[upper..]
-            .iter()
-            .zip(&vals[upper..])
-            .map(|(&j, &d)| d * dot(ui, &u[j * k..][..k]))
-            .sum();
-        self.degree[i] * dot(ui, ui) - 2.0 * cross
+        let nbrs = self.neighbors(i);
+        let upper = nbrs.partition_point(|&j| j <= i);
+        let cross: f64 = nbrs[upper..].iter().map(|&j| dot(ui, &u[j * k..][..k])).sum();
+        self.degree(i) * dot(ui, ui) - 2.0 * cross
     }
 
     /// Number of connected components of the similarity graph
-    /// (iterative DFS over CSR rows; zero-weight entries are absent by
-    /// construction, so every stored entry is an edge).
+    /// (iterative DFS over the adjacency rows).
     pub fn connected_components(&self) -> usize {
         let n = self.len();
         let mut seen = vec![false; n];
@@ -216,7 +197,7 @@ impl SpatialGraph {
             seen[start] = true;
             stack.push(start);
             while let Some(v) = stack.pop() {
-                for (j, _) in self.similarity.row_entries(v) {
+                for &j in self.neighbors(v) {
                     if !seen[j] {
                         seen[j] = true;
                         stack.push(j);
@@ -232,36 +213,16 @@ impl SpatialGraph {
     pub fn is_connected(&self) -> bool {
         self.connected_components() <= 1
     }
-
-    /// `true` when every stored edge weight and every degree is finite.
-    /// Non-finite SI coordinates propagate NaN distances into heat-kernel
-    /// weights; the fit engine uses this to decide whether the Laplacian
-    /// term is safe to keep.
-    pub fn all_finite(&self) -> bool {
-        self.similarity.values().iter().all(|v| v.is_finite())
-            && self.degree.iter().all(|v| v.is_finite())
-    }
 }
 
 /// Symmetrizes flat directed kNN edge lists (`kk` hits per query) into
-/// the similarity matrix `D` in CSR form.
+/// the adjacency of `D`, returned as `(offsets, adjacency)`.
 ///
 /// One counting pass sizes every row bucket exactly (kk out-edges plus
 /// one in-edge per query that selected the row), a scatter pass fills
 /// the buckets, and a per-row sort + adjacent dedupe collapses mutual
-/// edges — keeping one copy, which matches the old hash-set first-wins
-/// symmetrization because duplicate directions carry bitwise-identical
-/// weights. Zero weights (heat-kernel underflow) are dropped, matching
-/// `from_triplets` semantics.
-fn assemble_symmetric<F>(
-    n: usize,
-    kk: usize,
-    neighbors: &[Neighbor],
-    weight: F,
-) -> Result<CsrMatrix>
-where
-    F: Fn(f64) -> f64,
-{
+/// edges, compacting the rows in place.
+fn assemble_symmetric(n: usize, kk: usize, neighbors: &[Neighbor]) -> (Vec<usize>, Vec<usize>) {
     debug_assert_eq!(neighbors.len(), n * kk);
     let mut counts = vec![kk; n];
     for &(j, _) in neighbors {
@@ -275,36 +236,42 @@ where
         start.push(acc);
     }
     let mut fill = start[..n].to_vec();
-    let mut bucket: Vec<(usize, f64)> = vec![(0, 0.0); acc];
+    let mut adjacency = vec![0usize; acc];
     for q in 0..n {
-        for &(j, d2) in &neighbors[q * kk..(q + 1) * kk] {
-            let w = weight(d2);
-            bucket[fill[q]] = (j, w);
+        for &(j, _) in &neighbors[q * kk..(q + 1) * kk] {
+            adjacency[fill[q]] = j;
             fill[q] += 1;
-            bucket[fill[j]] = (q, w);
+            adjacency[fill[j]] = q;
             fill[j] += 1;
         }
     }
-    let mut row_ptr = Vec::with_capacity(n + 1);
-    let mut col_idx = Vec::with_capacity(acc);
-    let mut values = Vec::with_capacity(acc);
-    row_ptr.push(0usize);
+    // Rows are compacted front to back, so the write cursor never
+    // passes the row being read.
+    let mut offsets = Vec::with_capacity(n + 1);
+    offsets.push(0usize);
+    let mut len = 0usize;
     for i in 0..n {
-        let row = &mut bucket[start[i]..start[i + 1]];
-        row.sort_unstable_by_key(|&(c, _)| c);
-        let mut last = usize::MAX;
-        for &(c, w) in row.iter() {
-            if c != last && w != 0.0 {
-                col_idx.push(c);
-                values.push(w);
+        adjacency[start[i]..start[i + 1]].sort_unstable();
+        for r in start[i]..start[i + 1] {
+            let c = adjacency[r];
+            if len == offsets[i] || adjacency[len - 1] != c {
+                adjacency[len] = c;
+                len += 1;
             }
-            last = c;
         }
-        row_ptr.push(col_idx.len());
+        offsets.push(len);
+        debug_assert!(
+            adjacency[offsets[i]..len].windows(2).all(|w| w[0] < w[1]),
+            "adjacency row {i} not strictly ascending"
+        );
+        debug_assert!(
+            adjacency[offsets[i]..len].binary_search(&i).is_err(),
+            "self loop at {i}"
+        );
     }
-    CsrMatrix::from_parts(n, n, row_ptr, col_idx, values)
+    adjacency.truncate(len);
+    (offsets, adjacency)
 }
-
 /// Prepares spatial information for graph construction when some SI
 /// cells are unobserved (paper §II-C): a missing `x_ij` is initialized
 /// with the mean of the *observed* values in column `j`. This filled
@@ -336,28 +303,37 @@ pub fn fill_missing_si(x: &Matrix, omega: &Mask, l_cols: usize) -> Matrix {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use smfl_linalg::ops::matmul;
     use smfl_linalg::random::uniform_matrix;
 
     fn line_points(n: usize) -> Matrix {
         Matrix::from_fn(n, 2, |i, j| if j == 0 { i as f64 } else { 0.0 })
     }
 
-    fn weighted_graph(
-        si: &Matrix,
-        p: usize,
-        search: NeighborSearch,
-        weighting: GraphWeighting,
-    ) -> SpatialGraph {
-        SpatialGraph::build_instrumented(si, p, search, weighting, 0).unwrap().0
+    /// `D` as a dense matrix, built from the adjacency.
+    fn dense_similarity(g: &SpatialGraph) -> Matrix {
+        let mut d = Matrix::zeros(g.len(), g.len());
+        for i in 0..g.len() {
+            for &j in g.neighbors(i) {
+                d.set(i, j, 1.0);
+            }
+        }
+        d
     }
 
-    /// `L = diag(w) − D` in CSR form, for checks against the degree form.
-    fn laplacian(g: &SpatialGraph) -> CsrMatrix {
-        let mut triplets: Vec<(usize, usize, f64)> = (0..g.len())
-            .flat_map(|i| g.similarity.row_entries(i).map(move |(j, d)| (i, j, -d)))
-            .collect();
-        triplets.extend(g.degree.iter().enumerate().map(|(i, &w)| (i, i, w)));
-        CsrMatrix::from_triplets(g.len(), g.len(), &triplets).unwrap()
+    /// `L = diag(w) − D`, dense, for checks against the degree form.
+    fn dense_laplacian(g: &SpatialGraph) -> Matrix {
+        let mut l = dense_similarity(g).scale(-1.0);
+        for i in 0..g.len() {
+            l.set(i, i, g.degree(i));
+        }
+        l
+    }
+
+    /// `Tr(Uᵀ L U)` straight from the dense `L`.
+    fn dense_quadratic_form(l: &Matrix, u: &Matrix) -> f64 {
+        let lu = matmul(l, u).unwrap();
+        u.as_slice().iter().zip(lu.as_slice()).map(|(a, b)| a * b).sum()
     }
 
     #[test]
@@ -365,13 +341,14 @@ mod tests {
         // Points on a line, p = 1: each interior point links to a
         // neighbour; symmetrization makes consecutive links mutual.
         let g = SpatialGraph::build(&line_points(5), 1, NeighborSearch::BruteForce).unwrap();
-        assert!(g.similarity.is_symmetric(0.0));
+        let d = dense_similarity(&g);
+        assert_eq!(d, d.transpose());
         // Point 0's NN is 1 and vice versa: edge (0,1) mutual.
-        assert_eq!(g.similarity.get(0, 1), 1.0);
-        assert_eq!(g.similarity.get(1, 0), 1.0);
+        assert_eq!(d.get(0, 1), 1.0);
+        assert_eq!(d.get(1, 0), 1.0);
         // No self loops.
         for i in 0..5 {
-            assert_eq!(g.similarity.get(i, i), 0.0);
+            assert_eq!(d.get(i, i), 0.0);
         }
     }
 
@@ -380,17 +357,17 @@ mod tests {
         let pts = uniform_matrix(150, 2, 0.0, 1.0, 21);
         let a = SpatialGraph::build(&pts, 3, NeighborSearch::KdTree).unwrap();
         let b = SpatialGraph::build(&pts, 3, NeighborSearch::BruteForce).unwrap();
-        assert!(a.similarity.to_dense().approx_eq(&b.similarity.to_dense(), 0.0));
-        assert_eq!(a.degree, b.degree);
+        assert_eq!(a, b);
     }
 
     #[test]
     fn degree_is_row_sum_of_similarity() {
         let pts = uniform_matrix(40, 2, 0.0, 1.0, 3);
         let g = SpatialGraph::build(&pts, 2, NeighborSearch::KdTree).unwrap();
-        let sums = g.similarity.row_sums();
-        for (i, &s) in sums.iter().enumerate() {
-            assert_eq!(g.degree[i], s);
+        let d = dense_similarity(&g);
+        for i in 0..g.len() {
+            assert_eq!(g.degree(i), d.row(i).iter().sum::<f64>());
+            assert_eq!(g.degree(i), g.neighbors(i).len() as f64);
         }
     }
 
@@ -398,8 +375,9 @@ mod tests {
     fn laplacian_rows_sum_to_zero() {
         let pts = uniform_matrix(30, 2, 0.0, 1.0, 5);
         let g = SpatialGraph::build(&pts, 3, NeighborSearch::KdTree).unwrap();
-        for s in laplacian(&g).row_sums() {
-            assert!(s.abs() < 1e-12);
+        let l = dense_laplacian(&g);
+        for i in 0..g.len() {
+            assert_eq!(l.row(i).iter().sum::<f64>(), 0.0);
         }
     }
 
@@ -431,17 +409,14 @@ mod tests {
         let u = uniform_matrix(15, 3, 0.0, 1.0, 12);
         let mut manual = 0.0;
         for i in 0..15 {
-            for j in 0..15 {
-                let dij = g.similarity.get(i, j);
-                if dij > 0.0 {
-                    let diff: f64 = (0..3)
-                        .map(|t| {
-                            let d = u.get(i, t) - u.get(j, t);
-                            d * d
-                        })
-                        .sum();
-                    manual += 0.5 * dij * diff;
-                }
+            for &j in g.neighbors(i) {
+                let diff: f64 = (0..3)
+                    .map(|t| {
+                        let d = u.get(i, t) - u.get(j, t);
+                        d * d
+                    })
+                    .sum();
+                manual += 0.5 * diff;
             }
         }
         let qf = g.regularization(&u).unwrap();
@@ -454,8 +429,8 @@ mod tests {
         let g = SpatialGraph::build(&pts, 4, NeighborSearch::KdTree).unwrap();
         let u = uniform_matrix(60, 5, 0.0, 1.0, 16);
         let degree_form = g.regularization(&u).unwrap();
-        let csr_form = laplacian(&g).quadratic_form(&u).unwrap();
-        assert!((degree_form - csr_form).abs() <= 1e-12 * csr_form.abs().max(1.0));
+        let dense_form = dense_quadratic_form(&dense_laplacian(&g), &u);
+        assert!((degree_form - dense_form).abs() <= 1e-12 * dense_form.abs().max(1.0));
         assert!(g
             .regularization(&uniform_matrix(59, 5, 0.0, 1.0, 16))
             .is_err());
@@ -465,8 +440,8 @@ mod tests {
     fn nnz_bounded_by_2pn() {
         let pts = uniform_matrix(100, 2, 0.0, 1.0, 13);
         let g = SpatialGraph::build(&pts, 4, NeighborSearch::KdTree).unwrap();
-        assert!(g.similarity.nnz() <= 2 * 4 * 100);
-        assert!(g.similarity.nnz() >= 4 * 100); // at least the out-edges
+        assert!(g.nnz() <= 2 * 4 * 100);
+        assert!(g.nnz() >= 4 * 100); // at least the out-edges
     }
 
     #[test]
@@ -502,81 +477,27 @@ mod tests {
     }
 
     #[test]
-    fn heat_kernel_weights_decay_with_distance() {
-        let pts = line_points(5);
-        let g = weighted_graph(
-            &pts,
-            2,
-            NeighborSearch::BruteForce,
-            GraphWeighting::HeatKernel { sigma: 1.0 },
-        );
-        // Point 0's neighbours are 1 (dist 1) and 2 (dist 2): the closer
-        // edge must carry the larger weight.
-        let w01 = g.similarity.get(0, 1);
-        let w02 = g.similarity.get(0, 2);
-        assert!(w01 > w02, "{w01} vs {w02}");
-        assert!(w01 <= 1.0 && w02 > 0.0);
-        assert!(g.similarity.is_symmetric(1e-12));
-        // Laplacian rows still sum to zero.
-        for s in laplacian(&g).row_sums() {
-            assert!(s.abs() < 1e-12);
-        }
-    }
-
-    #[test]
-    fn binary_weighting_matches_default_build() {
-        let pts = smfl_linalg::random::uniform_matrix(40, 2, 0.0, 1.0, 3);
-        let a = SpatialGraph::build(&pts, 3, NeighborSearch::KdTree).unwrap();
-        let b = weighted_graph(&pts, 3, NeighborSearch::KdTree, GraphWeighting::Binary);
-        assert!(a.similarity.to_dense().approx_eq(&b.similarity.to_dense(), 0.0));
-    }
-
-    #[test]
-    fn heat_kernel_regularization_still_psd() {
-        let pts = smfl_linalg::random::uniform_matrix(25, 2, 0.0, 1.0, 5);
-        let g = weighted_graph(
-            &pts,
-            3,
-            NeighborSearch::KdTree,
-            GraphWeighting::HeatKernel { sigma: 0.2 },
-        );
-        for seed in 0..3 {
-            let u = smfl_linalg::random::uniform_matrix(25, 3, -2.0, 2.0, seed);
-            assert!(g.regularization(&u).unwrap() >= -1e-9);
-        }
-    }
-
-    #[test]
     fn graph_is_invariant_across_thread_counts() {
         let pts = uniform_matrix(120, 2, 0.0, 1.0, 33);
         let build = |threads| {
-            SpatialGraph::build_instrumented(
-                &pts,
-                4,
-                NeighborSearch::KdTree,
-                GraphWeighting::Binary,
-                threads,
-            )
-            .unwrap()
-            .0
+            SpatialGraph::build_instrumented(&pts, 4, NeighborSearch::KdTree, threads)
+                .unwrap()
+                .0
         };
         let serial = build(1);
         for threads in [0usize, 2, 5] {
-            let g = build(threads);
-            assert_eq!(g.similarity, serial.similarity);
-            assert_eq!(g.degree, serial.degree);
+            assert_eq!(build(threads), serial);
         }
         // And the oracle path agrees bitwise as well.
         let oracle = SpatialGraph::build(&pts, 4, NeighborSearch::BruteForce).unwrap();
-        assert_eq!(serial.similarity, oracle.similarity);
-        assert_eq!(serial.degree, oracle.degree);
+        assert_eq!(serial, oracle);
     }
 
     #[test]
     fn p_zero_yields_edgeless_graph() {
         let g = SpatialGraph::build(&line_points(4), 0, NeighborSearch::KdTree).unwrap();
-        assert_eq!(g.similarity.nnz(), 0);
-        assert!(g.degree.iter().all(|&w| w == 0.0));
+        assert_eq!(g.nnz(), 0);
+        assert!((0..g.len()).all(|i| g.degree(i) == 0.0));
     }
 
     #[test]
@@ -608,22 +529,5 @@ mod tests {
         let empty = SpatialGraph::build(&Matrix::zeros(0, 2), 3, NeighborSearch::KdTree).unwrap();
         assert_eq!(empty.connected_components(), 0);
         assert!(empty.is_connected());
-    }
-
-    #[test]
-    fn all_finite_flags_nan_weights() {
-        let pts = line_points(5);
-        let good = SpatialGraph::build(&pts, 2, NeighborSearch::KdTree).unwrap();
-        assert!(good.all_finite());
-        // NaN coordinates produce NaN heat-kernel weights.
-        let mut bad_pts = pts.clone();
-        bad_pts.set(2, 0, f64::NAN);
-        let bad = weighted_graph(
-            &bad_pts,
-            2,
-            NeighborSearch::BruteForce,
-            GraphWeighting::HeatKernel { sigma: 1.0 },
-        );
-        assert!(!bad.all_finite());
     }
 }

@@ -11,12 +11,13 @@
 //!   cluster centres are the paper's *landmarks* `C` (§III-A). The
 //!   Hamerly engine (default) prunes assignment work via triangle
 //!   inequalities while staying bitwise-identical to Lloyd.
-//! - [`graph`] — the similarity matrix `D` and degrees `w` of paper
-//!   §II-C (`D` assembled hash-free, straight into CSR; the Laplacian
-//!   `L = W − D` is used only through them), plus the missing-SI
+//! - [`graph`] — the binary similarity matrix `D` of paper §II-C,
+//!   stored as its adjacency (assembled hash-free, straight into CSR
+//!   rows); the degrees `w` are the row lengths and the Laplacian
+//!   `L = W − D` is used only through them. Also the missing-SI
 //!   column-mean initialization rule.
-//! - [`metric`] — Euclidean / haversine distances, including the single
-//!   shared [`metric::sq_dist`] kernel.
+//! - [`metric`] — [`metric::sq_dist`], the single squared-Euclidean
+//!   distance kernel shared by the kd-tree, the kNN oracle and k-means.
 //!
 //! ## Example: landmarks + similarity graph in five lines
 //!
@@ -28,7 +29,7 @@
 //! let landmarks = kmeans(&si, &KMeansConfig::new(5))?.centers; // C: 5 x 2
 //! let graph = SpatialGraph::build(&si, 3, NeighborSearch::KdTree)?; // D and w
 //! assert_eq!(landmarks.shape(), (5, 2));
-//! assert!(graph.similarity.is_symmetric(0.0));
+//! assert!((0..50).all(|i| graph.neighbors(i).iter().all(|&j| graph.neighbors(j).contains(&i))));
 //! # Ok::<(), smfl_linalg::LinalgError>(())
 //! ```
 
@@ -41,7 +42,6 @@ pub mod kmeans;
 pub mod metric;
 
 pub use dedupe::dedupe_coordinates;
-pub use graph::{fill_missing_si, GraphBuildStats, GraphWeighting, NeighborSearch, SpatialGraph};
+pub use graph::{fill_missing_si, GraphBuildStats, NeighborSearch, SpatialGraph};
 pub use kdtree::KdTree;
 pub use kmeans::{kmeans, KMeansAlgorithm, KMeansConfig, KMeansInit, KMeansResult};
-pub use metric::Metric;

@@ -1,54 +1,8 @@
-//! Distance metrics over spatial coordinates.
+//! The distance kernel over spatial coordinates.
 //!
 //! The paper's similarity matrix `D` (Formula 3) is built from p-nearest
-//! neighbours "on spatial information **SI**". For normalized data the
-//! Euclidean metric is what the reference implementation uses; haversine
-//! is provided for raw latitude/longitude coordinates (the Vehicle
-//! dataset of Table I stores degrees).
-
-/// A distance metric over coordinate slices of equal length.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Metric {
-    /// Straight-line distance; the default for normalized coordinates.
-    Euclidean,
-    /// Squared Euclidean distance — same nearest-neighbour ordering as
-    /// [`Metric::Euclidean`] but cheaper (no square root).
-    SquaredEuclidean,
-    /// Great-circle distance in kilometres; expects `[lat_deg, lon_deg]`
-    /// 2-column coordinates.
-    Haversine,
-}
-
-/// Mean Earth radius in kilometres (IUGG).
-const EARTH_RADIUS_KM: f64 = 6371.0088;
-
-impl Metric {
-    /// Distance between two coordinate slices.
-    ///
-    /// # Panics
-    /// Debug-asserts equal lengths, and `Haversine` debug-asserts exactly
-    /// two coordinates.
-    pub fn distance(&self, a: &[f64], b: &[f64]) -> f64 {
-        debug_assert_eq!(a.len(), b.len());
-        match self {
-            Metric::Euclidean => sq_dist(a, b).sqrt(),
-            Metric::SquaredEuclidean => sq_dist(a, b),
-            Metric::Haversine => {
-                debug_assert_eq!(a.len(), 2, "haversine expects [lat, lon]");
-                haversine_km(a[0], a[1], b[0], b[1])
-            }
-        }
-    }
-
-    /// A monotone-in-distance key suitable for nearest-neighbour ranking:
-    /// avoids the square root for the Euclidean family.
-    pub fn ranking_key(&self, a: &[f64], b: &[f64]) -> f64 {
-        match self {
-            Metric::Euclidean | Metric::SquaredEuclidean => sq_dist(a, b),
-            Metric::Haversine => haversine_km(a[0], a[1], b[0], b[1]),
-        }
-    }
-}
+//! neighbours "on spatial information **SI**" under the Euclidean
+//! metric; nearest-neighbour ranking and k-means only need its square.
 
 /// Squared Euclidean distance between two equally long coordinate
 /// slices — the single distance kernel shared by the kd-tree, the
@@ -60,65 +14,24 @@ pub fn sq_dist(a: &[f64], b: &[f64]) -> f64 {
     smfl_linalg::ops::sq_dist(a, b)
 }
 
-/// Great-circle distance between two `(lat, lon)` points in degrees.
-pub fn haversine_km(lat1: f64, lon1: f64, lat2: f64, lon2: f64) -> f64 {
-    let (p1, p2) = (lat1.to_radians(), lat2.to_radians());
-    let dp = (lat2 - lat1).to_radians();
-    let dl = (lon2 - lon1).to_radians();
-    let a = (dp / 2.0).sin().powi(2) + p1.cos() * p2.cos() * (dl / 2.0).sin().powi(2);
-    2.0 * EARTH_RADIUS_KM * a.sqrt().asin()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
     fn euclidean_345() {
-        assert!((Metric::Euclidean.distance(&[0.0, 0.0], &[3.0, 4.0]) - 5.0).abs() < 1e-12);
-        assert_eq!(Metric::SquaredEuclidean.distance(&[0.0, 0.0], &[3.0, 4.0]), 25.0);
+        assert_eq!(sq_dist(&[0.0, 0.0], &[3.0, 4.0]), 25.0);
     }
 
     #[test]
     fn identity_distance_is_zero() {
-        for m in [Metric::Euclidean, Metric::SquaredEuclidean] {
-            assert_eq!(m.distance(&[1.5, -2.0], &[1.5, -2.0]), 0.0);
-        }
-        assert!(Metric::Haversine.distance(&[45.0, 130.0], &[45.0, 130.0]) < 1e-9);
+        assert_eq!(sq_dist(&[1.5, -2.0], &[1.5, -2.0]), 0.0);
     }
 
     #[test]
     fn euclidean_is_symmetric() {
         let a = [1.0, 2.0, 3.0];
         let b = [-1.0, 0.5, 2.0];
-        assert_eq!(
-            Metric::Euclidean.distance(&a, &b),
-            Metric::Euclidean.distance(&b, &a)
-        );
-    }
-
-    #[test]
-    fn haversine_known_value() {
-        // Paris (48.8566, 2.3522) to London (51.5074, -0.1278) ≈ 343-344 km.
-        let d = haversine_km(48.8566, 2.3522, 51.5074, -0.1278);
-        assert!((d - 343.5).abs() < 2.0, "got {d}");
-    }
-
-    #[test]
-    fn haversine_quarter_meridian() {
-        // Equator to pole along a meridian = 1/4 of Earth's circumference.
-        let d = haversine_km(0.0, 0.0, 90.0, 0.0);
-        let quarter = std::f64::consts::PI * EARTH_RADIUS_KM / 2.0;
-        assert!((d - quarter).abs() < 1.0);
-    }
-
-    #[test]
-    fn ranking_key_preserves_order() {
-        let origin = [0.0, 0.0];
-        let near = [1.0, 1.0];
-        let far = [3.0, 3.0];
-        for m in [Metric::Euclidean, Metric::SquaredEuclidean, Metric::Haversine] {
-            assert!(m.ranking_key(&origin, &near) < m.ranking_key(&origin, &far));
-        }
+        assert_eq!(sq_dist(&a, &b), sq_dist(&b, &a));
     }
 }

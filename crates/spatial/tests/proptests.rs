@@ -6,18 +6,22 @@
 
 use proptest::prelude::*;
 use smfl_linalg::random::uniform_matrix;
-use smfl_linalg::{CsrMatrix, Matrix};
-use smfl_spatial::graph::{GraphWeighting, NeighborSearch, SpatialGraph};
+use smfl_linalg::ops::matmul;
+use smfl_linalg::Matrix;
+use smfl_spatial::graph::{NeighborSearch, SpatialGraph};
 use smfl_spatial::kdtree::{brute_force_nearest, KdTree};
 use smfl_spatial::kmeans::{kmeans, KMeansAlgorithm, KMeansConfig};
 
-/// `L = diag(w) − D` in CSR form, built from the graph's `(D, w)`.
-fn laplacian(g: &SpatialGraph) -> CsrMatrix {
-    let mut triplets: Vec<(usize, usize, f64)> = (0..g.len())
-        .flat_map(|i| g.similarity.row_entries(i).map(move |(j, d)| (i, j, -d)))
-        .collect();
-    triplets.extend(g.degree.iter().enumerate().map(|(i, &w)| (i, i, w)));
-    CsrMatrix::from_triplets(g.len(), g.len(), &triplets).unwrap()
+/// `L = diag(w) − D` as a dense matrix, built from the adjacency.
+fn dense_laplacian(g: &SpatialGraph) -> Matrix {
+    let mut l = Matrix::zeros(g.len(), g.len());
+    for i in 0..g.len() {
+        for &j in g.neighbors(i) {
+            l.set(i, j, -1.0);
+        }
+        l.set(i, i, g.degree(i));
+    }
+    l
 }
 
 proptest! {
@@ -114,7 +118,7 @@ proptest! {
             for j in 0..n {
                 let expected = i != j
                     && (neighbours[i].contains(&j) || neighbours[j].contains(&i));
-                let actual = g.similarity.get(i, j) == 1.0;
+                let actual = g.neighbors(i).contains(&j);
                 // Ties in distance may legitimately differ between kd-tree
                 // and brute force orderings only when exact ties occur;
                 // random uniform coordinates make ties measure-zero.
@@ -181,16 +185,9 @@ proptest! {
     ) {
         let pts = uniform_matrix(n, 2, 0.0, 1.0, seed);
         let oracle = SpatialGraph::build(&pts, p, NeighborSearch::BruteForce).unwrap();
-        let (par, _) = SpatialGraph::build_instrumented(
-            &pts,
-            p,
-            NeighborSearch::KdTree,
-            GraphWeighting::Binary,
-            threads,
-        )
-        .unwrap();
-        prop_assert_eq!(&par.similarity, &oracle.similarity);
-        prop_assert_eq!(&par.degree, &oracle.degree);
+        let (par, _) =
+            SpatialGraph::build_instrumented(&pts, p, NeighborSearch::KdTree, threads).unwrap();
+        prop_assert_eq!(&par, &oracle);
     }
 
     #[test]
@@ -202,16 +199,21 @@ proptest! {
     ) {
         let pts = uniform_matrix(n, 2, 0.0, 1.0, seed);
         let g = SpatialGraph::build(&pts, p, NeighborSearch::KdTree).unwrap();
-        let l = laplacian(&g);
-        for s in l.row_sums() {
-            prop_assert!(s.abs() < 1e-12);
+        let l = dense_laplacian(&g);
+        prop_assert_eq!(&l, &l.transpose());
+        for i in 0..n {
+            // No self loops: the diagonal is the degree alone, and the
+            // degree is the row's length.
+            prop_assert!(!g.neighbors(i).contains(&i));
+            prop_assert_eq!(g.degree(i), g.neighbors(i).len() as f64);
+            prop_assert_eq!(l.row(i).iter().sum::<f64>(), 0.0);
         }
-        prop_assert_eq!(&g.degree, &g.similarity.row_sums());
         let u = uniform_matrix(n, 3, -2.0, 2.0, useed);
         let reg = g.regularization(&u).unwrap();
         prop_assert!(reg >= -1e-9);
         // The degree form agrees with the explicit Laplacian.
-        let qf = l.quadratic_form(&u).unwrap();
+        let lu = matmul(&l, &u).unwrap();
+        let qf: f64 = u.as_slice().iter().zip(lu.as_slice()).map(|(a, b)| a * b).sum();
         prop_assert!((reg - qf).abs() <= 1e-10 * qf.abs().max(1.0));
     }
 }
@@ -228,10 +230,7 @@ fn graph_is_search_backend_invariant() {
     let pts = uniform_matrix(120, 2, 0.0, 1.0, 42);
     let a = SpatialGraph::build(&pts, 3, NeighborSearch::KdTree).unwrap();
     let b = SpatialGraph::build(&pts, 3, NeighborSearch::BruteForce).unwrap();
-    assert!(a
-        .similarity
-        .to_dense()
-        .approx_eq(&b.similarity.to_dense(), 0.0));
+    assert_eq!(a, b);
 }
 
 #[test]

@@ -23,8 +23,7 @@ fn kdtree_and_bruteforce_give_identical_graphs() {
     let si = fill_missing_si(&d, &omega, cfg.spatial_cols);
     let a = SpatialGraph::build(&si, cfg.p_neighbors, NeighborSearch::KdTree).unwrap();
     let b = SpatialGraph::build(&si, cfg.p_neighbors, NeighborSearch::BruteForce).unwrap();
-    assert_eq!(a.similarity, b.similarity, "D differs between search backends");
-    assert_eq!(a.degree, b.degree, "w differs between search backends");
+    assert_eq!(a, b, "D differs between search backends");
 }
 
 #[test]
