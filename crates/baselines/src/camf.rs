@@ -155,7 +155,7 @@ impl Imputer for CamfImputer {
                 }
             }
         }
-        omega.blend(x, &out)
+        omega.blend(x, out)
     }
 }
 

@@ -182,7 +182,7 @@ impl Imputer for GainImputer {
             }
         });
         let xbar = g.forward_inference(&concat_cols(&xt, &mfull))?;
-        omega.blend(x, &xbar)
+        omega.blend(x, xbar)
     }
 }
 

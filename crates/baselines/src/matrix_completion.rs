@@ -63,7 +63,7 @@ impl Imputer for McImputer {
             }
             y.axpy(self.delta, &diff)?;
         }
-        omega.blend(x, &z)
+        omega.blend(x, z)
     }
 }
 
@@ -103,7 +103,7 @@ impl Imputer for SoftImputeImputer {
         let mut z = Matrix::zeros(x.rows(), x.cols());
         for _ in 0..self.max_iter {
             // filled = R_Ω(X) + R_Ψ(Z)
-            let filled = omega.blend(&masked_x, &psi.apply(&z)?)?;
+            let filled = omega.blend(&masked_x, psi.apply(&z)?)?;
             let next = thin_svd(&filled)?.reconstruct_soft_threshold(lambda)?;
             let change = next.sub(&z)?.frobenius_norm();
             let scale = z.frobenius_norm().max(1.0);
@@ -112,7 +112,7 @@ impl Imputer for SoftImputeImputer {
                 break;
             }
         }
-        omega.blend(x, &z)
+        omega.blend(x, z)
     }
 }
 

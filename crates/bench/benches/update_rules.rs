@@ -82,7 +82,7 @@ fn problem(n: usize, m: usize, k: usize, density: f64, seed: u64) -> Problem {
 /// The multiplicative step exactly as it existed before the fused
 /// engine (no graph terms, no landmarks — the paths being compared are
 /// identical there), including the per-iteration fit-term scan the old
-/// fit loop performed via `objective_with_reconstruction`. Every product
+/// fit loop performed over the masked reconstruction. Every product
 /// allocates, as the old code did.
 fn dense_reference_step(masked_x: &Matrix, omega: &Mask, u: &mut Matrix, v: &mut Matrix) -> f64 {
     // ---- U update (Formula 13) ----

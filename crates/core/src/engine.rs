@@ -15,14 +15,13 @@
 
 use crate::config::{Resilience, Updater};
 use crate::health::{classify, FitEvent, FitFailure};
-use crate::landmarks::Landmarks;
 use crate::model::FittedModel;
 use crate::plan::{FitPlan, SolveOptions};
 use crate::resilience::{blend_half, derive_seed, record};
 use crate::telemetry::{IterEvent, Phase, SpanEvent, TraceSink};
 use crate::updater::{gradient_step, multiplicative_step, score, UpdateContext};
 use smfl_linalg::random::positive_uniform_matrix;
-use smfl_linalg::{LinalgError, Result};
+use smfl_linalg::{LinalgError, Matrix, Result};
 use std::time::{Duration, Instant};
 
 /// Runs the update loop over `plan`, returning a fitted model. The
@@ -36,15 +35,15 @@ pub(crate) fn solve<S: TraceSink>(
 ) -> Result<FittedModel> {
     let FitPlan {
         config,
-        omega,
         pattern,
         graph,
         landmarks,
         workspace: ws,
         report: plan_report,
+        ..
     } = plan;
     let recover = config.resilience.recovers();
-    let (n, m) = omega.shape();
+    let (n, m) = (pattern.rows(), pattern.cols());
     let k = config.rank;
 
     // Reset per-solve workspace state (counters, checkpoint arming)
@@ -54,13 +53,10 @@ pub(crate) fn solve<S: TraceSink>(
     ws.begin_solve();
     let mut report = plan_report.clone();
 
-    // Algorithm 1 line 1: strictly positive initialization. U is scaled
-    // by 1/K so the initial reconstruction U·V has the magnitude of the
-    // (unit-normalized) data — important for SMFL, whose frozen landmark
-    // columns cannot rescale themselves during the iterations. A warm
-    // start replaces this with the caller's factors.
-    let (mut u, mut v) = match &opts.warm {
-        Some((wu, wv)) => {
+    // Algorithm 1 line 1: strictly positive initialization, or the warm
+    // model's factors — the one copy a warm solve makes of them.
+    let (mut u, mut v) = match opts.warm {
+        Some(FittedModel { u: wu, v: wv, .. }) => {
             let t0 = S::ENABLED.then(Instant::now);
             if wu.shape() != (n, k) || wv.shape() != (k, m) {
                 return Err(LinalgError::DimensionMismatch {
@@ -80,10 +76,7 @@ pub(crate) fn solve<S: TraceSink>(
             }
             (wu.clone(), wv.clone())
         }
-        None => (
-            positive_uniform_matrix(n, k, config.seed).scale(1.0 / k as f64),
-            positive_uniform_matrix(k, m, config.seed.wrapping_add(1)),
-        ),
+        None => fresh_factors(n, k, m, config.seed),
     };
 
     // Algorithm 1 lines 4-6 (injection half): freeze the plan's
@@ -100,7 +93,6 @@ pub(crate) fn solve<S: TraceSink>(
         lambda: config.lambda,
         landmarks: landmarks.as_ref(),
     };
-    let v_start = landmarks.as_ref().map_or(0, Landmarks::spatial_cols);
 
     // Algorithm 1 lines 7-9: iterate until convergence or t₁, with the
     // health sentinel on every iteration. Each update pass scores the
@@ -118,7 +110,6 @@ pub(crate) fn solve<S: TraceSink>(
     let mut best_obj = f64::INFINITY;
     let mut prev_accepted: Option<f64> = None;
     let mut since_best = 0usize;
-    let mut restarts = 0usize;
     let mut lr_scale = 1.0f64;
     // The iteration that produced the current `(u, v)`, with the wall
     // time of its update pass. `None` for a freshly started iterate
@@ -174,13 +165,12 @@ pub(crate) fn solve<S: TraceSink>(
                     iterations: judged,
                 });
             }
-            if failure == FitFailure::Stalled || restarts >= Resilience::MAX_RESTARTS {
+            if failure == FitFailure::Stalled || report.restarts() >= Resilience::MAX_RESTARTS {
                 report.failure = Some(failure);
                 break;
             }
-            restarts += 1;
-            report.restarts = restarts;
             record(&mut report, sink, FitEvent::Restarted { iteration: judged, failure });
+            let restarts = report.restarts() as u64;
             if matches!(config.updater, Updater::GradientDescent { .. }) {
                 lr_scale *= 0.5;
             }
@@ -189,18 +179,16 @@ pub(crate) fn solve<S: TraceSink>(
                     // Re-running the same rules from the same point would
                     // reproduce the failure; blend in a fresh positive
                     // init (seeded, no wall-clock) to shift the iterate.
-                    let s = derive_seed(config.seed, 100 + restarts as u64);
-                    blend_half(&mut u, &positive_uniform_matrix(n, k, s).scale(1.0 / k as f64));
-                    blend_half(&mut v, &positive_uniform_matrix(k, m, s.wrapping_add(1)));
+                    let (fu, fv) = fresh_factors(n, k, m, derive_seed(config.seed, 100 + restarts));
+                    blend_half(&mut u, &fu);
+                    blend_half(&mut v, &fv);
                     if let Some(lm) = landmarks.as_ref() {
                         lm.inject(&mut v)?;
                     }
                 }
             } else {
                 // Failure before any accepted iterate: fresh re-init.
-                let s = derive_seed(config.seed, 200 + restarts as u64);
-                u = positive_uniform_matrix(n, k, s).scale(1.0 / k as f64);
-                v = positive_uniform_matrix(k, m, s.wrapping_add(1));
+                (u, v) = fresh_factors(n, k, m, derive_seed(config.seed, 200 + restarts));
                 if let Some(lm) = landmarks.as_ref() {
                     lm.inject(&mut v)?;
                 }
@@ -223,7 +211,7 @@ pub(crate) fn solve<S: TraceSink>(
         #[cfg(debug_assertions)]
         if v.all_finite() {
             for kk in 0..v.rows() {
-                for j in v_start..v.cols() {
+                for j in ctx.v_start_col()..v.cols() {
                     debug_assert!(
                         v.get(kk, j) >= 0.0,
                         "V went negative at ({kk}, {j}), iteration {judged}"
@@ -231,8 +219,6 @@ pub(crate) fn solve<S: TraceSink>(
                 }
             }
         }
-        #[cfg(not(debug_assertions))]
-        let _ = v_start;
 
         if obj < best_obj {
             best_obj = obj;
@@ -274,23 +260,18 @@ pub(crate) fn solve<S: TraceSink>(
         && (report.failure.is_some() || factors_bad || unjudged || final_obj > best_obj)
     {
         if ws.restore(&mut u, &mut v) {
-            report.rolled_back = true;
             record(&mut report, sink, FitEvent::RolledBack { iteration: iterations });
         }
     } else if factors_bad {
         // No good iterate was ever recorded: return a finite,
         // deterministic initialization with the failure on record
         // rather than NaN factors.
-        let s = derive_seed(config.seed, 300);
-        u = positive_uniform_matrix(n, k, s).scale(1.0 / k as f64);
-        v = positive_uniform_matrix(k, m, s.wrapping_add(1));
+        (u, v) = fresh_factors(n, k, m, derive_seed(config.seed, 300));
         if let Some(lm) = landmarks.as_ref() {
             lm.inject(&mut v)?;
         }
-        report.rolled_back = true;
         record(&mut report, sink, FitEvent::RolledBack { iteration: iterations });
     }
-    report.record_tail(&history);
 
     if S::ENABLED {
         if let Some(t0) = loop_t0 {
@@ -312,9 +293,19 @@ pub(crate) fn solve<S: TraceSink>(
     })
 }
 
+/// Algorithm 1 line 1, and every other fresh draw of the engine: a
+/// strictly positive `(U, V)` from `seed`, `U` scaled by 1/K so U·V has
+/// the magnitude of the (unit-normalized) data — important for SMFL,
+/// whose frozen landmark columns cannot rescale themselves.
+fn fresh_factors(n: usize, k: usize, m: usize, seed: u64) -> (Matrix, Matrix) {
+    let mut u = positive_uniform_matrix(n, k, seed);
+    u.as_mut_slice().iter_mut().for_each(|x| *x *= 1.0 / k as f64);
+    (u, positive_uniform_matrix(k, m, seed.wrapping_add(1)))
+}
+
 /// Index of the first non-finite entry, if any — for precise
 /// `NonFinite` diagnostics on warm-start factors.
-fn first_non_finite(m: &smfl_linalg::Matrix) -> Option<(usize, usize)> {
+fn first_non_finite(m: &Matrix) -> Option<(usize, usize)> {
     let (rows, cols) = m.shape();
     for i in 0..rows {
         for j in 0..cols {

@@ -13,7 +13,9 @@
 //! - [`FitEvent`] / [`FitReport`] — the audit trail of every
 //!   sanitization, degradation, restart and rollback step, attached to
 //!   the returned `FittedModel` and deterministic for a given input and
-//!   seed (no wall-clock, no thread-count dependence);
+//!   seed (no wall-clock, no thread-count dependence). The report is
+//!   its event list plus the terminal failure; counts such as
+//!   [`FitReport::restarts`] are read off the events;
 //! - [`classify`] — the sentinel itself: an `O(N·K + K·M)` scan of the
 //!   factors plus checks on the already-computed objective, run on every
 //!   iteration under either [`Resilience`] policy.
@@ -91,35 +93,22 @@ pub enum FitEvent {
     },
 }
 
-/// Audit trail of a fit, attached to `FittedModel::report`.
+/// Audit trail of a fit, attached to `FittedModel::report`: every
+/// repair step in order, plus the terminal failure if the engine gave up.
 ///
-/// A clean fit records only [`FitReport::trace_tail`], under either
-/// policy; the events, restarts and rollbacks come from
-/// [`Resilience::Recover`]. Deterministic: the same input,
+/// A clean fit records nothing under either policy; the events come
+/// from [`Resilience::Recover`]. The objective tail is the end of
+/// `FittedModel::objective_history`. Deterministic: the same input,
 /// configuration and seed produce the identical report under any
 /// `SMFL_THREADS` setting.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct FitReport {
-    /// Number of checkpoint restarts performed.
-    pub restarts: usize,
     /// Every sanitization/degradation/restart/rollback step, in order.
     pub events: Vec<FitEvent>,
     /// Terminal classification when the engine gave up restarting and
     /// returned the best iterate instead (`None` for a clean fit).
     pub failure: Option<FitFailure>,
-    /// Observed cells masked out by input sanitization.
-    pub sanitized_cells: usize,
-    /// Coordinate rows modified by de-duplication.
-    pub deduped_rows: usize,
-    /// Whether the returned factors are a rolled-back checkpoint rather
-    /// than the last iterate.
-    pub rolled_back: bool,
-    /// Tail (up to [`TRACE_TAIL`] values) of the objective history.
-    pub trace_tail: Vec<f64>,
 }
-
-/// Length of [`FitReport::trace_tail`].
-pub const TRACE_TAIL: usize = 8;
 
 impl FitReport {
     /// `true` when any degradation-ladder step fired (Laplacian or
@@ -133,10 +122,24 @@ impl FitReport {
         })
     }
 
-    /// Records the trailing objective values (called once at fit end).
-    pub(crate) fn record_tail(&mut self, history: &[f64]) {
-        let start = history.len().saturating_sub(TRACE_TAIL);
-        self.trace_tail = history[start..].to_vec();
+    /// Number of checkpoint restarts performed.
+    pub fn restarts(&self) -> usize {
+        self.events
+            .iter()
+            .filter(|e| matches!(e, FitEvent::Restarted { .. }))
+            .count()
+    }
+
+    /// Observed cells masked out by input sanitization, over the compile
+    /// and every rebind since.
+    pub fn sanitized_cells(&self) -> usize {
+        self.events
+            .iter()
+            .map(|e| match e {
+                FitEvent::Sanitized { cells } => *cells,
+                _ => 0,
+            })
+            .sum()
     }
 }
 
@@ -270,18 +273,17 @@ mod tests {
     }
 
     #[test]
-    fn report_degraded_and_tail() {
+    fn report_readers_derive_from_events() {
         let mut r = FitReport::default();
         assert!(!r.degraded());
+        assert_eq!((r.restarts(), r.sanitized_cells()), (0, 0));
         r.events.push(FitEvent::Sanitized { cells: 3 });
+        r.events.push(FitEvent::Sanitized { cells: 2 });
         assert!(!r.degraded());
         r.events.push(FitEvent::LaplacianDropped { reason: "edgeless graph" });
         assert!(r.degraded());
-        r.record_tail(&[1.0, 2.0, 3.0]);
-        assert_eq!(r.trace_tail, vec![1.0, 2.0, 3.0]);
-        let long: Vec<f64> = (0..20).map(|i| i as f64).collect();
-        r.record_tail(&long);
-        assert_eq!(r.trace_tail.len(), TRACE_TAIL);
-        assert_eq!(r.trace_tail[0], 12.0);
+        r.events.push(FitEvent::Restarted { iteration: 4, failure: FitFailure::Diverged });
+        r.events.push(FitEvent::RolledBack { iteration: 5 });
+        assert_eq!((r.restarts(), r.sanitized_cells()), (1, 5));
     }
 }

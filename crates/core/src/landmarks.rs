@@ -83,11 +83,6 @@ impl Landmarks {
         Ok(())
     }
 
-    /// `true` when `(k, j)` lies in the frozen set `Φ`.
-    pub fn is_frozen(&self, k: usize, j: usize) -> bool {
-        k < self.centers.rows() && j < self.centers.cols()
-    }
-
     /// Verifies `v` still carries the landmark values exactly — the
     /// invariant the convergence tests assert after every fit.
     pub fn verify_injected(&self, v: &Matrix) -> bool {
@@ -160,15 +155,6 @@ mod tests {
         let lm = Landmarks::from_centers(Matrix::zeros(3, 2));
         let mut v = Matrix::zeros(2, 4);
         assert!(lm.inject(&mut v).is_err());
-    }
-
-    #[test]
-    fn frozen_set_geometry() {
-        let lm = Landmarks::from_centers(Matrix::zeros(3, 2));
-        assert!(lm.is_frozen(0, 0));
-        assert!(lm.is_frozen(2, 1));
-        assert!(!lm.is_frozen(3, 0));
-        assert!(!lm.is_frozen(0, 2));
     }
 
     #[test]

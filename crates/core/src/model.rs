@@ -14,8 +14,11 @@
 //! warm-started refits).
 //!
 //! [`FittedModel::impute`] applies Formula 8
-//! (`X̂ ← R_Ω(X) + R_Ψ(X*)`), and [`repair`] reuses the same machinery
-//! with `Ψ` = the set of dirty cells (paper §II-D).
+//! (`X̂ ← R_Ω(X) + R_Ψ(X*)`) by writing the observed cells into the
+//! reconstruction `X*`, so an imputation allocates one `N x M` matrix.
+//! [`repair`] reuses the same machinery with `Ψ` = the set of dirty
+//! cells (paper §II-D). [`FittedModel::refit`] is the serving path: a
+//! rebind plus a warm solve that borrows this model's factors.
 
 use crate::config::SmflConfig;
 use crate::health::FitReport;
@@ -43,9 +46,9 @@ pub struct FittedModel {
     pub converged: bool,
     /// Number of spatial columns `L` the model was fitted with.
     pub spatial_cols: usize,
-    /// Fault-tolerance audit trail: the objective tail on every fit,
-    /// plus the repair steps of a [`crate::Resilience::Recover`] fit.
-    /// See [`FitReport`].
+    /// Fault-tolerance audit trail: the repair steps of a
+    /// [`crate::Resilience::Recover`] fit and its terminal failure, if
+    /// any. See [`FitReport`].
     pub report: FitReport,
 }
 
@@ -57,8 +60,7 @@ impl FittedModel {
 
     /// Formula 8: observed cells from `x`, everything else from `U·V`.
     pub fn impute(&self, x: &Matrix, omega: &Mask) -> Result<Matrix> {
-        let xstar = self.reconstruct()?;
-        omega.blend(x, &xstar)
+        omega.blend(x, self.reconstruct()?)
     }
 
     /// Locations of the learned features: the first `L` columns of `V`
@@ -95,7 +97,8 @@ impl FittedModel {
     /// serving path for observations that trickle in. Rebinds `plan` to
     /// `(x, omega)` (in place when the mask is unchanged; see
     /// [`FitPlan::rebind`]) and solves seeded from this model's
-    /// factors, with the plan's landmark columns re-frozen on top.
+    /// factors, with the plan's landmark columns re-frozen on top. The
+    /// factors are borrowed: the solve's one copy of them is its iterate.
     ///
     /// The new data must have the plan's shape, and this model must
     /// have its rank — a rank change is a new model, not a refit

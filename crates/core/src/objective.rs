@@ -22,7 +22,12 @@ pub fn objective(
     graph: Option<&SpatialGraph>,
 ) -> Result<f64> {
     let r = masked_product(u, v, omega)?;
-    objective_with_reconstruction(x, omega, &r, u, lambda, graph)
+    let fit_term = masked_diff_norm_sq(x, &r, omega)?;
+    let reg_term = match graph {
+        Some(g) if lambda != 0.0 => lambda * g.regularization(u)?,
+        _ => 0.0,
+    };
+    Ok(fit_term + reg_term)
 }
 
 /// The two terms of the objective at the factors an update step
@@ -43,24 +48,6 @@ impl ObjectiveTerms {
     pub fn objective(&self, lambda: f64) -> f64 {
         self.fit + lambda * self.laplacian
     }
-}
-
-/// Evaluates the objective given the already computed `R_Ω(U·V)`;
-/// kept for callers that hold a dense masked reconstruction.
-pub fn objective_with_reconstruction(
-    x: &Matrix,
-    omega: &Mask,
-    masked_uv: &Matrix,
-    u: &Matrix,
-    lambda: f64,
-    graph: Option<&SpatialGraph>,
-) -> Result<f64> {
-    let fit_term = masked_diff_norm_sq(x, masked_uv, omega)?;
-    let reg_term = match graph {
-        Some(g) if lambda != 0.0 => lambda * g.regularization(u)?,
-        _ => 0.0,
-    };
-    Ok(fit_term + reg_term)
 }
 
 #[cfg(test)]
@@ -114,20 +101,6 @@ mod tests {
         let with = objective(&x, &omega, &u, &v, 5.0, None).unwrap();
         let without = objective(&x, &omega, &u, &v, 0.0, None).unwrap();
         assert_eq!(with, without);
-    }
-
-    #[test]
-    fn reconstruction_variant_matches_scratch() {
-        let x = uniform_matrix(8, 4, 0.0, 1.0, 10);
-        let u = positive_uniform_matrix(8, 3, 11);
-        let v = positive_uniform_matrix(3, 4, 12);
-        let mut omega = Mask::full(8, 4);
-        omega.set(0, 0, false);
-        omega.set(5, 2, false);
-        let r = masked_product(&u, &v, &omega).unwrap();
-        let a = objective(&x, &omega, &u, &v, 0.0, None).unwrap();
-        let b = objective_with_reconstruction(&x, &omega, &r, &u, 0.0, None).unwrap();
-        assert!((a - b).abs() < 1e-12);
     }
 
     #[test]

@@ -19,6 +19,10 @@
 //! graph per distinct `p` instead of once per candidate × fold. The
 //! compiled pattern holds the observed values of `x` and is compiled
 //! fresh by every plan.
+//!
+//! The pattern *is* the plan's Ω: [`FitPlan::rebind`] asks it whether
+//! a new mask observes the same cells and the SI cells behind the graph
+//! and landmarks are unchanged. A warm solve borrows its seed model.
 
 use crate::config::{Resilience, SmflConfig, Updater};
 use crate::health::{FitEvent, FitReport};
@@ -37,15 +41,16 @@ use std::time::Instant;
 ///
 /// The default is a cold solve: `U`/`V` initialized from the plan's
 /// seed, bitwise-identical to [`crate::fit`]. A warm solve seeds the
-/// factors from a previous solution instead; the plan's landmark
-/// columns are re-injected (re-frozen) on top of the warm `V`, so a
-/// warm start can never unfreeze them.
+/// factors from a previous solution instead, borrowed until the solve
+/// copies them into its own iterate; the plan's landmark columns are
+/// re-injected (re-frozen) on top of the warm `V`, so a warm start can
+/// never unfreeze them.
 #[derive(Debug, Clone, Default)]
-pub struct SolveOptions {
-    pub(crate) warm: Option<(Matrix, Matrix)>,
+pub struct SolveOptions<'a> {
+    pub(crate) warm: Option<&'a FittedModel>,
 }
 
-impl SolveOptions {
+impl<'a> SolveOptions<'a> {
     /// A cold solve (same as `SolveOptions::default()`).
     pub fn new() -> Self {
         Self::default()
@@ -54,8 +59,8 @@ impl SolveOptions {
     /// Warm-start from a fitted model's factors. The model must have
     /// the plan's shape and rank — a rank change invalidates a warm
     /// start (`DimensionMismatch { op: "warm_start" }` at solve time).
-    pub fn warm_from(model: &FittedModel) -> Self {
-        SolveOptions { warm: Some((model.u.clone(), model.v.clone())) }
+    pub fn warm_from(model: &'a FittedModel) -> Self {
+        SolveOptions { warm: Some(model) }
     }
 }
 
@@ -67,10 +72,8 @@ impl SolveOptions {
 #[derive(Debug, Clone)]
 pub struct FitPlan {
     pub(crate) config: SmflConfig,
-    /// The (possibly sanitized) observation mask the plan was compiled
-    /// against; also the plan's shape.
-    pub(crate) omega: Mask,
-    /// Ω + observed values, the only copy of the data a solve reads.
+    /// The (possibly sanitized) Ω + observed values, the only copy of
+    /// the data a solve reads; also the plan's shape.
     pub(crate) pattern: ObservedPattern,
     /// Similarity graph `D` (`None` when λ = 0, the variant has
     /// no spatial term, or the degradation ladder dropped it).
@@ -78,6 +81,9 @@ pub struct FitPlan {
     /// Landmarks to freeze into `V` (`None` for NMF/SMF or when the
     /// degradation ladder dropped them).
     pub(crate) landmarks: Option<Landmarks>,
+    /// Whether the graph or landmarks (or the ladder's decision to drop
+    /// them) came from the SI columns, which `rebind` must keep.
+    pub(crate) reads_si: bool,
     /// Pre-sized per-solve scratch (reused across solves).
     pub(crate) workspace: Workspace,
     /// Compile-phase audit trail (sanitization + degradation-ladder
@@ -251,9 +257,6 @@ impl FitPlan {
                 match cache.as_deref_mut().and_then(|c| c.lookup_landmarks(&key)) {
                     Some(entry) => {
                         cache_hits += 1;
-                        if entry.deduped_rows > 0 {
-                            report.deduped_rows = entry.deduped_rows;
-                        }
                         for ev in entry.events {
                             record(&mut report, sink, ev);
                         }
@@ -272,7 +275,6 @@ impl FitPlan {
                                 LmEntry {
                                     landmarks: lm.clone(),
                                     events: report.events[ev_start..].to_vec(),
-                                    deduped_rows: report.deduped_rows,
                                 },
                             );
                         }
@@ -304,10 +306,10 @@ impl FitPlan {
 
         Ok(FitPlan {
             config: config.clone(),
-            omega: omega.clone(),
             pattern,
             graph,
             landmarks,
+            reads_si: si.is_some(),
             workspace,
             report,
         })
@@ -320,7 +322,7 @@ impl FitPlan {
     }
 
     /// Solve with explicit [`SolveOptions`] (e.g. a warm start).
-    pub fn solve_with(&mut self, opts: &SolveOptions) -> Result<FittedModel> {
+    pub fn solve_with(&mut self, opts: &SolveOptions<'_>) -> Result<FittedModel> {
         crate::engine::solve(self, opts, &mut NoopSink)
     }
 
@@ -328,21 +330,21 @@ impl FitPlan {
     /// `sink`. A warm solve additionally emits the `warm_start` span.
     pub fn solve_with_sink<S: TraceSink>(
         &mut self,
-        opts: &SolveOptions,
+        opts: &SolveOptions<'_>,
         sink: &mut S,
     ) -> Result<FittedModel> {
         crate::engine::solve(self, opts, sink)
     }
 
     /// Rebinds the plan to new data of the **same shape** — the serving
-    /// refit path. The new inputs go through the same sanitization and
-    /// validation as a compile; graph and landmarks are kept as-is
-    /// (they depend on the SI columns, which serving refits leave
-    /// alone — recompile if yours change). When the (sanitized) mask
-    /// equals the plan's, the compiled pattern is refilled **in place**
-    /// — zero heap allocation; a changed mask recompiles the pattern
-    /// (the workspace's packed buffers follow it on the next solve's
-    /// first sparse step).
+    /// refit path — after the same sanitization and validation as a
+    /// compile. Graph and landmarks are kept, so SI columns they were
+    /// derived from must keep their observed cells and values, or
+    /// `Changed { op: "plan_rebind" }` names the first difference
+    /// (recompile instead). A mask observing the pattern's cells
+    /// refills it **in place** with zero heap allocation; a changed
+    /// mask recompiles it (the workspace's packed buffers follow on the
+    /// next solve's first sparse step).
     pub fn rebind(&mut self, x: &Matrix, omega: &Mask) -> Result<()> {
         if x.shape() != self.shape() {
             return Err(LinalgError::DimensionMismatch {
@@ -351,15 +353,21 @@ impl FitPlan {
                 op: "plan_rebind",
             });
         }
-        // Sanitization events are appended: the report is an audit trail.
+        // Sanitization events are appended once the rebind succeeds: the
+        // report is an audit trail.
+        let mut events = FitReport::default();
         let (x, omega) =
-            sanitize_and_validate(x, omega, &self.config, &mut self.report, &mut NoopSink)?;
-        if *omega == self.omega {
-            self.pattern.refill(&x, &omega)?;
-        } else {
-            self.pattern = ObservedPattern::compile(&x, &omega)?;
-            self.omega = omega.into_owned();
+            sanitize_and_validate(x, omega, &self.config, &mut events, &mut NoopSink)?;
+        let si_cols = if self.reads_si { self.config.spatial_cols } else { 0 };
+        if let Some(index) = self.pattern.first_difference(Some(&*x), &omega, si_cols) {
+            return Err(LinalgError::Changed { op: "plan_rebind", index });
         }
+        // `refill` checks the cells before writing a value, so on a
+        // changed mask it fails with the pattern untouched.
+        if self.pattern.refill(&x, &omega).is_err() {
+            self.pattern = ObservedPattern::compile(&x, &omega)?;
+        }
+        self.report.events.append(&mut events.events);
         Ok(())
     }
 
@@ -370,7 +378,7 @@ impl FitPlan {
 
     /// Grid shape `(N, M)` of the data the plan fits.
     pub fn shape(&self) -> (usize, usize) {
-        self.omega.shape()
+        (self.pattern.rows(), self.pattern.cols())
     }
 
     /// The landmarks the solve will freeze into `V`, if any.
@@ -402,7 +410,6 @@ struct LmKey {
 struct LmEntry {
     landmarks: Option<Landmarks>,
     events: Vec<FitEvent>,
-    deduped_rows: usize,
 }
 
 #[derive(Debug, Clone, PartialEq)]
@@ -543,7 +550,6 @@ fn sanitize_and_validate<'a, S: TraceSink>(
     };
     validate(&x, &omega, config)?;
     if removed > 0 {
-        report.sanitized_cells += removed;
         record(report, sink, FitEvent::Sanitized { cells: removed });
     }
     Ok((x, omega))
@@ -776,6 +782,33 @@ mod tests {
         let fresh = fit(&x2, &omega2, &cfg).unwrap();
         assert!(rebound.u.approx_eq(&fresh.u, 0.0));
         assert!(rebound.v.approx_eq(&fresh.v, 0.0));
+    }
+
+    #[test]
+    fn rebind_rejects_changed_spatial_columns() {
+        // A moved point or a newly unobserved coordinate would be fitted
+        // against a graph and landmarks built from the old SI.
+        let x = spatial_data(30, 6, 35);
+        let omega = drop_cells(30, 6, 4);
+        let cfg = SmflConfig::smfl(3, 2).with_max_iter(10);
+        let mut plan = FitPlan::compile(&x, &omega, &cfg).unwrap();
+        let before = plan.solve().unwrap();
+        let mut moved = x.clone();
+        moved.set(7, 1, x.get(7, 1) + 0.25);
+        moved.set(9, 0, x.get(9, 0) + 0.25);
+        let err = plan.rebind(&moved, &omega).unwrap_err();
+        assert_eq!(err, LinalgError::Changed { op: "plan_rebind", index: (7, 1) });
+        let mut fewer = omega.clone();
+        fewer.set(3, 0, false);
+        let err = plan.rebind(&x, &fewer).unwrap_err();
+        assert_eq!(err, LinalgError::Changed { op: "plan_rebind", index: (3, 0) });
+        // The rejected rebinds left the plan as compiled.
+        let after = plan.solve().unwrap();
+        assert!(after.u.approx_eq(&before.u, 0.0));
+        assert_eq!(after.objective_history, before.objective_history);
+        // NMF has neither, so it reads no SI.
+        let mut nmf = FitPlan::compile(&x, &omega, &SmflConfig::nmf(3)).unwrap();
+        nmf.rebind(&moved, &omega).unwrap();
     }
 
     #[test]

@@ -112,7 +112,6 @@ pub(crate) fn compute_landmarks<S: TraceSink>(
             let mut copy = si.clone();
             let rows = dedupe_coordinates(&mut copy);
             if rows > 0 {
-                report.deduped_rows = rows;
                 record(report, sink, FitEvent::CoordinatesDeduped { rows });
             }
             si_work = Some(copy);
@@ -215,10 +214,8 @@ mod tests {
         let resilient = fit(&x, &omega, &cfg.clone().resilient()).unwrap();
         assert!(plain.u.approx_eq(&resilient.u, 1e-9));
         assert!(plain.v.approx_eq(&resilient.v, 1e-9));
-        assert_eq!(resilient.report.restarts, 0);
         assert!(resilient.report.failure.is_none());
         assert!(resilient.report.events.is_empty(), "{:?}", resilient.report.events);
-        assert!(!resilient.report.trace_tail.is_empty());
         // Strict and recovering fits report the same clean fit.
         assert_eq!(plain.report, resilient.report);
     }
@@ -236,7 +233,7 @@ mod tests {
             .resilient();
         let model = fit(&x, &omega, &cfg).unwrap();
         assert!(model.u.all_finite() && model.v.all_finite());
-        assert!(model.report.restarts >= 1, "{:?}", model.report);
+        assert!(model.report.restarts() >= 1, "{:?}", model.report);
         assert!(model
             .report
             .events
@@ -269,7 +266,7 @@ mod tests {
         let model =
             fit(&x, &omega, &SmflConfig::smfl(3, 2).with_max_iter(30).resilient()).unwrap();
         assert!(model.u.all_finite() && model.v.all_finite());
-        assert_eq!(model.report.sanitized_cells, 3);
+        assert_eq!(model.report.sanitized_cells(), 3);
         assert!(model
             .report
             .events
@@ -352,13 +349,12 @@ mod tests {
             .report
             .events
             .iter()
-            .any(|e| matches!(e, FitEvent::CoordinatesDeduped { .. })));
+            .any(|e| matches!(e, FitEvent::CoordinatesDeduped { rows } if *rows > 0)));
         assert!(model
             .report
             .events
             .iter()
             .any(|e| matches!(e, FitEvent::LandmarksRetried { .. })));
-        assert!(model.report.deduped_rows > 0);
         // The surviving landmark rows are pairwise distinct.
         let lm = &model.landmarks.as_ref().unwrap().centers;
         for a in 0..lm.rows() {

@@ -3,8 +3,8 @@
 //! - [`multiplicative_step`] — the self-adaptive multiplicative rules
 //!   (Formulas 13/14). Numerators and denominators are elementwise
 //!   nonnegative for nonnegative input, so the iterates stay in the
-//!   feasible region; denominators are guarded by [`EPS`] following
-//!   standard Lee–Seung practice.
+//!   feasible region; denominators are guarded by [`DENOM_EPS`]
+//!   following standard Lee–Seung practice.
 //! - [`gradient_step`] — projected gradient descent with a fixed
 //!   learning rate (§III-B1), kept feasible by clamping at zero. This is
 //!   the `SMF-GD` optimizer of Fig. 5.
@@ -47,17 +47,13 @@
 //! the paper's §IV-E efficiency claim refers to.
 
 use crate::fused_step::{fused_step, Gradient, Multiplicative};
+use crate::health::DENOM_EPS;
 use crate::landmarks::Landmarks;
 use crate::objective::ObjectiveTerms;
 use smfl_linalg::kernels::{ObservedPattern, Workspace};
 use smfl_linalg::ops::dot;
 use smfl_linalg::{Matrix, Result};
 use smfl_spatial::SpatialGraph;
-
-/// Denominator guard for the multiplicative rules — a re-export of the
-/// workspace-wide [`crate::health::DENOM_EPS`], kept under its historic
-/// name for existing callers.
-pub use crate::health::DENOM_EPS as EPS;
 
 /// Immutable per-fit quantities shared by every iteration.
 pub struct UpdateContext<'a> {
@@ -180,7 +176,7 @@ fn sparse_multiplicative_step(
                 .zip(u.as_slice())
                 .zip(ws.denom_u.as_slice())
             {
-                *o = x * (*o / (d + EPS));
+                *o = x * (*o / (d + DENOM_EPS));
             }
             0.0
         }
@@ -201,7 +197,7 @@ fn sparse_multiplicative_step(
         ws.counters.masked_nnz += 2 * nnz;
         for k in 0..v.rows() {
             for j in start..v.cols() {
-                let val = v.get(k, j) * ws.numer_vt.get(j, k) / (ws.denom_vt.get(j, k) + EPS);
+                let val = v.get(k, j) * ws.numer_vt.get(j, k) / (ws.denom_vt.get(j, k) + DENOM_EPS);
                 ws.v_next.set(k, j, val);
             }
         }
@@ -215,7 +211,7 @@ fn sparse_multiplicative_step(
 }
 
 /// Formula 13 with the spatial terms folded in elementwise:
-/// `u'_ik = u_ik·(N_ik + λ·(D·U)_ik) / (Dn_ik + λ·w_i·u_ik + EPS)`, with
+/// `u'_ik = u_ik·(N_ik + λ·(D·U)_ik) / (Dn_ik + λ·w_i·u_ik + DENOM_EPS)`, with
 /// the numerator `N` already in `ws.u_next` (overwritten by `u'`), `Dn`
 /// in `ws.denom_u` and `D·U` in `ws.reg_a`.
 fn update_u_with_graph(u: &Matrix, ws: &mut Workspace, g: &SpatialGraph, lambda: f64) {
@@ -233,7 +229,7 @@ fn update_u_with_graph(u: &Matrix, ws: &mut Workspace, g: &SpatialGraph, lambda:
     for (i, (((orow, urow), drow), grow)) in rows.enumerate() {
         let w = g.degree(i);
         for (((o, &x), &d), &du) in orow.iter_mut().zip(urow).zip(drow).zip(grow) {
-            *o = x * ((*o + lambda * du) / (d + lambda * (w * x) + EPS));
+            *o = x * ((*o + lambda * du) / (d + lambda * (w * x) + DENOM_EPS));
         }
     }
 }

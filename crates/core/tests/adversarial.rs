@@ -15,7 +15,7 @@ fn assert_model_sane(model: &smfl_core::FittedModel) {
     assert!(model.u.all_finite(), "U contains non-finite entries");
     assert!(model.v.all_finite(), "V contains non-finite entries");
     assert!(model.u.is_nonnegative(0.0), "U went negative");
-    for &obj in &model.report.trace_tail {
+    for &obj in &model.objective_history {
         assert!(!obj.is_nan(), "objective trace recorded NaN");
     }
 }
@@ -56,7 +56,7 @@ proptest! {
         // injectors may have poisoned every observation of a column.
         if let Ok(model) = fit(&x, &omega, &config.resilient()) {
             assert_model_sane(&model);
-            prop_assert!(model.report.sanitized_cells > 0);
+            prop_assert!(model.report.sanitized_cells() > 0);
             prop_assert!(model
                 .report
                 .events
@@ -173,7 +173,7 @@ fn combined_fault_storm_is_survivable_and_deterministic() {
     let a = run();
     let b = run();
     assert_model_sane(&a);
-    assert!(a.report.sanitized_cells > 0, "sanitizer saw no cells: {:?}", a.report);
+    assert!(a.report.sanitized_cells() > 0, "sanitizer saw no cells: {:?}", a.report);
     assert!(
         a.report.events.iter().any(|e| matches!(e, FitEvent::Sanitized { .. })),
         "no Sanitized event: {:?}",

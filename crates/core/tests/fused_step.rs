@@ -29,8 +29,8 @@
 //!   since the thread count is fixed per process).
 
 use proptest::prelude::*;
-use smfl_core::updater::{gradient_step, multiplicative_step, score, UpdateContext, EPS};
-use smfl_core::{fit, Landmarks, SmflConfig};
+use smfl_core::updater::{gradient_step, multiplicative_step, score, UpdateContext};
+use smfl_core::{fit, Landmarks, SmflConfig, DENOM_EPS};
 use smfl_linalg::mask::masked_product;
 use smfl_linalg::ops::{matmul, matmul_at, matmul_bt};
 use smfl_linalg::parallel::{max_threads, threads_for};
@@ -184,7 +184,7 @@ fn oracle_step(
         denom.axpy(lambda, &matmul(&w, u).unwrap()).unwrap();
     }
     let u_new = Matrix::from_fn(u.rows(), u.cols(), |i, t| {
-        u.get(i, t) * numer.get(i, t) / (denom.get(i, t) + EPS)
+        u.get(i, t) * numer.get(i, t) / (denom.get(i, t) + DENOM_EPS)
     });
 
     // Formula 14 on the live columns: V ∘ (Uᵀ·R_Ω(X)) / (Uᵀ·R_Ω(UV)).
@@ -195,7 +195,7 @@ fn oracle_step(
         if j < v_start {
             v.get(t, j)
         } else {
-            v.get(t, j) * numer.get(t, j) / (denom.get(t, j) + EPS)
+            v.get(t, j) * numer.get(t, j) / (denom.get(t, j) + DENOM_EPS)
         }
     });
     (u_new, v_new)

@@ -119,7 +119,6 @@ fn trace_covers_every_phase_and_counter() {
     assert!(c.spmm > 0 && c.spmm_t > 0, "no SpMM counted: {c:?}");
     assert_eq!(c.dense_steps, 0, "sparse fit took the dense path: {c:?}");
     assert!(c.masked_nnz > 0);
-    assert_eq!(c.kernel_calls(), c.sddmm + c.spmm + c.spmm_t);
 }
 
 // ---------------------------------------------------------------------
@@ -168,7 +167,7 @@ fn resilient_trace_mirrors_fit_report() {
             .iter()
             .filter(|e| matches!(e, FitEvent::Restarted { .. }))
             .count();
-        assert_eq!(restarts, model.report.restarts, "lr={lr}");
+        assert_eq!(restarts, model.report.restarts(), "lr={lr}");
         if restarts > 0 {
             // Restart iterations are recorded but not accepted, and the
             // accepted trajectory still matches the history bitwise.

@@ -26,28 +26,42 @@
 //! in, so the factor buffers alternate between two fixed allocations.
 //!
 //! A strict solve never checkpoints, so it never creates the snapshot
-//! buffers a recovering solve allocates on its first checkpoint.
+//! buffers a recovering solve allocates on its first checkpoint. A
+//! warm start borrows its seed model, so `FittedModel::refit` costs
+//! what its warm solve costs, and `FittedModel::impute` allocates one
+//! `N x M` matrix: the reconstruction it fills in place.
 //!
 //! The telemetry layer (DESIGN.md §11) extends the contract: the no-op
 //! sink's instrumentation sites allocate nothing at all, and a
 //! recording sink allocates only on event-buffer growth (never when
 //! pre-reserved).
 //!
-//! This file deliberately holds exactly ONE `#[test]`: the allocation
-//! counter is process-global, and Rust runs tests in the same binary
-//! concurrently, so any sibling test would pollute the count.
+//! This file deliberately holds exactly ONE `#[test]`, and the counter
+//! counts only the allocations of the thread that armed it: the test
+//! harness's main thread allocates while the test starts, which made the
+//! first counted phase fail intermittently when every thread counted.
+//! So that no counted work can run on a worker thread the counter does
+//! not see, the test pins every kernel to one thread (`SMFL_THREADS=1`,
+//! read once per process) and asserts that the pin took.
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::cell::Cell;
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 struct CountingAllocator;
 
-static COUNTING: AtomicBool = AtomicBool::new(false);
+thread_local! {
+    static COUNTING: Cell<bool> = const { Cell::new(false) };
+}
 static ALLOCS: AtomicUsize = AtomicUsize::new(0);
+
+fn counting() -> bool {
+    COUNTING.try_with(Cell::get).unwrap_or(false)
+}
 
 unsafe impl GlobalAlloc for CountingAllocator {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        if COUNTING.load(Ordering::Relaxed) {
+        if counting() {
             ALLOCS.fetch_add(1, Ordering::Relaxed);
         }
         unsafe { System.alloc(layout) }
@@ -58,7 +72,7 @@ unsafe impl GlobalAlloc for CountingAllocator {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        if COUNTING.load(Ordering::Relaxed) {
+        if counting() {
             ALLOCS.fetch_add(1, Ordering::Relaxed);
         }
         unsafe { System.realloc(ptr, layout, new_size) }
@@ -80,14 +94,19 @@ use smfl_spatial::{KdTree, NeighborSearch, SpatialGraph};
 /// Runs `f` with the counter armed and returns the allocation count.
 fn count_allocs<F: FnMut()>(mut f: F) -> usize {
     ALLOCS.store(0, Ordering::SeqCst);
-    COUNTING.store(true, Ordering::SeqCst);
+    COUNTING.set(true);
     f();
-    COUNTING.store(false, Ordering::SeqCst);
+    COUNTING.set(false);
     ALLOCS.load(Ordering::SeqCst)
 }
 
 #[test]
 fn multiplicative_step_allocates_nothing_after_warmup() {
+    // Before any kernel reads the thread count: every parallel path then
+    // runs inline on this, the counted, thread.
+    std::env::set_var("SMFL_THREADS", "1");
+    assert_eq!(smfl_linalg::parallel::max_threads(), 1, "the thread pin must take");
+
     // Small enough to stay under the kernels' parallel-dispatch
     // threshold (thread spawning allocates); sparse enough (≈30%
     // observed) to take the SpMM path, which is the hot production case.
@@ -148,7 +167,7 @@ fn multiplicative_step_allocates_nothing_after_warmup() {
     // allocation-free.
     let policy = Resilience::Recover { stall_patience: 0 };
     let mut prev = None;
-    COUNTING.store(true, Ordering::SeqCst);
+    COUNTING.set(true);
     for _ in 0..10 {
         let fit = multiplicative_step(&ctx, &mut ws, &u, &v).unwrap().fit;
         assert!(classify(fit, prev, &u, &v, 0, &policy).is_none());
@@ -156,7 +175,7 @@ fn multiplicative_step_allocates_nothing_after_warmup() {
         ws.checkpoint(&u, &v);
         ws.commit(&mut u, &mut v);
     }
-    COUNTING.store(false, Ordering::SeqCst);
+    COUNTING.set(false);
     let allocs = ALLOCS.load(Ordering::SeqCst);
 
     assert_eq!(
@@ -320,9 +339,10 @@ fn multiplicative_step_allocates_nothing_after_warmup() {
     // --- Phase 5: warm-start refits through a compiled plan. ------------
     // The serving loop is `plan.rebind` + warm solve. On an unchanged
     // mask the rebind refills the compiled pattern in place — zero
-    // allocations — and a warm solve's allocation count is
-    // a fixed per-solve cost (history buffer + warm-factor clones),
-    // independent of how many iterations it runs.
+    // allocations — and a warm solve's allocation count is a fixed
+    // per-solve cost (the history buffer and the iterate's one copy of
+    // the borrowed warm factors), independent of how many iterations it
+    // runs.
     use smfl_core::{fit as core_fit, FitPlan, SmflConfig, SolveOptions};
 
     let cfg = SmflConfig::nmf(k).with_seed(7).with_tol(0.0).with_max_iter(3);
@@ -434,6 +454,34 @@ fn multiplicative_step_allocates_nothing_after_warmup() {
     assert!(strict_model.u.approx_eq(&recover_model.u, 0.0));
     assert!(strict_model.v.approx_eq(&recover_model.v, 0.0));
     assert_eq!(strict_model.report, recover_model.report);
+
+    // --- Phase 7: a refit makes no factor copies of its own. ------------
+    // `refit` is a rebind plus a warm solve that borrows the model, so it
+    // allocates exactly what that warm solve allocates after a rebind.
+    let mut plan = FitPlan::compile(&x, &omega, &strict_cfg).unwrap();
+    plan.solve_with(&opts).unwrap();
+    plan.rebind(&x2, &omega).unwrap();
+    let solve_allocs = count_allocs(|| {
+        plan.solve_with(&opts).unwrap();
+    });
+    let refit_allocs = count_allocs(|| {
+        cold_nmf.refit(&mut plan, &x2, &omega).unwrap();
+    });
+    assert_eq!(
+        refit_allocs, solve_allocs,
+        "refit allocated {refit_allocs} times where the warm solve it wraps allocates \
+         {solve_allocs}: it copies the warm factors"
+    );
+
+    // --- Phase 8: imputation allocates only the reconstruction. ---------
+    // Formula 8 writes the observed cells into `X* = U·V` in place.
+    let impute_allocs = count_allocs(|| {
+        cold_nmf.impute(&x, &omega).unwrap();
+    });
+    assert_eq!(
+        impute_allocs, 1,
+        "impute allocated {impute_allocs} times; expected the one N x M reconstruction"
+    );
 }
 
 /// An i.i.d. mask at `density`, with row 0 fully observed.

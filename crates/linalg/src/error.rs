@@ -63,6 +63,14 @@ pub enum LinalgError {
         /// Position of the first negative cell.
         index: (usize, usize),
     },
+    /// A cell that must match a compiled state is observed in only one
+    /// of them, or its value changed.
+    Changed {
+        /// Name of the operation that found the difference.
+        op: &'static str,
+        /// Position of the first differing cell.
+        index: (usize, usize),
+    },
     /// An internal invariant was violated — a bug surfaced as a
     /// recoverable error instead of a panic, so a serving process can
     /// reject the one request and stay up.
@@ -103,6 +111,11 @@ impl fmt::Display for LinalgError {
             LinalgError::Negative { op, index } => write!(
                 f,
                 "negative value in {op} at ({}, {})",
+                index.0, index.1
+            ),
+            LinalgError::Changed { op, index } => write!(
+                f,
+                "cell changed since compile in {op} at ({}, {})",
                 index.0, index.1
             ),
             LinalgError::Internal { invariant } => {
@@ -167,6 +180,10 @@ mod tests {
         assert_eq!(
             LinalgError::Negative { op: "fit", index: (2, 4) }.to_string(),
             "negative value in fit at (2, 4)"
+        );
+        assert_eq!(
+            LinalgError::Changed { op: "plan_rebind", index: (5, 0) }.to_string(),
+            "cell changed since compile in plan_rebind at (5, 0)"
         );
         assert_eq!(
             LinalgError::Internal { invariant: "si computed" }.to_string(),

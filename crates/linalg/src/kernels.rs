@@ -74,13 +74,6 @@ pub struct KernelCounters {
     pub masked_nnz: u64,
 }
 
-impl KernelCounters {
-    /// Total sparse-kernel invocations (SDDMM + SpMM + SpMMᵀ).
-    pub fn kernel_calls(&self) -> u64 {
-        self.sddmm + self.spmm + self.spmm_t
-    }
-}
-
 /// `Ω` and the observed values of `X`, compiled once per fit into a
 /// CSR pattern (with a CSC companion view for column-driven products).
 #[derive(Debug, Clone)]
@@ -168,7 +161,8 @@ impl ObservedPattern {
     /// # Errors
     /// - shape mismatch with the compiled grid;
     /// - `omega` observes a different cell set than the compiled
-    ///   pattern (count or layout) — recompile instead.
+    ///   pattern (`Changed` at the first differing cell) — recompile
+    ///   instead. Checked before any value is written.
     pub fn refill(&mut self, x: &Matrix, omega: &Mask) -> Result<()> {
         if x.shape() != (self.rows, self.cols) || omega.shape() != (self.rows, self.cols) {
             return Err(LinalgError::DimensionMismatch {
@@ -177,35 +171,41 @@ impl ObservedPattern {
                 op: "pattern_refill",
             });
         }
-        if omega.count() != self.nnz() {
-            return Err(LinalgError::BadLength {
-                expected: self.nnz(),
-                actual: omega.count(),
-            });
+        if let Some(index) = self.first_difference(None, omega, self.cols) {
+            return Err(LinalgError::Changed { op: "pattern_refill", index });
         }
-        // Verify the layout first (equal counts can still disagree
-        // cell-by-cell), so an error never leaves the values half-written.
-        let mut slot = 0usize;
         for i in 0..self.rows {
-            for j in omega.iter_row_set(i) {
-                if self.col_idx[slot] != j {
-                    return Err(LinalgError::IndexOutOfBounds {
-                        index: (i, j),
-                        shape: (self.rows, self.cols),
-                    });
-                }
-                slot += 1;
-            }
-        }
-        let mut slot = 0usize;
-        for i in 0..self.rows {
-            let xrow = x.row(i);
-            for j in omega.iter_row_set(i) {
-                self.x_vals[slot] = xrow[j];
-                slot += 1;
+            for s in self.row_ptr[i]..self.row_ptr[i + 1] {
+                self.x_vals[s] = x.get(i, self.col_idx[s]);
             }
         }
         Ok(())
+    }
+
+    /// The first cell (row-major, columns `< cols`) observed by `omega`
+    /// or the pattern but not both, or, when `x` is given, observed by
+    /// both with another value in `x`. `omega` and `x` must have the
+    /// compiled shape. One allocation-free merge per row.
+    pub fn first_difference(
+        &self,
+        x: Option<&Matrix>,
+        omega: &Mask,
+        cols: usize,
+    ) -> Option<(usize, usize)> {
+        for i in 0..self.rows {
+            let mut new = omega.iter_row_set(i).take_while(|&j| j < cols);
+            let mut old = self.row_entries(i).take_while(|&(j, _)| j < cols);
+            loop {
+                match (new.next(), old.next()) {
+                    (None, None) => break,
+                    (Some(j), Some((oj, slot)))
+                        if j == oj && x.is_none_or(|x| x.get(i, j) == self.x_vals[slot]) => {}
+                    (Some(j), Some((oj, _))) => return Some((i, j.min(oj))),
+                    (Some(j), None) | (None, Some((j, _))) => return Some((i, j)),
+                }
+            }
+        }
+        None
     }
 
     /// Number of rows of the underlying grid.
@@ -647,6 +647,14 @@ mod tests {
                 assert_eq!(p.x_vals()[slot], x.get(i, j));
             }
         }
+        // Only the compiled cells refill; values compare below `cols`.
+        let (mut more, mut y) = (mask.clone(), x.clone());
+        more.set(0, 0, true);
+        let err = p.clone().refill(&x, &more).unwrap_err();
+        assert_eq!(err, LinalgError::Changed { op: "pattern_refill", index: (0, 0) });
+        y.set(1, 2, 9.0);
+        assert_eq!(p.first_difference(Some(&y), &mask, 5), Some((1, 2)));
+        assert_eq!(p.first_difference(Some(&y), &mask, 2), None);
     }
 
     #[test]

@@ -236,8 +236,9 @@ impl Mask {
 
     /// Blends two matrices: masked cells from `a`, the rest from `b`
     /// (the paper's Formula 8, `X̂ ← R_Ω(X) + R_Ψ(X*)` with `self = Ω`,
-    /// `a = X`, `b = X*`).
-    pub fn blend(&self, a: &Matrix, b: &Matrix) -> Result<Matrix> {
+    /// `a = X`, `b = X*`). The masked cells of `a` are written into `b`,
+    /// which is returned, so a blend allocates nothing.
+    pub fn blend(&self, a: &Matrix, mut b: Matrix) -> Result<Matrix> {
         if a.shape() != self.shape() || b.shape() != self.shape() {
             return Err(LinalgError::DimensionMismatch {
                 left: a.shape(),
@@ -245,11 +246,10 @@ impl Mask {
                 op: "mask_blend",
             });
         }
-        let mut out = b.clone();
         for (i, j) in self.iter_set() {
-            out.set(i, j, a.get(i, j));
+            b.set(i, j, a.get(i, j));
         }
-        Ok(out)
+        Ok(b)
     }
 
     /// Zeroes the cells of `m` *outside* the mask, in place — `apply`
@@ -444,7 +444,7 @@ mod tests {
         let x = Matrix::from_vec(2, 2, vec![1.0, 2.0, 3.0, 4.0]).unwrap();
         let xstar = Matrix::from_vec(2, 2, vec![9.0, 9.0, 9.0, 9.0]).unwrap();
         let omega = Mask::from_positions(2, 2, &[(0, 0)]).unwrap();
-        let blended = omega.blend(&x, &xstar).unwrap();
+        let blended = omega.blend(&x, xstar).unwrap();
         assert_eq!(blended.as_slice(), &[1.0, 9.0, 9.0, 9.0]);
     }
 

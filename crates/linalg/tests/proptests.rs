@@ -105,7 +105,7 @@ proptest! {
 
     #[test]
     fn blend_respects_mask(a in matrix(3, 4), b in matrix(3, 4), mask in mask_for(3, 4)) {
-        let blended = mask.blend(&a, &b).unwrap();
+        let blended = mask.blend(&a, b.clone()).unwrap();
         for i in 0..3 {
             for j in 0..4 {
                 let expected = if mask.get(i, j) { a.get(i, j) } else { b.get(i, j) };

@@ -11,9 +11,9 @@
 //! [`smfl_linalg::parallel`]: [`KdTree::build`] spawns subtree builds at
 //! the top median splits (each subtree owns a disjoint pre-sized range
 //! of the preorder node array, so the finished tree is bitwise-identical
-//! for every thread count), and [`KdTree::nearest_bulk`] answers all
-//! queries in balanced chunks across threads with one reused
-//! neighbour-heap per chunk — no per-query heap allocation.
+//! for every thread count), and [`KdTree::nearest_bulk_with_threads`]
+//! answers all queries in balanced chunks across threads with one
+//! reused neighbour-heap per chunk — no per-query heap allocation.
 
 use crate::metric::sq_dist;
 use smfl_linalg::parallel::{parallel_over_rows, threads_for};
@@ -119,7 +119,7 @@ impl KdTree {
     }
 
     /// Answers one kNN query per row of `queries`, in parallel chunks
-    /// across threads (count chosen automatically).
+    /// across `threads` threads (`0` = automatic).
     ///
     /// Returns a flat query-major array: entry `q * kk + t` is the
     /// `t`-th-nearest hit of query `q`, where `kk =`
@@ -128,12 +128,6 @@ impl KdTree {
     /// similarity graph needs when querying the indexed points
     /// themselves. Results are bitwise-identical to calling
     /// [`KdTree::nearest`] per row, for every thread count.
-    pub fn nearest_bulk(&self, queries: &Matrix, k: usize, exclude_self: bool) -> Vec<Neighbor> {
-        self.nearest_bulk_with_threads(queries, k, exclude_self, 0)
-    }
-
-    /// [`KdTree::nearest_bulk`] with an explicit thread count
-    /// (`0` = automatic).
     pub fn nearest_bulk_with_threads(
         &self,
         queries: &Matrix,
@@ -147,7 +141,7 @@ impl KdTree {
         out
     }
 
-    /// [`KdTree::nearest_bulk`] into a caller-owned buffer of exactly
+    /// [`KdTree::nearest_bulk_with_threads`] into a caller-owned buffer of exactly
     /// `queries.rows() * bulk_k(k, exclude_self)` entries, so steady-state
     /// callers allocate nothing per query (one scratch heap per thread
     /// chunk is the only transient). `threads == 0` = automatic.
@@ -434,7 +428,7 @@ mod tests {
         let empty = KdTree::build(&Matrix::zeros(0, 2));
         assert!(empty.is_empty());
         assert!(empty.nearest(&[0.0, 0.0], 3, usize::MAX).is_empty());
-        assert!(empty.nearest_bulk(&Matrix::zeros(0, 2), 3, true).is_empty());
+        assert!(empty.nearest_bulk_with_threads(&Matrix::zeros(0, 2), 3, true, 0).is_empty());
     }
 
     #[test]
@@ -541,7 +535,7 @@ mod tests {
         let kk = tree.bulk_k(3, true);
         let mut out = vec![(usize::MAX, f64::INFINITY); 80 * kk];
         tree.nearest_bulk_into(&pts, 3, true, 1, &mut out);
-        let fresh = tree.nearest_bulk(&pts, 3, true);
+        let fresh = tree.nearest_bulk_with_threads(&pts, 3, true, 0);
         assert_eq!(out, fresh);
     }
 }

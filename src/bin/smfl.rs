@@ -172,7 +172,7 @@ fn impute_cmd(
         .inverse_transform(&completed)
         .map_err(|e| e.to_string())?;
     // Observed (and clean) cells keep their original raw values exactly.
-    let final_matrix = work_omega.blend(raw, &denormed).map_err(|e| e.to_string())?;
+    let final_matrix = work_omega.blend(raw, denormed).map_err(|e| e.to_string())?;
 
     std::fs::write(output, to_csv_string(columns, &final_matrix))
         .map_err(|e| format!("writing {output}: {e}"))?;
