@@ -19,7 +19,7 @@
 
 use smfl_linalg::solve::ridge_regression;
 use smfl_linalg::{Mask, Matrix, Result};
-use smfl_spatial::{NeighborSearch, SpatialGraph};
+use smfl_spatial::SpatialGraph;
 
 /// A cell-level error detector: flags suspicious cells of `x`.
 pub trait ErrorDetector {
@@ -173,7 +173,7 @@ impl RahaLite {
             return Ok(());
         }
         let si = x.columns(0, self.spatial_cols.min(m))?;
-        let graph = SpatialGraph::build(&si, self.k.min(n - 1), NeighborSearch::KdTree)?;
+        let graph = SpatialGraph::build(&si, self.k.min(n - 1))?;
         for i in 0..n {
             let neighbours = graph.neighbors(i);
             if neighbours.is_empty() {

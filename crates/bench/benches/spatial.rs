@@ -1,40 +1,67 @@
 //! Spatial-preprocessing benchmarks: the parallel pipeline of graph
 //! construction (kd-tree build + bulk kNN + hash-free adjacency assembly),
-//! the kd-tree-vs-brute-force ablation (DESIGN.md #3), and the
-//! Hamerly-vs-Lloyd k-means ablation.
+//! the kNN ablation of DESIGN.md §5 item 3 (the bulk kd-tree query
+//! against `brute_force_nearest`, the `O(N²L)` search Proposition 1
+//! quotes), and landmark k-means.
 //!
 //! Besides the criterion console output, `main` sweeps
 //! `N ∈ {2000, 20000, 100000}` at `p = 5`, times the full
 //! `SpatialGraph` build serial (1 thread) vs parallel (`max_threads()`),
-//! cross-checks that every configuration produces the **identical**
-//! adjacency (and, where `O(N²)` is feasible, matches the brute-force
-//! oracle bitwise), times Lloyd vs Hamerly k-means on the same points,
+//! cross-checks that both produce the **identical** adjacency, times
+//! k-means on the same points and, where `O(N²)` is feasible, checks the
+//! serial kd-tree kNN lists against brute force bitwise and times both,
 //! and writes `BENCH_spatial.json` at the workspace root — the same
 //! shape as `BENCH_update_rules.json`.
 
 use criterion::{BenchmarkId, Criterion};
 use smfl_linalg::parallel::max_threads;
 use smfl_linalg::random::uniform_matrix;
-use smfl_spatial::graph::{NeighborSearch, SpatialGraph};
-use smfl_spatial::kmeans::{kmeans, KMeansAlgorithm, KMeansConfig};
+use smfl_linalg::Matrix;
+use smfl_spatial::graph::SpatialGraph;
+use smfl_spatial::kdtree::{brute_force_nearest, Neighbor};
+use smfl_spatial::kmeans::{kmeans, KMeansConfig};
 use smfl_spatial::KdTree;
 use std::time::Instant;
 
 /// Neighbour count of the JSON sweep (ISSUE acceptance shape).
 const P: usize = 5;
 const SWEEP_N: [usize; 3] = [2_000, 20_000, 100_000];
-/// Brute-force oracle verification is `O(N²)`; run it up to this size.
+/// The brute-force search is `O(N²)`; run it up to this size.
 const ORACLE_MAX_N: usize = 2_000;
+
+/// Every point's `p` nearest neighbours (itself excluded) from the
+/// kd-tree, serially: tree build plus one bulk query, flat query-major.
+fn knn_kdtree(pts: &Matrix, p: usize) -> Vec<Neighbor> {
+    KdTree::build_with_threads(pts, 1).nearest_bulk_with_threads(pts, p, true, 1)
+}
+
+/// The same lists by brute force, one `O(N·L)` scan per point.
+fn knn_brute_force(pts: &Matrix, p: usize) -> Vec<Neighbor> {
+    (0..pts.rows())
+        .flat_map(|i| brute_force_nearest(pts, pts.row(i), p, i))
+        .collect()
+}
 
 fn bench_graph_build(c: &mut Criterion) {
     let mut group = c.benchmark_group("knn_graph_build");
     for &n in &[500usize, 2000] {
         let pts = uniform_matrix(n, 2, 0.0, 1.0, 1);
         group.bench_with_input(BenchmarkId::new("kdtree", n), &pts, |b, pts| {
-            b.iter(|| SpatialGraph::build(pts, 3, NeighborSearch::KdTree).unwrap());
+            b.iter(|| SpatialGraph::build(pts, 3).unwrap());
+        });
+    }
+    group.finish();
+}
+
+fn bench_knn_ablation(c: &mut Criterion) {
+    let mut group = c.benchmark_group("knn_ablation");
+    for &n in &[500usize, 2000] {
+        let pts = uniform_matrix(n, 2, 0.0, 1.0, 1);
+        group.bench_with_input(BenchmarkId::new("kdtree_bulk", n), &pts, |b, pts| {
+            b.iter(|| knn_kdtree(pts, 3));
         });
         group.bench_with_input(BenchmarkId::new("bruteforce", n), &pts, |b, pts| {
-            b.iter(|| SpatialGraph::build(pts, 3, NeighborSearch::BruteForce).unwrap());
+            b.iter(|| knn_brute_force(pts, 3));
         });
     }
     group.finish();
@@ -64,19 +91,14 @@ fn bench_kdtree_query(c: &mut Criterion) {
 
 fn bench_kmeans_landmarks(c: &mut Criterion) {
     // Landmark generation cost (paper Proposition 1's O(t2·K·N·L) term —
-    // shown NOT to dominate the pipeline), Lloyd vs the pruned engine.
+    // shown NOT to dominate the pipeline).
     let mut group = c.benchmark_group("kmeans_landmarks");
     for &n in &[1000usize, 4000] {
         let si = uniform_matrix(n, 2, 0.0, 1.0, 3);
-        for (label, algorithm) in [
-            ("lloyd_k8", KMeansAlgorithm::Lloyd),
-            ("hamerly_k8", KMeansAlgorithm::Hamerly),
-        ] {
-            group.bench_with_input(BenchmarkId::new(label, n), &si, |b, si| {
-                let cfg = KMeansConfig::new(8).with_seed(0).with_algorithm(algorithm);
-                b.iter(|| kmeans(si, &cfg).unwrap());
-            });
-        }
+        group.bench_with_input(BenchmarkId::new("k8", n), &si, |b, si| {
+            let cfg = KMeansConfig::new(8).with_seed(0);
+            b.iter(|| kmeans(si, &cfg).unwrap());
+        });
     }
     group.finish();
 }
@@ -98,10 +120,8 @@ fn time_secs(mut f: impl FnMut(), budget_s: f64, min_iters: u32) -> f64 {
 }
 
 /// The kd-tree binary graph built with an explicit thread count.
-fn graph_with_threads(pts: &smfl_linalg::Matrix, threads: usize) -> SpatialGraph {
-    SpatialGraph::build_instrumented(pts, P, NeighborSearch::KdTree, threads)
-        .unwrap()
-        .0
+fn graph_with_threads(pts: &Matrix, threads: usize) -> SpatialGraph {
+    SpatialGraph::build_instrumented(pts, P, threads).unwrap().0
 }
 
 fn json_report() {
@@ -112,22 +132,13 @@ fn json_report() {
         let pts = uniform_matrix(n, 2, 0.0, 1.0, 7);
 
         // Correctness first: serial and parallel builds must produce the
-        // identical adjacency; where O(N²) is affordable, both must also
-        // match the brute-force oracle bitwise.
+        // identical adjacency.
         let serial = graph_with_threads(&pts, 1);
         let parallel = graph_with_threads(&pts, threads);
         assert!(
             serial == parallel,
             "parallel graph differs from serial at n={n}"
         );
-        let oracle_checked = n <= ORACLE_MAX_N;
-        if oracle_checked {
-            let oracle = SpatialGraph::build(&pts, P, NeighborSearch::BruteForce).unwrap();
-            assert!(
-                parallel == oracle,
-                "parallel graph differs from the brute-force oracle at n={n}"
-            );
-        }
 
         let serial_s = time_secs(
             || {
@@ -145,54 +156,48 @@ fn json_report() {
         );
         let speedup = serial_s / parallel_s;
 
-        // Lloyd vs Hamerly landmark k-means on the same points.
         let kmeans_cfg = KMeansConfig::new(16).with_seed(0).with_max_iter(60);
-        let lloyd_cfg = kmeans_cfg.clone().with_algorithm(KMeansAlgorithm::Lloyd);
-        let hamerly_cfg = kmeans_cfg.with_algorithm(KMeansAlgorithm::Hamerly);
-        let reference = kmeans(&pts, &lloyd_cfg).unwrap();
-        let pruned = kmeans(&pts, &hamerly_cfg).unwrap();
-        assert_eq!(
-            reference.labels, pruned.labels,
-            "Hamerly diverged from Lloyd at n={n}"
-        );
-        assert_eq!(reference.iterations, pruned.iterations);
-        let lloyd_s = time_secs(
+        let kmeans_s = time_secs(
             || {
-                kmeans(&pts, &lloyd_cfg).unwrap();
+                kmeans(&pts, &kmeans_cfg).unwrap();
             },
             0.3,
             2,
         );
-        let hamerly_s = time_secs(
-            || {
-                kmeans(&pts, &hamerly_cfg).unwrap();
-            },
-            0.3,
-            2,
-        );
-        let kmeans_speedup = lloyd_s / hamerly_s;
+
+        // The kNN ablation, where O(N²) is affordable: the serial kd-tree
+        // lists must equal brute force bitwise (indices and distances).
+        let oracle_checked = n <= ORACLE_MAX_N;
+        let (knn_kdtree_ms, knn_brute_force_ms) = if oracle_checked {
+            assert!(
+                knn_kdtree(&pts, P) == knn_brute_force(&pts, P),
+                "kd-tree kNN lists differ from brute force at n={n}"
+            );
+            let kd = time_secs(|| drop(knn_kdtree(&pts, P)), 0.3, 2);
+            let bf = time_secs(|| drop(knn_brute_force(&pts, P)), 0.3, 2);
+            (format!("{:.6}", kd * 1e3), format!("{:.6}", bf * 1e3))
+        } else {
+            ("null".to_string(), "null".to_string())
+        };
 
         eprintln!(
             "  n {n}: graph serial {:.2} ms, parallel {:.2} ms ({speedup:.2}x, identical \
-             adjacency{}), kmeans lloyd {:.2} ms vs hamerly {:.2} ms ({kmeans_speedup:.2}x)",
+             adjacency), kmeans {:.2} ms, kNN kd-tree {knn_kdtree_ms} ms vs brute force \
+             {knn_brute_force_ms} ms",
             serial_s * 1e3,
             parallel_s * 1e3,
-            if oracle_checked { " + oracle" } else { "" },
-            lloyd_s * 1e3,
-            hamerly_s * 1e3,
+            kmeans_s * 1e3,
         );
         rows.push(format!(
             "    {{\"n\": {n}, \"nnz\": {}, \
              \"graph_serial_ms\": {:.6}, \"graph_parallel_ms\": {:.6}, \
              \"graph_speedup\": {speedup:.3}, \"bitwise_identical\": true, \
-             \"oracle_checked\": {oracle_checked}, \
-             \"kmeans_lloyd_ms\": {:.6}, \"kmeans_hamerly_ms\": {:.6}, \
-             \"kmeans_speedup\": {kmeans_speedup:.3}}}",
+             \"kmeans_ms\": {:.6}, \"oracle_checked\": {oracle_checked}, \
+             \"knn_kdtree_ms\": {knn_kdtree_ms}, \"knn_bruteforce_ms\": {knn_brute_force_ms}}}",
             parallel.nnz(),
             serial_s * 1e3,
             parallel_s * 1e3,
-            lloyd_s * 1e3,
-            hamerly_s * 1e3,
+            kmeans_s * 1e3,
         ));
     }
     let json = format!(
@@ -209,6 +214,7 @@ fn json_report() {
 fn main() {
     let mut c = Criterion::default();
     bench_graph_build(&mut c);
+    bench_knn_ablation(&mut c);
     bench_kdtree_query(&mut c);
     bench_kmeans_landmarks(&mut c);
     c.final_summary();

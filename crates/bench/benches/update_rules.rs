@@ -33,7 +33,7 @@ use smfl_linalg::mask::{masked_diff_norm_sq, masked_product};
 use smfl_linalg::ops::{dot, matmul_at, matmul_at_into, matmul_bt, matmul_bt_into, matmul_into};
 use smfl_linalg::random::{positive_uniform_matrix, uniform_matrix};
 use smfl_linalg::{Mask, Matrix, ObservedPattern, Workspace};
-use smfl_spatial::{NeighborSearch, SpatialGraph};
+use smfl_spatial::SpatialGraph;
 use std::time::Instant;
 
 const EPS: f64 = 1e-12;
@@ -158,7 +158,7 @@ fn bench_iteration_cost(c: &mut Criterion) {
         let p = problem(n, m, k, 0.95, 2);
         let x = positive_uniform_matrix(n, m, 2);
         let si = x.columns(0, 2).unwrap();
-        let graph = SpatialGraph::build(&si, 3, NeighborSearch::KdTree).unwrap();
+        let graph = SpatialGraph::build(&si, 3).unwrap();
         let landmarks = Landmarks::compute(&si, k, 300, 0).unwrap();
         for (label, lm) in [("smf", None), ("smfl", Some(&landmarks))] {
             group.bench_with_input(
@@ -247,7 +247,7 @@ fn lake() -> Lake {
     let problem = problem(n, m, k, 0.93, 11);
     // The same draw as the problem's X: its first two columns are the SI.
     let si = positive_uniform_matrix(n, m, 11).columns(0, 2).unwrap();
-    let graph = SpatialGraph::build(&si, 5, NeighborSearch::KdTree).unwrap();
+    let graph = SpatialGraph::build(&si, 5).unwrap();
     let landmarks = Landmarks::compute(&si, k, 300, 0).unwrap();
     Lake {
         problem,

@@ -130,8 +130,9 @@ impl FitReport {
             .count()
     }
 
-    /// Observed cells masked out by input sanitization, over the compile
-    /// and every rebind since.
+    /// Observed cells masked out by input sanitization of the data the
+    /// fit ran on: a rebound plan's report covers the request it is bound
+    /// to, not the compile's or an earlier request's.
     pub fn sanitized_cells(&self) -> usize {
         self.events
             .iter()

@@ -54,7 +54,6 @@ impl ObjectiveTerms {
 mod tests {
     use super::*;
     use smfl_linalg::random::{positive_uniform_matrix, uniform_matrix};
-    use smfl_spatial::NeighborSearch;
 
     #[test]
     fn exact_factorization_has_zero_fit_term() {
@@ -79,7 +78,7 @@ mod tests {
     #[test]
     fn lambda_scales_regularization_linearly() {
         let si = uniform_matrix(10, 2, 0.0, 1.0, 3);
-        let g = SpatialGraph::build(&si, 2, NeighborSearch::KdTree).unwrap();
+        let g = SpatialGraph::build(&si, 2).unwrap();
         let x = uniform_matrix(10, 4, 0.0, 1.0, 4);
         let u = positive_uniform_matrix(10, 3, 5);
         let v = positive_uniform_matrix(3, 4, 6);
@@ -106,7 +105,7 @@ mod tests {
     #[test]
     fn objective_terms_match_scratch() {
         let si = uniform_matrix(9, 2, 0.0, 1.0, 20);
-        let g = SpatialGraph::build(&si, 2, NeighborSearch::KdTree).unwrap();
+        let g = SpatialGraph::build(&si, 2).unwrap();
         let x = uniform_matrix(9, 4, 0.0, 1.0, 21);
         let u = positive_uniform_matrix(9, 3, 22);
         let v = positive_uniform_matrix(3, 4, 23);

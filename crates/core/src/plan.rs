@@ -11,14 +11,15 @@
 //! [`SolveOptions::warm_from`] — without recompiling anything.
 //!
 //! The landmarks and the graph depend only on a small key of config
-//! fields and on the SI, which is what [`PlanCache`] exploits during
-//! model selection: landmarks are keyed on `(K, seed, t₂, policy
-//! kind)`, the graph on `(p, policy kind)` — both additionally on the
-//! SI matrix actually fed to them. `grid_search` over the paper's
-//! λ-sweep therefore runs k-means once per distinct `K` and builds one
-//! graph per distinct `p` instead of once per candidate × fold. The
-//! compiled pattern holds the observed values of `x` and is compiled
-//! fresh by every plan.
+//! fields and on the SI, so both stages run through a [`PlanCache`]:
+//! landmarks are keyed on `(K, seed, t₂, policy kind)`, the graph on
+//! `(p, policy kind)` — both additionally on the SI matrix actually fed
+//! to them. Every compile takes that one path; a plain
+//! [`FitPlan::compile`] passes a fresh cache, so it always misses.
+//! `grid_search` over the paper's λ-sweep shares one cache, so it runs
+//! k-means once per distinct `K` and builds one graph per distinct `p`
+//! instead of once per candidate × fold. The compiled pattern holds the
+//! observed values of `x` and is compiled fresh by every plan.
 //!
 //! The pattern *is* the plan's Ω: [`FitPlan::rebind`] asks it whether
 //! a new mask observes the same cells and the SI cells behind the graph
@@ -97,7 +98,7 @@ impl FitPlan {
     /// validation, SI fill, graph construction, landmark k-means, and
     /// pattern/workspace compilation, in that order.
     pub fn compile(x: &Matrix, omega: &Mask, config: &SmflConfig) -> Result<FitPlan> {
-        Self::compile_full(x, omega, config, None, None, &mut NoopSink)
+        Self::compile_full(x, omega, config, None, &mut PlanCache::new(), &mut NoopSink)
     }
 
     /// [`compile`](Self::compile) streaming telemetry spans and engine
@@ -110,7 +111,7 @@ impl FitPlan {
         config: &SmflConfig,
         sink: &mut S,
     ) -> Result<FitPlan> {
-        Self::compile_full(x, omega, config, None, None, sink)
+        Self::compile_full(x, omega, config, None, &mut PlanCache::new(), sink)
     }
 
     /// [`compile`](Self::compile) through a [`PlanCache`], reusing any
@@ -121,7 +122,7 @@ impl FitPlan {
         config: &SmflConfig,
         cache: &mut PlanCache,
     ) -> Result<FitPlan> {
-        Self::compile_full(x, omega, config, None, Some(cache), &mut NoopSink)
+        Self::compile_full(x, omega, config, None, cache, &mut NoopSink)
     }
 
     /// [`compile`](Self::compile) with explicitly supplied landmarks,
@@ -138,19 +139,18 @@ impl FitPlan {
         config: &SmflConfig,
         landmarks: Landmarks,
     ) -> Result<FitPlan> {
-        Self::compile_full(x, omega, config, Some(landmarks), None, &mut NoopSink)
+        Self::compile_full(x, omega, config, Some(landmarks), &mut PlanCache::new(), &mut NoopSink)
     }
 
-    /// The shared compile path behind every public entry point,
-    /// replicating the pre-loop half of the historical `fit_inner`
-    /// operation-for-operation so `compile(...).solve(...)` stays
-    /// bitwise-identical to the one-shot wrappers.
+    /// The one compile path behind every public entry point: the
+    /// graph and landmark stages always run through `cache`, so a
+    /// cached compile is bitwise the compile of a fresh cache.
     pub(crate) fn compile_full<S: TraceSink>(
         x: &Matrix,
         omega: &Mask,
         config: &SmflConfig,
         landmarks_override: Option<Landmarks>,
-        mut cache: Option<&mut PlanCache>,
+        cache: &mut PlanCache,
         sink: &mut S,
     ) -> Result<FitPlan> {
         if let Some(lm) = &landmarks_override {
@@ -164,125 +164,77 @@ impl FitPlan {
         }
         let compile_t0 = S::ENABLED.then(Instant::now);
         let mut report = FitReport::default();
-        let mut cache_hits = 0usize;
 
-        // Sanitization always runs uncached: it is the one stage that
-        // reads every observed cell of the caller's `x`.
+        // Sanitization is not a cached stage: it reads every observed
+        // cell of the caller's `x`.
         let (x, omega) = sanitize_and_validate(x, omega, config, &mut report, sink)?;
         let (x, omega) = (x.as_ref(), omega.as_ref());
-        let k = config.rank;
-        let l = config.spatial_cols;
 
         // The mean-filled SI feeds both the similarity graph (Algorithm
         // 1 lines 2-3) and the landmark k-means (lines 4-6) — computed
-        // at most once and shared. Computed fresh even under a cache:
-        // it is what validates the cache's graph/landmark entries.
+        // at most once and shared. Every compile computes it: it is what
+        // validates the cache's entries.
         let needs_graph = config.variant.uses_spatial_regularization() && config.lambda != 0.0;
         let needs_si_landmarks = landmarks_override.is_none() && config.variant.uses_landmarks();
-        let si = if needs_graph || needs_si_landmarks {
+        let reads_si = needs_graph || needs_si_landmarks;
+        if reads_si {
             let t0 = S::ENABLED.then(Instant::now);
-            let si = fill_missing_si(x, omega, l);
+            let si = fill_missing_si(x, omega, config.spatial_cols);
             if let Some(t0) = t0 {
                 sink.span(&SpanEvent { phase: Phase::SiFill, wall: t0.elapsed() });
             }
-            Some(si)
-        } else {
-            None
-        };
-        if let (Some(cache), Some(si)) = (cache.as_deref_mut(), si.as_ref()) {
             cache.sync_si(si);
         }
+        let si = cache.si.as_ref().filter(|_| reads_si);
+        let policy = discriminant(&config.resilience);
+        let mut cache_hits = 0usize;
 
         // Algorithm 1 lines 2-3: similarity graph on the mean-filled
         // SI. Under `Recover` a degenerate graph drops the Laplacian
         // term (first rung of the degradation ladder) instead of
-        // failing. A cache hit replays the build's recorded events so
-        // the resulting report is identical to a fresh build's.
-        let graph = if needs_graph {
-            let si = si.as_ref().ok_or(LinalgError::Internal {
-                invariant: "SI computed when the graph needs it",
-            })?;
-            let key = GraphKey {
-                p: config.p_neighbors,
-                policy: discriminant(&config.resilience),
-            };
-            match cache.as_deref_mut().and_then(|c| c.lookup_graph(&key)) {
-                Some(entry) => {
-                    cache_hits += 1;
-                    for ev in entry.events {
-                        record(&mut report, sink, ev);
-                    }
-                    entry.graph
-                }
-                None => {
-                    let t0 = S::ENABLED.then(Instant::now);
-                    let ev_start = report.events.len();
-                    let graph = build_graph(si, config, &mut report, sink)?;
-                    if let Some(t0) = t0 {
-                        sink.span(&SpanEvent { phase: Phase::GraphBuild, wall: t0.elapsed() });
-                    }
-                    let graph = graph.map(Arc::new);
-                    if let Some(c) = &mut cache {
-                        c.insert_graph(
-                            key,
-                            GraphEntry {
-                                graph: graph.clone(),
-                                events: report.events[ev_start..].to_vec(),
-                            },
-                        );
-                    }
-                    graph
-                }
+        // failing.
+        let graph = match si {
+            Some(si) if needs_graph => {
+                let key = GraphKey { p: config.p_neighbors, policy };
+                let (graph, hit) = cache.graphs.run(
+                    key,
+                    si,
+                    Phase::GraphBuild,
+                    &mut report,
+                    sink,
+                    |si, report, sink| Ok(build_graph(si, config, report, sink)?.map(Arc::new)),
+                )?;
+                cache_hits += usize::from(hit);
+                graph
             }
-        } else {
-            None
+            _ => None,
         };
 
         // Algorithm 1 lines 4-6: landmarks (explicit override wins;
         // else k-means on the mean-filled SI for the SMFL variant).
         // Under `Recover` degenerate landmarks are retried with deduped
         // coordinates and re-derived seeds, then dropped (second rung).
-        let landmarks = match landmarks_override {
-            Some(lm) => Some(lm),
-            None if config.variant.uses_landmarks() => {
-                let si = si.as_ref().ok_or(LinalgError::Internal {
-                    invariant: "SI computed when landmarks need it",
-                })?;
+        let landmarks = match (landmarks_override, si) {
+            (Some(lm), _) => Some(lm),
+            (None, Some(si)) if config.variant.uses_landmarks() => {
                 let key = LmKey {
-                    k,
+                    k: config.rank,
                     seed: config.seed,
                     kmeans_max_iter: config.kmeans_max_iter,
-                    policy: discriminant(&config.resilience),
+                    policy,
                 };
-                match cache.as_deref_mut().and_then(|c| c.lookup_landmarks(&key)) {
-                    Some(entry) => {
-                        cache_hits += 1;
-                        for ev in entry.events {
-                            record(&mut report, sink, ev);
-                        }
-                        entry.landmarks
-                    }
-                    None => {
-                        let t0 = S::ENABLED.then(Instant::now);
-                        let ev_start = report.events.len();
-                        let lm = compute_landmarks(si, k, config, &mut report, sink)?;
-                        if let Some(t0) = t0 {
-                            sink.span(&SpanEvent { phase: Phase::Landmarks, wall: t0.elapsed() });
-                        }
-                        if let Some(c) = &mut cache {
-                            c.insert_landmarks(
-                                key,
-                                LmEntry {
-                                    landmarks: lm.clone(),
-                                    events: report.events[ev_start..].to_vec(),
-                                },
-                            );
-                        }
-                        lm
-                    }
-                }
+                let (landmarks, hit) = cache.landmarks.run(
+                    key,
+                    si,
+                    Phase::Landmarks,
+                    &mut report,
+                    sink,
+                    |si, report, sink| compute_landmarks(si, config.rank, config, report, sink),
+                )?;
+                cache_hits += usize::from(hit);
+                landmarks
             }
-            None => None,
+            _ => None,
         };
 
         // Compile Ω + X into the fused iteration engine's sparse
@@ -291,7 +243,7 @@ impl FitPlan {
         // rank-dependent and mutable.
         let pat_t0 = S::ENABLED.then(Instant::now);
         let pattern = ObservedPattern::compile(x, omega)?;
-        let workspace = Workspace::new(&pattern, k);
+        let workspace = Workspace::new(&pattern, config.rank);
         if let Some(t0) = pat_t0 {
             sink.span(&SpanEvent { phase: Phase::PatternCompile, wall: t0.elapsed() });
         }
@@ -309,7 +261,7 @@ impl FitPlan {
             pattern,
             graph,
             landmarks,
-            reads_si: si.is_some(),
+            reads_si,
             workspace,
             report,
         })
@@ -353,8 +305,8 @@ impl FitPlan {
                 op: "plan_rebind",
             });
         }
-        // Sanitization events are appended once the rebind succeeds: the
-        // report is an audit trail.
+        // Sanitization events replace the report's once the rebind
+        // succeeds.
         let mut events = FitReport::default();
         let (x, omega) =
             sanitize_and_validate(x, omega, &self.config, &mut events, &mut NoopSink)?;
@@ -367,7 +319,11 @@ impl FitPlan {
         if self.pattern.refill(&x, &omega).is_err() {
             self.pattern = ObservedPattern::compile(&x, &omega)?;
         }
-        self.report.events.append(&mut events.events);
+        // The report describes the data the plan is bound to: this
+        // request's sanitization replaces the last one's, ahead of the
+        // compile's ladder events, where a compile records it.
+        self.report.events.retain(|e| !matches!(e, FitEvent::Sanitized { .. }));
+        self.report.events.splice(0..0, events.events);
         Ok(())
     }
 
@@ -391,8 +347,10 @@ impl FitPlan {
         self.graph.as_deref()
     }
 
-    /// Compile-phase audit trail (sanitization and degradation-ladder
-    /// events). Every solve's `FitReport` starts from a copy of this.
+    /// Compile-phase audit trail: the sanitization of the data the plan
+    /// is bound to (the compile's, or the last rebind's) and the
+    /// degradation-ladder events. Every solve's `FitReport` starts from
+    /// a copy of this.
     pub fn report(&self) -> &FitReport {
         &self.report
     }
@@ -406,22 +364,59 @@ struct LmKey {
     policy: Discriminant<Resilience>,
 }
 
-#[derive(Debug, Clone)]
-struct LmEntry {
-    landmarks: Option<Landmarks>,
-    events: Vec<FitEvent>,
-}
-
 #[derive(Debug, Clone, PartialEq)]
 struct GraphKey {
     p: usize,
     policy: Discriminant<Resilience>,
 }
 
+/// One compile stage's memo: each entry is a key, the artifact built
+/// for it and the events its build recorded, plus the stage's
+/// build/hit counters.
 #[derive(Debug, Clone)]
-struct GraphEntry {
-    graph: Option<Arc<SpatialGraph>>,
-    events: Vec<FitEvent>,
+struct StageMemo<K, T> {
+    entries: Vec<(K, T, Vec<FitEvent>)>,
+    builds: usize,
+    hits: usize,
+}
+
+impl<K, T> Default for StageMemo<K, T> {
+    fn default() -> Self {
+        StageMemo { entries: Vec::new(), builds: 0, hits: 0 }
+    }
+}
+
+impl<K: PartialEq, T: Clone> StageMemo<K, T> {
+    /// Runs the stage for `key`. A hit replays the entry's events into
+    /// `report` and returns its artifact. A miss builds the artifact
+    /// from `si`, spans the build as `phase`, and stores it with the
+    /// events the build recorded. The flag is `true` on a hit.
+    fn run<S: TraceSink>(
+        &mut self,
+        key: K,
+        si: &Matrix,
+        phase: Phase,
+        report: &mut FitReport,
+        sink: &mut S,
+        build: impl FnOnce(&Matrix, &mut FitReport, &mut S) -> Result<T>,
+    ) -> Result<(T, bool)> {
+        if let Some((_, artifact, events)) = self.entries.iter().find(|(k, ..)| *k == key) {
+            self.hits += 1;
+            for ev in events {
+                record(report, sink, *ev);
+            }
+            return Ok((artifact.clone(), true));
+        }
+        let t0 = S::ENABLED.then(Instant::now);
+        let ev_start = report.events.len();
+        let artifact = build(si, report, sink)?;
+        if let Some(t0) = t0 {
+            sink.span(&SpanEvent { phase, wall: t0.elapsed() });
+        }
+        self.builds += 1;
+        self.entries.push((key, artifact.clone(), report.events[ev_start..].to_vec()));
+        Ok((artifact, false))
+    }
 }
 
 /// Counters of what a [`PlanCache`] computed versus reused — the
@@ -444,7 +439,9 @@ pub struct PlanCacheStats {
 
 /// Cross-compile cache of a plan's shareable sub-artifacts, used by
 /// [`crate::grid_search`] to avoid recomputing k-means landmarks and
-/// similarity graphs across candidates and folds.
+/// similarity graphs across candidates and folds. Every compile runs
+/// its graph and landmark stages through one (a plain compile through
+/// a fresh one), so there is no uncached second path.
 ///
 /// Keying: landmarks on `(K, seed, t₂, policy kind)`, graphs on `(p,
 /// policy kind)` — each entry implicitly also on the SI matrix it was
@@ -460,9 +457,9 @@ pub struct PlanCacheStats {
 #[derive(Debug, Clone, Default)]
 pub struct PlanCache {
     si: Option<Matrix>,
-    landmarks: Vec<(LmKey, LmEntry)>,
-    graphs: Vec<(GraphKey, GraphEntry)>,
-    stats: PlanCacheStats,
+    graphs: StageMemo<GraphKey, Option<Arc<SpatialGraph>>>,
+    landmarks: StageMemo<LmKey, Option<Landmarks>>,
+    si_resets: usize,
 }
 
 impl PlanCache {
@@ -473,56 +470,28 @@ impl PlanCache {
 
     /// Computed-vs-reused counters accumulated so far.
     pub fn stats(&self) -> PlanCacheStats {
-        self.stats
-    }
-
-    /// Drops every cached artifact (stats are kept).
-    pub fn clear(&mut self) {
-        self.si = None;
-        self.landmarks.clear();
-        self.graphs.clear();
-    }
-
-    /// Keeps the landmark/graph entries only while the presented SI
-    /// matches the one they were built from.
-    fn sync_si(&mut self, si: &Matrix) {
-        match &self.si {
-            Some(cur) if cur == si => {}
-            prior => {
-                if prior.is_some() {
-                    self.stats.si_resets += 1;
-                }
-                self.si = Some(si.clone());
-                self.landmarks.clear();
-                self.graphs.clear();
-            }
+        PlanCacheStats {
+            kmeans_runs: self.landmarks.builds,
+            landmark_hits: self.landmarks.hits,
+            graph_builds: self.graphs.builds,
+            graph_hits: self.graphs.hits,
+            si_resets: self.si_resets,
         }
     }
 
-    fn lookup_graph(&mut self, key: &GraphKey) -> Option<GraphEntry> {
-        let hit = self.graphs.iter().find(|(k, _)| k == key).map(|(_, e)| e.clone());
-        if hit.is_some() {
-            self.stats.graph_hits += 1;
+    /// Keeps the stage entries only while the presented SI matches the
+    /// one they were built from. The cache owns the SI from here on:
+    /// the compile's stages read it back from the cache.
+    fn sync_si(&mut self, si: Matrix) {
+        if self.si.as_ref() == Some(&si) {
+            return;
         }
-        hit
-    }
-
-    fn insert_graph(&mut self, key: GraphKey, entry: GraphEntry) {
-        self.stats.graph_builds += 1;
-        self.graphs.push((key, entry));
-    }
-
-    fn lookup_landmarks(&mut self, key: &LmKey) -> Option<LmEntry> {
-        let hit = self.landmarks.iter().find(|(k, _)| k == key).map(|(_, e)| e.clone());
-        if hit.is_some() {
-            self.stats.landmark_hits += 1;
+        if self.si.is_some() {
+            self.si_resets += 1;
         }
-        hit
-    }
-
-    fn insert_landmarks(&mut self, key: LmKey, entry: LmEntry) {
-        self.stats.kmeans_runs += 1;
-        self.landmarks.push((key, entry));
+        self.si = Some(si);
+        self.graphs.entries.clear();
+        self.landmarks.entries.clear();
     }
 }
 
@@ -809,6 +778,37 @@ mod tests {
         // NMF has neither, so it reads no SI.
         let mut nmf = FitPlan::compile(&x, &omega, &SmflConfig::nmf(3)).unwrap();
         nmf.rebind(&moved, &omega).unwrap();
+    }
+
+    #[test]
+    fn rebind_report_describes_the_bound_data() {
+        // Identical coordinates fire the landmark ladder at compile time,
+        // and each request carries one NaN attribute cell. The plan's
+        // report must be what compiling that request would report — one
+        // `Sanitized` event ahead of the ladder's — not a log of every
+        // request since the compile.
+        let x = Matrix::from_fn(24, 5, |i, j| match j {
+            0 | 1 => 0.5,
+            _ => 0.2 + 0.02 * ((i * 7 + j) % 11) as f64,
+        });
+        let omega = Mask::full(24, 5);
+        let cfg = SmflConfig::smfl(3, 2).with_max_iter(5).resilient();
+        let dirty = |i: usize| {
+            let mut d = x.clone();
+            d.set(i, 3, f64::NAN);
+            d
+        };
+        let mut plan = FitPlan::compile(&dirty(0), &omega, &cfg).unwrap();
+        for i in 1..4 {
+            let request = dirty(i);
+            plan.rebind(&request, &omega).unwrap();
+            let fresh = FitPlan::compile(&request, &omega, &cfg).unwrap();
+            assert_eq!(plan.report(), fresh.report());
+            assert_eq!(plan.solve().unwrap().report.sanitized_cells(), 1);
+        }
+        plan.rebind(&x, &omega).unwrap();
+        assert_eq!(plan.report().sanitized_cells(), 0);
+        assert_eq!(plan.report(), FitPlan::compile(&x, &omega, &cfg).unwrap().report());
     }
 
     #[test]

@@ -19,7 +19,7 @@ use crate::health::{FitEvent, FitReport};
 use crate::landmarks::Landmarks;
 use crate::telemetry::{Phase, SpanEvent, TraceSink};
 use smfl_linalg::{Mask, Matrix, Result};
-use smfl_spatial::{dedupe_coordinates, NeighborSearch, SpatialGraph};
+use smfl_spatial::{dedupe_coordinates, SpatialGraph};
 
 /// Appends `event` to the report and mirrors it to the sink, keeping a
 /// trace's engine-event stream identical to `FitReport::events`.
@@ -160,8 +160,7 @@ fn build_graph_traced<S: TraceSink>(
     config: &SmflConfig,
     sink: &mut S,
 ) -> Result<SpatialGraph> {
-    let (g, stats) =
-        SpatialGraph::build_instrumented(si, config.p_neighbors, NeighborSearch::KdTree, 0)?;
+    let (g, stats) = SpatialGraph::build_instrumented(si, config.p_neighbors, 0)?;
     if S::ENABLED {
         sink.span(&SpanEvent { phase: Phase::GraphKnn, wall: stats.knn });
         sink.span(&SpanEvent { phase: Phase::GraphAssembly, wall: stats.assembly });

@@ -256,7 +256,6 @@ mod tests {
     use super::*;
     use smfl_linalg::random::{positive_uniform_matrix, uniform_matrix};
     use smfl_linalg::Mask;
-    use smfl_spatial::NeighborSearch;
 
     struct Setup {
         x: Matrix,
@@ -275,7 +274,7 @@ mod tests {
             }
         }
         let si = x.columns(0, 2).unwrap();
-        let graph = SpatialGraph::build(&si, 3, NeighborSearch::KdTree).unwrap();
+        let graph = SpatialGraph::build(&si, 3).unwrap();
         let pattern = ObservedPattern::compile(&x, &omega).unwrap();
         Setup {
             x,

@@ -36,7 +36,7 @@ use smfl_linalg::ops::{matmul, matmul_at, matmul_bt};
 use smfl_linalg::parallel::{max_threads, threads_for};
 use smfl_linalg::random::{positive_uniform_matrix, uniform_matrix};
 use smfl_linalg::{Mask, Matrix, ObservedPattern, Workspace};
-use smfl_spatial::{NeighborSearch, SpatialGraph};
+use smfl_spatial::SpatialGraph;
 use std::process::Command;
 
 const TOL: f64 = 1e-10;
@@ -231,7 +231,7 @@ proptest! {
         let (x, omega) = problem(n, m, density, seed);
         let pattern = ObservedPattern::compile(&x, &omega).unwrap();
         let si = x.columns(0, 2).unwrap();
-        let graph = SpatialGraph::build(&si, 3, NeighborSearch::KdTree).unwrap();
+        let graph = SpatialGraph::build(&si, 3).unwrap();
         let lambda = 0.7;
         let landmarks = (with_landmarks == 1).then(|| Landmarks::compute(&si, k, 50, seed).unwrap());
         let ctx = UpdateContext {
@@ -298,7 +298,7 @@ proptest! {
         let (x, omega) = problem(n, m, density, seed);
         let pattern = ObservedPattern::compile(&x, &omega).unwrap();
         let si = x.columns(0, 2).unwrap();
-        let graph = SpatialGraph::build(&si, 3, NeighborSearch::KdTree).unwrap();
+        let graph = SpatialGraph::build(&si, 3).unwrap();
         let landmarks = (with_landmarks == 1).then(|| Landmarks::compute(&si, k, 50, seed).unwrap());
         let ctx = UpdateContext {
             pattern: &pattern,
@@ -368,7 +368,7 @@ fn fused_step_thread_child() {
         "the child must run above the parallel threshold"
     );
     let si = x.columns(0, 2).unwrap();
-    let graph = SpatialGraph::build(&si, 5, NeighborSearch::KdTree).unwrap();
+    let graph = SpatialGraph::build(&si, 5).unwrap();
     let mut lines = Vec::new();
     for k in [6, 11] {
         let lm = Landmarks::compute(&si, k, 20, 1).unwrap();

@@ -3,7 +3,7 @@
 //! scratch lives in the per-fit `Workspace` and is reused verbatim.
 //! The spatial preprocessing pipeline carries the same contract: bulk
 //! kNN queries allocate nothing per query, and the k-means iteration
-//! loop (both engines) allocates nothing per iteration.
+//! loop allocates nothing per iteration.
 //!
 //! Verified three ways:
 //! 1. a counting global allocator observes no `alloc` calls across the
@@ -88,8 +88,8 @@ use smfl_core::updater::{gradient_step, multiplicative_step, score, UpdateContex
 use smfl_core::{Landmarks, Resilience};
 use smfl_linalg::random::{positive_uniform_matrix, uniform_matrix};
 use smfl_linalg::{Mask, Matrix, ObservedPattern, Workspace};
-use smfl_spatial::kmeans::{kmeans, KMeansAlgorithm, KMeansConfig};
-use smfl_spatial::{KdTree, NeighborSearch, SpatialGraph};
+use smfl_spatial::kmeans::{kmeans, KMeansConfig};
+use smfl_spatial::{KdTree, SpatialGraph};
 
 /// Runs `f` with the counter armed and returns the allocation count.
 fn count_allocs<F: FnMut()>(mut f: F) -> usize {
@@ -200,7 +200,7 @@ fn multiplicative_step_allocates_nothing_after_warmup() {
         "phase 1b must exercise the fused path"
     );
     let si = x.columns(0, 2).unwrap();
-    let graph = SpatialGraph::build(&si, 3, NeighborSearch::KdTree).unwrap();
+    let graph = SpatialGraph::build(&si, 3).unwrap();
     let lm = Landmarks::compute(&si, k, 100, 0).unwrap();
     let dense_ctx = UpdateContext {
         pattern: &dense_pattern,
@@ -274,26 +274,24 @@ fn multiplicative_step_allocates_nothing_after_warmup() {
     // --- Phase 3: the k-means iteration loop allocates nothing. ---------
     // tol = 0 forces every iteration to run, so 20 extra iterations with
     // an unchanged allocation count prove the per-iteration cost is zero.
-    for algorithm in [KMeansAlgorithm::Lloyd, KMeansAlgorithm::Hamerly] {
-        let mut base = KMeansConfig::new(6).with_seed(3).with_threads(1).with_algorithm(algorithm);
-        base.tol = 0.0;
-        let short_cfg = base.clone().with_max_iter(3);
-        let long_cfg = base.with_max_iter(23);
-        // Warmup.
+    let mut base = KMeansConfig::new(6).with_seed(3).with_threads(1);
+    base.tol = 0.0;
+    let short_cfg = base.clone().with_max_iter(3);
+    let long_cfg = base.with_max_iter(23);
+    // Warmup.
+    kmeans(&pts, &short_cfg).unwrap();
+    kmeans(&pts, &long_cfg).unwrap();
+    let allocs_short = count_allocs(|| {
         kmeans(&pts, &short_cfg).unwrap();
+    });
+    let allocs_long = count_allocs(|| {
         kmeans(&pts, &long_cfg).unwrap();
-        let allocs_short = count_allocs(|| {
-            kmeans(&pts, &short_cfg).unwrap();
-        });
-        let allocs_long = count_allocs(|| {
-            kmeans(&pts, &long_cfg).unwrap();
-        });
-        assert_eq!(
-            allocs_short, allocs_long,
-            "{algorithm:?} k-means allocation count grew with the iteration count \
-             ({allocs_short} for 3 iters vs {allocs_long} for 23)"
-        );
-    }
+    });
+    assert_eq!(
+        allocs_short, allocs_long,
+        "k-means allocation count grew with the iteration count \
+         ({allocs_short} for 3 iters vs {allocs_long} for 23)"
+    );
 
     // --- Phase 4: telemetry sinks in the steady-state loop. -------------
     // The engine's per-iteration instrumentation is

@@ -403,7 +403,7 @@ pub fn all_datasets(scale: Scale, seed: u64) -> Vec<Dataset> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use smfl_spatial::{NeighborSearch, SpatialGraph};
+    use smfl_spatial::SpatialGraph;
 
     #[test]
     fn shapes_match_paper() {
@@ -438,7 +438,7 @@ mod tests {
         // to its spatial neighbours' values than to random rows' values.
         let d = lake(Scale::Small, 3);
         let si = d.si();
-        let g = SpatialGraph::build(&si, 3, NeighborSearch::KdTree).unwrap();
+        let g = SpatialGraph::build(&si, 3).unwrap();
         let col = d.data.col(3); // elevation attribute
         let mut neigh_diff = 0.0;
         let mut neigh_cnt = 0usize;
@@ -512,7 +512,7 @@ mod tests {
         // motivation), so fuel must be strongly spatially autocorrelated:
         // nearby points share terrain.
         let d = vehicle(Scale::Small, 2);
-        let g = SpatialGraph::build(&d.si(), 3, NeighborSearch::KdTree).unwrap();
+        let g = SpatialGraph::build(&d.si(), 3).unwrap();
         let fuel = d.data.col(VEHICLE_FUEL_COL);
         let mut neigh_diff = 0.0;
         let mut cnt = 0usize;

@@ -27,7 +27,6 @@ pub mod csv;
 pub mod generate;
 pub mod inject;
 pub mod normalize;
-pub mod sanitize;
 pub mod table;
 
 pub use generate::{all_datasets, economic, farm, lake, vehicle, Scale};
@@ -36,5 +35,4 @@ pub use inject::{
     inject_nan_burst, Injection,
 };
 pub use normalize::MinMaxScaler;
-pub use sanitize::{sanitize, SanitizeReport};
 pub use table::Dataset;

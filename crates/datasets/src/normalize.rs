@@ -6,7 +6,7 @@
 //! column and kept so imputed values can be mapped back to raw units
 //! (the fuel-route application needs litres, not unit-interval values).
 
-use smfl_linalg::{LinalgError, Matrix, Result};
+use smfl_linalg::{LinalgError, Mask, Matrix, Result};
 
 /// Per-column min-max scaler.
 #[derive(Debug, Clone)]
@@ -16,21 +16,44 @@ pub struct MinMaxScaler {
 }
 
 impl MinMaxScaler {
-    /// Learns per-column minima and maxima from `data`.
+    /// Learns per-column minima and maxima from every cell of `data`.
     ///
     /// # Errors
     /// [`LinalgError::Empty`] for a matrix with no rows.
     pub fn fit(data: &Matrix) -> Result<MinMaxScaler> {
+        Self::fit_observed(data, &Mask::full(data.rows(), data.cols()))
+    }
+
+    /// Learns per-column minima and maxima from the cells `omega`
+    /// observes, so the placeholder a missing cell holds (the CSV loader
+    /// stores 0.0) never widens a column's range. A column with no
+    /// observed cell gets the range `[0, 0]`.
+    ///
+    /// # Errors
+    /// [`LinalgError::Empty`] for a matrix with no rows;
+    /// [`LinalgError::DimensionMismatch`] when `omega` has another shape.
+    pub fn fit_observed(data: &Matrix, omega: &Mask) -> Result<MinMaxScaler> {
         if data.rows() == 0 {
             return Err(LinalgError::Empty);
+        }
+        if omega.shape() != data.shape() {
+            return Err(LinalgError::DimensionMismatch {
+                left: data.shape(),
+                right: omega.shape(),
+                op: "minmax_fit",
+            });
         }
         let m = data.cols();
         let mut mins = vec![f64::INFINITY; m];
         let mut maxs = vec![f64::NEG_INFINITY; m];
-        for i in 0..data.rows() {
-            for (j, &v) in data.row(i).iter().enumerate() {
-                mins[j] = mins[j].min(v);
-                maxs[j] = maxs[j].max(v);
+        for (i, j) in omega.iter_set() {
+            let v = data.get(i, j);
+            mins[j] = mins[j].min(v);
+            maxs[j] = maxs[j].max(v);
+        }
+        for (lo, hi) in mins.iter_mut().zip(&mut maxs) {
+            if *lo > *hi {
+                (*lo, *hi) = (0.0, 0.0);
             }
         }
         Ok(MinMaxScaler { mins, maxs })
@@ -129,6 +152,28 @@ mod tests {
     #[test]
     fn empty_matrix_rejected() {
         assert!(MinMaxScaler::fit(&Matrix::zeros(0, 3)).is_err());
+    }
+
+    #[test]
+    fn fit_observed_ignores_unobserved_cells() {
+        // Column 1 is observed in [100, 103]; its blank holds the loader's
+        // 0.0, which must not become the column's minimum. Column 2 has
+        // no observed cell at all.
+        let data = Matrix::from_rows(&[
+            vec![1.0, 100.0, 0.0],
+            vec![2.0, 0.0, 0.0],
+            vec![3.0, 103.0, 0.0],
+        ])
+        .unwrap();
+        let mut omega = Mask::full(3, 3);
+        omega.set(1, 1, false);
+        for i in 0..3 {
+            omega.set(i, 2, false);
+        }
+        let scaler = MinMaxScaler::fit_observed(&data, &omega).unwrap();
+        assert_eq!(scaler.mins(), &[1.0, 100.0, 0.0]);
+        assert_eq!(scaler.maxs(), &[3.0, 103.0, 0.0]);
+        assert!(MinMaxScaler::fit_observed(&data, &Mask::full(3, 2)).is_err());
     }
 
     #[test]

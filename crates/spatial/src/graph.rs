@@ -11,8 +11,12 @@
 //! form. Each row holds at most `2p` neighbours, so the per-iteration
 //! product `D·U` in the update rule (Formula 13) costs `O(nnz·K)`
 //! instead of `O(N²K)`, and `W·U` is a row scaling.
+//!
+//! The p-NN lists always come from the kd-tree. The brute-force search
+//! ([`crate::kdtree::brute_force_nearest`]) is the tests' reference for
+//! them, not a second way to build the graph.
 
-use crate::kdtree::{brute_force_nearest, KdTree, Neighbor};
+use crate::kdtree::{KdTree, Neighbor};
 use smfl_linalg::ops::dot;
 use smfl_linalg::{LinalgError, Mask, Matrix, Result};
 use std::time::{Duration, Instant};
@@ -21,25 +25,14 @@ use std::time::{Duration, Instant};
 /// [`SpatialGraph::build_instrumented`] for the telemetry layer.
 ///
 /// The two phases partition the pipeline: `knn` covers kd-tree
-/// construction (or the brute-force scan) plus the bulk neighbour
-/// queries; `assembly` covers symmetrization into the CSR adjacency.
+/// construction plus the bulk neighbour queries; `assembly` covers
+/// symmetrization into the CSR adjacency.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct GraphBuildStats {
     /// Time spent computing the directed p-NN edge lists.
     pub knn: Duration,
     /// Time spent assembling the CSR adjacency from the edge lists.
     pub assembly: Duration,
-}
-
-/// How neighbour lists are computed when building the graph.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum NeighborSearch {
-    /// KD-tree (`O(N log N)` in low dimension) — what every fit uses.
-    KdTree,
-    /// Brute force (`O(N²L)`, the cost the paper's Proposition 1 quotes);
-    /// kept as the correctness oracle of the kd-tree (tests and the
-    /// `spatial` bench compare the two graphs bit for bit).
-    BruteForce,
 }
 
 /// The spatial graph of the paper: the binary similarity matrix `D`
@@ -60,11 +53,12 @@ impl SpatialGraph {
     /// `si` (`N x L`) with `p` nearest neighbours per point, using every
     /// available thread.
     ///
-    /// Neighbour ties are broken by index, matching the brute-force
-    /// oracle, so both [`NeighborSearch`] variants yield identical
-    /// graphs.
-    pub fn build(si: &Matrix, p: usize, search: NeighborSearch) -> Result<SpatialGraph> {
-        Self::build_instrumented(si, p, search, 0).map(|(g, _)| g)
+    /// The neighbour lists come from the kd-tree, whose ties are broken
+    /// by index exactly as [`crate::kdtree::brute_force_nearest`] breaks
+    /// them, so the graph equals Formula 3 evaluated on brute-force
+    /// lists (the tests' oracle).
+    pub fn build(si: &Matrix, p: usize) -> Result<SpatialGraph> {
+        Self::build_instrumented(si, p, 0).map(|(g, _)| g)
     }
 
     /// [`build`](Self::build) with an explicit thread count (`0` =
@@ -81,28 +75,15 @@ impl SpatialGraph {
     pub fn build_instrumented(
         si: &Matrix,
         p: usize,
-        search: NeighborSearch,
         threads: usize,
     ) -> Result<(SpatialGraph, GraphBuildStats)> {
         let n = si.rows();
         let knn_t0 = Instant::now();
         // Directed p-NN edge lists, flat query-major: entry `q * kk + t`
         // is the t-th nearest neighbour of point q as `(index, sq_dist)`.
-        let (neighbors, kk): (Vec<Neighbor>, usize) = match search {
-            NeighborSearch::KdTree => {
-                let tree = KdTree::build_with_threads(si, threads);
-                let kk = tree.bulk_k(p, true);
-                (tree.nearest_bulk_with_threads(si, p, true, threads), kk)
-            }
-            NeighborSearch::BruteForce => {
-                let kk = p.min(n.saturating_sub(1));
-                let mut flat = Vec::with_capacity(n * kk);
-                for i in 0..n {
-                    flat.extend(brute_force_nearest(si, si.row(i), p, i));
-                }
-                (flat, kk)
-            }
-        };
+        let tree = KdTree::build_with_threads(si, threads);
+        let kk = tree.bulk_k(p, true);
+        let neighbors = tree.nearest_bulk_with_threads(si, p, true, threads);
         let knn = knn_t0.elapsed();
         let assembly_t0 = Instant::now();
         let (offsets, adjacency) = assemble_symmetric(n, kk, &neighbors);
@@ -303,11 +284,31 @@ pub fn fill_missing_si(x: &Matrix, omega: &Mask, l_cols: usize) -> Matrix {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::kdtree::brute_force_nearest;
     use smfl_linalg::ops::matmul;
     use smfl_linalg::random::uniform_matrix;
+    use std::collections::BTreeSet;
 
     fn line_points(n: usize) -> Matrix {
         Matrix::from_fn(n, 2, |i, j| if j == 0 { i as f64 } else { 0.0 })
+    }
+
+    /// Formula 3 evaluated on brute-force neighbour lists with set logic
+    /// of its own — row `i` is every `j` with `j ∈ NN_p(i)` or
+    /// `i ∈ NN_p(j)`, ascending — so it checks the assembler against
+    /// code the assembler does not share.
+    fn formula_3_rows(pts: &Matrix, p: usize) -> Vec<Vec<usize>> {
+        let n = pts.rows();
+        let nn: Vec<BTreeSet<usize>> = (0..n)
+            .map(|i| brute_force_nearest(pts, pts.row(i), p, i).into_iter().map(|(j, _)| j).collect())
+            .collect();
+        (0..n)
+            .map(|i| (0..n).filter(|&j| nn[i].contains(&j) || nn[j].contains(&i)).collect())
+            .collect()
+    }
+
+    fn rows(g: &SpatialGraph) -> Vec<Vec<usize>> {
+        (0..g.len()).map(|i| g.neighbors(i).to_vec()).collect()
     }
 
     /// `D` as a dense matrix, built from the adjacency.
@@ -340,7 +341,7 @@ mod tests {
     fn line_graph_with_p1() {
         // Points on a line, p = 1: each interior point links to a
         // neighbour; symmetrization makes consecutive links mutual.
-        let g = SpatialGraph::build(&line_points(5), 1, NeighborSearch::BruteForce).unwrap();
+        let g = SpatialGraph::build(&line_points(5), 1).unwrap();
         let d = dense_similarity(&g);
         assert_eq!(d, d.transpose());
         // Point 0's NN is 1 and vice versa: edge (0,1) mutual.
@@ -355,15 +356,14 @@ mod tests {
     #[test]
     fn kdtree_and_bruteforce_agree() {
         let pts = uniform_matrix(150, 2, 0.0, 1.0, 21);
-        let a = SpatialGraph::build(&pts, 3, NeighborSearch::KdTree).unwrap();
-        let b = SpatialGraph::build(&pts, 3, NeighborSearch::BruteForce).unwrap();
-        assert_eq!(a, b);
+        let g = SpatialGraph::build(&pts, 3).unwrap();
+        assert_eq!(rows(&g), formula_3_rows(&pts, 3));
     }
 
     #[test]
     fn degree_is_row_sum_of_similarity() {
         let pts = uniform_matrix(40, 2, 0.0, 1.0, 3);
-        let g = SpatialGraph::build(&pts, 2, NeighborSearch::KdTree).unwrap();
+        let g = SpatialGraph::build(&pts, 2).unwrap();
         let d = dense_similarity(&g);
         for i in 0..g.len() {
             assert_eq!(g.degree(i), d.row(i).iter().sum::<f64>());
@@ -374,7 +374,7 @@ mod tests {
     #[test]
     fn laplacian_rows_sum_to_zero() {
         let pts = uniform_matrix(30, 2, 0.0, 1.0, 5);
-        let g = SpatialGraph::build(&pts, 3, NeighborSearch::KdTree).unwrap();
+        let g = SpatialGraph::build(&pts, 3).unwrap();
         let l = dense_laplacian(&g);
         for i in 0..g.len() {
             assert_eq!(l.row(i).iter().sum::<f64>(), 0.0);
@@ -385,7 +385,7 @@ mod tests {
     fn laplacian_quadratic_form_nonnegative() {
         // L is PSD: Tr(Uᵀ L U) >= 0 for any U.
         let pts = uniform_matrix(25, 2, 0.0, 1.0, 7);
-        let g = SpatialGraph::build(&pts, 3, NeighborSearch::KdTree).unwrap();
+        let g = SpatialGraph::build(&pts, 3).unwrap();
         for seed in 0..5 {
             let u = uniform_matrix(25, 4, -2.0, 2.0, seed);
             assert!(g.regularization(&u).unwrap() >= -1e-9);
@@ -396,7 +396,7 @@ mod tests {
     fn regularization_zero_for_constant_rows() {
         // Identical rows of U: every edge difference is zero.
         let pts = uniform_matrix(20, 2, 0.0, 1.0, 9);
-        let g = SpatialGraph::build(&pts, 3, NeighborSearch::KdTree).unwrap();
+        let g = SpatialGraph::build(&pts, 3).unwrap();
         let u = Matrix::filled(20, 3, 1.5);
         assert!(g.regularization(&u).unwrap().abs() < 1e-9);
     }
@@ -405,7 +405,7 @@ mod tests {
     fn regularization_matches_pairwise_definition() {
         // O_SR = 1/2 sum_ij d_ij ||u_i - u_j||² (paper §II-C).
         let pts = uniform_matrix(15, 2, 0.0, 1.0, 11);
-        let g = SpatialGraph::build(&pts, 2, NeighborSearch::BruteForce).unwrap();
+        let g = SpatialGraph::build(&pts, 2).unwrap();
         let u = uniform_matrix(15, 3, 0.0, 1.0, 12);
         let mut manual = 0.0;
         for i in 0..15 {
@@ -426,7 +426,7 @@ mod tests {
     #[test]
     fn degree_form_matches_laplacian_quadratic_form() {
         let pts = uniform_matrix(60, 2, 0.0, 1.0, 15);
-        let g = SpatialGraph::build(&pts, 4, NeighborSearch::KdTree).unwrap();
+        let g = SpatialGraph::build(&pts, 4).unwrap();
         let u = uniform_matrix(60, 5, 0.0, 1.0, 16);
         let degree_form = g.regularization(&u).unwrap();
         let dense_form = dense_quadratic_form(&dense_laplacian(&g), &u);
@@ -439,7 +439,7 @@ mod tests {
     #[test]
     fn nnz_bounded_by_2pn() {
         let pts = uniform_matrix(100, 2, 0.0, 1.0, 13);
-        let g = SpatialGraph::build(&pts, 4, NeighborSearch::KdTree).unwrap();
+        let g = SpatialGraph::build(&pts, 4).unwrap();
         assert!(g.nnz() <= 2 * 4 * 100);
         assert!(g.nnz() >= 4 * 100); // at least the out-edges
     }
@@ -472,7 +472,7 @@ mod tests {
 
     #[test]
     fn empty_graph() {
-        let g = SpatialGraph::build(&Matrix::zeros(0, 2), 3, NeighborSearch::KdTree).unwrap();
+        let g = SpatialGraph::build(&Matrix::zeros(0, 2), 3).unwrap();
         assert!(g.is_empty());
     }
 
@@ -480,7 +480,7 @@ mod tests {
     fn graph_is_invariant_across_thread_counts() {
         let pts = uniform_matrix(120, 2, 0.0, 1.0, 33);
         let build = |threads| {
-            SpatialGraph::build_instrumented(&pts, 4, NeighborSearch::KdTree, threads)
+            SpatialGraph::build_instrumented(&pts, 4, threads)
                 .unwrap()
                 .0
         };
@@ -488,14 +488,12 @@ mod tests {
         for threads in [0usize, 2, 5] {
             assert_eq!(build(threads), serial);
         }
-        // And the oracle path agrees bitwise as well.
-        let oracle = SpatialGraph::build(&pts, 4, NeighborSearch::BruteForce).unwrap();
-        assert_eq!(serial, oracle);
+        assert_eq!(rows(&serial), formula_3_rows(&pts, 4));
     }
 
     #[test]
     fn p_zero_yields_edgeless_graph() {
-        let g = SpatialGraph::build(&line_points(4), 0, NeighborSearch::KdTree).unwrap();
+        let g = SpatialGraph::build(&line_points(4), 0).unwrap();
         assert_eq!(g.nnz(), 0);
         assert!((0..g.len()).all(|i| g.degree(i) == 0.0));
     }
@@ -513,20 +511,20 @@ mod tests {
             vec![100.2, 0.0],
         ])
         .unwrap();
-        let g = SpatialGraph::build(&pts, 1, NeighborSearch::BruteForce).unwrap();
+        let g = SpatialGraph::build(&pts, 1).unwrap();
         assert_eq!(g.connected_components(), 2);
         assert!(!g.is_connected());
         // A line with generous p is one component.
-        let line = SpatialGraph::build(&line_points(6), 2, NeighborSearch::KdTree).unwrap();
+        let line = SpatialGraph::build(&line_points(6), 2).unwrap();
         assert_eq!(line.connected_components(), 1);
         assert!(line.is_connected());
     }
 
     #[test]
     fn edgeless_graph_has_n_components() {
-        let g = SpatialGraph::build(&line_points(4), 0, NeighborSearch::KdTree).unwrap();
+        let g = SpatialGraph::build(&line_points(4), 0).unwrap();
         assert_eq!(g.connected_components(), 4);
-        let empty = SpatialGraph::build(&Matrix::zeros(0, 2), 3, NeighborSearch::KdTree).unwrap();
+        let empty = SpatialGraph::build(&Matrix::zeros(0, 2), 3).unwrap();
         assert_eq!(empty.connected_components(), 0);
         assert!(empty.is_connected());
     }

@@ -4,8 +4,9 @@
 //! neighbours of every point (Formula 3). Brute force is `O(N²L)` — the
 //! cost Proposition 1 quotes — while the kd-tree brings the practical
 //! cost to `O(N log N)` for the low-dimensional (`L = 2`) spatial
-//! information. Both paths exist; the brute-force oracle doubles as the
-//! correctness reference in tests (DESIGN.md ablation #3).
+//! information. The graph always uses the kd-tree; the brute-force
+//! search stays as the tests' correctness reference and as the baseline
+//! of the `spatial` bench's kNN ablation (DESIGN.md §5 item 3).
 //!
 //! Both construction and querying scale with cores through
 //! [`smfl_linalg::parallel`]: [`KdTree::build`] spawns subtree builds at

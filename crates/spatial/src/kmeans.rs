@@ -7,13 +7,14 @@
 //! cluster centre. The default iteration cap is `t₂ = 300` with early
 //! stop, exactly as the paper's Proposition 1 discussion states.
 //!
-//! Two assignment engines are provided and produce **bitwise-identical**
-//! results for a fixed seed: textbook Lloyd ([`KMeansAlgorithm::Lloyd`])
-//! and Hamerly's triangle-inequality pruned iteration
-//! ([`KMeansAlgorithm::Hamerly`], the default), which skips the
-//! per-centre scan for points whose bounds prove their assignment cannot
-//! change. Both run the assignment step in parallel row stripes
-//! ([`smfl_linalg::parallel`]) and allocate nothing per iteration.
+//! The iteration is Hamerly's triangle-inequality pruned Lloyd, which
+//! skips the per-centre scan for points whose bounds prove their
+//! assignment cannot change. It runs the assignment step in parallel
+//! row stripes ([`smfl_linalg::parallel`]) and allocates nothing per
+//! iteration. Textbook Lloyd stays in this module's tests as the
+//! reference: the two produce bitwise-identical centres, labels and
+//! iteration counts for a fixed seed, and Hamerly is the faster of the
+//! two on the paper's 2-D spatial information (DESIGN.md §9).
 
 // Index-based loops mirror the textbook Lloyd/k-means++ formulas.
 #![allow(clippy::needless_range_loop)]
@@ -37,8 +38,6 @@ pub struct KMeansConfig {
     pub seed: u64,
     /// Seeding strategy.
     pub init: KMeansInit,
-    /// Assignment engine; both variants give identical results.
-    pub algorithm: KMeansAlgorithm,
     /// Threads for the assignment step (`0` = automatic). Results are
     /// identical for every value.
     pub threads: usize,
@@ -55,24 +54,9 @@ pub enum KMeansInit {
     Random,
 }
 
-/// Assignment-step engine for [`kmeans`].
-///
-/// Both produce bitwise-identical centres, labels and iteration counts
-/// for the same seed — Hamerly prunes work, never changes answers (the
-/// proptests pin this down exactly).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum KMeansAlgorithm {
-    /// Textbook Lloyd: every point scans every centre each iteration.
-    Lloyd,
-    /// Hamerly's bounded iteration (default): per-point upper/lower
-    /// distance bounds plus half the nearest inter-centre distance prove
-    /// most assignments unchanged without touching the centres at all.
-    Hamerly,
-}
-
 impl KMeansConfig {
     /// Paper defaults for a given `k`: 300 iterations, `tol = 1e-9`,
-    /// k-means++ seeding, Hamerly assignment.
+    /// k-means++ seeding.
     pub fn new(k: usize) -> Self {
         KMeansConfig {
             k,
@@ -80,7 +64,6 @@ impl KMeansConfig {
             tol: 1e-9,
             seed: 0,
             init: KMeansInit::PlusPlus,
-            algorithm: KMeansAlgorithm::Hamerly,
             threads: 0,
         }
     }
@@ -100,12 +83,6 @@ impl KMeansConfig {
     /// Overrides the iteration cap.
     pub fn with_max_iter(mut self, max_iter: usize) -> Self {
         self.max_iter = max_iter;
-        self
-    }
-
-    /// Overrides the assignment engine.
-    pub fn with_algorithm(mut self, algorithm: KMeansAlgorithm) -> Self {
-        self.algorithm = algorithm;
         self
     }
 
@@ -136,6 +113,18 @@ pub struct KMeansResult {
 /// [`LinalgError::Empty`] when `points` has no rows or `k == 0`;
 /// `k` larger than the number of points is clamped to it.
 pub fn kmeans(points: &Matrix, config: &KMeansConfig) -> Result<KMeansResult> {
+    kmeans_with(points, config, run_hamerly)
+}
+
+/// Seeding, `iterate` (centres refined in place, iteration count
+/// returned), then the final assignment: [`kmeans`] with the iteration
+/// loop passed in, so the tests run their Lloyd reference through the
+/// same seeding and final assignment.
+fn kmeans_with(
+    points: &Matrix,
+    config: &KMeansConfig,
+    iterate: fn(&Matrix, &mut Matrix, &KMeansConfig, usize) -> usize,
+) -> Result<KMeansResult> {
     let n = points.rows();
     if n == 0 || config.k == 0 {
         return Err(LinalgError::Empty);
@@ -154,10 +143,7 @@ pub fn kmeans(points: &Matrix, config: &KMeansConfig) -> Result<KMeansResult> {
     } else {
         config.threads
     };
-    let iterations = match config.algorithm {
-        KMeansAlgorithm::Lloyd => run_lloyd(points, &mut centers, config, threads),
-        KMeansAlgorithm::Hamerly => run_hamerly(points, &mut centers, config, threads),
-    };
+    let iterations = iterate(points, &mut centers, config, threads);
 
     // Final assignment and inertia with the converged centres.
     let mut labels = vec![0usize; n];
@@ -221,11 +207,12 @@ impl UpdateScratch {
 /// deterministic even on non-finite coordinates and never fabricates a
 /// centroid that is not a data point.
 ///
-/// Both engines call this with identical label vectors, and every
-/// floating-point accumulation happens in the same order in both, so the
-/// two engines stay bitwise in lockstep (the Hamerly states may keep a
-/// stale label for a stolen point; its distance bounds stay valid, so
-/// the next assignment pass still reproduces Lloyd exactly).
+/// Hamerly and the tests' Lloyd reference call this with identical
+/// label vectors, and every floating-point accumulation happens in the
+/// same order in both, so the two stay bitwise in lockstep (the Hamerly
+/// states may keep a stale label for a stolen point; its distance
+/// bounds stay valid, so the next assignment pass still reproduces
+/// Lloyd exactly).
 fn update_centers(
     points: &Matrix,
     labels: &mut [usize],
@@ -271,36 +258,6 @@ fn update_centers(
     movement
 }
 
-/// Textbook Lloyd iteration; returns the iteration count.
-fn run_lloyd(
-    points: &Matrix,
-    centers: &mut Matrix,
-    config: &KMeansConfig,
-    threads: usize,
-) -> usize {
-    let n = points.rows();
-    let k = centers.rows();
-    let mut labels = vec![0usize; n];
-    let mut scratch = UpdateScratch::new(k, points.cols());
-    let mut iterations = 0;
-    for it in 0..config.max_iter.max(1) {
-        iterations = it + 1;
-        // Assignment step: embarrassingly parallel and deterministic —
-        // each label depends only on its own point and the centres.
-        let centers_ref: &Matrix = centers;
-        parallel_over_rows(&mut labels, 1, n, threads, |start, _end, chunk| {
-            for (off, label) in chunk.iter_mut().enumerate() {
-                *label = nearest_center(points.row(start + off), centers_ref);
-            }
-        });
-        let movement = update_centers(points, &mut labels, centers, &mut scratch);
-        if movement.sqrt() <= config.tol {
-            break;
-        }
-    }
-    iterations
-}
-
 /// Per-point state of the Hamerly iteration.
 #[derive(Clone, Copy)]
 struct PointState {
@@ -320,7 +277,7 @@ struct PointState {
 /// pick, so pruned points provably keep the Lloyd assignment. Any tie
 /// falls through to a full scan that replays Lloyd's loop order
 /// verbatim. Combined with the shared [`update_centers`], the whole run
-/// is bitwise-identical to [`run_lloyd`].
+/// is bitwise-identical to textbook Lloyd (the tests' `run_lloyd`).
 fn run_hamerly(
     points: &Matrix,
     centers: &mut Matrix,
@@ -535,7 +492,43 @@ fn plus_plus_seeds(points: &Matrix, k: usize, rng: &mut StdRng) -> Matrix {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
     use smfl_linalg::random::{normal_matrix, uniform_matrix};
+
+    /// Textbook Lloyd iteration, the reference Hamerly must reproduce
+    /// bitwise; returns the iteration count.
+    fn run_lloyd(
+        points: &Matrix,
+        centers: &mut Matrix,
+        config: &KMeansConfig,
+        threads: usize,
+    ) -> usize {
+        let n = points.rows();
+        let k = centers.rows();
+        let mut labels = vec![0usize; n];
+        let mut scratch = UpdateScratch::new(k, points.cols());
+        let mut iterations = 0;
+        for it in 0..config.max_iter.max(1) {
+            iterations = it + 1;
+            // Assignment step: embarrassingly parallel and deterministic —
+            // each label depends only on its own point and the centres.
+            let centers_ref: &Matrix = centers;
+            parallel_over_rows(&mut labels, 1, n, threads, |start, _end, chunk| {
+                for (off, label) in chunk.iter_mut().enumerate() {
+                    *label = nearest_center(points.row(start + off), centers_ref);
+                }
+            });
+            let movement = update_centers(points, &mut labels, centers, &mut scratch);
+            if movement.sqrt() <= config.tol {
+                break;
+            }
+        }
+        iterations
+    }
+
+    fn lloyd(points: &Matrix, config: &KMeansConfig) -> KMeansResult {
+        kmeans_with(points, config, run_lloyd).unwrap()
+    }
 
     /// Three well-separated blobs of 30 points each.
     fn blobs() -> (Matrix, Vec<usize>) {
@@ -604,20 +597,9 @@ mod tests {
         let pts = uniform_matrix(400, 3, -5.0, 5.0, 42);
         for k in [1usize, 2, 7, 16] {
             for seed in [0u64, 9, 77] {
-                let lloyd = kmeans(
-                    &pts,
-                    &KMeansConfig::new(k)
-                        .with_seed(seed)
-                        .with_algorithm(KMeansAlgorithm::Lloyd),
-                )
-                .unwrap();
-                let hamerly = kmeans(
-                    &pts,
-                    &KMeansConfig::new(k)
-                        .with_seed(seed)
-                        .with_algorithm(KMeansAlgorithm::Hamerly),
-                )
-                .unwrap();
+                let config = KMeansConfig::new(k).with_seed(seed);
+                let lloyd = lloyd(&pts, &config);
+                let hamerly = kmeans(&pts, &config).unwrap();
                 assert_eq!(lloyd.labels, hamerly.labels, "k={k} seed={seed}");
                 assert_eq!(lloyd.iterations, hamerly.iterations, "k={k} seed={seed}");
                 assert!(
@@ -705,12 +687,8 @@ mod tests {
         rows.push(vec![100.0, 100.0]);
         rows.push(vec![-100.0, 100.0]);
         let pts = Matrix::from_rows(&rows).unwrap();
-        for algorithm in [KMeansAlgorithm::Lloyd, KMeansAlgorithm::Hamerly] {
-            let res = kmeans(
-                &pts,
-                &KMeansConfig::new(5).with_seed(0).with_algorithm(algorithm),
-            )
-            .unwrap();
+        let config = KMeansConfig::new(5).with_seed(0);
+        for res in [lloyd(&pts, &config), kmeans(&pts, &config).unwrap()] {
             assert!(res.centers.all_finite());
             // No fabricated centroid: every centre is inside the data's
             // bounding box (a zero centroid would sit at the origin,
@@ -739,20 +717,9 @@ mod tests {
         let pts = Matrix::from_rows(&rows).unwrap();
         for k in [4usize, 8, 12] {
             for seed in [0u64, 5] {
-                let lloyd = kmeans(
-                    &pts,
-                    &KMeansConfig::new(k)
-                        .with_seed(seed)
-                        .with_algorithm(KMeansAlgorithm::Lloyd),
-                )
-                .unwrap();
-                let hamerly = kmeans(
-                    &pts,
-                    &KMeansConfig::new(k)
-                        .with_seed(seed)
-                        .with_algorithm(KMeansAlgorithm::Hamerly),
-                )
-                .unwrap();
+                let config = KMeansConfig::new(k).with_seed(seed);
+                let lloyd = lloyd(&pts, &config);
+                let hamerly = kmeans(&pts, &config).unwrap();
                 assert_eq!(lloyd.labels, hamerly.labels, "k={k} seed={seed}");
                 assert_eq!(lloyd.iterations, hamerly.iterations, "k={k} seed={seed}");
                 assert!(lloyd.centers.approx_eq(&hamerly.centers, 0.0), "k={k} seed={seed}");
@@ -768,14 +735,31 @@ mod tests {
         rows[3] = vec![f64::NAN, f64::NAN];
         rows[7] = vec![f64::INFINITY, 0.0];
         let pts = Matrix::from_rows(&rows).unwrap();
-        for algorithm in [KMeansAlgorithm::Lloyd, KMeansAlgorithm::Hamerly] {
-            let res = kmeans(
-                &pts,
-                &KMeansConfig::new(3).with_seed(2).with_algorithm(algorithm).with_max_iter(50),
-            )
-            .unwrap();
+        let config = KMeansConfig::new(3).with_seed(2).with_max_iter(50);
+        for res in [lloyd(&pts, &config), kmeans(&pts, &config).unwrap()] {
             assert_eq!(res.labels.len(), 10);
             assert!(res.labels.iter().all(|&l| l < 3));
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(32))]
+
+        #[test]
+        fn hamerly_equals_lloyd_exactly(
+            n in 8usize..120,
+            dims in 1usize..4,
+            k in 1usize..9,
+            seed in 0u64..5000,
+        ) {
+            let pts = uniform_matrix(n, dims, -3.0, 3.0, seed);
+            let config = KMeansConfig::new(k).with_seed(seed);
+            let lloyd = lloyd(&pts, &config);
+            let hamerly = kmeans(&pts, &config).unwrap();
+            prop_assert_eq!(&lloyd.labels, &hamerly.labels);
+            prop_assert_eq!(lloyd.iterations, hamerly.iterations);
+            prop_assert!(lloyd.centers.approx_eq(&hamerly.centers, 0.0),
+                "centres differ beyond bitwise identity");
         }
     }
 }

@@ -7,10 +7,11 @@
 //!   oracle) used for the similarity matrix `D` and by several baselines
 //!   (kNN, kNNE, LOESS, IIM, DLM). Construction and bulk queries run in
 //!   parallel with thread-count-invariant results.
-//! - [`kmeans`](mod@kmeans) — Lloyd / Hamerly k-means with k-means++ seeding; its
+//! - [`kmeans`](mod@kmeans) — k-means with k-means++ seeding; its
 //!   cluster centres are the paper's *landmarks* `C` (§III-A). The
-//!   Hamerly engine (default) prunes assignment work via triangle
-//!   inequalities while staying bitwise-identical to Lloyd.
+//!   iteration is Hamerly's, which prunes assignment work via triangle
+//!   inequalities while staying bitwise-identical to Lloyd (the tests'
+//!   reference).
 //! - [`graph`] — the binary similarity matrix `D` of paper §II-C,
 //!   stored as its adjacency (assembled hash-free, straight into CSR
 //!   rows); the degrees `w` are the row lengths and the Laplacian
@@ -23,11 +24,11 @@
 //!
 //! ```
 //! use smfl_linalg::random::uniform_matrix;
-//! use smfl_spatial::{graph::{NeighborSearch, SpatialGraph}, kmeans::{kmeans, KMeansConfig}};
+//! use smfl_spatial::{graph::SpatialGraph, kmeans::{kmeans, KMeansConfig}};
 //!
 //! let si = uniform_matrix(50, 2, 0.0, 1.0, 7);
 //! let landmarks = kmeans(&si, &KMeansConfig::new(5))?.centers; // C: 5 x 2
-//! let graph = SpatialGraph::build(&si, 3, NeighborSearch::KdTree)?; // D and w
+//! let graph = SpatialGraph::build(&si, 3)?; // D and w
 //! assert_eq!(landmarks.shape(), (5, 2));
 //! assert!((0..50).all(|i| graph.neighbors(i).iter().all(|&j| graph.neighbors(j).contains(&i))));
 //! # Ok::<(), smfl_linalg::LinalgError>(())
@@ -42,6 +43,6 @@ pub mod kmeans;
 pub mod metric;
 
 pub use dedupe::dedupe_coordinates;
-pub use graph::{fill_missing_si, GraphBuildStats, NeighborSearch, SpatialGraph};
+pub use graph::{fill_missing_si, GraphBuildStats, SpatialGraph};
 pub use kdtree::KdTree;
-pub use kmeans::{kmeans, KMeansAlgorithm, KMeansConfig, KMeansInit, KMeansResult};
+pub use kmeans::{kmeans, KMeansConfig, KMeansInit, KMeansResult};

@@ -95,7 +95,7 @@ fn run(argv: &[String]) -> Result<String, String> {
     match command {
         "impute" => impute_cmd(&args, &columns, &raw, &omega, false),
         "repair" => impute_cmd(&args, &columns, &raw, &omega, true),
-        "detect" => detect_cmd(&args, &columns, &raw),
+        "detect" => detect_cmd(&args, &columns, &raw, &omega),
         "tune" => tune_cmd(&args, &raw, &omega),
         other => Err(format!("unknown command {other:?}\n{}", usage())),
     }
@@ -142,9 +142,7 @@ fn impute_cmd(
     let config = config_from(args, raw)?;
 
     // Normalize on the observed cells only, fit, then denormalize.
-    let observed_rows = raw.clone();
-    let (scaler, normed) =
-        MinMaxScaler::fit_transform(&observed_rows).map_err(|e| e.to_string())?;
+    let (scaler, normed) = normalize_observed(raw, omega)?;
 
     let (work_omega, detected) = if repair_mode {
         // Detect dirty cells among the *observed* ones, then treat both
@@ -197,18 +195,27 @@ fn impute_cmd(
     })
 }
 
-fn detect_cmd(args: &Args, columns: &[String], raw: &Matrix) -> Result<String, String> {
+fn detect_cmd(
+    args: &Args,
+    columns: &[String],
+    raw: &Matrix,
+    omega: &Mask,
+) -> Result<String, String> {
     let output = args.get("output").ok_or("--output is required")?;
     let spatial_cols: usize = args.parsed("spatial-cols", 2)?;
-    let (_, normed) = MinMaxScaler::fit_transform(raw).map_err(|e| e.to_string())?;
+    let (_, normed) = normalize_observed(raw, omega)?;
     let detector = RahaLite {
         spatial_cols,
         ..RahaLite::default()
     };
-    let dirty = detector.detect(&normed).map_err(|e| e.to_string())?;
-    // Write the data with flagged cells blanked, so the output is itself
-    // a valid `impute`/`repair` input.
-    let clean_mask = dirty.complement();
+    // Only an observed cell can be flagged: a blank has no value to judge.
+    let dirty = detector
+        .detect(&normed)
+        .and_then(|d| d.and(omega))
+        .map_err(|e| e.to_string())?;
+    // Write the data with flagged cells blanked (and blank cells kept
+    // blank), so the output is itself a valid `impute`/`repair` input.
+    let clean_mask = omega.and(&dirty.complement()).map_err(|e| e.to_string())?;
     std::fs::write(
         output,
         to_csv_string_with_missing(columns, raw, &clean_mask),
@@ -220,12 +227,22 @@ fn detect_cmd(args: &Args, columns: &[String], raw: &Matrix) -> Result<String, S
     ))
 }
 
+/// Min-max normalizes `raw` on the cells `omega` observes; every
+/// unobserved cell of the result is 0.0, whatever placeholder it held.
+fn normalize_observed(raw: &Matrix, omega: &Mask) -> Result<(MinMaxScaler, Matrix), String> {
+    let scaler = MinMaxScaler::fit_observed(raw, omega).map_err(|e| e.to_string())?;
+    let normed = scaler
+        .transform(raw)
+        .and_then(|n| omega.apply(&n))
+        .map_err(|e| e.to_string())?;
+    Ok((scaler, normed))
+}
+
 fn tune_cmd(args: &Args, raw: &Matrix, omega: &Mask) -> Result<String, String> {
     let config = config_from(args, raw)?;
-    let (_, normed) = MinMaxScaler::fit_transform(raw).map_err(|e| e.to_string())?;
-    let masked = omega.apply(&normed).map_err(|e| e.to_string())?;
+    let (_, normed) = normalize_observed(raw, omega)?;
     let result = smfl_core::grid_search(
-        &masked,
+        &normed,
         omega,
         &config.with_max_iter(150),
         &ParamGrid::paper_ranges(),

@@ -179,3 +179,70 @@ fn detect_blanks_suspicious_cells() {
     let _ = std::fs::remove_file(&input);
     let _ = std::fs::remove_file(&output);
 }
+
+/// Runs `smfl detect` on `text` and returns the flagged-cell count it
+/// reports and the CSV it writes.
+fn detect(name: &str, text: &str) -> (usize, String) {
+    let input = temp(&format!("{name}_in.csv"));
+    let output = temp(&format!("{name}_out.csv"));
+    std::fs::write(&input, text).unwrap();
+    let out = bin()
+        .args(["detect", "--input"])
+        .arg(&input)
+        .arg("--output")
+        .arg(&output)
+        .output()
+        .unwrap();
+    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+    let stdout = String::from_utf8(out.stdout).unwrap();
+    let flagged = stdout
+        .strip_prefix("flagged ")
+        .and_then(|rest| rest.split(' ').next())
+        .and_then(|n| n.parse().ok())
+        .unwrap_or_else(|| panic!("unexpected detect output {stdout:?}"));
+    let written = std::fs::read_to_string(&output).unwrap();
+    let _ = std::fs::remove_file(&input);
+    let _ = std::fs::remove_file(&output);
+    (flagged, written)
+}
+
+#[test]
+fn detect_neither_flags_nor_fills_blank_cells() {
+    // A smooth field observed in [100, 103] plus one gross outlier. The
+    // loader stores 0.0 in a blank cell; normalizing with that zero, or
+    // judging the blank itself, flags cells the clean table does not.
+    let rows: Vec<[String; 4]> = (0..60)
+        .map(|i| {
+            let x = (i % 10) as f64 / 10.0;
+            let y = (i / 10) as f64 / 6.0;
+            let a = if i == 33 { 190.0 } else { 100.0 + 2.0 * x + y };
+            let b = 101.0 + x - y;
+            [format!("{x:.3}"), format!("{y:.3}"), format!("{a:.3}"), format!("{b:.3}")]
+        })
+        .collect();
+    let table = |blank: &dyn Fn(usize, usize) -> bool| {
+        let mut text = String::from("lat,lon,a,b\n");
+        for (i, row) in rows.iter().enumerate() {
+            let cells: Vec<&str> = (0..4)
+                .map(|j| if blank(i, j) { "" } else { row[j].as_str() })
+                .collect();
+            text.push_str(&cells.join(","));
+            text.push('\n');
+        }
+        text
+    };
+    let blank = |i: usize, j: usize| j >= 2 && i % 7 == j;
+    let (clean_flags, _) = detect("blank_clean", &table(&|_, _| false));
+    let (blank_flags, written) = detect("blank_holes", &table(&blank));
+    assert!(
+        blank_flags <= clean_flags,
+        "blanking cells raised the flagged count: {clean_flags} -> {blank_flags}"
+    );
+    for (i, line) in written.lines().skip(1).enumerate() {
+        for (j, cell) in line.split(',').enumerate() {
+            if blank(i, j) {
+                assert!(cell.is_empty(), "input blank ({i}, {j}) written as {cell:?}");
+            }
+        }
+    }
+}

@@ -1,18 +1,21 @@
-//! Consistency checks across crate boundaries: search-backend
-//! equivalence on a fit's spatial information, CSV round-trips of generated datasets,
-//! route bookkeeping, and seed determinism end to end.
+//! Consistency checks across crate boundaries: the kd-tree graph
+//! against the brute-force oracle on a fit's spatial information, CSV
+//! round-trips of generated datasets, route bookkeeping, and seed
+//! determinism end to end.
 
 use smfl_core::{fit, SmflConfig};
 use smfl_datasets::csv::{from_csv_str, to_csv_string};
 use smfl_datasets::{inject_missing, lake, vehicle, Scale};
 use smfl_eval::route_fuel;
-use smfl_spatial::{fill_missing_si, NeighborSearch, SpatialGraph};
+use smfl_spatial::kdtree::brute_force_nearest;
+use smfl_spatial::{fill_missing_si, SpatialGraph};
+use std::collections::BTreeSet;
 
 #[test]
 fn kdtree_and_bruteforce_give_identical_graphs() {
-    // DESIGN.md ablation #3 at pipeline scale: on the mean-filled SI a
-    // fit builds its graph from, the kd-tree every fit uses and the
-    // brute-force oracle must produce bit-identical graphs.
+    // DESIGN.md §5 item 3 at pipeline scale: on the mean-filled SI a fit
+    // builds its graph from, the kd-tree graph must be Formula 3 on the
+    // brute-force neighbour lists, symmetrized here with set logic.
     let full = lake(Scale::Small, 2);
     let d = full.data.rows_range(0, 250).unwrap();
     let mut omega = smfl_linalg::Mask::full(250, full.m());
@@ -21,9 +24,26 @@ fn kdtree_and_bruteforce_give_identical_graphs() {
     }
     let cfg = SmflConfig::smfl(5, 2);
     let si = fill_missing_si(&d, &omega, cfg.spatial_cols);
-    let a = SpatialGraph::build(&si, cfg.p_neighbors, NeighborSearch::KdTree).unwrap();
-    let b = SpatialGraph::build(&si, cfg.p_neighbors, NeighborSearch::BruteForce).unwrap();
-    assert_eq!(a, b, "D differs between search backends");
+    let p = cfg.p_neighbors;
+    let g = SpatialGraph::build(&si, p).unwrap();
+    let nn: Vec<BTreeSet<usize>> = (0..si.rows())
+        .map(|i| {
+            brute_force_nearest(&si, si.row(i), p, i)
+                .into_iter()
+                .map(|(j, _)| j)
+                .collect()
+        })
+        .collect();
+    for i in 0..si.rows() {
+        let expected: Vec<usize> = (0..si.rows())
+            .filter(|&j| nn[i].contains(&j) || nn[j].contains(&i))
+            .collect();
+        assert_eq!(
+            g.neighbors(i),
+            &expected[..],
+            "D differs from the brute-force oracle at row {i}"
+        );
+    }
 }
 
 #[test]
