@@ -22,6 +22,9 @@
 //!    `v_j`, in registers; the new column goes to [`Workspace::v_next`],
 //!    whose frozen landmark columns are copied unchanged.
 //!
+//! The sparse multiplicative step runs the column pass too
+//! ([`column_step`]), so every rule and path updates `V` by this code.
+//!
 //! The two optimizers read the same sums and differ only in how an entry
 //! `a` combines them ([`Rule`]): the multiplicative rule takes
 //! `a·numer/(denom + EPS)`, gradient descent `max(0, a + 2η(numer − denom))`,
@@ -32,9 +35,9 @@
 //! it before committing the candidate.
 //!
 //! The body is written once, generic over the rule and the rank: `K ≤ 8`
-//! dispatches to a compile-time-`K` instance whose loops unroll and
-//! whose accumulators stay in registers; larger ranks run the same body
-//! with a runtime `K`.
+//! dispatches (one table, `with_rank!`) to a compile-time-`K` instance
+//! whose loops unroll and whose accumulators stay in registers; larger
+//! ranks run the same body with a runtime `K`.
 //!
 //! Parallelism: below `PARALLEL_FLOP_THRESHOLD` (judged, like the sparse
 //! kernels, by `2·|Ω|·K` per pass) everything runs on the calling
@@ -90,7 +93,7 @@ impl Rank for Runtime {
         self.0
     }
 
-    /// One small allocation per row block or column run (not per row).
+    /// One small allocation per row block or column-pass chunk.
     fn with_acc<T>(self, f: impl FnOnce([&mut [f64]; 4]) -> T) -> T {
         let k = self.0;
         let mut acc = vec![0.0; 4 * k];
@@ -154,6 +157,24 @@ impl Rule for Gradient {
     }
 }
 
+/// Calls `$f` with the rank `$k` as its first argument: a compile-time
+/// [`Fixed`] instance for `K ≤ 8`, [`Runtime`] above.
+macro_rules! with_rank {
+    ($k:expr, $f:ident($($arg:expr),*)) => {
+        match $k {
+            1 => $f(Fixed::<1>, $($arg),*),
+            2 => $f(Fixed::<2>, $($arg),*),
+            3 => $f(Fixed::<3>, $($arg),*),
+            4 => $f(Fixed::<4>, $($arg),*),
+            5 => $f(Fixed::<5>, $($arg),*),
+            6 => $f(Fixed::<6>, $($arg),*),
+            7 => $f(Fixed::<7>, $($arg),*),
+            8 => $f(Fixed::<8>, $($arg),*),
+            k => $f(Runtime(k), $($arg),*),
+        }
+    };
+}
+
 /// One iteration of `rule` on the fused passes: writes the updated
 /// factors to `ws.u_next` / `ws.v_next` and returns the objective terms
 /// of the input `(U, V)`.
@@ -181,17 +202,17 @@ pub(crate) fn fused_step(
             });
         }
     }
-    match k {
-        1 => step(Fixed::<1>, rule, ctx, ws, u, v),
-        2 => step(Fixed::<2>, rule, ctx, ws, u, v),
-        3 => step(Fixed::<3>, rule, ctx, ws, u, v),
-        4 => step(Fixed::<4>, rule, ctx, ws, u, v),
-        5 => step(Fixed::<5>, rule, ctx, ws, u, v),
-        6 => step(Fixed::<6>, rule, ctx, ws, u, v),
-        7 => step(Fixed::<7>, rule, ctx, ws, u, v),
-        8 => step(Fixed::<8>, rule, ctx, ws, u, v),
-        _ => step(Runtime(k), rule, ctx, ws, u, v),
-    }
+    with_rank!(k, step(rule, ctx, ws, u, v))
+}
+
+/// The column pass alone, on the new `U` in `ws.u_next` (`N x K`) and
+/// the old `Vᵀ` in `ws.vt` (`M x K`): the sparse step's `V` update.
+pub(crate) fn column_step(
+    ctx: &UpdateContext<'_>,
+    ws: &mut Workspace,
+    rule: impl Rule,
+) -> Result<()> {
+    with_rank!(ws.u_next.cols(), column_pass(rule, ctx, ws))
 }
 
 /// The step body, generic over the rank and the rule. Shapes are
@@ -205,14 +226,12 @@ fn step<R: Rank>(
     v: &Matrix,
 ) -> Result<ObjectiveTerms> {
     let pattern = ctx.pattern;
-    let (n, m) = (pattern.rows(), pattern.cols());
+    let n = pattern.rows();
     let k = rank.k();
     let (row_ptr, col_idx) = pattern.csr();
-    let (csc_ptr, csc_rows, csc_perm) = pattern.csc();
     let xv = pattern.x_vals();
     let graph = ctx.active_graph();
     let lambda = ctx.lambda;
-    let v_start = ctx.v_start_col();
     let threads = threads_for(2 * pattern.nnz() * k);
     let blocks = n.div_ceil(BLOCK_ROWS);
     // Per block: the fit and Laplacian sums of the input factors.
@@ -279,51 +298,65 @@ fn step<R: Rank>(
         .chunks_exact(2)
         .fold((0.0, 0.0), |(f, l), s| (f + s[0], l + s[1]));
 
-    // ---- Column pass: the new V from the new U, in place in Vᵀ ----
-    // Each live column reads and rewrites only its own row of `vt`; the
-    // frozen landmark rows are left as they are.
-    {
-        let un = ws.u_next.as_slice();
-        let live = &mut ws.vt.as_mut_slice()[v_start * k..];
-        parallel_over_rows(live, k, m - v_start, threads, |c0, c1, chunk| {
-            let k = rank.k();
-            for j in v_start + c0..v_start + c1 {
-                let vj = &mut chunk[(j - v_start - c0) * k..][..k];
-                rank.with_acc(|[numer, denom, bn, bd]| {
-                    // Sum per BLOCK_ROWS-row block, then fold the blocks in
-                    // order: the association of a row-blocked reduction,
-                    // so V is bitwise that of fits recorded with one.
-                    let mut block = usize::MAX;
-                    for e in csc_ptr[j]..csc_ptr[j + 1] {
-                        let i = csc_rows[e];
-                        if i / BLOCK_ROWS != block {
-                            fold_block(numer, denom, bn, bd);
-                            block = i / BLOCK_ROWS;
-                        }
-                        let x = xv[csc_perm[e]];
-                        let ui = &un[i * k..][..k];
-                        let r = dot(ui, vj);
-                        for ((nt, dt), &a) in bn.iter_mut().zip(bd.iter_mut()).zip(ui) {
-                            *nt += x * a;
-                            *dt += r * a;
-                        }
-                    }
-                    fold_block(numer, denom, bn, bd);
-                    for ((o, &nt), &dt) in vj.iter_mut().zip(&*numer).zip(&*denom) {
-                        *o = rule.v(*o, nt, dt);
-                    }
-                });
-            }
-        });
-    }
-    ws.vt.transpose_into(&mut ws.v_next)?;
-    debug_assert!(ctx
-        .landmarks
-        .is_none_or(|lm| lm.verify_injected(&ws.v_next)));
+    column_pass(rank, rule, ctx, ws)?;
 
     ws.counters.dense_steps += 1;
     ws.counters.masked_nnz += pattern.nnz() as u64;
     Ok(ObjectiveTerms { fit, laplacian })
+}
+
+/// The new `V` from the new `U`, in place in the old `Vᵀ`, then into
+/// `ws.v_next`. Each live column rewrites only its own row of `vt`.
+fn column_pass<R: Rank>(
+    rank: R,
+    rule: impl Rule,
+    ctx: &UpdateContext<'_>,
+    ws: &mut Workspace,
+) -> Result<()> {
+    let (m, k, v_start) = (ctx.pattern.cols(), rank.k(), ctx.v_start_col());
+    let (csc_ptr, csc_rows, csc_perm) = ctx.pattern.csc();
+    let xv = ctx.pattern.x_vals();
+    let threads = threads_for(2 * ctx.pattern.nnz() * k);
+    let un = ws.u_next.as_slice();
+    let live = &mut ws.vt.as_mut_slice()[v_start * k..];
+    parallel_over_rows(live, k, m - v_start, threads, |c0, c1, chunk| {
+        let k = rank.k();
+        rank.with_acc(|[numer, denom, bn, bd]| {
+            for j in v_start + c0..v_start + c1 {
+                let vj = &mut chunk[(j - v_start - c0) * k..][..k];
+                numer.fill(0.0);
+                denom.fill(0.0);
+                // Sum per BLOCK_ROWS-row block, then fold the blocks in
+                // order: the association of a row-blocked reduction, so
+                // V is bitwise that of fits recorded with one. Each fold
+                // clears the block sums for the next block or column.
+                let mut block = usize::MAX;
+                for e in csc_ptr[j]..csc_ptr[j + 1] {
+                    let i = csc_rows[e];
+                    if i / BLOCK_ROWS != block {
+                        fold_block(numer, denom, bn, bd);
+                        block = i / BLOCK_ROWS;
+                    }
+                    let x = xv[csc_perm[e]];
+                    let ui = &un[i * k..][..k];
+                    let r = dot(ui, vj);
+                    for ((nt, dt), &a) in bn.iter_mut().zip(bd.iter_mut()).zip(ui) {
+                        *nt += x * a;
+                        *dt += r * a;
+                    }
+                }
+                fold_block(numer, denom, bn, bd);
+                for ((o, &nt), &dt) in vj.iter_mut().zip(&*numer).zip(&*denom) {
+                    *o = rule.v(*o, nt, dt);
+                }
+            }
+        });
+    });
+    ws.vt.transpose_into(&mut ws.v_next)?;
+    debug_assert!(ctx
+        .landmarks
+        .is_none_or(|lm| lm.verify_injected(&ws.v_next)));
+    Ok(())
 }
 
 /// Adds one block's column sums into the running totals and clears them.

@@ -377,9 +377,9 @@ impl TraceSink for JsonlSink {
     fn counters(&mut self, c: &KernelCounters) {
         let _ = writeln!(
             self.out,
-            "{{\"type\":\"counters\",\"sddmm\":{},\"spmm\":{},\"spmm_t\":{},\
+            "{{\"type\":\"counters\",\"sddmm\":{},\"spmm\":{},\
              \"dense_steps\":{},\"masked_nnz\":{}}}",
-            c.sddmm, c.spmm, c.spmm_t, c.dense_steps, c.masked_nnz,
+            c.sddmm, c.spmm, c.dense_steps, c.masked_nnz,
         );
     }
 

@@ -3,7 +3,7 @@
 //! - [`multiplicative_step`] — the self-adaptive multiplicative rules
 //!   (Formulas 13/14). Numerators and denominators are elementwise
 //!   nonnegative for nonnegative input, so the iterates stay in the
-//!   feasible region; denominators are guarded by [`DENOM_EPS`]
+//!   feasible region; denominators are guarded by [`DENOM_EPS`](crate::DENOM_EPS)
 //!   following standard Lee–Seung practice.
 //! - [`gradient_step`] — projected gradient descent with a fixed
 //!   learning rate (§III-B1), kept feasible by clamping at zero. This is
@@ -28,26 +28,25 @@
 //!
 //! - **Fused** (masks above `kernels::DENSE_PATH_THRESHOLD` observed,
 //!   which covers every paper experiment).
-//! - **Sparse** (sparser masks): the reconstruction is evaluated at
-//!   observed entries only (SDDMM into the packed
-//!   [`Workspace::uv_vals`]) and the four update-rule products are CSR
-//!   SpMM / SpMMᵀ against the per-fit [`ObservedPattern`]: one SDDMM of
-//!   the input, which also gives the fit term, and one of the new `U`
-//!   for the `V` update.
+//! - **Sparse** (sparser masks): `U` by the sparse kernels against the
+//!   per-fit [`ObservedPattern`] — one SDDMM of the input into the packed
+//!   [`Workspace::uv_vals`], which also gives the fit term, then CSR SpMM
+//!   for `R_Ω(X)·Vᵀ` and `R_Ω(UV)·Vᵀ` and the graph terms, combined by
+//!   the same rule as the fused row pass — then `V` by the fused step's
+//!   column pass, so Formula 14 has one implementation.
 //!
 //! All scratch lives in the caller's [`Workspace`]: a serial step
-//! allocates nothing once the workspace is sized (the fused step's
+//! allocates nothing once the workspace is sized (the fused passes'
 //! runtime-rank instance, `K > 8`, takes a `4·K` accumulator per row
-//! block and per column), and neither path ever builds an `N x M`
-//! matrix.
+//! block of the row pass and per thread chunk of the column pass), and
+//! neither path ever builds an `N x M` matrix.
 //!
 //! Landmark handling: `Φ` covers the *whole* first `L` columns of `V`
 //! (Definition 1), so the `V` update simply starts at column `L`; the
 //! kernels skip the frozen columns entirely — this is the computation
 //! the paper's §IV-E efficiency claim refers to.
 
-use crate::fused_step::{fused_step, Gradient, Multiplicative};
-use crate::health::DENOM_EPS;
+use crate::fused_step::{column_step, fused_step, Gradient, Multiplicative, Rule};
 use crate::landmarks::Landmarks;
 use crate::objective::ObjectiveTerms;
 use smfl_linalg::kernels::{ObservedPattern, Workspace};
@@ -116,17 +115,6 @@ pub fn multiplicative_step(
     }
 }
 
-/// `Tr(UᵀLU) = Σ_i w_i·|u_i|² − u_i·(D·U)_i`, from `D·U` in `du`.
-fn laplacian_from_du(u: &Matrix, du: &Matrix, g: &SpatialGraph) -> f64 {
-    let k = u.cols().max(1);
-    u.as_slice()
-        .chunks_exact(k)
-        .zip(du.as_slice().chunks_exact(k))
-        .enumerate()
-        .map(|(i, (ui, gi))| g.degree(i) * dot(ui, ui) - dot(ui, gi))
-        .sum()
-}
-
 /// `out = D·U`: row `i` is the sum of `u`'s rows at `i`'s neighbours,
 /// in ascending neighbour order.
 fn adjacency_product(g: &SpatialGraph, u: &Matrix, out: &mut Matrix) {
@@ -141,7 +129,8 @@ fn adjacency_product(g: &SpatialGraph, u: &Matrix, out: &mut Matrix) {
     }
 }
 
-/// The multiplicative step on the sparse kernels (SDDMM + SpMM/SpMMᵀ).
+/// The multiplicative step on the sparse kernels for `U` (SDDMM +
+/// SpMM), then the fused step's column pass for `V`.
 fn sparse_multiplicative_step(
     ctx: &UpdateContext<'_>,
     ws: &mut Workspace,
@@ -149,89 +138,56 @@ fn sparse_multiplicative_step(
     v: &Matrix,
 ) -> Result<ObjectiveTerms> {
     let pattern = ctx.pattern;
-    let nnz = pattern.nnz() as u64;
 
     // ---- Score the input; U update (Formula 13) ----
     ws.size_sparse(pattern.nnz());
     v.transpose_into(&mut ws.vt)?;
     pattern.sddmm_into(u, &ws.vt, &mut ws.uv_vals)?; // R_Ω(UV)
     ws.counters.sddmm += 1;
-    ws.counters.masked_nnz += nnz;
     let fit = pattern.fit_term(&ws.uv_vals)?;
     pattern.spmm_into(pattern.x_vals(), &ws.vt, &mut ws.u_next)?; // R_Ω(X)·Vᵀ
     pattern.spmm_into(&ws.uv_vals, &ws.vt, &mut ws.denom_u)?; // R_Ω(UV)·Vᵀ
     ws.counters.spmm += 2;
-    ws.counters.masked_nnz += 2 * nnz;
     let laplacian = match ctx.active_graph() {
-        Some(g) => {
-            adjacency_product(g, u, &mut ws.reg_a); // D·U
-            update_u_with_graph(u, ws, g, ctx.lambda);
-            laplacian_from_du(u, &ws.reg_a, g)
-        }
-        None => {
-            for ((o, &x), &d) in ws
-                .u_next
-                .as_mut_slice()
-                .iter_mut()
-                .zip(u.as_slice())
-                .zip(ws.denom_u.as_slice())
-            {
-                *o = x * (*o / (d + DENOM_EPS));
-            }
-            0.0
-        }
+        Some(g) => add_graph_terms(g, ctx.lambda, u, ws),
+        None => 0.0,
     };
-
-    // ---- V update (Formula 14), live columns only ----
-    pattern.sddmm_into(&ws.u_next, &ws.vt, &mut ws.uv_vals)?; // with the new U
-    ws.counters.sddmm += 1;
-    ws.counters.masked_nnz += nnz;
-    ws.v_next.as_mut_slice().copy_from_slice(v.as_slice());
-    let start = ctx.v_start_col();
-    if start < v.cols() {
-        // Uᵀ·R_Ω(X) and Uᵀ·R_Ω(UV), transposed layout, frozen landmark
-        // rows skipped inside the kernel.
-        pattern.spmm_t_into(pattern.x_vals(), &ws.u_next, start, &mut ws.numer_vt)?;
-        pattern.spmm_t_into(&ws.uv_vals, &ws.u_next, start, &mut ws.denom_vt)?;
-        ws.counters.spmm_t += 2;
-        ws.counters.masked_nnz += 2 * nnz;
-        for k in 0..v.rows() {
-            for j in start..v.cols() {
-                let val = v.get(k, j) * ws.numer_vt.get(j, k) / (ws.denom_vt.get(j, k) + DENOM_EPS);
-                ws.v_next.set(k, j, val);
-            }
-        }
+    let rows = ws.u_next.as_mut_slice().iter_mut().zip(u.as_slice());
+    for ((o, &a), &d) in rows.zip(ws.denom_u.as_slice()) {
+        *o = Multiplicative.u(a, *o, d);
     }
-    // Landmarks were never touched (whole columns skipped), so no
-    // re-injection is needed; debug-check the invariant anyway.
-    debug_assert!(ctx
-        .landmarks
-        .is_none_or(|lm| lm.verify_injected(&ws.v_next)));
+
+    // ---- V update (Formula 14): the fused step's column pass ----
+    column_step(ctx, ws, Multiplicative)?;
+    // Four passes over Ω: the SDDMM, two SpMMs and the column pass.
+    ws.counters.masked_nnz += 4 * pattern.nnz() as u64;
     Ok(ObjectiveTerms { fit, laplacian })
 }
 
-/// Formula 13 with the spatial terms folded in elementwise:
-/// `u'_ik = u_ik·(N_ik + λ·(D·U)_ik) / (Dn_ik + λ·w_i·u_ik + DENOM_EPS)`, with
-/// the numerator `N` already in `ws.u_next` (overwritten by `u'`), `Dn`
-/// in `ws.denom_u` and `D·U` in `ws.reg_a`.
-fn update_u_with_graph(u: &Matrix, ws: &mut Workspace, g: &SpatialGraph, lambda: f64) {
-    let k = u.cols();
-    if k == 0 {
-        return;
-    }
+/// Folds the spatial terms into Formula 13's sums — `λ·(D·U)_i` into
+/// the numerator in `ws.u_next`, `λ·w_i·u_i` into the denominator in
+/// `ws.denom_u`, with `D·U` formed in `ws.reg_a` — and returns
+/// `Tr(UᵀLU) = Σ_i w_i·|u_i|² − u_i·(D·U)_i`.
+fn add_graph_terms(g: &SpatialGraph, lambda: f64, u: &Matrix, ws: &mut Workspace) -> f64 {
+    adjacency_product(g, u, &mut ws.reg_a);
+    let k = u.cols().max(1);
     let rows = ws
         .u_next
         .as_mut_slice()
         .chunks_exact_mut(k)
+        .zip(ws.denom_u.as_mut_slice().chunks_exact_mut(k))
         .zip(u.as_slice().chunks_exact(k))
-        .zip(ws.denom_u.as_slice().chunks_exact(k))
         .zip(ws.reg_a.as_slice().chunks_exact(k));
-    for (i, (((orow, urow), drow), grow)) in rows.enumerate() {
+    let mut laplacian = 0.0;
+    for (i, (((nrow, drow), urow), grow)) in rows.enumerate() {
         let w = g.degree(i);
-        for (((o, &x), &d), &du) in orow.iter_mut().zip(urow).zip(drow).zip(grow) {
-            *o = x * ((*o + lambda * du) / (d + lambda * (w * x) + DENOM_EPS));
+        laplacian += w * dot(urow, urow) - dot(urow, grow);
+        for (((nt, dt), &a), &du) in nrow.iter_mut().zip(drow).zip(urow).zip(grow) {
+            *nt += lambda * du;
+            *dt += lambda * (w * a);
         }
     }
+    laplacian
 }
 
 /// One projected-gradient iteration (paper §III-B1) into `ws.u_next` /

@@ -1,17 +1,17 @@
 //! Both rules of the fused step against naive oracles.
 //!
 //! `gradient_step` runs on the fused row/column passes at every density;
-//! `multiplicative_step` takes them above 50% observed and the sparse
-//! kernels below. This suite pins both rules, through their public
-//! entry points, to the textbook matmul formulations — dense `U·V`,
-//! masked, then the four products, the graph terms through dense
-//! `D`/`W`/`L` (with `L` built here as `diag(w) − D`) — which are kept
-//! here only, as references. A step scores the factors it reads and
-//! writes the next iterate into the workspace, which the caller then
-//! commits. The suite checks, step by step, at densities 0.02–1.0,
-//! `M ∈ {7, 13, 300}` and `K ∈ {1, 6, 8, 11}` (`K = 11` runs the
-//! runtime-rank instance), with and without the graph term and
-//! landmarks:
+//! `multiplicative_step` takes them above 50% observed, and below it the
+//! sparse kernels for `U` and the column pass for `V`. This suite pins
+//! both rules, through their public entry points, to the textbook
+//! matmul formulations — dense `U·V`, masked, then the four products,
+//! the graph terms through dense `D`/`W`/`L` (with `L` built here as
+//! `diag(w) − D`) — which are kept here only, as references. A step
+//! scores the factors it reads and writes the next iterate into the
+//! workspace, which the caller then commits. The suite checks, step by
+//! step, at densities 0.02–1.0, `M ∈ {7, 13, 300}` and
+//! `K ∈ {1, 6, 8, 11}` (`K = 11` runs the runtime-rank instance), with
+//! and without the graph term and landmarks:
 //!
 //! - the returned fit and Laplacian terms equal the dense objective
 //!   terms of the step's *input* to 1e-12 relative, and
@@ -24,9 +24,10 @@
 //! - landmark columns stay bitwise frozen in both the committed `V`
 //!   and the candidate `Workspace::v_next`;
 //! - above the parallel-dispatch threshold the objective stream and the
-//!   factors of both rules, and of a gradient-descent fit, are bitwise
-//!   identical at `SMFL_THREADS` 1 and 4 (checked in child processes,
-//!   since the thread count is fixed per process).
+//!   factors of both rules, of a gradient-descent fit, and of the
+//!   multiplicative step on a ~35%-observed mask (its sparse path) are
+//!   bitwise identical at `SMFL_THREADS` 1 and 4 (checked in child
+//!   processes, since the thread count is fixed per process).
 
 use proptest::prelude::*;
 use smfl_core::updater::{gradient_step, multiplicative_step, score, UpdateContext};
@@ -273,9 +274,9 @@ proptest! {
         let last = score(&ctx, &mut ws, &u, &v).unwrap();
         prop_assert!(rel_diff(last.fit, fit_ref) <= TERMS_TOL);
         prop_assert!(rel_diff(last.laplacian, lap_ref) <= TERMS_TOL);
-        // The sparse path streams Ω six times per step (two SDDMMs, two
-        // SpMMs, two SpMMᵀs), the fused one once.
-        let (fused, passes) = if pattern.prefers_dense() { (3, 1) } else { (0, 6) };
+        // The sparse path streams Ω four times per step (one SDDMM, two
+        // SpMMs, the column pass), the fused one once.
+        let (fused, passes) = if pattern.prefers_dense() { (3, 1) } else { (0, 4) };
         prop_assert_eq!(ws.counters.dense_steps, fused);
         prop_assert_eq!(ws.counters.masked_nnz, 3 * passes * pattern.nnz() as u64);
     }
@@ -347,10 +348,43 @@ fn fold(m: &Matrix) -> u64 {
         .fold(0u64, |h, x| h.rotate_left(7) ^ x.to_bits())
 }
 
+/// Four steps of `rule` (`"multiplicative"` or `"gradient"`) from a fixed
+/// start with `lm` injected; pushes the bits of every objective and of
+/// the final factors to `lines`. Returns the step's workspace.
+fn record_steps(
+    ctx: &UpdateContext<'_>,
+    lm: &Landmarks,
+    rule: &str,
+    eta: f64,
+    label: &str,
+    lines: &mut Vec<String>,
+) -> Workspace {
+    let (n, m, k) = (ctx.pattern.rows(), ctx.pattern.cols(), lm.k());
+    let mut ws = Workspace::new(ctx.pattern, k);
+    let mut u = positive_uniform_matrix(n, k, 5).scale(1.0 / k as f64);
+    let mut v = positive_uniform_matrix(k, m, 6);
+    lm.inject(&mut v).unwrap();
+    for _ in 0..4 {
+        let terms = match rule {
+            "multiplicative" => multiplicative_step(ctx, &mut ws, &u, &v),
+            _ => gradient_step(ctx, &mut ws, &u, &v, eta),
+        }
+        .unwrap();
+        ws.commit(&mut u, &mut v);
+        lines.push(format!(
+            "{label} objective {:x}",
+            terms.objective(ctx.lambda).to_bits()
+        ));
+    }
+    lines.push(format!("{label} factors {:x} {:x}", fold(&u), fold(&v)));
+    ws
+}
+
 /// Child-process body: runs both rules of the fused step above the
-/// parallel-dispatch threshold, then a gradient-descent fit, and writes
-/// the bits of every objective and of the final factors to
-/// `SMFL_FUSED_STEP_OUT`. A no-op unless spawned by
+/// parallel-dispatch threshold, then a gradient-descent fit, then the
+/// multiplicative step on a ~35%-observed mask (SDDMM/SpMM for `U`, the
+/// column pass for `V`), and writes the bits of every objective and of
+/// the final factors to `SMFL_FUSED_STEP_OUT`. A no-op unless spawned by
 /// `fused_step_is_thread_invariant`.
 #[test]
 fn fused_step_thread_child() {
@@ -379,27 +413,7 @@ fn fused_step_thread_child() {
             landmarks: Some(&lm),
         };
         for rule in ["multiplicative", "gradient"] {
-            let mut ws = Workspace::new(&pattern, k);
-            let mut u = positive_uniform_matrix(n, k, 5).scale(1.0 / k as f64);
-            let mut v = positive_uniform_matrix(k, m, 6);
-            lm.inject(&mut v).unwrap();
-            for _ in 0..4 {
-                let terms = match rule {
-                    "multiplicative" => multiplicative_step(&ctx, &mut ws, &u, &v),
-                    _ => gradient_step(&ctx, &mut ws, &u, &v, eta),
-                }
-                .unwrap();
-                ws.commit(&mut u, &mut v);
-                lines.push(format!(
-                    "k={k} {rule} objective {:x}",
-                    terms.objective(lambda).to_bits()
-                ));
-            }
-            lines.push(format!(
-                "k={k} {rule} factors {:x} {:x}",
-                fold(&u),
-                fold(&v)
-            ));
+            record_steps(&ctx, &lm, rule, eta, &format!("k={k} {rule}"), &mut lines);
         }
     }
     let cfg = SmflConfig::smfl(6, 2)
@@ -418,6 +432,31 @@ fn fused_step_thread_child() {
         fold(&model.u),
         fold(&model.v)
     ));
+
+    // 12000 x 50 at ~35% observed: the multiplicative step takes the
+    // sparse kernels for U and the column pass for V, with 2·|Ω|·K above
+    // PARALLEL_FLOP_THRESHOLD at both ranks.
+    let (x, omega) = problem(12_000, 50, 0.35, 98);
+    let pattern = ObservedPattern::compile(&x, &omega).unwrap();
+    assert!(
+        !pattern.prefers_dense(),
+        "the sparse case must take the sparse kernels"
+    );
+    assert_eq!(threads_for(2 * pattern.nnz() * 6), max_threads());
+    let si = x.columns(0, 2).unwrap();
+    let graph = SpatialGraph::build(&si, 5).unwrap();
+    for k in [6, 11] {
+        let lm = Landmarks::compute(&si, k, 20, 1).unwrap();
+        let ctx = UpdateContext {
+            pattern: &pattern,
+            graph: Some(&graph),
+            lambda,
+            landmarks: Some(&lm),
+        };
+        let label = format!("sparse k={k} multiplicative");
+        let ws = record_steps(&ctx, &lm, "multiplicative", eta, &label, &mut lines);
+        assert_eq!(ws.counters.dense_steps, 0);
+    }
     std::fs::write(out, lines.join("\n")).unwrap();
 }
 
@@ -447,9 +486,10 @@ fn fused_step_is_thread_invariant() {
         let _ = std::fs::remove_file(&path);
         assert_eq!(
             text.lines().count(),
-            25,
+            35,
             "expected 2 ranks x 2 rules x (4 objectives + factors), \
-             then 4 fit objectives + factors"
+             then 4 fit objectives + factors, then 2 sparse ranks x \
+             (4 objectives + factors)"
         );
         runs.push(text);
     }

@@ -116,7 +116,7 @@ fn trace_covers_every_phase_and_counter() {
 
     let c = &trace.counters;
     assert!(c.sddmm > 0, "no SDDMM counted: {c:?}");
-    assert!(c.spmm > 0 && c.spmm_t > 0, "no SpMM counted: {c:?}");
+    assert!(c.spmm > 0, "no SpMM counted: {c:?}");
     assert_eq!(c.dense_steps, 0, "sparse fit took the dense path: {c:?}");
     assert!(c.masked_nnz > 0);
 }

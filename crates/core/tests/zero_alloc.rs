@@ -154,8 +154,6 @@ fn multiplicative_step_allocates_nothing_after_warmup() {
             ws.vt.as_slice().as_ptr(),
             ws.reg_a.as_slice().as_ptr(),
             ws.denom_u.as_slice().as_ptr(),
-            ws.numer_vt.as_slice().as_ptr(),
-            ws.denom_vt.as_slice().as_ptr(),
             a.min(b),
             a.max(b),
         )
@@ -240,9 +238,7 @@ fn multiplicative_step_allocates_nothing_after_warmup() {
     assert!(
         ws.uv_vals.is_empty()
             && ws.denom_u.as_slice().is_empty()
-            && ws.reg_a.as_slice().is_empty()
-            && ws.numer_vt.as_slice().is_empty()
-            && ws.denom_vt.as_slice().is_empty(),
+            && ws.reg_a.as_slice().is_empty(),
         "the fused step sized the sparse-engine scratch"
     );
 
@@ -418,11 +414,10 @@ fn multiplicative_step_allocates_nothing_after_warmup() {
     // first checkpoint, and only `Recover` checkpoints. So a strict warm
     // solve on a fresh plan allocates what it does on a reused one plus
     // the sparse-engine scratch its first step sizes (`uv_vals`,
-    // `denom_u`, `reg_a`, `numer_vt`, `denom_vt`; this plan takes the
-    // sparse path), while a recovering solve's first run allocates the
-    // two snapshot buffers on top — and both policies return the same
-    // model.
-    const SPARSE_SCRATCH_BUFFERS: usize = 5;
+    // `denom_u`, `reg_a`; this plan takes the sparse path), while a
+    // recovering solve's first run allocates the two snapshot buffers on
+    // top — and both policies return the same model.
+    const SPARSE_SCRATCH_BUFFERS: usize = 3;
     let strict_cfg = cfg.clone().with_max_iter(10);
     let recover_cfg = strict_cfg.clone().resilient();
     let opts = SolveOptions::warm_from(&cold_nmf);

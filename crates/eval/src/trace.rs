@@ -68,8 +68,8 @@ pub fn render_table(trace: &Trace) -> String {
     }
     let c = &trace.counters;
     out.push_str(&format!(
-        "kernels               sddmm={} spmm={} spmm_t={} dense={} masked_nnz={}\n",
-        c.sddmm, c.spmm, c.spmm_t, c.dense_steps, c.masked_nnz
+        "kernels               sddmm={} spmm={} dense={} masked_nnz={}\n",
+        c.sddmm, c.spmm, c.dense_steps, c.masked_nnz
     ));
     for e in &trace.events {
         let (name, detail) = event_parts(e);

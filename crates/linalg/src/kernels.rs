@@ -6,17 +6,14 @@
 //! per iteration through [`crate::mask::masked_product`]. This module
 //! compiles `Ω` together with the observed values of `X` **once per
 //! fit** into an [`ObservedPattern`] — a CSR index structure with a CSC
-//! companion view — and provides the four products the updates need as
-//! sparse kernels over the packed value arrays:
+//! companion view — and provides the three products the sparse `U`
+//! update needs as kernels over the packed value arrays:
 //!
 //! - [`ObservedPattern::sddmm_into`] — `r_e = u_i · v_j` at observed
 //!   entries only (sampled dense-dense matmul), row-parallel;
 //! - [`ObservedPattern::spmm_into`] — `R·Vᵀ` (an `N x K` dense result)
 //!   for any packed value array `R` over the pattern, covering both
 //!   `R_Ω(UV)·Vᵀ` and `R_Ω(X)·Vᵀ`;
-//! - [`ObservedPattern::spmm_t_into`] — `Rᵀ·U` (an `M x K` dense
-//!   result) driven by the CSC view, covering `Uᵀ·R_Ω(UV)` and
-//!   `Uᵀ·R_Ω(X)` in transposed layout;
 //! - [`ObservedPattern::fit_term`] — `‖R_Ω(X − UV)‖_F²` straight off
 //!   the packed values ([`ObservedPattern::fit_term_from`] evaluates it
 //!   from the factors, with no packed buffer).
@@ -25,12 +22,13 @@
 //! [`Workspace`] owns all of them, so the inner loop of the updaters
 //! performs **zero heap allocations** after the first iteration. Work
 //! per iteration drops from `O(N·M·K)` to `O(|Ω|·K)`. These kernels
-//! serve the multiplicative updater on sparse masks. The fused step —
+//! serve the multiplicative `U` update on sparse masks. The fused step —
 //! gradient descent at every density, the multiplicative rules on dense
 //! masks ([`ObservedPattern::prefers_dense`]) — instead streams the CSR
 //! rows and CSC columns itself ([`ObservedPattern::csr`],
 //! [`ObservedPattern::csc`]), fusing the reconstruction into both factor
-//! updates. No `N x M` buffer exists on either path.
+//! updates; its column pass is also the sparse step's `V` update. No
+//! `N x M` buffer exists on either path.
 //!
 //! Parallelism reuses [`crate::parallel`]'s row-striping: the
 //! dense-output kernels go through `parallel_over_rows`, and the SDDMM
@@ -63,8 +61,6 @@ pub struct KernelCounters {
     pub sddmm: u64,
     /// SpMM evaluations (`R·Vᵀ` against the CSR view).
     pub spmm: u64,
-    /// SpMMᵀ evaluations (`Rᵀ·U` against the CSC view).
-    pub spmm_t: u64,
     /// Iterations that took the fused row/column step instead of the
     /// sparse kernels: every gradient-descent step, and multiplicative
     /// steps on masks above [`DENSE_PATH_THRESHOLD`].
@@ -378,49 +374,6 @@ impl ObservedPattern {
         Ok(())
     }
 
-    /// `out = Rᵀ · U` (`M x K` — the *transposed* layout of the paper's
-    /// `Uᵀ·R_Ω(·)`, chosen so every output row is contiguous), driven by
-    /// the CSC view. Output rows before `row_start` (the frozen landmark
-    /// columns of `V`) are zeroed but not computed. Row-parallel via
-    /// `parallel_over_rows` on the live stripe.
-    pub fn spmm_t_into(
-        &self,
-        vals: &[f64],
-        u: &Matrix,
-        row_start: usize,
-        out: &mut Matrix,
-    ) -> Result<()> {
-        self.check_vals(vals, "spmm_t_into")?;
-        let k = u.cols();
-        if u.rows() != self.rows || out.shape() != (self.cols, k) || row_start > self.cols {
-            return Err(LinalgError::DimensionMismatch {
-                left: (self.cols, k),
-                right: out.shape(),
-                op: "spmm_t_into",
-            });
-        }
-        out.as_mut_slice()[..row_start * k].fill(0.0);
-        let live = self.cols - row_start;
-        let threads = threads_for(2 * self.nnz() * k);
-        let body = |start: usize, end: usize, chunk: &mut [f64]| {
-            for r in start..end {
-                let j = row_start + r;
-                let orow = &mut chunk[(r - start) * k..(r - start + 1) * k];
-                orow.fill(0.0);
-                for e in self.csc_ptr[j]..self.csc_ptr[j + 1] {
-                    let v = vals[self.csc_perm[e]];
-                    let urow = u.row(self.csc_rows[e]);
-                    for (o, &b) in orow.iter_mut().zip(urow) {
-                        *o += v * b;
-                    }
-                }
-            }
-        };
-        let live_slice = &mut out.as_mut_slice()[row_start * k..];
-        parallel_over_rows(live_slice, k, live, threads, body);
-        Ok(())
-    }
-
     /// `‖R_Ω(X − UV)‖_F²` from the packed reconstruction — the fit term
     /// of the objective (paper Formula 10), no dense temporaries.
     pub fn fit_term(&self, uv_vals: &[f64]) -> Result<f64> {
@@ -472,12 +425,6 @@ pub struct Workspace {
     /// `N x K` denominator scratch for the `U` update (sparse engine;
     /// the numerator is formed in [`Self::u_next`] itself).
     pub denom_u: Matrix,
-    /// `M x K` numerator scratch for the `V` update (sparse engine,
-    /// transposed layout).
-    pub numer_vt: Matrix,
-    /// `M x K` denominator scratch for the `V` update (sparse engine,
-    /// transposed layout).
-    pub denom_vt: Matrix,
     /// `N x K` scratch for the graph product `D·U` (sparse engine).
     pub reg_a: Matrix,
     /// `N x K`: the candidate `U` a step writes.
@@ -511,8 +458,6 @@ impl Workspace {
             uv_vals: Vec::new(),
             vt: Matrix::zeros(m, k),
             denom_u: Matrix::zeros(0, 0),
-            numer_vt: Matrix::zeros(0, 0),
-            denom_vt: Matrix::zeros(0, 0),
             reg_a: Matrix::zeros(0, 0),
             u_next: Matrix::zeros(n, k),
             v_next: Matrix::zeros(k, m),
@@ -524,8 +469,8 @@ impl Workspace {
         }
     }
 
-    /// Sizes the sparse-engine scratch (`uv_vals`, `denom_u`, `reg_a`,
-    /// `numer_vt`, `denom_vt`) for a pattern with `nnz` observed entries.
+    /// Sizes the sparse-engine scratch (`uv_vals`, `denom_u`, `reg_a`)
+    /// for a pattern with `nnz` observed entries.
     /// Allocates on first use and when a changed mask grows the packed
     /// vector; a no-op in steady state.
     pub fn size_sparse(&mut self, nnz: usize) {
@@ -534,11 +479,6 @@ impl Workspace {
         if self.denom_u.shape() != (n, k) {
             self.denom_u = Matrix::zeros(n, k);
             self.reg_a = Matrix::zeros(n, k);
-        }
-        let m = self.v_next.cols();
-        if self.numer_vt.shape() != (m, k) {
-            self.numer_vt = Matrix::zeros(m, k);
-            self.denom_vt = Matrix::zeros(m, k);
         }
     }
 
@@ -609,7 +549,7 @@ impl Workspace {
 mod tests {
     use super::*;
     use crate::mask::masked_product;
-    use crate::ops::{matmul, matmul_at, matmul_bt};
+    use crate::ops::{matmul, matmul_bt};
     use crate::random::{positive_uniform_matrix, uniform_matrix};
 
     fn mask_mod(n: usize, m: usize, keep_mod: usize) -> Mask {
@@ -712,27 +652,6 @@ mod tests {
     }
 
     #[test]
-    fn spmm_t_matches_dense_and_skips_frozen_rows() {
-        let (x, mask, p, u, _) = fixture(9, 6, 3, 4);
-        let mx = mask.apply(&x).unwrap();
-        let mut out = Matrix::zeros(6, 3);
-        p.spmm_t_into(p.x_vals(), &u, 0, &mut out).unwrap();
-        let expected = matmul_at(&mx, &u).unwrap(); // (R_Ω(X))ᵀ·U, M x K
-        assert!(out.approx_eq(&expected, 1e-12));
-
-        let mut skipped = Matrix::filled(6, 3, 99.0);
-        p.spmm_t_into(p.x_vals(), &u, 2, &mut skipped).unwrap();
-        for j in 0..2 {
-            assert!(skipped.row(j).iter().all(|&v| v == 0.0));
-        }
-        for j in 2..6 {
-            for t in 0..3 {
-                assert!((skipped.get(j, t) - expected.get(j, t)).abs() < 1e-12);
-            }
-        }
-    }
-
-    #[test]
     fn residual_and_fit_term_agree_with_masks() {
         let (x, mask, p, u, v) = fixture(8, 5, 3, 3);
         let full = matmul(&u, &v).unwrap();
@@ -777,7 +696,6 @@ mod tests {
         assert!(p.sddmm_into(&u, &vt, &mut bad).is_err());
         assert!(p.sddmm_into(&Matrix::zeros(5, 2), &vt, &mut [0.0; 12]).is_err());
         assert!(p.spmm_into(&[0.0; 12], &vt, &mut Matrix::zeros(3, 2)).is_err());
-        assert!(p.spmm_t_into(&[0.0; 12], &u, 9, &mut Matrix::zeros(3, 2)).is_err());
         assert!(p.fit_term(&[0.0]).is_err());
     }
 
@@ -786,12 +704,9 @@ mod tests {
         let (_, _, p, u, v) = fixture(20, 8, 3, 3);
         let mut ws = Workspace::new(&p, 3);
         assert!(ws.uv_vals.is_empty(), "sparse scratch is sized on first use");
-        assert!(ws.numer_vt.as_slice().is_empty() && ws.denom_vt.as_slice().is_empty());
         ws.size_sparse(p.nnz());
-        assert_eq!(ws.numer_vt.shape(), (8, 3));
         let ptr_uv = ws.uv_vals.as_ptr();
         let ptr_du = ws.denom_u.as_slice().as_ptr();
-        let ptr_nv = ws.numer_vt.as_slice().as_ptr();
         for _ in 0..4 {
             ws.size_sparse(p.nnz());
             v.transpose_into(&mut ws.vt).unwrap();
@@ -800,7 +715,6 @@ mod tests {
         }
         assert_eq!(ptr_uv, ws.uv_vals.as_ptr());
         assert_eq!(ptr_du, ws.denom_u.as_slice().as_ptr());
-        assert_eq!(ptr_nv, ws.numer_vt.as_slice().as_ptr());
         assert!(ws.block_partials.is_empty());
         assert_eq!(ws.u_next.shape(), (20, 3));
         assert_eq!(ws.v_next.shape(), (3, 8));

@@ -9,7 +9,7 @@
 
 use proptest::prelude::*;
 use smfl_linalg::kernels::ObservedPattern;
-use smfl_linalg::ops::{matmul, matmul_at, matmul_bt};
+use smfl_linalg::ops::{matmul, matmul_bt};
 use smfl_linalg::random::uniform_matrix;
 use smfl_linalg::{Mask, Matrix};
 
@@ -131,36 +131,6 @@ proptest! {
         let r = scatter(&pattern, &mask, pattern.x_vals());
         let reference = matmul_bt(&r, &v).unwrap(); // R·Vᵀ
         prop_assert!(out.approx_eq(&reference, TOL), "spmm mismatch");
-    }
-
-    /// `spmm_t(vals, U, start)` equals dense `Rᵀ·U` with the first
-    /// `start` output rows zeroed (the frozen landmark stripe).
-    #[test]
-    fn spmm_t_matches_dense_reference(
-        n in 1usize..80,
-        m in 2usize..70,
-        k in 1usize..6,
-        start_frac in 0.0f64..1.0,
-        kind in mask_kind(),
-        seed in 0u64..10_000,
-    ) {
-        let x = uniform_matrix(n, m, 0.0, 1.0, seed);
-        let mask = build_mask(kind, n, m, seed.wrapping_add(1));
-        let u = uniform_matrix(n, k, -2.0, 2.0, seed.wrapping_add(2));
-        let pattern = ObservedPattern::compile(&x, &mask).unwrap();
-        let start = ((m as f64 * start_frac) as usize).min(m);
-
-        let mut out = Matrix::zeros(m, k);
-        pattern.spmm_t_into(pattern.x_vals(), &u, start, &mut out).unwrap();
-
-        let r = scatter(&pattern, &mask, pattern.x_vals());
-        let mut reference = matmul_at(&r, &u).unwrap(); // Rᵀ·U, M x K
-        for j in 0..start {
-            for c in 0..k {
-                reference.set(j, c, 0.0);
-            }
-        }
-        prop_assert!(out.approx_eq(&reference, TOL), "spmm_t mismatch (start={start})");
     }
 
     /// The packed residual `x − uv` and `fit_term` equal the masked
