@@ -120,13 +120,18 @@ impl Imputer for CamfImputer {
                 let real = out.select_rows(&complete)?;
                 let fake = out.select_rows(&incomplete)?;
                 let train = stack(&real, &fake);
-                let labels = Matrix::from_fn(train.rows(), 1, |i, _| {
-                    if i < real.rows() {
-                        1.0
-                    } else {
-                        0.0
-                    }
-                });
+                let labels =
+                    Matrix::from_fn(
+                        train.rows(),
+                        1,
+                        |i, _| {
+                            if i < real.rows() {
+                                1.0
+                            } else {
+                                0.0
+                            }
+                        },
+                    );
                 let pred = d.forward(&train)?;
                 let grad = pred.zip_map(&labels, |p, t| {
                     let p = p.clamp(1e-7, 1.0 - 1e-7);

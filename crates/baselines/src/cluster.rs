@@ -23,13 +23,11 @@ pub trait Clusterer {
 }
 
 /// PCA + k-means after mean imputation.
-#[derive(Debug, Clone)]
-#[derive(Default)]
+#[derive(Debug, Clone, Default)]
 pub struct PcaKMeans {
     /// Seed for k-means.
     pub seed: u64,
 }
-
 
 impl Clusterer for PcaKMeans {
     fn name(&self) -> &'static str {
@@ -143,10 +141,7 @@ impl Clusterer for MfClusterer {
                         1.0 / u.cols() as f64
                     }
                 });
-                let result = kmeans(
-                    &profiles,
-                    &KMeansConfig::new(k).with_seed(self.config.seed),
-                )?;
+                let result = kmeans(&profiles, &KMeansConfig::new(k).with_seed(self.config.seed))?;
                 Ok(result.labels)
             }
         }

@@ -51,13 +51,17 @@ impl Default for GainImputer {
 
 /// Mask as a 0/1 matrix restricted to the given rows.
 fn mask_matrix(omega: &Mask, rows: &[usize], m: usize) -> Matrix {
-    Matrix::from_fn(rows.len(), m, |r, j| {
-        if omega.get(rows[r], j) {
-            1.0
-        } else {
-            0.0
-        }
-    })
+    Matrix::from_fn(
+        rows.len(),
+        m,
+        |r, j| {
+            if omega.get(rows[r], j) {
+                1.0
+            } else {
+                0.0
+            }
+        },
+    )
 }
 
 fn concat_cols(a: &Matrix, b: &Matrix) -> Matrix {

@@ -75,7 +75,11 @@ pub(crate) fn check_shapes(x: &Matrix, omega: &Mask) -> Result<()> {
 pub(crate) fn assert_contract(imputer: &dyn Imputer, x: &Matrix, omega: &Mask) -> Matrix {
     let out = imputer.impute(x, omega).unwrap();
     assert_eq!(out.shape(), x.shape());
-    assert!(out.all_finite(), "{} produced non-finite values", imputer.name());
+    assert!(
+        out.all_finite(),
+        "{} produced non-finite values",
+        imputer.name()
+    );
     for (i, j) in omega.iter_set() {
         assert_eq!(
             out.get(i, j),
@@ -115,7 +119,9 @@ mod tests {
 
     #[test]
     fn shape_mismatch_rejected() {
-        assert!(MeanImputer.impute(&Matrix::zeros(2, 2), &Mask::full(3, 3)).is_err());
+        assert!(MeanImputer
+            .impute(&Matrix::zeros(2, 2), &Mask::full(3, 3))
+            .is_err());
     }
 
     #[test]

@@ -180,7 +180,10 @@ mod tests {
         let (x, omega) = grouped_data();
         let out = KnnImputer { k: 2 }.impute(&x, &omega).unwrap();
         let v = out.get(5, 2);
-        assert!((v - 50.5).abs() < 1.0, "expected ~50.5 from group B, got {v}");
+        assert!(
+            (v - 50.5).abs() < 1.0,
+            "expected ~50.5 from group B, got {v}"
+        );
     }
 
     #[test]

@@ -174,7 +174,11 @@ mod tests {
             &x,
             &omega,
         );
-        let mc_rms = psi_rms(&McImputer::default().impute(&x, &omega).unwrap(), &x, &omega);
+        let mc_rms = psi_rms(
+            &McImputer::default().impute(&x, &omega).unwrap(),
+            &x,
+            &omega,
+        );
         assert!(soft_rms < mean_rms, "soft {soft_rms} vs mean {mean_rms}");
         assert!(mc_rms < mean_rms, "mc {mc_rms} vs mean {mean_rms}");
     }

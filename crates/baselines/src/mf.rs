@@ -112,7 +112,8 @@ mod tests {
                 0 | 1 => si.get(i, j),
                 2 => (0.5 + 0.4 * (4.0 * a + b).sin() * (3.0 * b).cos() + noise.get(i, 0))
                     .clamp(0.0, 1.0),
-                3 => (0.5 + 0.35 * ((a - 0.3).powi(2) + (b - 0.7).powi(2)).sqrt().sin()
+                3 => (0.5
+                    + 0.35 * ((a - 0.3).powi(2) + (b - 0.7).powi(2)).sqrt().sin()
                     + noise.get(i, 1))
                 .clamp(0.0, 1.0),
                 4 => (0.4 + 0.3 * (6.0 * b).sin() + 0.2 * a + noise.get(i, 2)).clamp(0.0, 1.0),

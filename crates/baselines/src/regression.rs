@@ -17,7 +17,9 @@ use smfl_linalg::{Mask, Matrix, Result};
 
 /// Rows whose cells are all observed (the training pool for LOESS/IIM).
 fn complete_rows(omega: &Mask) -> Vec<usize> {
-    (0..omega.rows()).filter(|&i| omega.row_is_full(i)).collect()
+    (0..omega.rows())
+        .filter(|&i| omega.row_is_full(i))
+        .collect()
 }
 
 /// Squared distance between row `i` and complete row `b` over the
@@ -105,8 +107,9 @@ impl Imputer for LoessImputer {
         let means = MeanImputer::column_means(x, omega);
         let mut out = x.clone();
         for (i, j) in omega.complement().iter_set() {
-            let determinants: Vec<usize> =
-                (0..x.cols()).filter(|&c| c != j && omega.get(i, c)).collect();
+            let determinants: Vec<usize> = (0..x.cols())
+                .filter(|&c| c != j && omega.get(i, c))
+                .collect();
             if pool.len() < 2 || determinants.is_empty() {
                 out.set(i, j, means[j]);
                 continue;
@@ -166,8 +169,9 @@ impl Imputer for IimImputer {
         let means = MeanImputer::column_means(x, omega);
         let mut out = x.clone();
         for (i, j) in omega.complement().iter_set() {
-            let determinants: Vec<usize> =
-                (0..x.cols()).filter(|&c| c != j && omega.get(i, c)).collect();
+            let determinants: Vec<usize> = (0..x.cols())
+                .filter(|&c| c != j && omega.get(i, c))
+                .collect();
             if pool.len() < 2 || determinants.is_empty() {
                 out.set(i, j, means[j]);
                 continue;

@@ -271,7 +271,10 @@ mod tests {
         let out = BaranLite.repair(&corrupted, &dirty).unwrap();
         let before = dirty_rms(&corrupted, &truth, &dirty);
         let after = dirty_rms(&out, &truth, &dirty);
-        assert!(after < before, "Baran made things worse: {before} -> {after}");
+        assert!(
+            after < before,
+            "Baran made things worse: {before} -> {after}"
+        );
     }
 
     #[test]
@@ -280,7 +283,10 @@ mod tests {
         let out = HoloCleanLite::default().repair(&corrupted, &dirty).unwrap();
         let before = dirty_rms(&corrupted, &truth, &dirty);
         let after = dirty_rms(&out, &truth, &dirty);
-        assert!(after < before, "HoloClean made things worse: {before} -> {after}");
+        assert!(
+            after < before,
+            "HoloClean made things worse: {before} -> {after}"
+        );
     }
 
     #[test]
@@ -311,7 +317,9 @@ mod tests {
         let x = Matrix::filled(2, 2, 0.9);
         let mut dirty = Mask::empty(2, 2);
         dirty.set(0, 0, true);
-        let out = ImputerRepairer::new(Echo, "Echo").repair(&x, &dirty).unwrap();
+        let out = ImputerRepairer::new(Echo, "Echo")
+            .repair(&x, &dirty)
+            .unwrap();
         assert_eq!(out.get(0, 0), 0.0, "dirty value leaked through");
         assert_eq!(out.get(1, 1), 0.9);
     }

@@ -22,9 +22,7 @@
 //! Wall times are min-of-N of whole searches/fits. Results land in
 //! `BENCH_plan_reuse.json` at the workspace root.
 
-use smfl_core::{
-    fit, grid_search, grid_search_uncached, FitPlan, ParamGrid, SmflConfig,
-};
+use smfl_core::{fit, grid_search, grid_search_uncached, FitPlan, ParamGrid, SmflConfig};
 use smfl_linalg::random::{positive_uniform_matrix, uniform_matrix};
 use smfl_linalg::{Mask, Matrix};
 use std::time::Instant;
@@ -59,7 +57,9 @@ fn problem() -> (Matrix, Mask) {
 }
 
 fn base_config() -> SmflConfig {
-    SmflConfig::smfl(4, SPATIAL).with_max_iter(60).with_seed(SEED)
+    SmflConfig::smfl(4, SPATIAL)
+        .with_max_iter(60)
+        .with_seed(SEED)
 }
 
 /// Minimum wall time of `f` over [`TIMING_RUNS`] runs (after one
@@ -116,9 +116,20 @@ fn main() {
         "graph builds not reduced: {} vs {naive_stage_runs}",
         stats.graph_builds
     );
-    assert_eq!(stats.kmeans_runs, grid.ranks.len(), "one k-means per distinct K");
-    assert_eq!(stats.graph_builds, grid.ps.len(), "one graph per distinct p");
-    assert_eq!(stats.si_resets, 0, "attribute-only holdouts must share the SI");
+    assert_eq!(
+        stats.kmeans_runs,
+        grid.ranks.len(),
+        "one k-means per distinct K"
+    );
+    assert_eq!(
+        stats.graph_builds,
+        grid.ps.len(),
+        "one graph per distinct p"
+    );
+    assert_eq!(
+        stats.si_resets, 0,
+        "attribute-only holdouts must share the SI"
+    );
 
     let search_speedup = naive_s / cached_s;
     eprintln!(
@@ -132,7 +143,11 @@ fn main() {
     // Serving scenario: the same grid, data drifts a little (attribute
     // columns only), refit. Tolerance > 0 so iterations-to-tolerance is
     // the measured quantity.
-    let cfg = base.clone().with_lambda(0.02).with_max_iter(1000).with_tol(1e-4);
+    let cfg = base
+        .clone()
+        .with_lambda(0.02)
+        .with_max_iter(1000)
+        .with_tol(1e-4);
     let mut plan = FitPlan::compile(&x, &omega, &cfg).unwrap();
     let first = plan.solve().unwrap();
 

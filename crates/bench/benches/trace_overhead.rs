@@ -69,7 +69,10 @@ fn problem() -> (Matrix, Mask) {
 fn config(max_iter: usize) -> SmflConfig {
     // NMF keeps preprocessing minimal so the differencing slope is
     // dominated by the loop under test; tol = 0 runs every iteration.
-    SmflConfig::nmf(K).with_max_iter(max_iter).with_seed(SEED).with_tol(0.0)
+    SmflConfig::nmf(K)
+        .with_max_iter(max_iter)
+        .with_seed(SEED)
+        .with_tol(0.0)
 }
 
 /// The uninstrumented engine, reproduced by hand: exactly what the fit
@@ -89,7 +92,9 @@ fn raw_fit(x: &Matrix, omega: &Mask, max_iter: usize) -> Vec<f64> {
     // scoring-only pass.
     let mut history = Vec::with_capacity(max_iter);
     for t in 0..max_iter {
-        let obj = multiplicative_step(&ctx, &mut ws, &u, &v).unwrap().objective(0.0);
+        let obj = multiplicative_step(&ctx, &mut ws, &u, &v)
+            .unwrap()
+            .objective(0.0);
         if t > 0 {
             assert!(obj.is_finite());
             history.push(obj);

@@ -4,9 +4,9 @@
 //! Raha-lite detects, SMFL repairs — and we compare against repairing
 //! with the *oracle* dirty mask to quantify what detection errors cost.
 
+use smfl_baselines::{detection_quality, ErrorDetector, ImputerRepairer, RahaLite, Repairer};
 use smfl_bench::harness::RESERVE_COMPLETE;
 use smfl_bench::{print_table, HarnessConfig};
-use smfl_baselines::{detection_quality, ErrorDetector, ImputerRepairer, RahaLite, Repairer};
 use smfl_datasets::{economic, inject_errors, lake};
 use smfl_eval::rms_over;
 
@@ -36,10 +36,8 @@ fn main() {
             let detected = detector.detect(&inj.corrupted).expect("detect");
             let (precision, recall, f1) = detection_quality(&detected, &inj.psi);
 
-            let repairer = ImputerRepairer::new(
-                cfg.mf(smfl_core::Variant::Smfl).with_seed(seed),
-                "SMFL",
-            );
+            let repairer =
+                ImputerRepairer::new(cfg.mf(smfl_core::Variant::Smfl).with_seed(seed), "SMFL");
             let with_detected = repairer
                 .repair(&inj.corrupted, &detected)
                 .expect("repair (detected)");

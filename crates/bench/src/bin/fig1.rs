@@ -15,10 +15,14 @@ use smfl_datasets::{inject_missing, vehicle};
 use smfl_linalg::Matrix;
 
 fn feature_stats(features: &Matrix, si: &Matrix) -> (f64, f64) {
-    let (lo_x, hi_x) = (si.col(0).iter().cloned().fold(f64::INFINITY, f64::min),
-                        si.col(0).iter().cloned().fold(f64::NEG_INFINITY, f64::max));
-    let (lo_y, hi_y) = (si.col(1).iter().cloned().fold(f64::INFINITY, f64::min),
-                        si.col(1).iter().cloned().fold(f64::NEG_INFINITY, f64::max));
+    let (lo_x, hi_x) = (
+        si.col(0).iter().cloned().fold(f64::INFINITY, f64::min),
+        si.col(0).iter().cloned().fold(f64::NEG_INFINITY, f64::max),
+    );
+    let (lo_y, hi_y) = (
+        si.col(1).iter().cloned().fold(f64::INFINITY, f64::min),
+        si.col(1).iter().cloned().fold(f64::NEG_INFINITY, f64::max),
+    );
     let mut inside = 0usize;
     let mut dist_sum = 0.0;
     for f in 0..features.rows() {
@@ -51,10 +55,17 @@ fn main() {
     let mut coord_rows = Vec::new();
     for (label, config) in [
         ("NMF", SmflConfig::nmf(cfg.rank)),
-        ("SMF", SmflConfig::smf(cfg.rank, 2).with_lambda(cfg.lambda).with_p(cfg.p)),
+        (
+            "SMF",
+            SmflConfig::smf(cfg.rank, 2)
+                .with_lambda(cfg.lambda)
+                .with_p(cfg.p),
+        ),
         (
             "SMFL (landmarks)",
-            SmflConfig::smfl(cfg.rank, 2).with_lambda(cfg.lambda).with_p(cfg.p),
+            SmflConfig::smfl(cfg.rank, 2)
+                .with_lambda(cfg.lambda)
+                .with_p(cfg.p),
         ),
     ] {
         let model = fit(&inj.corrupted, &inj.omega, &config.with_max_iter(200))

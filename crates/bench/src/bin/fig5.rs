@@ -36,8 +36,8 @@ fn main() {
     let mut rows = Vec::new();
     let mut summary = Vec::new();
     for (label, config) in configs {
-        let model = fit(&inj.corrupted, &inj.omega, &config.with_max_iter(200))
-            .expect("fit succeeds");
+        let model =
+            fit(&inj.corrupted, &inj.omega, &config.with_max_iter(200)).expect("fit succeeds");
         let locs = model.feature_locations().expect("L=2 configured");
         let mut inside = 0;
         for f in 0..K {

@@ -32,8 +32,7 @@ fn main() {
                 let imp = MfImputer {
                     config: imp.config.with_lambda(lambda).with_p(cfg.p),
                 };
-                let rms =
-                    imputation_rms(d, &imp, 0.10, MissingTarget::AttributesOnly, cfg.runs);
+                let rms = imputation_rms(d, &imp, 0.10, MissingTarget::AttributesOnly, cfg.runs);
                 row.push(fmt_rms(rms));
             }
             eprintln!("[fig6]   {method}: {:?}", &row[2..]);

@@ -31,8 +31,7 @@ fn main() {
                 let imp = MfImputer {
                     config: base.config.with_lambda(cfg.lambda).with_p(cfg.p),
                 };
-                let rms =
-                    imputation_rms(d, &imp, 0.10, MissingTarget::AttributesOnly, cfg.runs);
+                let rms = imputation_rms(d, &imp, 0.10, MissingTarget::AttributesOnly, cfg.runs);
                 row.push(fmt_rms(rms));
             }
             eprintln!("[fig8]   {method}: {:?}", &row[2..]);

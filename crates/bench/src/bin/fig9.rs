@@ -28,7 +28,10 @@ fn lineup(rank: usize, lambda: f64, p: usize) -> Vec<Box<dyn Imputer>> {
             config: MfImputer::smf(rank, 2).config.with_lambda(lambda).with_p(p),
         }),
         Box::new(MfImputer {
-            config: MfImputer::smfl(rank, 2).config.with_lambda(lambda).with_p(p),
+            config: MfImputer::smfl(rank, 2)
+                .config
+                .with_lambda(lambda)
+                .with_p(p),
         }),
     ]
 }

@@ -73,13 +73,8 @@ fn main() {
             let mut total = 0.0;
             let mut ok = true;
             for seed in 0..cfg.runs {
-                let inj = inject_missing(
-                    &d.data,
-                    &d.attribute_cols(),
-                    0.10,
-                    RESERVE_COMPLETE,
-                    seed,
-                );
+                let inj =
+                    inject_missing(&d.data, &d.attribute_cols(), 0.10, RESERVE_COMPLETE, seed);
                 let si = smfl_spatial::fill_missing_si(&inj.corrupted, &inj.omega, 2);
                 let Ok(lm) = landmarks_for(source, &si, cfg.rank, seed) else {
                     ok = false;

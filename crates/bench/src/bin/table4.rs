@@ -23,7 +23,13 @@ fn main() {
         eprintln!("[table4] {} ({} x {})", d.name, d.n(), d.m());
         let mut row = vec![d.name.clone()];
         for imp in &imputers {
-            let rms = imputation_rms(d, imp.as_ref(), 0.10, MissingTarget::AttributesOnly, cfg.runs);
+            let rms = imputation_rms(
+                d,
+                imp.as_ref(),
+                0.10,
+                MissingTarget::AttributesOnly,
+                cfg.runs,
+            );
             row.push(fmt_rms(rms));
             eprintln!("[table4]   {:<11} {}", imp.name(), row.last().unwrap());
         }

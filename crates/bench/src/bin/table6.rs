@@ -17,7 +17,10 @@ fn main() {
         Box::new(HoloCleanLite::default()),
         Box::new(ImputerRepairer::new(cfg.mf(smfl_core::Variant::Nmf), "NMF")),
         Box::new(ImputerRepairer::new(cfg.mf(smfl_core::Variant::Smf), "SMF")),
-        Box::new(ImputerRepairer::new(cfg.mf(smfl_core::Variant::Smfl), "SMFL")),
+        Box::new(ImputerRepairer::new(
+            cfg.mf(smfl_core::Variant::Smfl),
+            "SMFL",
+        )),
     ];
     let mut headers = vec!["Dataset"];
     let names: Vec<&str> = repairers.iter().map(|r| r.name()).collect();
@@ -34,5 +37,9 @@ fn main() {
         }
         rows.push(row);
     }
-    print_table("Table VI: Repair RMS error (error rate 10%)", &headers, &rows);
+    print_table(
+        "Table VI: Repair RMS error (error rate 10%)",
+        &headers,
+        &rows,
+    );
 }

@@ -92,11 +92,14 @@ impl HarnessConfig {
             Variant::Smfl => smfl_baselines::MfImputer::smfl(self.rank, 2),
         };
         smfl_baselines::MfImputer {
-            config: base.config.with_lambda(if variant == Variant::Nmf {
-                0.0
-            } else {
-                self.lambda
-            }).with_p(self.p),
+            config: base
+                .config
+                .with_lambda(if variant == Variant::Nmf {
+                    0.0
+                } else {
+                    self.lambda
+                })
+                .with_p(self.p),
         }
     }
 }
@@ -173,7 +176,10 @@ pub fn repair_rms(
 pub fn print_table(title: &str, headers: &[&str], rows: &[Vec<String>]) {
     println!("\n## {title}\n");
     println!("| {} |", headers.join(" | "));
-    println!("|{}|", headers.iter().map(|_| "---").collect::<Vec<_>>().join("|"));
+    println!(
+        "|{}|",
+        headers.iter().map(|_| "---").collect::<Vec<_>>().join("|")
+    );
     for row in rows {
         println!("| {} |", row.join(" | "));
     }
@@ -197,10 +203,7 @@ pub fn head_rows(dataset: &Dataset, n: usize) -> Dataset {
         data: dataset.data.rows_range(0, n).expect("n clamped"),
         spatial_cols: dataset.spatial_cols,
         columns: dataset.columns.clone(),
-        cluster_labels: dataset
-            .cluster_labels
-            .as_ref()
-            .map(|l| l[..n].to_vec()),
+        cluster_labels: dataset.cluster_labels.as_ref().map(|l| l[..n].to_vec()),
         routes: None,
     }
 }
@@ -218,30 +221,25 @@ mod tests {
     #[test]
     fn imputation_trial_returns_sensible_rms() {
         let d = tiny_lake();
-        let rms = imputation_trial(&d, &MeanImputer, 0.1, MissingTarget::AttributesOnly, 0)
-            .unwrap();
+        let rms =
+            imputation_trial(&d, &MeanImputer, 0.1, MissingTarget::AttributesOnly, 0).unwrap();
         assert!(rms > 0.0 && rms < 1.0, "rms {rms}");
     }
 
     #[test]
     fn trials_are_seed_deterministic() {
         let d = tiny_lake();
-        let a = imputation_trial(&d, &MeanImputer, 0.1, MissingTarget::AttributesOnly, 7)
-            .unwrap();
-        let b = imputation_trial(&d, &MeanImputer, 0.1, MissingTarget::AttributesOnly, 7)
-            .unwrap();
+        let a = imputation_trial(&d, &MeanImputer, 0.1, MissingTarget::AttributesOnly, 7).unwrap();
+        let b = imputation_trial(&d, &MeanImputer, 0.1, MissingTarget::AttributesOnly, 7).unwrap();
         assert_eq!(a, b);
     }
 
     #[test]
     fn averaging_over_runs_is_mean_of_trials() {
         let d = tiny_lake();
-        let mean = imputation_rms(&d, &MeanImputer, 0.1, MissingTarget::AttributesOnly, 2)
-            .unwrap();
-        let t0 = imputation_trial(&d, &MeanImputer, 0.1, MissingTarget::AttributesOnly, 0)
-            .unwrap();
-        let t1 = imputation_trial(&d, &MeanImputer, 0.1, MissingTarget::AttributesOnly, 1)
-            .unwrap();
+        let mean = imputation_rms(&d, &MeanImputer, 0.1, MissingTarget::AttributesOnly, 2).unwrap();
+        let t0 = imputation_trial(&d, &MeanImputer, 0.1, MissingTarget::AttributesOnly, 0).unwrap();
+        let t1 = imputation_trial(&d, &MeanImputer, 0.1, MissingTarget::AttributesOnly, 1).unwrap();
         assert!((mean - (t0 + t1) / 2.0).abs() < 1e-12);
     }
 
@@ -284,9 +282,6 @@ mod tests {
     #[test]
     fn fmt_rms_formats() {
         assert_eq!(fmt_rms(Ok(0.12345)), "0.123");
-        assert_eq!(
-            fmt_rms(Err(smfl_linalg::LinalgError::Empty)),
-            "ERR"
-        );
+        assert_eq!(fmt_rms(Err(smfl_linalg::LinalgError::Empty)), "ERR");
     }
 }

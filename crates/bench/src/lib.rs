@@ -31,6 +31,6 @@
 pub mod harness;
 
 pub use harness::{
-    fmt_rms, head_rows, imputation_rms, imputation_trial, print_table, repair_rms,
-    repair_trial, HarnessConfig, MissingTarget,
+    fmt_rms, head_rows, imputation_rms, imputation_trial, print_table, repair_rms, repair_trial,
+    HarnessConfig, MissingTarget,
 };

@@ -274,8 +274,10 @@ mod tests {
         let r = SmflConfig::nmf(3).resilient();
         assert_eq!(r.resilience, Resilience::Recover { stall_patience: 0 });
         assert!(r.resilience.recovers());
-        let custom =
-            SmflConfig::nmf(3).with_resilience(Resilience::Recover { stall_patience: 16 });
-        assert_eq!(custom.resilience, Resilience::Recover { stall_patience: 16 });
+        let custom = SmflConfig::nmf(3).with_resilience(Resilience::Recover { stall_patience: 16 });
+        assert_eq!(
+            custom.resilience,
+            Resilience::Recover { stall_patience: 16 }
+        );
     }
 }

@@ -281,9 +281,14 @@ mod tests {
         r.events.push(FitEvent::Sanitized { cells: 3 });
         r.events.push(FitEvent::Sanitized { cells: 2 });
         assert!(!r.degraded());
-        r.events.push(FitEvent::LaplacianDropped { reason: "edgeless graph" });
+        r.events.push(FitEvent::LaplacianDropped {
+            reason: "edgeless graph",
+        });
         assert!(r.degraded());
-        r.events.push(FitEvent::Restarted { iteration: 4, failure: FitFailure::Diverged });
+        r.events.push(FitEvent::Restarted {
+            iteration: 4,
+            failure: FitFailure::Diverged,
+        });
         r.events.push(FitEvent::RolledBack { iteration: 5 });
         assert_eq!((r.restarts(), r.sanitized_cells()), (1, 5));
     }

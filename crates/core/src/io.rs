@@ -104,8 +104,7 @@ pub fn from_str(text: &str) -> io::Result<FittedModel> {
             None => {} // blank line
         }
     }
-    let (spatial_cols, iterations, converged) =
-        meta.ok_or_else(|| bad("missing meta section"))?;
+    let (spatial_cols, iterations, converged) = meta.ok_or_else(|| bad("missing meta section"))?;
     Ok(FittedModel {
         u: u.ok_or_else(|| bad("missing u section"))?,
         v: v.ok_or_else(|| bad("missing v section"))?,
@@ -251,13 +250,7 @@ mod tests {
     #[test]
     fn loaded_model_imputes_identically() {
         let si = uniform_matrix(25, 2, 0.0, 1.0, 3);
-        let x = Matrix::from_fn(25, 4, |i, j| {
-            if j < 2 {
-                si.get(i, j)
-            } else {
-                0.5
-            }
-        });
+        let x = Matrix::from_fn(25, 4, |i, j| if j < 2 { si.get(i, j) } else { 0.5 });
         let mut omega = Mask::full(25, 4);
         omega.set(5, 2, false);
         let model = fit(&x, &omega, &SmflConfig::smf(3, 2).with_max_iter(10)).unwrap();

@@ -139,9 +139,7 @@ mod tests {
 
     #[test]
     fn inject_writes_exactly_phi() {
-        let lm = Landmarks::from_centers(
-            Matrix::from_vec(2, 2, vec![0.1, 0.2, 0.3, 0.4]).unwrap(),
-        );
+        let lm = Landmarks::from_centers(Matrix::from_vec(2, 2, vec![0.1, 0.2, 0.3, 0.4]).unwrap());
         let mut v = Matrix::filled(2, 4, 9.0);
         lm.inject(&mut v).unwrap();
         assert_eq!(v.get(0, 0), 0.1);

@@ -133,7 +133,10 @@ pub fn fit(x: &Matrix, omega: &Mask, config: &SmflConfig) -> Result<FittedModel>
         Some(path) => match JsonlSink::create(&path) {
             Ok(mut sink) => fit_inner(x, omega, config, &mut sink),
             Err(err) => {
-                eprintln!("SMFL_TRACE: cannot create {}: {err}; tracing disabled", path.display());
+                eprintln!(
+                    "SMFL_TRACE: cannot create {}: {err}; tracing disabled",
+                    path.display()
+                );
                 fit_inner(x, omega, config, &mut NoopSink)
             }
         },

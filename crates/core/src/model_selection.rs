@@ -197,7 +197,13 @@ fn search_with(
     holdout_frac: f64,
     mut fit_one: impl FnMut(&Matrix, &Mask, &SmflConfig) -> Result<FittedModel>,
 ) -> Result<(Vec<Scored>, Vec<SkippedCandidate>, usize, usize)> {
-    let masks = validation_masks(omega, base.spatial_cols, folds.max(1), holdout_frac, base.seed);
+    let masks = validation_masks(
+        omega,
+        base.spatial_cols,
+        folds.max(1),
+        holdout_frac,
+        base.seed,
+    );
     let mut ranking = Vec::new();
     let mut skipped = Vec::new();
     let mut skipped_folds = 0usize;

@@ -116,12 +116,20 @@ pub(crate) fn compute_landmarks<S: TraceSink>(
             }
             si_work = Some(copy);
         }
-        record(report, sink, FitEvent::LandmarksRetried { attempt: attempt + 1 });
+        record(
+            report,
+            sink,
+            FitEvent::LandmarksRetried {
+                attempt: attempt + 1,
+            },
+        );
     }
     record(
         report,
         sink,
-        FitEvent::LandmarksDropped { reason: "degenerate after bounded retries" },
+        FitEvent::LandmarksDropped {
+            reason: "degenerate after bounded retries",
+        },
     );
     Ok(None)
 }
@@ -162,8 +170,14 @@ fn build_graph_traced<S: TraceSink>(
 ) -> Result<SpatialGraph> {
     let (g, stats) = SpatialGraph::build_instrumented(si, config.p_neighbors, 0)?;
     if S::ENABLED {
-        sink.span(&SpanEvent { phase: Phase::GraphKnn, wall: stats.knn });
-        sink.span(&SpanEvent { phase: Phase::GraphAssembly, wall: stats.assembly });
+        sink.span(&SpanEvent {
+            phase: Phase::GraphKnn,
+            wall: stats.knn,
+        });
+        sink.span(&SpanEvent {
+            phase: Phase::GraphAssembly,
+            wall: stats.assembly,
+        });
     }
     Ok(g)
 }
@@ -208,13 +222,20 @@ mod tests {
         let omega = drop_cells(30, 6, 4);
         // Clean data: no rung of the degradation ladder fires and both
         // policies see the same model.
-        let cfg = SmflConfig::smfl(3, 2).with_p(8).with_max_iter(40).with_seed(5);
+        let cfg = SmflConfig::smfl(3, 2)
+            .with_p(8)
+            .with_max_iter(40)
+            .with_seed(5);
         let plain = fit(&x, &omega, &cfg).unwrap();
         let resilient = fit(&x, &omega, &cfg.clone().resilient()).unwrap();
         assert!(plain.u.approx_eq(&resilient.u, 1e-9));
         assert!(plain.v.approx_eq(&resilient.v, 1e-9));
         assert!(resilient.report.failure.is_none());
-        assert!(resilient.report.events.is_empty(), "{:?}", resilient.report.events);
+        assert!(
+            resilient.report.events.is_empty(),
+            "{:?}",
+            resilient.report.events
+        );
         // Strict and recovering fits report the same clean fit.
         assert_eq!(plain.report, resilient.report);
     }
@@ -262,8 +283,12 @@ mod tests {
         // Fail-fast path rejects...
         assert!(fit(&x, &omega, &SmflConfig::smfl(3, 2)).is_err());
         // ...the resilient path repairs and fits.
-        let model =
-            fit(&x, &omega, &SmflConfig::smfl(3, 2).with_max_iter(30).resilient()).unwrap();
+        let model = fit(
+            &x,
+            &omega,
+            &SmflConfig::smfl(3, 2).with_max_iter(30).resilient(),
+        )
+        .unwrap();
         assert!(model.u.all_finite() && model.v.all_finite());
         assert_eq!(model.report.sanitized_cells(), 3);
         assert!(model
@@ -311,11 +336,18 @@ mod tests {
             }
         });
         let omega = Mask::full(n, 5);
-        let cfg = SmflConfig::smf(3, 2).with_p(1).with_max_iter(20).resilient();
+        let cfg = SmflConfig::smf(3, 2)
+            .with_p(1)
+            .with_max_iter(20)
+            .resilient();
         let plan = FitPlan::compile(&x, &omega, &cfg).unwrap();
         let graph = plan.graph().expect("Laplacian kept");
         assert!(!graph.is_connected());
-        assert!(plan.report().events.is_empty(), "{:?}", plan.report().events);
+        assert!(
+            plan.report().events.is_empty(),
+            "{:?}",
+            plan.report().events
+        );
         let model = fit(&x, &omega, &cfg).unwrap();
         assert!(!model.report.degraded());
         assert!(model.report.events.is_empty(), "{:?}", model.report.events);
@@ -371,7 +403,10 @@ mod tests {
         let mut x = spatial_data(25, 5, 44);
         x.set(3, 2, f64::NAN);
         let omega = drop_cells(25, 5, 3);
-        let cfg = SmflConfig::smfl(3, 2).with_max_iter(25).with_seed(11).resilient();
+        let cfg = SmflConfig::smfl(3, 2)
+            .with_max_iter(25)
+            .with_seed(11)
+            .resilient();
         let a = fit(&x, &omega, &cfg).unwrap();
         let b = fit(&x, &omega, &cfg).unwrap();
         assert_eq!(a.report, b.report);

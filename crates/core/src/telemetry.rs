@@ -192,7 +192,10 @@ impl Trace {
     /// Objectives of the *accepted* iterations — the sequence that
     /// equals `FittedModel::objective_history` bitwise.
     pub fn accepted_objectives(&self) -> impl Iterator<Item = f64> + '_ {
-        self.iterations.iter().filter(|e| e.accepted).map(|e| e.objective)
+        self.iterations
+            .iter()
+            .filter(|e| e.accepted)
+            .map(|e| e.objective)
     }
 
     /// `true` when the accepted objective trajectory is non-increasing
@@ -328,7 +331,9 @@ pub fn event_parts(e: &FitEvent) -> (&'static str, String) {
         FitEvent::Sanitized { cells } => ("sanitized", format!("cells={cells}")),
         FitEvent::CoordinatesDeduped { rows } => ("coordinates_deduped", format!("rows={rows}")),
         FitEvent::LaplacianDropped { reason } => ("laplacian_dropped", (*reason).to_string()),
-        FitEvent::LandmarksRetried { attempt } => ("landmarks_retried", format!("attempt={attempt}")),
+        FitEvent::LandmarksRetried { attempt } => {
+            ("landmarks_retried", format!("attempt={attempt}"))
+        }
         FitEvent::LandmarksDropped { reason } => ("landmarks_dropped", (*reason).to_string()),
         FitEvent::Restarted { iteration, failure } => (
             "restarted",
@@ -340,7 +345,9 @@ pub fn event_parts(e: &FitEvent) -> (&'static str, String) {
 
 impl TraceSink for JsonlSink {
     fn iter(&mut self, e: &IterEvent) {
-        let health = e.health.map_or("null".to_string(), |f| format!("\"{}\"", failure_name(f)));
+        let health = e
+            .health
+            .map_or("null".to_string(), |f| format!("\"{}\"", failure_name(f)));
         let _ = writeln!(
             self.out,
             "{{\"type\":\"iter\",\"iteration\":{},\"objective\":{},\"fit_term\":{},\
@@ -426,12 +433,21 @@ mod tests {
         let mut sink = RecordingSink::new();
         sink.iter(&iter_event(0, 2.0, true));
         sink.iter(&iter_event(1, 1.0, true));
-        sink.span(&SpanEvent { phase: Phase::GraphBuild, wall: Duration::from_millis(1) });
+        sink.span(&SpanEvent {
+            phase: Phase::GraphBuild,
+            wall: Duration::from_millis(1),
+        });
         sink.engine(&FitEvent::Sanitized { cells: 2 });
-        sink.counters(&KernelCounters { sddmm: 3, ..KernelCounters::default() });
+        sink.counters(&KernelCounters {
+            sddmm: 3,
+            ..KernelCounters::default()
+        });
         let trace = sink.into_trace();
         assert_eq!(trace.iterations.len(), 2);
-        assert_eq!(trace.accepted_objectives().collect::<Vec<_>>(), vec![2.0, 1.0]);
+        assert_eq!(
+            trace.accepted_objectives().collect::<Vec<_>>(),
+            vec![2.0, 1.0]
+        );
         assert_eq!(trace.events, vec![FitEvent::Sanitized { cells: 2 }]);
         assert_eq!(trace.counters.sddmm, 3);
         assert!(trace.span_total(Phase::GraphBuild).is_some());
@@ -496,7 +512,10 @@ mod tests {
             FitEvent::LaplacianDropped { reason: "r" },
             FitEvent::LandmarksRetried { attempt: 1 },
             FitEvent::LandmarksDropped { reason: "r" },
-            FitEvent::Restarted { iteration: 3, failure: FitFailure::Diverged },
+            FitEvent::Restarted {
+                iteration: 3,
+                failure: FitFailure::Diverged,
+            },
             FitEvent::RolledBack { iteration: 4 },
         ];
         let names: Vec<&str> = cases.iter().map(|e| event_parts(e).0).collect();

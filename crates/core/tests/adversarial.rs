@@ -167,15 +167,25 @@ fn combined_fault_storm_is_survivable_and_deterministic() {
         inject_inf_spike(&mut x, 3, 2);
         inject_duplicate_si(&mut x, 2, 0.8, 3);
         let omega = holey_mask(n, m, 3);
-        let config = SmflConfig::smfl(3, 2).with_max_iter(30).with_seed(99).resilient();
+        let config = SmflConfig::smfl(3, 2)
+            .with_max_iter(30)
+            .with_seed(99)
+            .resilient();
         fit(&x, &omega, &config).expect("resilient fit should survive the storm")
     };
     let a = run();
     let b = run();
     assert_model_sane(&a);
-    assert!(a.report.sanitized_cells() > 0, "sanitizer saw no cells: {:?}", a.report);
     assert!(
-        a.report.events.iter().any(|e| matches!(e, FitEvent::Sanitized { .. })),
+        a.report.sanitized_cells() > 0,
+        "sanitizer saw no cells: {:?}",
+        a.report
+    );
+    assert!(
+        a.report
+            .events
+            .iter()
+            .any(|e| matches!(e, FitEvent::Sanitized { .. })),
         "no Sanitized event: {:?}",
         a.report.events
     );

@@ -14,12 +14,7 @@ use smfl_linalg::Mask;
 
 /// Random spatial problem: data in [0, 1], 2 coordinate columns, a mask
 /// with ~`missing_pct`% of cells hidden.
-fn problem(
-    n: usize,
-    m: usize,
-    seed: u64,
-    missing_pct: u32,
-) -> (smfl_linalg::Matrix, Mask) {
+fn problem(n: usize, m: usize, seed: u64, missing_pct: u32) -> (smfl_linalg::Matrix, Mask) {
     let x = uniform_matrix(n, m, 0.0, 1.0, seed);
     let sel = uniform_matrix(n, m, 0.0, 100.0, seed.wrapping_add(77));
     let mut omega = Mask::full(n, m);

@@ -140,7 +140,11 @@ fn converges_before_cap_on_easy_data() {
     let x = spatial_data(40, 5, 8);
     let omega = Mask::full(40, 5);
     let model = fit(&x, &omega, &SmflConfig::nmf(3).with_tol(1e-4)).unwrap();
-    assert!(model.converged, "did not converge in {} iters", model.iterations);
+    assert!(
+        model.converged,
+        "did not converge in {} iters",
+        model.iterations
+    );
     assert!(model.iterations < 500);
 }
 
@@ -162,7 +166,7 @@ fn validation_rejects_bad_configs() {
     assert!(fit(&x, &Mask::full(9, 5), &SmflConfig::nmf(2)).is_err());
     assert!(fit(&x, &omega, &SmflConfig::nmf(0)).is_err());
     assert!(fit(&x, &omega, &SmflConfig::nmf(10)).is_err()); // rank >= N
-    // rank > M is allowed: an overcomplete landmark dictionary.
+                                                             // rank > M is allowed: an overcomplete landmark dictionary.
     assert!(fit(&x, &omega, &SmflConfig::nmf(6).with_max_iter(3)).is_ok());
     assert!(fit(&x, &omega, &SmflConfig::smfl(2, 9)).is_err()); // L > M
     assert!(fit(&Matrix::zeros(0, 0), &Mask::full(0, 0), &SmflConfig::nmf(1)).is_err());

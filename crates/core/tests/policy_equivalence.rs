@@ -18,8 +18,12 @@ type Generator = fn(Scale, u64) -> Dataset;
 
 #[test]
 fn strict_and_recover_fits_are_bitwise_equal_on_paper_generators() {
-    let generators: [(&str, Generator); 4] =
-        [("farm", farm), ("lake", lake), ("economic", economic), ("vehicle", vehicle)];
+    let generators: [(&str, Generator); 4] = [
+        ("farm", farm),
+        ("lake", lake),
+        ("economic", economic),
+        ("vehicle", vehicle),
+    ];
     let mut disconnected = Vec::new();
     for (name, generate) in generators {
         let d = generate(Scale::Small, SEED);
@@ -46,8 +50,16 @@ fn strict_and_recover_fits_are_bitwise_equal_on_paper_generators() {
             let b = fit(x, omega, &recover).unwrap();
             let case = format!("{name} p={p} ({components} graph components)");
             let bits = |h: &[f64]| h.iter().map(|o| o.to_bits()).collect::<Vec<_>>();
-            assert_eq!(bits(a.u.as_slice()), bits(b.u.as_slice()), "{case}: U differs");
-            assert_eq!(bits(a.v.as_slice()), bits(b.v.as_slice()), "{case}: V differs");
+            assert_eq!(
+                bits(a.u.as_slice()),
+                bits(b.u.as_slice()),
+                "{case}: U differs"
+            );
+            assert_eq!(
+                bits(a.v.as_slice()),
+                bits(b.v.as_slice()),
+                "{case}: V differs"
+            );
             assert_eq!(
                 bits(&a.objective_history),
                 bits(&b.objective_history),

@@ -63,7 +63,10 @@ fn tmp(name: &str) -> PathBuf {
 #[test]
 fn tracing_does_not_perturb_the_fit() {
     let (x, omega) = problem(40, 6, 5, 30);
-    let cfg = SmflConfig::smfl(3, 2).with_max_iter(20).with_seed(5).with_tol(0.0);
+    let cfg = SmflConfig::smfl(3, 2)
+        .with_max_iter(20)
+        .with_seed(5)
+        .with_tol(0.0);
 
     let plain = fit(&x, &omega, &cfg).unwrap();
     let noop = fit_into(&x, &omega, &cfg, &mut NoopSink).unwrap();
@@ -71,8 +74,14 @@ fn tracing_does_not_perturb_the_fit() {
     let traced = fit_into(&x, &omega, &cfg, &mut sink).unwrap();
 
     for other in [&noop, &traced] {
-        assert!(plain.u.approx_eq(&other.u, 0.0), "U drifted under observation");
-        assert!(plain.v.approx_eq(&other.v, 0.0), "V drifted under observation");
+        assert!(
+            plain.u.approx_eq(&other.u, 0.0),
+            "U drifted under observation"
+        );
+        assert!(
+            plain.v.approx_eq(&other.v, 0.0),
+            "V drifted under observation"
+        );
         assert_eq!(plain.objective_history, other.objective_history);
         assert_eq!(plain.iterations, other.iterations);
         assert_eq!(plain.converged, other.converged);
@@ -89,7 +98,10 @@ fn trace_covers_every_phase_and_counter() {
     // 60% missing keeps the engine on the sparse kernels, so the
     // SDDMM/SpMM counters (not dense_steps) must move.
     let (x, omega) = problem(40, 6, 9, 60);
-    let cfg = SmflConfig::smfl(3, 2).with_max_iter(15).with_seed(9).with_tol(0.0);
+    let cfg = SmflConfig::smfl(3, 2)
+        .with_max_iter(15)
+        .with_seed(9)
+        .with_tol(0.0);
     let mut sink = RecordingSink::new();
     let model = fit_into(&x, &omega, &cfg, &mut sink).unwrap();
     let trace = sink.trace();
@@ -110,8 +122,15 @@ fn trace_covers_every_phase_and_counter() {
         );
     }
 
-    assert_eq!(trace.iterations.len(), model.iterations, "one IterEvent per iteration");
-    assert!(trace.iterations.iter().all(|e| e.accepted && e.health.is_none()));
+    assert_eq!(
+        trace.iterations.len(),
+        model.iterations,
+        "one IterEvent per iteration"
+    );
+    assert!(trace
+        .iterations
+        .iter()
+        .all(|e| e.accepted && e.health.is_none()));
     assert!(trace.landmarks_always_intact());
 
     let c = &trace.counters;
@@ -134,7 +153,10 @@ fn resilient_trace_mirrors_fit_report() {
     inject_nan_burst(&mut x, 4, 1);
     inject_inf_spike(&mut x, 3, 2);
     let omega = Mask::full(n, 6);
-    let cfg = SmflConfig::smfl(3, 2).with_max_iter(20).with_seed(99).resilient();
+    let cfg = SmflConfig::smfl(3, 2)
+        .with_max_iter(20)
+        .with_seed(99)
+        .resilient();
     let mut sink = RecordingSink::new();
     let model = fit_into(&x, &omega, &cfg, &mut sink).unwrap();
     let trace = sink.trace();
@@ -161,7 +183,10 @@ fn resilient_trace_mirrors_fit_report() {
             continue;
         };
         let trace = sink.trace();
-        assert_eq!(trace.events, model.report.events, "lr={lr}: streams diverged");
+        assert_eq!(
+            trace.events, model.report.events,
+            "lr={lr}: streams diverged"
+        );
         let restarts = trace
             .events
             .iter()
@@ -177,7 +202,10 @@ fn resilient_trace_mirrors_fit_report() {
             verified = true;
         }
     }
-    assert!(verified, "no learning rate in the sweep triggered a restart");
+    assert!(
+        verified,
+        "no learning rate in the sweep triggered a restart"
+    );
 }
 
 // ---------------------------------------------------------------------
@@ -186,7 +214,10 @@ fn resilient_trace_mirrors_fit_report() {
 #[test]
 fn jsonl_sink_writes_one_object_per_line() {
     let (x, omega) = problem(30, 5, 11, 40);
-    let cfg = SmflConfig::smfl(3, 2).with_max_iter(10).with_seed(11).with_tol(0.0);
+    let cfg = SmflConfig::smfl(3, 2)
+        .with_max_iter(10)
+        .with_seed(11)
+        .with_tol(0.0);
     let path = tmp("trace_jsonl_test.jsonl");
     let mut sink = JsonlSink::create(&path).unwrap();
     let model = fit_into(&x, &omega, &cfg, &mut sink).unwrap();
@@ -200,16 +231,28 @@ fn jsonl_sink_writes_one_object_per_line() {
             line.starts_with("{\"type\":\"") && line.ends_with('}'),
             "malformed line: {line}"
         );
-        assert_eq!(line.matches('"').count() % 2, 0, "unbalanced quotes: {line}");
+        assert_eq!(
+            line.matches('"').count() % 2,
+            0,
+            "unbalanced quotes: {line}"
+        );
     }
-    let iters = lines.iter().filter(|l| l.contains("\"type\":\"iter\"")).count();
+    let iters = lines
+        .iter()
+        .filter(|l| l.contains("\"type\":\"iter\""))
+        .count();
     assert_eq!(iters, model.iterations);
     assert_eq!(
-        lines.iter().filter(|l| l.contains("\"type\":\"counters\"")).count(),
+        lines
+            .iter()
+            .filter(|l| l.contains("\"type\":\"counters\""))
+            .count(),
         1,
         "exactly one counters line at fit end"
     );
-    assert!(lines.iter().any(|l| l.contains("\"phase\":\"update_loop\"")));
+    assert!(lines
+        .iter()
+        .any(|l| l.contains("\"phase\":\"update_loop\"")));
     let _ = std::fs::remove_file(&path);
 }
 
@@ -229,7 +272,10 @@ fn trace_child_fit() {
     // kernel, above PARALLEL_FLOP_THRESHOLD, so SMFL_THREADS > 1
     // actually forks the kernels.
     let (x, omega) = problem(2000, 200, 1234, 65);
-    let cfg = SmflConfig::nmf(8).with_max_iter(6).with_seed(1234).with_tol(0.0);
+    let cfg = SmflConfig::nmf(8)
+        .with_max_iter(6)
+        .with_seed(1234)
+        .with_tol(0.0);
     let model = fit(&x, &omega, &cfg).expect("child fit failed");
     assert_eq!(model.iterations, 6);
 }

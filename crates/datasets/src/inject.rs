@@ -74,12 +74,7 @@ pub fn inject_missing(
 /// from the same column's domain (another row's value), keeping
 /// `reserve_complete` rows intact. The returned `psi` marks the dirty
 /// cells — the ground truth an error detector like Raha would output.
-pub fn inject_errors(
-    data: &Matrix,
-    rate: f64,
-    reserve_complete: usize,
-    seed: u64,
-) -> Injection {
+pub fn inject_errors(data: &Matrix, rate: f64, reserve_complete: usize, seed: u64) -> Injection {
     let (n, m) = data.shape();
     let mut rng = StdRng::seed_from_u64(seed);
     let reserved = choose_rows(n, reserve_complete.min(n), &mut rng);
@@ -187,7 +182,12 @@ pub fn inject_duplicate_si(
     rows
 }
 
-fn overwrite_cells<F>(data: &mut Matrix, count: usize, seed: u64, mut value: F) -> Vec<(usize, usize)>
+fn overwrite_cells<F>(
+    data: &mut Matrix,
+    count: usize,
+    seed: u64,
+    mut value: F,
+) -> Vec<(usize, usize)>
 where
     F: FnMut((usize, usize)) -> f64,
 {
@@ -347,7 +347,11 @@ mod tests {
         let mut data = uniform_matrix(15, 4, 0.0, 1.0, 24);
         let cells = inject_inf_spike(&mut data, 6, 25);
         assert_eq!(cells.len(), 6);
-        let pos = data.as_slice().iter().filter(|&&v| v == f64::INFINITY).count();
+        let pos = data
+            .as_slice()
+            .iter()
+            .filter(|&&v| v == f64::INFINITY)
+            .count();
         let neg = data
             .as_slice()
             .iter()

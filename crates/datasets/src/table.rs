@@ -58,9 +58,10 @@ impl Dataset {
                 .cluster_labels
                 .as_ref()
                 .is_none_or(|l| l.len() == self.n())
-            && self.routes.as_ref().is_none_or(|rs| {
-                rs.iter().all(|r| r.iter().all(|&i| i < self.n()))
-            })
+            && self
+                .routes
+                .as_ref()
+                .is_none_or(|rs| rs.iter().all(|r| r.iter().all(|&i| i < self.n())))
     }
 }
 

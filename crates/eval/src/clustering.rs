@@ -169,15 +169,11 @@ mod tests {
     #[test]
     fn hungarian_known_instance() {
         // Classic 3x3 instance, min cost = 5 with assignment (0,1,2)->(1,0,2)... verify.
-        let cost = vec![
-            vec![4, 1, 3],
-            vec![2, 0, 5],
-            vec![3, 2, 2],
-        ];
+        let cost = vec![vec![4, 1, 3], vec![2, 0, 5], vec![3, 2, 2]];
         let assign = hungarian_min(&cost);
         let total: i64 = assign.iter().enumerate().map(|(r, &c)| cost[r][c]).sum();
         assert_eq!(total, 5); // 1 + 2 + 2
-        // assignment must be a permutation
+                              // assignment must be a permutation
         let mut cols = assign.clone();
         cols.sort_unstable();
         assert_eq!(cols, vec![0, 1, 2]);
@@ -185,11 +181,7 @@ mod tests {
 
     #[test]
     fn hungarian_identity_on_diagonal_dominant() {
-        let cost = vec![
-            vec![0, 9, 9],
-            vec![9, 0, 9],
-            vec![9, 9, 0],
-        ];
+        let cost = vec![vec![0, 9, 9], vec![9, 0, 9], vec![9, 9, 0]];
         assert_eq!(hungarian_min(&cost), vec![0, 1, 2]);
     }
 

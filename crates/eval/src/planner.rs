@@ -113,11 +113,7 @@ impl PartialOrd for HeapItem {
 
 /// Dijkstra over the 8-connected grid; edge cost = Euclidean step
 /// length (in unit-square units) × mean endpoint fuel rate.
-pub fn plan_route(
-    grid: &FuelGrid,
-    start: (f64, f64),
-    goal: (f64, f64),
-) -> Result<PlannedRoute> {
+pub fn plan_route(grid: &FuelGrid, start: (f64, f64), goal: (f64, f64)) -> Result<PlannedRoute> {
     let r = grid.resolution;
     if r == 0 {
         return Err(LinalgError::Empty);
@@ -154,8 +150,8 @@ pub fn plan_route(
                 }
                 let n = (ny as usize) * r + nx as usize;
                 let step = cell_size * ((dx * dx + dy * dy) as f64).sqrt();
-                let rate = 0.5
-                    * (grid.rates.get(cy, cx) + grid.rates.get(ny as usize, nx as usize));
+                let rate =
+                    0.5 * (grid.rates.get(cy, cx) + grid.rates.get(ny as usize, nx as usize));
                 let next_cost = cost + step * rate.max(0.0);
                 if next_cost < dist[n] {
                     dist[n] = next_cost;

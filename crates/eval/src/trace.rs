@@ -91,7 +91,10 @@ mod tests {
         for i in (0..25).step_by(4) {
             omega.set(i, 2, false);
         }
-        let cfg = SmflConfig::smfl(3, 2).with_max_iter(8).with_seed(3).with_tol(0.0);
+        let cfg = SmflConfig::smfl(3, 2)
+            .with_max_iter(8)
+            .with_seed(3)
+            .with_tol(0.0);
         let mut sink = RecordingSink::new();
         FitPlan::compile_with_sink(&x, &omega, &cfg, &mut sink)
             .unwrap()

@@ -178,7 +178,10 @@ impl Mask {
         self.words
             .iter()
             .enumerate()
-            .flat_map(|(wi, &w)| WordBits { word: w, base: wi * 64 })
+            .flat_map(|(wi, &w)| WordBits {
+                word: w,
+                base: wi * 64,
+            })
             .map(move |bit| (bit / cols, bit % cols))
     }
 

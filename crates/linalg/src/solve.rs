@@ -115,12 +115,7 @@ pub fn ridge_regression(x: &Matrix, y: &[f64], alpha: f64) -> Result<Vec<f64>> {
 
 /// Weighted ridge: minimizes `Σ w_i (x_iᵀβ − y_i)² + α‖β‖²`
 /// (the LOESS building block; `w` are the tricube weights).
-pub fn weighted_ridge_regression(
-    x: &Matrix,
-    y: &[f64],
-    w: &[f64],
-    alpha: f64,
-) -> Result<Vec<f64>> {
+pub fn weighted_ridge_regression(x: &Matrix, y: &[f64], w: &[f64], alpha: f64) -> Result<Vec<f64>> {
     if x.rows() != y.len() || x.rows() != w.len() {
         return Err(LinalgError::BadLength {
             expected: x.rows(),

@@ -73,13 +73,9 @@ fn thin_svd_tall(a: &Matrix) -> Result<Svd> {
     let m = a.cols();
     let gram = matmul_at(a, a)?; // AᵀA, m x m
     let eig = symmetric_eigen(&gram)?;
-    let sigma: Vec<f64> = eig
-        .eigenvalues
-        .iter()
-        .map(|&l| l.max(0.0).sqrt())
-        .collect();
+    let sigma: Vec<f64> = eig.eigenvalues.iter().map(|&l| l.max(0.0).sqrt()).collect();
     let v = eig.eigenvectors; // m x m, columns = right singular vectors
-    // U = A V Σ⁻¹ column by column; zero columns for zero singular values.
+                              // U = A V Σ⁻¹ column by column; zero columns for zero singular values.
     let av = matmul(a, &v)?; // n x m
     let mut u = Matrix::zeros(a.rows(), m);
     for j in 0..m {
@@ -178,8 +174,12 @@ mod tests {
         let a = tall();
         let s = thin_svd(&a).unwrap();
         let truncated = |rank: usize| {
-            let kept: Vec<f64> =
-                s.sigma.iter().enumerate().map(|(i, &x)| if i < rank { x } else { 0.0 }).collect();
+            let kept: Vec<f64> = s
+                .sigma
+                .iter()
+                .enumerate()
+                .map(|(i, &x)| if i < rank { x } else { 0.0 })
+                .collect();
             matmul(&scale_cols(&s.u, &kept), &s.v.transpose()).unwrap()
         };
         let r1 = truncated(1);
@@ -196,6 +196,9 @@ mod tests {
     fn zero_matrix_svd() {
         let s = thin_svd(&Matrix::zeros(4, 2)).unwrap();
         assert!(s.sigma.iter().all(|&x| x == 0.0));
-        assert!(s.reconstruct().unwrap().approx_eq(&Matrix::zeros(4, 2), 1e-12));
+        assert!(s
+            .reconstruct()
+            .unwrap()
+            .approx_eq(&Matrix::zeros(4, 2), 1e-12));
     }
 }

@@ -90,11 +90,7 @@ mod tests {
 
     #[test]
     fn construction_shapes() {
-        let net = Mlp::new(
-            &[4, 8, 2],
-            &[Activation::Relu, Activation::Sigmoid],
-            1,
-        );
+        let net = Mlp::new(&[4, 8, 2], &[Activation::Relu, Activation::Sigmoid], 1);
         assert_eq!(net.inputs(), 4);
         assert_eq!(net.outputs(), 2);
         assert_eq!(net.layers.len(), 2);
@@ -109,11 +105,7 @@ mod tests {
     #[test]
     fn learns_xor_with_sgd() {
         let (x, y) = xor_data();
-        let mut net = Mlp::new(
-            &[2, 8, 1],
-            &[Activation::Tanh, Activation::Sigmoid],
-            42,
-        );
+        let mut net = Mlp::new(&[2, 8, 1], &[Activation::Tanh, Activation::Sigmoid], 42);
         for _ in 0..4000 {
             let pred = net.forward(&x).unwrap();
             // MSE gradient: (pred - y)
@@ -145,11 +137,7 @@ mod tests {
 
     #[test]
     fn full_network_gradient_check() {
-        let mut net = Mlp::new(
-            &[2, 4, 1],
-            &[Activation::Tanh, Activation::Identity],
-            9,
-        );
+        let mut net = Mlp::new(&[2, 4, 1], &[Activation::Tanh, Activation::Identity], 9);
         let x = smfl_linalg::random::uniform_matrix(3, 2, -1.0, 1.0, 10);
         let y = net.forward(&x).unwrap();
         net.backward(&y).unwrap(); // L = 0.5 Σ y²

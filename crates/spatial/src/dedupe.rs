@@ -114,8 +114,7 @@ mod tests {
 
     #[test]
     fn rank_ordering_follows_row_index() {
-        let mut si =
-            Matrix::from_rows(&[vec![3.0, 3.0], vec![3.0, 3.0], vec![3.0, 3.0]]).unwrap();
+        let mut si = Matrix::from_rows(&[vec![3.0, 3.0], vec![3.0, 3.0], vec![3.0, 3.0]]).unwrap();
         dedupe_coordinates(&mut si);
         // Later rows get larger offsets: strictly increasing first coords.
         assert!(si.get(0, 0) < si.get(1, 0));
@@ -124,12 +123,8 @@ mod tests {
 
     #[test]
     fn non_finite_rows_group_without_panicking() {
-        let mut si = Matrix::from_rows(&[
-            vec![f64::NAN, 1.0],
-            vec![f64::NAN, 1.0],
-            vec![0.5, 0.5],
-        ])
-        .unwrap();
+        let mut si =
+            Matrix::from_rows(&[vec![f64::NAN, 1.0], vec![f64::NAN, 1.0], vec![0.5, 0.5]]).unwrap();
         let modified = dedupe_coordinates(&mut si);
         assert_eq!(modified, 1); // the second NaN row was offset (stays NaN)
         assert!(si.get(1, 0).is_nan());

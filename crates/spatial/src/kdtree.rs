@@ -169,7 +169,11 @@ impl KdTree {
         }
         let log_n = (usize::BITS - self.len().leading_zeros()) as usize;
         let threads = if threads == 0 {
-            threads_for(nq.saturating_mul(kk).saturating_mul(log_n).saturating_mul(8))
+            threads_for(
+                nq.saturating_mul(kk)
+                    .saturating_mul(log_n)
+                    .saturating_mul(8),
+            )
         } else {
             threads
         };
@@ -254,7 +258,14 @@ fn build_into(
         let right_threads = threads - left_threads;
         std::thread::scope(|s| {
             s.spawn(move || {
-                build_into(points, left_part, depth + 1, left_nodes, base + 1, left_threads)
+                build_into(
+                    points,
+                    left_part,
+                    depth + 1,
+                    left_nodes,
+                    base + 1,
+                    left_threads,
+                )
             });
             build_into(
                 points,
@@ -267,7 +278,14 @@ fn build_into(
         });
     } else {
         build_into(points, left_part, depth + 1, left_nodes, base + 1, 1);
-        build_into(points, right_part, depth + 1, right_nodes, base + 1 + mid, 1);
+        build_into(
+            points,
+            right_part,
+            depth + 1,
+            right_nodes,
+            base + 1 + mid,
+            1,
+        );
     }
 }
 
@@ -401,7 +419,13 @@ mod tests {
 
     fn grid_points() -> Matrix {
         // 3x3 unit grid
-        Matrix::from_fn(9, 2, |i, j| if j == 0 { (i / 3) as f64 } else { (i % 3) as f64 })
+        Matrix::from_fn(9, 2, |i, j| {
+            if j == 0 {
+                (i / 3) as f64
+            } else {
+                (i % 3) as f64
+            }
+        })
     }
 
     #[test]
@@ -429,7 +453,9 @@ mod tests {
         let empty = KdTree::build(&Matrix::zeros(0, 2));
         assert!(empty.is_empty());
         assert!(empty.nearest(&[0.0, 0.0], 3, usize::MAX).is_empty());
-        assert!(empty.nearest_bulk_with_threads(&Matrix::zeros(0, 2), 3, true, 0).is_empty());
+        assert!(empty
+            .nearest_bulk_with_threads(&Matrix::zeros(0, 2), 3, true, 0)
+            .is_empty());
     }
 
     #[test]

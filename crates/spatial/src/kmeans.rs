@@ -162,7 +162,9 @@ fn kmeans_with(
 
 /// Rough FLOP cost of one assignment sweep, for the thread heuristic.
 fn assignment_cost(n: usize, k: usize, dims: usize) -> usize {
-    n.saturating_mul(k).saturating_mul(dims.max(1)).saturating_mul(3)
+    n.saturating_mul(k)
+        .saturating_mul(dims.max(1))
+        .saturating_mul(3)
 }
 
 /// Per-iteration scratch for the update step — allocated once per run so
@@ -538,7 +540,10 @@ mod tests {
         for (c, center) in centers.iter().enumerate() {
             let noise = normal_matrix(30, 2, 0.0, 0.5, c as u64 + 1);
             for i in 0..30 {
-                rows.push(vec![center[0] + noise.get(i, 0), center[1] + noise.get(i, 1)]);
+                rows.push(vec![
+                    center[0] + noise.get(i, 0),
+                    center[1] + noise.get(i, 1),
+                ]);
                 truth.push(c);
             }
         }
@@ -576,9 +581,15 @@ mod tests {
     #[test]
     fn inertia_decreases_with_more_clusters() {
         let (pts, _) = blobs();
-        let i1 = kmeans(&pts, &KMeansConfig::new(1).with_seed(3)).unwrap().inertia;
-        let i3 = kmeans(&pts, &KMeansConfig::new(3).with_seed(3)).unwrap().inertia;
-        let i9 = kmeans(&pts, &KMeansConfig::new(9).with_seed(3)).unwrap().inertia;
+        let i1 = kmeans(&pts, &KMeansConfig::new(1).with_seed(3))
+            .unwrap()
+            .inertia;
+        let i3 = kmeans(&pts, &KMeansConfig::new(3).with_seed(3))
+            .unwrap()
+            .inertia;
+        let i9 = kmeans(&pts, &KMeansConfig::new(9).with_seed(3))
+            .unwrap()
+            .inertia;
         assert!(i3 < i1);
         assert!(i9 <= i3 + 1e-9);
     }
@@ -616,8 +627,11 @@ mod tests {
         let pts = uniform_matrix(300, 2, 0.0, 1.0, 6);
         let serial = kmeans(&pts, &KMeansConfig::new(5).with_seed(4).with_threads(1)).unwrap();
         for threads in [2usize, 3, 8] {
-            let par =
-                kmeans(&pts, &KMeansConfig::new(5).with_seed(4).with_threads(threads)).unwrap();
+            let par = kmeans(
+                &pts,
+                &KMeansConfig::new(5).with_seed(4).with_threads(threads),
+            )
+            .unwrap();
             assert_eq!(par.labels, serial.labels);
             assert!(par.centers.approx_eq(&serial.centers, 0.0));
             assert_eq!(par.iterations, serial.iterations);
@@ -651,7 +665,9 @@ mod tests {
         let (pts, _) = blobs();
         let res = kmeans(
             &pts,
-            &KMeansConfig::new(3).with_seed(5).with_init(KMeansInit::Random),
+            &KMeansConfig::new(3)
+                .with_seed(5)
+                .with_init(KMeansInit::Random),
         )
         .unwrap();
         // Random seeding may collapse two blobs into one cluster, so only
@@ -702,7 +718,10 @@ mod tests {
             let out2 = res.labels[21];
             assert_ne!(out1, res.labels[0], "outlier 1 merged into the mass");
             assert_ne!(out2, res.labels[0], "outlier 2 merged into the mass");
-            assert_ne!(out1, out2, "outliers share a centre despite spare centroids");
+            assert_ne!(
+                out1, out2,
+                "outliers share a centre despite spare centroids"
+            );
         }
     }
 
@@ -722,7 +741,10 @@ mod tests {
                 let hamerly = kmeans(&pts, &config).unwrap();
                 assert_eq!(lloyd.labels, hamerly.labels, "k={k} seed={seed}");
                 assert_eq!(lloyd.iterations, hamerly.iterations, "k={k} seed={seed}");
-                assert!(lloyd.centers.approx_eq(&hamerly.centers, 0.0), "k={k} seed={seed}");
+                assert!(
+                    lloyd.centers.approx_eq(&hamerly.centers, 0.0),
+                    "k={k} seed={seed}"
+                );
             }
         }
     }

@@ -28,9 +28,7 @@ fn main() {
         Box::new(MfClusterer::smf(2)),
         Box::new(MfClusterer::smfl(2)),
         // The U-as-membership reading (paper §I) as an alternative:
-        Box::new(
-            MfClusterer::smfl(2).with_strategy(MfClusterStrategy::CoefficientProfiles),
-        ),
+        Box::new(MfClusterer::smfl(2).with_strategy(MfClusterStrategy::CoefficientProfiles)),
     ];
     for (idx, method) in methods.iter().enumerate() {
         let labels = method

@@ -32,7 +32,9 @@ fn main() {
     // Impute with SMFL and with a naive mean baseline.
     let smfl = MfImputer::smfl(6, 2);
     let smfl_map = smfl.impute(&inj.corrupted, &inj.omega).expect("impute");
-    let mean_map = MeanImputer.impute(&inj.corrupted, &inj.omega).expect("impute");
+    let mean_map = MeanImputer
+        .impute(&inj.corrupted, &inj.omega)
+        .expect("impute");
 
     // Accumulated-fuel error across all routes (the Fig. 4a number).
     let smfl_err =
@@ -58,6 +60,10 @@ fn main() {
         "cheapest of {} candidate routes: truth = #{true_best} (cost {true_cost:.4}), \
          SMFL picks #{smfl_best} -> {}",
         candidates.len(),
-        if smfl_best == true_best { "correct" } else { "wrong" }
+        if smfl_best == true_best {
+            "correct"
+        } else {
+            "wrong"
+        }
     );
 }

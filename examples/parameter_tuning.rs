@@ -7,7 +7,7 @@
 //! ```
 
 use smfl_core::{grid_search, ParamGrid, SmflConfig};
-use smfl_datasets::{inject_missing, farm, Scale};
+use smfl_datasets::{farm, inject_missing, Scale};
 use smfl_eval::rms_over;
 
 fn main() {
@@ -32,7 +32,10 @@ fn main() {
     let result = grid_search(&inj.corrupted, &inj.omega, &base, &grid, 2, 0.1)
         .expect("grid search succeeds");
 
-    println!("\nvalidation ranking (top 5 of {}):", result.ranking().len());
+    println!(
+        "\nvalidation ranking (top 5 of {}):",
+        result.ranking().len()
+    );
     for s in result.ranking().iter().take(5) {
         println!(
             "  λ={:<5} p={} K={} -> held-out RMS {:.4}",
@@ -47,7 +50,10 @@ fn main() {
         let imputed = model.impute(&inj.corrupted, &inj.omega).expect("impute");
         let rms = rms_over(&imputed, &dataset.data, &inj.psi).expect("rms");
         true_scores.push((
-            format!("λ={} p={} K={}", s.config.lambda, s.config.p_neighbors, s.config.rank),
+            format!(
+                "λ={} p={} K={}",
+                s.config.lambda, s.config.p_neighbors, s.config.rank
+            ),
             rms,
         ));
     }
@@ -59,5 +65,8 @@ fn main() {
         "\nvalidation pick: {} (true RMS {:.4})",
         true_scores[0].0, true_scores[0].1
     );
-    println!("oracle best:     {} (true RMS {:.4})", best_true.0, best_true.1);
+    println!(
+        "oracle best:     {} (true RMS {:.4})",
+        best_true.0, best_true.1
+    );
 }

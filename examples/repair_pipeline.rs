@@ -9,7 +9,7 @@
 //! HoloClean-lite and SMFL, and reports the repair RMS of each.
 
 use smfl_baselines::{BaranLite, HoloCleanLite, ImputerRepairer, MfImputer, Repairer};
-use smfl_datasets::{inject_errors, farm, Scale};
+use smfl_datasets::{farm, inject_errors, Scale};
 use smfl_eval::rms_over;
 
 fn main() {

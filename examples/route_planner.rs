@@ -21,8 +21,7 @@ fn main() {
     let inj = inject_missing(&dataset.data, &[VEHICLE_FUEL_COL], 0.30, 100, 0);
 
     // Ground-truth grid for scoring.
-    let truth_grid =
-        FuelGrid::from_points(&dataset.data, VEHICLE_FUEL_COL, 24, 5).expect("grid");
+    let truth_grid = FuelGrid::from_points(&dataset.data, VEHICLE_FUEL_COL, 24, 5).expect("grid");
 
     let (start, goal) = ((0.05, 0.05), (0.95, 0.95));
     let oracle = plan_route(&truth_grid, start, goal).expect("plan");

@@ -34,9 +34,7 @@ impl Args {
             let Some(name) = a.strip_prefix("--") else {
                 return Err(format!("unexpected argument {a:?}"));
             };
-            let value = it
-                .next()
-                .ok_or_else(|| format!("--{name} needs a value"))?;
+            let value = it.next().ok_or_else(|| format!("--{name} needs a value"))?;
             flags.push((name.to_string(), value.clone()));
         }
         Ok(Args { flags })
@@ -154,7 +152,9 @@ fn impute_cmd(
         let dirty = detector.detect(&normed).map_err(|e| e.to_string())?;
         let dirty_observed = dirty.and(omega).map_err(|e| e.to_string())?;
         (
-            omega.and(&dirty_observed.complement()).map_err(|e| e.to_string())?,
+            omega
+                .and(&dirty_observed.complement())
+                .map_err(|e| e.to_string())?,
             dirty_observed.count(),
         )
     } else {

@@ -76,7 +76,10 @@ fn impute_preserves_observed_values_exactly() {
             if !cb.trim().is_empty() {
                 let vb: f64 = cb.trim().parse().unwrap();
                 let va: f64 = ca.trim().parse().unwrap();
-                assert!((vb - va).abs() < 1e-9, "observed cell changed: {vb} -> {va}");
+                assert!(
+                    (vb - va).abs() < 1e-9,
+                    "observed cell changed: {vb} -> {va}"
+                );
             }
         }
     }
@@ -133,7 +136,10 @@ fn bad_invocations_fail_cleanly() {
     assert!(!out.status.success());
     assert!(String::from_utf8_lossy(&out.stderr).contains("unknown command"));
     // missing input
-    let out = bin().args(["impute", "--output", "/tmp/x.csv"]).output().unwrap();
+    let out = bin()
+        .args(["impute", "--output", "/tmp/x.csv"])
+        .output()
+        .unwrap();
     assert!(!out.status.success());
     // unparseable flag value
     let input = temp("in5.csv");
@@ -157,7 +163,11 @@ fn detect_blanks_suspicious_cells() {
     for i in 0..60 {
         let x = (i % 10) as f64 / 10.0;
         let y = (i / 10) as f64 / 6.0;
-        let a = if i == 33 { 9.9 } else { 0.4 + 0.1 * x + 0.05 * y };
+        let a = if i == 33 {
+            9.9
+        } else {
+            0.4 + 0.1 * x + 0.05 * y
+        };
         text.push_str(&format!("{x:.3},{y:.3},{a:.3}\n"));
     }
     std::fs::write(&input, text).unwrap();
@@ -172,10 +182,7 @@ fn detect_blanks_suspicious_cells() {
     let flagged = std::fs::read_to_string(&output).unwrap();
     // the outlier row must have an empty third cell
     let line34 = flagged.lines().nth(34).unwrap();
-    assert!(
-        line34.ends_with(','),
-        "outlier not blanked: {line34:?}"
-    );
+    assert!(line34.ends_with(','), "outlier not blanked: {line34:?}");
     let _ = std::fs::remove_file(&input);
     let _ = std::fs::remove_file(&output);
 }
@@ -193,7 +200,11 @@ fn detect(name: &str, text: &str) -> (usize, String) {
         .arg(&output)
         .output()
         .unwrap();
-    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
     let stdout = String::from_utf8(out.stdout).unwrap();
     let flagged = stdout
         .strip_prefix("flagged ")
@@ -217,7 +228,12 @@ fn detect_neither_flags_nor_fills_blank_cells() {
             let y = (i / 10) as f64 / 6.0;
             let a = if i == 33 { 190.0 } else { 100.0 + 2.0 * x + y };
             let b = 101.0 + x - y;
-            [format!("{x:.3}"), format!("{y:.3}"), format!("{a:.3}"), format!("{b:.3}")]
+            [
+                format!("{x:.3}"),
+                format!("{y:.3}"),
+                format!("{a:.3}"),
+                format!("{b:.3}"),
+            ]
         })
         .collect();
     let table = |blank: &dyn Fn(usize, usize) -> bool| {
@@ -241,7 +257,10 @@ fn detect_neither_flags_nor_fills_blank_cells() {
     for (i, line) in written.lines().skip(1).enumerate() {
         for (j, cell) in line.split(',').enumerate() {
             if blank(i, j) {
-                assert!(cell.is_empty(), "input blank ({i}, {j}) written as {cell:?}");
+                assert!(
+                    cell.is_empty(),
+                    "input blank ({i}, {j}) written as {cell:?}"
+                );
             }
         }
     }

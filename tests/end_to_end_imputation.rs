@@ -3,8 +3,7 @@
 //! (`smfl-baselines` / `smfl-core`), score with `smfl-eval`.
 
 use smfl_baselines::{
-    DlmImputer, Imputer, IterativeImputer, KnnImputer, MeanImputer, MfImputer,
-    SoftImputeImputer,
+    DlmImputer, Imputer, IterativeImputer, KnnImputer, MeanImputer, MfImputer, SoftImputeImputer,
 };
 use smfl_datasets::{inject_missing, lake, Scale};
 use smfl_eval::rms_over;
@@ -44,7 +43,11 @@ fn every_imputer_completes_the_pipeline() {
     ];
     for imp in &imputers {
         let (rms, out) = run(imp.as_ref());
-        assert!(out.all_finite(), "{} produced non-finite values", imp.name());
+        assert!(
+            out.all_finite(),
+            "{} produced non-finite values",
+            imp.name()
+        );
         assert!(
             rms > 0.0 && rms < 0.6,
             "{} RMS {rms} outside plausible range",

@@ -82,7 +82,10 @@ fn spatial_mf_repair_beats_generic_repairers() {
         let inj = inject_errors(&d.data, 0.10, 50, seed);
         let reps: Vec<Box<dyn Repairer>> = vec![
             Box::new(BaranLite),
-            Box::new(ImputerRepairer::new(MfImputer::nmf(6).with_seed(seed), "NMF")),
+            Box::new(ImputerRepairer::new(
+                MfImputer::nmf(6).with_seed(seed),
+                "NMF",
+            )),
             Box::new(ImputerRepairer::new(
                 MfImputer::smf(6, 2).with_seed(seed),
                 "SMF",

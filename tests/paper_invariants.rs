@@ -4,7 +4,7 @@
 //! efficiency mechanism (§IV-E: SMFL updates fewer `V` columns).
 
 use smfl_core::{fit, SmflConfig};
-use smfl_datasets::{inject_missing, farm, lake, Scale};
+use smfl_datasets::{farm, inject_missing, lake, Scale};
 use smfl_linalg::Matrix;
 
 #[test]
@@ -26,8 +26,14 @@ fn landmarks_stay_inside_observation_bbox() {
     let (lo_y, hi_y) = min_max(&si.col(1));
     for k in 0..locs.rows() {
         let (x, y) = (locs.get(k, 0), locs.get(k, 1));
-        assert!(x >= lo_x && x <= hi_x, "landmark {k} x={x} outside [{lo_x}, {hi_x}]");
-        assert!(y >= lo_y && y <= hi_y, "landmark {k} y={y} outside [{lo_y}, {hi_y}]");
+        assert!(
+            x >= lo_x && x <= hi_x,
+            "landmark {k} x={x} outside [{lo_x}, {hi_x}]"
+        );
+        assert!(
+            y >= lo_y && y <= hi_y,
+            "landmark {k} y={y} outside [{lo_y}, {hi_y}]"
+        );
     }
 }
 
