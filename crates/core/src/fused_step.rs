@@ -255,11 +255,11 @@ fn step<R: Rank>(
                 for i in first..(first + BLOCK_ROWS).min(n) {
                     let unew = &mut out[(i - first) * k..][..k];
                     let ui = &uu[i * k..][..k];
-                    let span = row_ptr[i]..row_ptr[i + 1];
+                    let span = row_ptr[i] as usize..row_ptr[i + 1] as usize;
                     numer.fill(0.0);
                     denom.fill(0.0);
                     for (&j, &x) in col_idx[span.clone()].iter().zip(&xv[span]) {
-                        let vj = &vt[j * k..][..k];
+                        let vj = &vt[j as usize * k..][..k];
                         let r = dot(ui, vj);
                         let d = x - r;
                         fit += d * d;
@@ -272,7 +272,7 @@ fn step<R: Rank>(
                         du.fill(0.0);
                         let nbrs = g.neighbors(i);
                         for &t in nbrs {
-                            let ut = &uu[t * k..][..k];
+                            let ut = &uu[t as usize * k..][..k];
                             for ((nt, gt), &b) in numer.iter_mut().zip(du.iter_mut()).zip(ut) {
                                 *nt += lambda * b;
                                 *gt += b;
@@ -331,13 +331,13 @@ fn column_pass<R: Rank>(
                 // V is bitwise that of fits recorded with one. Each fold
                 // clears the block sums for the next block or column.
                 let mut block = usize::MAX;
-                for e in csc_ptr[j]..csc_ptr[j + 1] {
-                    let i = csc_rows[e];
+                for e in csc_ptr[j] as usize..csc_ptr[j + 1] as usize {
+                    let i = csc_rows[e] as usize;
                     if i / BLOCK_ROWS != block {
                         fold_block(numer, denom, bn, bd);
                         block = i / BLOCK_ROWS;
                     }
-                    let x = xv[csc_perm[e]];
+                    let x = xv[csc_perm[e] as usize];
                     let ui = &un[i * k..][..k];
                     let r = dot(ui, vj);
                     for ((nt, dt), &a) in bn.iter_mut().zip(bd.iter_mut()).zip(ui) {

@@ -51,7 +51,7 @@ pub mod random;
 pub mod solve;
 pub mod svd;
 
-pub use error::{LinalgError, Result};
+pub use error::{ensure_u32, LinalgError, Result};
 pub use kernels::{KernelCounters, ObservedPattern, Workspace};
 pub use mask::Mask;
 pub use matrix::Matrix;

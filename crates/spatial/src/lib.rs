@@ -30,7 +30,7 @@
 //! let landmarks = kmeans(&si, &KMeansConfig::new(5))?.centers; // C: 5 x 2
 //! let graph = SpatialGraph::build(&si, 3)?; // D and w
 //! assert_eq!(landmarks.shape(), (5, 2));
-//! assert!((0..50).all(|i| graph.neighbors(i).iter().all(|&j| graph.neighbors(j).contains(&i))));
+//! assert!((0..50).all(|i| graph.neighbors(i).iter().all(|&j| graph.neighbors(j as usize).contains(&(i as u32)))));
 //! # Ok::<(), smfl_linalg::LinalgError>(())
 //! ```
 

@@ -35,8 +35,9 @@ fn kdtree_and_bruteforce_give_identical_graphs() {
         })
         .collect();
     for i in 0..si.rows() {
-        let expected: Vec<usize> = (0..si.rows())
+        let expected: Vec<u32> = (0..si.rows())
             .filter(|&j| nn[i].contains(&j) || nn[j].contains(&i))
+            .map(|j| j as u32)
             .collect();
         assert_eq!(
             g.neighbors(i),
