@@ -18,7 +18,7 @@ use smfl_linalg::parallel::max_threads;
 use smfl_linalg::random::uniform_matrix;
 use smfl_linalg::Matrix;
 use smfl_spatial::graph::SpatialGraph;
-use smfl_spatial::kdtree::{brute_force_nearest, Neighbor};
+use smfl_spatial::kdtree::brute_force_nearest;
 use smfl_spatial::kmeans::{kmeans, KMeansConfig};
 use smfl_spatial::KdTree;
 use std::time::Instant;
@@ -31,14 +31,15 @@ const ORACLE_MAX_N: usize = 2_000;
 
 /// Every point's `p` nearest neighbours (itself excluded) from the
 /// kd-tree, serially: tree build plus one bulk query, flat query-major.
-fn knn_kdtree(pts: &Matrix, p: usize) -> Vec<Neighbor> {
+fn knn_kdtree(pts: &Matrix, p: usize) -> Vec<u32> {
     KdTree::build_with_threads(pts, 1).nearest_bulk_with_threads(pts, p, true, 1)
 }
 
 /// The same lists by brute force, one `O(N·L)` scan per point.
-fn knn_brute_force(pts: &Matrix, p: usize) -> Vec<Neighbor> {
+fn knn_brute_force(pts: &Matrix, p: usize) -> Vec<u32> {
     (0..pts.rows())
         .flat_map(|i| brute_force_nearest(pts, pts.row(i), p, i))
+        .map(|(j, _)| j as u32)
         .collect()
 }
 
@@ -79,7 +80,7 @@ fn bench_kdtree_query(c: &mut Criterion) {
         });
     });
     let kk = tree.bulk_k(5, true);
-    let mut out = vec![(usize::MAX, f64::INFINITY); pts.rows() * kk];
+    let mut out = vec![u32::MAX; pts.rows() * kk];
     group.bench_function("bulk_5_of_10k_serial", |b| {
         b.iter(|| tree.nearest_bulk_into(&pts, 5, true, 1, &mut out));
     });

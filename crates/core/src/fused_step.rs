@@ -41,18 +41,22 @@
 //!
 //! Parallelism: below `PARALLEL_FLOP_THRESHOLD` (judged, like the sparse
 //! kernels, by `2·|Ω|·K` per pass) everything runs on the calling
-//! thread. Above it the row pass runs over row blocks and the column
-//! pass over columns, in parallel. New rows and columns are independent;
-//! the fit and Laplacian sums are reduced over fixed [`BLOCK_ROWS`]-row
-//! blocks in block order, and each column folds its sums over the same
-//! blocks, whether one thread or many computed them, so results are
-//! bitwise identical at any `SMFL_THREADS`.
+//! thread. Above it the row pass hands runs of row blocks, and the
+//! column pass stripes of columns, to `smfl_linalg::parallel`'s worker
+//! pool; the calling thread takes a share, and a dispatch allocates
+//! nothing. The threshold (500k) sits below the paper's Lake step
+//! (`2·51,991·6 ≈ 624k`), so paper-scale fits use every core. New rows
+//! and columns are independent; the fit and Laplacian sums are reduced
+//! over fixed [`BLOCK_ROWS`]-row blocks in block order, and each column
+//! folds its sums over the same blocks, whether one thread or many
+//! computed them, so results are bitwise identical at any
+//! `SMFL_THREADS`.
 
 use crate::health::DENOM_EPS as EPS;
 use crate::objective::ObjectiveTerms;
 use crate::updater::UpdateContext;
 use smfl_linalg::ops::dot;
-use smfl_linalg::parallel::{parallel_over_rows, threads_for};
+use smfl_linalg::parallel::{par_for_each, parallel_over_rows, threads_for};
 use smfl_linalg::{LinalgError, Matrix, Result, Workspace};
 
 /// Rows per reduction block. Block boundaries depend only on `N`, so the
@@ -375,8 +379,8 @@ fn fold_block(numer: &mut [f64], denom: &mut [f64], bn: &mut [f64], bd: &mut [f6
 /// Runs `body(block, u_rows, sums)` for every [`BLOCK_ROWS`]-row block,
 /// where `u_rows` is the block's rows of the row-major `N x k` output
 /// `out` and `sums` its two-slot share of `partials`. With `threads > 1`
-/// each thread takes a contiguous run of blocks; the per-block results
-/// do not depend on the split.
+/// the blocks form `threads` contiguous runs, one pool item each; the
+/// per-block results do not depend on the split.
 fn over_blocks<F>(
     threads: usize,
     n: usize,
@@ -402,15 +406,12 @@ fn over_blocks<F>(
         run(0, out, partials);
         return;
     }
-    let run = &run;
-    std::thread::scope(|s| {
-        let mut out = out;
-        for (t, parts) in partials.chunks_mut(2 * per).enumerate() {
-            let first = t * per;
-            let (rows, rest) =
-                std::mem::take(&mut out).split_at_mut(rows_in(first, first + per) * k);
-            out = rest;
-            s.spawn(move || run(first, rows, parts));
-        }
+    // Every run but the last holds exactly `per` full blocks.
+    let runs = out
+        .chunks_mut(per * BLOCK_ROWS * k)
+        .zip(partials.chunks_mut(2 * per))
+        .enumerate();
+    par_for_each(threads, runs, |(t, (rows, parts))| {
+        run(t * per, rows, parts)
     });
 }

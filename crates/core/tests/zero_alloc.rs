@@ -114,8 +114,9 @@ fn multiplicative_step_allocates_nothing_after_warmup() {
     );
 
     // Small enough to stay under the kernels' parallel-dispatch
-    // threshold (thread spawning allocates); sparse enough (≈30%
-    // observed) to take the SpMM path, which is the hot production case.
+    // threshold (`zero_alloc_threads.rs` covers the parallel path);
+    // sparse enough (≈30% observed) to take the SpMM path, which is the
+    // hot production case.
     let (n, m, k) = (60, 20, 4);
     let x = uniform_matrix(n, m, 0.0, 1.0, 7);
     let sel = uniform_matrix(n, m, 0.0, 1.0, 8);
@@ -259,15 +260,16 @@ fn multiplicative_step_allocates_nothing_after_warmup() {
     );
 
     // --- Phase 2: bulk kNN allocates nothing per query. -----------------
-    // threads = 1 keeps the run on this thread (spawning allocates); the
-    // only transient is one scratch heap per chunk, so the count must be
-    // identical whether a call answers 10 queries or 200.
+    // threads = 1 keeps the run on this, the counted, thread; its only
+    // transient is its scratch heap, which the thread keeps between
+    // calls, so the count must be identical whether a call answers 10
+    // queries or 200.
     let pts = uniform_matrix(200, 2, 0.0, 1.0, 11);
     let few = uniform_matrix(10, 2, 0.0, 1.0, 12);
     let tree = KdTree::build(&pts);
     let kk = tree.bulk_k(5, false);
-    let mut out_few = vec![(usize::MAX, f64::INFINITY); few.rows() * kk];
-    let mut out_many = vec![(usize::MAX, f64::INFINITY); pts.rows() * kk];
+    let mut out_few = vec![u32::MAX; few.rows() * kk];
+    let mut out_many = vec![u32::MAX; pts.rows() * kk];
     // Warmup both paths.
     tree.nearest_bulk_into(&few, 5, false, 1, &mut out_few);
     tree.nearest_bulk_into(&pts, 5, false, 1, &mut out_many);

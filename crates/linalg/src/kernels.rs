@@ -30,10 +30,10 @@
 //! updates; its column pass is also the sparse step's `V` update. No
 //! `N x M` buffer exists on either path.
 //!
-//! Parallelism reuses [`crate::parallel`]'s row-striping: the
+//! Parallelism runs on [`crate::parallel`]'s worker pool: the
 //! dense-output kernels go through `parallel_over_rows`, and the SDDMM
-//! splits the packed value array at row boundaries balanced by nonzero
-//! count.
+//! hands the pool chunks of the packed value array split at row
+//! boundaries balanced by nonzero count.
 //!
 //! Every index array of the pattern is `u32`, and readers widen each
 //! index at the load: a pattern keeps 20 bytes per observed cell (three
@@ -45,7 +45,7 @@ use crate::error::{ensure_u32, LinalgError, Result};
 use crate::mask::Mask;
 use crate::matrix::Matrix;
 use crate::ops::dot;
-use crate::parallel::{parallel_over_rows, threads_for};
+use crate::parallel::{par_for_each, parallel_over_rows, threads_for};
 use std::mem::size_of;
 use std::ops::Range;
 
@@ -336,7 +336,7 @@ impl ObservedPattern {
     /// transposed (`M x K`), so both factors are read row-contiguously.
     ///
     /// Row-parallel: the packed output is split at row boundaries into
-    /// chunks of roughly equal nonzero count.
+    /// chunks of roughly equal nonzero count, one pool item each.
     pub fn sddmm_into(&self, u: &Matrix, vt: &Matrix, out: &mut [f64]) -> Result<()> {
         self.check_factors(u, vt, "sddmm_into")?;
         self.check_vals(out, "sddmm_into")?;
@@ -347,25 +347,29 @@ impl ObservedPattern {
             return Ok(());
         }
         let target = self.nnz().div_ceil(threads);
-        std::thread::scope(|s| {
-            let mut rest = out;
-            let mut row = 0;
-            let mut offset = 0;
-            while row < self.rows {
-                let start_row = row;
-                let end_target = (offset + target).min(self.nnz());
-                while row < self.rows && self.row_ptr[row + 1] as usize <= end_target {
-                    row += 1;
-                }
-                if row == start_row {
-                    row += 1; // a single row larger than the target chunk
-                }
-                let end_offset = self.row_ptr[row] as usize;
-                let (chunk, tail) = rest.split_at_mut(end_offset - offset);
-                rest = tail;
-                offset = end_offset;
-                s.spawn(move || self.sddmm_rows(u, vt, chunk, start_row, row));
+        let mut rest = out;
+        let mut row = 0;
+        let mut offset = 0;
+        let chunks = std::iter::from_fn(|| {
+            if row >= self.rows {
+                return None;
             }
+            let start_row = row;
+            let end_target = (offset + target).min(self.nnz());
+            while row < self.rows && self.row_ptr[row + 1] as usize <= end_target {
+                row += 1;
+            }
+            if row == start_row {
+                row += 1; // a single row larger than the target chunk
+            }
+            let end_offset = self.row_ptr[row] as usize;
+            let (chunk, tail) = std::mem::take(&mut rest).split_at_mut(end_offset - offset);
+            rest = tail;
+            offset = end_offset;
+            Some((start_row, row, chunk))
+        });
+        par_for_each(threads, chunks, |(start, end, chunk)| {
+            self.sddmm_rows(u, vt, chunk, start, end)
         });
         Ok(())
     }

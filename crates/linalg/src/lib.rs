@@ -11,8 +11,9 @@
 //! - [`ops`] — serial + row-parallel products in all three orientations
 //!   (`A·B`, `A·Bᵀ`, `Aᵀ·B`), matching the shapes in the paper's update
 //!   rules (Formulas 13/14).
-//! - [`parallel`] — the scoped-thread row-striping substrate (with the
-//!   `SMFL_THREADS` override) shared by `ops`, `kernels` and the spatial
+//! - [`parallel`] — the persistent worker pool and its row-striping
+//!   helper (with the `SMFL_THREADS` override), shared by `ops`,
+//!   `kernels`, the fused step of `smfl-core` and the spatial
 //!   preprocessing pipeline in `smfl-spatial`.
 //! - [`Mask`] — the `Ω` / `Ψ` observation bitsets and the masked
 //!   operators `R_Ω(·)` (paper §II-A), including `R_Ω(U·V)` evaluated

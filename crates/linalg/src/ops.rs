@@ -4,7 +4,7 @@
 //! `R_Ω(X)·Vᵀ`, `R_Ω(U·V)·Vᵀ`, `Uᵀ·R_Ω(X)` and `Uᵀ·R_Ω(U·V)`. Rather than
 //! materializing transposes, this module provides the three product
 //! orientations directly (`A·B`, `A·Bᵀ`, `Aᵀ·B`), each with a serial
-//! kernel and a row-parallel kernel built on `std::thread::scope`, plus
+//! kernel and a row-parallel kernel on [`crate::parallel`]'s pool, plus
 //! `_into` variants that reuse a caller-owned output buffer so the
 //! per-iteration engine ([`crate::kernels`]) allocates nothing.
 //!

@@ -21,7 +21,7 @@
 //! each index at the load. A build returns [`LinalgError::TooLarge`]
 //! when `N` or the `2·N·p` directed edge slots exceed `u32::MAX`.
 
-use crate::kdtree::{KdTree, Neighbor};
+use crate::kdtree::KdTree;
 use smfl_linalg::ops::dot;
 use smfl_linalg::{ensure_u32, LinalgError, Mask, Matrix, Result};
 use std::mem::size_of;
@@ -59,10 +59,12 @@ impl SpatialGraph {
     /// `si` (`N x L`) with `p` nearest neighbours per point, using every
     /// available thread.
     ///
-    /// The neighbour lists come from the kd-tree, whose ties are broken
-    /// by index exactly as [`crate::kdtree::brute_force_nearest`] breaks
-    /// them, so the graph equals Formula 3 evaluated on brute-force
-    /// lists (the tests' oracle).
+    /// The neighbour lists come from the kd-tree. Where distances are
+    /// distinct, the graph equals Formula 3 evaluated on
+    /// [`crate::kdtree::brute_force_nearest`]'s lists (the tests'
+    /// oracle). A tie at the p-th distance, as on gridded or duplicated
+    /// coordinates, keeps the candidate the search visits first, which
+    /// depends on the tree's shape; brute force keeps the smaller index.
     pub fn build(si: &Matrix, p: usize) -> Result<SpatialGraph> {
         Self::build_instrumented(si, p, 0).map(|(g, _)| g)
     }
@@ -91,7 +93,7 @@ impl SpatialGraph {
         let n = si.rows();
         let knn_t0 = Instant::now();
         // Directed p-NN edge lists, flat query-major: entry `q * kk + t`
-        // is the t-th nearest neighbour of point q as `(index, sq_dist)`.
+        // is the index of the t-th nearest neighbour of point q.
         let tree = KdTree::build_with_threads(si, threads);
         let kk = tree.bulk_k(p, true);
         ensure_u32("graph_build", n)?;
@@ -219,36 +221,38 @@ impl SpatialGraph {
     }
 }
 
-/// Symmetrizes flat directed kNN edge lists (`kk` hits per query) into
-/// the adjacency of `D`, returned as `(offsets, adjacency)`. The caller
-/// has checked that `N` and the `2·N·kk` slots fit `u32`.
+/// Symmetrizes flat directed kNN edge lists (`kk` neighbour indices per
+/// query) into the adjacency of `D`, returned as `(offsets, adjacency)`.
+/// The caller has checked that `N` and the `2·N·kk` slots fit `u32`.
 ///
 /// One counting pass sizes every row bucket exactly (kk out-edges plus
 /// one in-edge per query that selected the row), a scatter pass fills
 /// the buckets, and a per-row sort + adjacent dedupe collapses mutual
 /// edges, compacting the rows in place; the slots the dedupe freed are
 /// then released, so the adjacency holds no spare capacity.
-fn assemble_symmetric(n: usize, kk: usize, neighbors: &[Neighbor]) -> (Vec<u32>, Vec<u32>) {
+fn assemble_symmetric(n: usize, kk: usize, neighbors: &[u32]) -> (Vec<u32>, Vec<u32>) {
     debug_assert_eq!(neighbors.len(), n * kk);
-    let mut counts = vec![kk; n];
-    for &(j, _) in neighbors {
-        counts[j] += 1;
+    let mut counts = vec![kk as u32; n];
+    for &j in neighbors {
+        counts[j as usize] += 1;
     }
     let mut start = Vec::with_capacity(n + 1);
-    start.push(0usize);
-    let mut acc = 0usize;
+    start.push(0u32);
+    let mut acc = 0u32;
     for &c in &counts {
         acc += c;
         start.push(acc);
     }
-    let mut fill = start[..n].to_vec();
-    let mut adjacency = vec![0u32; acc];
+    // The counts are spent: their buffer becomes the fill cursors.
+    let mut fill = counts;
+    fill.copy_from_slice(&start[..n]);
+    let mut adjacency = vec![0u32; acc as usize];
     for q in 0..n {
-        for &(j, _) in &neighbors[q * kk..(q + 1) * kk] {
-            adjacency[fill[q]] = j as u32;
+        for &j in &neighbors[q * kk..(q + 1) * kk] {
+            adjacency[fill[q] as usize] = j;
             fill[q] += 1;
-            adjacency[fill[j]] = q as u32;
-            fill[j] += 1;
+            adjacency[fill[j as usize] as usize] = q as u32;
+            fill[j as usize] += 1;
         }
     }
     // Rows are compacted front to back, so the write cursor never
@@ -258,8 +262,9 @@ fn assemble_symmetric(n: usize, kk: usize, neighbors: &[Neighbor]) -> (Vec<u32>,
     let mut len = 0usize;
     for i in 0..n {
         let row = len;
-        adjacency[start[i]..start[i + 1]].sort_unstable();
-        for r in start[i]..start[i + 1] {
+        let span = start[i] as usize..start[i + 1] as usize;
+        adjacency[span.clone()].sort_unstable();
+        for r in span {
             let c = adjacency[r];
             if len == row || adjacency[len - 1] != c {
                 adjacency[len] = c;

@@ -9,16 +9,18 @@
 //! of the `spatial` bench's kNN ablation (DESIGN.md §5 item 3).
 //!
 //! Both construction and querying scale with cores through
-//! [`smfl_linalg::parallel`]: [`KdTree::build`] spawns subtree builds at
-//! the top median splits (each subtree owns a disjoint pre-sized range
-//! of the preorder node array, so the finished tree is bitwise-identical
-//! for every thread count), and [`KdTree::nearest_bulk_with_threads`]
-//! answers all queries in balanced chunks across threads with one
-//! reused neighbour-heap per chunk — no per-query heap allocation.
+//! [`smfl_linalg::parallel`]'s pool: [`KdTree::build`] builds the two
+//! halves below the root's median split in parallel (each owns a
+//! disjoint pre-sized range of the preorder node array, so the finished
+//! tree is bitwise-identical for every thread count), and
+//! [`KdTree::nearest_bulk_with_threads`] answers all queries in balanced
+//! chunks across threads, each thread reusing its own neighbour heap
+//! across queries and calls — no heap allocation once warm.
 
 use crate::metric::sq_dist;
-use smfl_linalg::parallel::{parallel_over_rows, threads_for};
+use smfl_linalg::parallel::{par_for_each, parallel_over_rows, threads_for};
 use smfl_linalg::Matrix;
+use std::cell::Cell;
 use std::cmp::Ordering;
 
 /// A static kd-tree over the rows of a points matrix.
@@ -122,40 +124,45 @@ impl KdTree {
     /// Answers one kNN query per row of `queries`, in parallel chunks
     /// across `threads` threads (`0` = automatic).
     ///
-    /// Returns a flat query-major array: entry `q * kk + t` is the
-    /// `t`-th-nearest hit of query `q`, where `kk =`
-    /// [`KdTree::bulk_k`]`(k, exclude_self)`. With `exclude_self`, query
-    /// row `q` excludes tree point `q` — the self-exclusion the
-    /// similarity graph needs when querying the indexed points
-    /// themselves. Results are bitwise-identical to calling
+    /// Returns a flat query-major array of point indices: entry
+    /// `q * kk + t` is the index of the `t`-th-nearest hit of query `q`,
+    /// where `kk =` [`KdTree::bulk_k`]`(k, exclude_self)`. With
+    /// `exclude_self`, query row `q` excludes tree point `q` — the
+    /// self-exclusion the similarity graph needs when querying the
+    /// indexed points themselves. The indices are those of
     /// [`KdTree::nearest`] per row, for every thread count.
+    ///
+    /// # Panics
+    /// When the tree indexes more than `u32::MAX` points.
     pub fn nearest_bulk_with_threads(
         &self,
         queries: &Matrix,
         k: usize,
         exclude_self: bool,
         threads: usize,
-    ) -> Vec<Neighbor> {
+    ) -> Vec<u32> {
         let kk = self.bulk_k(k, exclude_self);
-        let mut out = vec![(NONE, f64::INFINITY); queries.rows() * kk];
+        let mut out = vec![0; queries.rows() * kk];
         self.nearest_bulk_into(queries, k, exclude_self, threads, &mut out);
         out
     }
 
     /// [`KdTree::nearest_bulk_with_threads`] into a caller-owned buffer of exactly
     /// `queries.rows() * bulk_k(k, exclude_self)` entries, so steady-state
-    /// callers allocate nothing per query (one scratch heap per thread
-    /// chunk is the only transient). `threads == 0` = automatic.
+    /// callers allocate nothing: each thread keeps its scratch heap
+    /// between calls, and only a thread's first call (or a larger `k`)
+    /// allocates one. `threads == 0` = automatic.
     ///
     /// # Panics
-    /// When `out` has the wrong length.
+    /// When `out` has the wrong length, or the tree indexes more than
+    /// `u32::MAX` points.
     pub fn nearest_bulk_into(
         &self,
         queries: &Matrix,
         k: usize,
         exclude_self: bool,
         threads: usize,
-        out: &mut [Neighbor],
+        out: &mut [u32],
     ) {
         let nq = queries.rows();
         let kk = self.bulk_k(k, exclude_self);
@@ -163,6 +170,10 @@ impl KdTree {
             out.len(),
             nq * kk,
             "nearest_bulk_into: output buffer must hold queries x bulk_k entries"
+        );
+        assert!(
+            u32::try_from(self.len()).is_ok(),
+            "nearest_bulk_into: point indices must fit u32"
         );
         if kk == 0 {
             return;
@@ -178,13 +189,14 @@ impl KdTree {
             threads
         };
         parallel_over_rows(out, kk, nq, threads, |start, end, chunk| {
-            let mut heap = BoundedMaxHeap::new(kk);
+            let mut heap = BoundedMaxHeap::with_buffer(kk, SCRATCH.take());
             for q in start..end {
                 heap.clear();
                 let exclude = if exclude_self { q } else { NONE };
                 self.search(self.root, queries.row(q), exclude, &mut heap);
-                heap.sorted_into(&mut chunk[(q - start) * kk..(q - start + 1) * kk]);
+                heap.sorted_indices_into(&mut chunk[(q - start) * kk..(q - start + 1) * kk]);
             }
+            SCRATCH.set(heap.items);
         });
     }
 
@@ -213,10 +225,11 @@ impl KdTree {
 }
 
 /// Builds the subtree over `indices` into `nodes` (a slice of exactly
-/// `indices.len()` preorder slots whose first global index is `base`),
-/// forking at the median split while `threads > 1` and the subtree is
-/// large enough. The preorder layout depends only on the data, so every
-/// thread count produces the identical node array.
+/// `indices.len()` preorder slots whose first global index is `base`).
+/// With `threads > 1` and a subtree large enough, the two halves below
+/// the median split build in parallel, each serially: a fork inside a
+/// pool task would run inline anyway. The preorder layout depends only
+/// on the data, so every thread count produces the identical node array.
 fn build_into(
     points: &Matrix,
     indices: &mut [usize],
@@ -253,39 +266,17 @@ fn build_into(
         left: if mid > 0 { base + 1 } else { NONE },
         right: if len > mid + 1 { base + 1 + mid } else { NONE },
     };
+    let halves = [
+        (left_part, left_nodes, base + 1),
+        (right_part, right_nodes, base + 1 + mid),
+    ];
+    let build_half = |(part, nodes, base): (&mut [usize], &mut [Node], usize)| {
+        build_into(points, part, depth + 1, nodes, base, 1)
+    };
     if threads > 1 && len >= BUILD_SPAWN_MIN {
-        let left_threads = threads / 2;
-        let right_threads = threads - left_threads;
-        std::thread::scope(|s| {
-            s.spawn(move || {
-                build_into(
-                    points,
-                    left_part,
-                    depth + 1,
-                    left_nodes,
-                    base + 1,
-                    left_threads,
-                )
-            });
-            build_into(
-                points,
-                right_part,
-                depth + 1,
-                right_nodes,
-                base + 1 + mid,
-                right_threads,
-            );
-        });
+        par_for_each(2, halves.into_iter(), build_half);
     } else {
-        build_into(points, left_part, depth + 1, left_nodes, base + 1, 1);
-        build_into(
-            points,
-            right_part,
-            depth + 1,
-            right_nodes,
-            base + 1 + mid,
-            1,
-        );
+        halves.into_iter().for_each(build_half);
     }
 }
 
@@ -296,12 +287,23 @@ struct BoundedMaxHeap {
     items: Vec<Neighbor>,
 }
 
+thread_local! {
+    /// Each thread's bulk-query heap buffer, kept between calls: the
+    /// pool's workers persist, so a warm bulk query allocates nothing.
+    static SCRATCH: Cell<Vec<Neighbor>> = const { Cell::new(Vec::new()) };
+}
+
 impl BoundedMaxHeap {
     fn new(cap: usize) -> Self {
-        BoundedMaxHeap {
-            cap,
-            items: Vec::with_capacity(cap + 1),
-        }
+        Self::with_buffer(cap, Vec::new())
+    }
+
+    /// An empty heap of capacity `cap` on `items`' buffer, grown if it
+    /// is too small.
+    fn with_buffer(cap: usize, mut items: Vec<Neighbor>) -> Self {
+        items.clear();
+        items.reserve(cap);
+        BoundedMaxHeap { cap, items }
     }
 
     fn clear(&mut self) {
@@ -383,11 +385,14 @@ impl BoundedMaxHeap {
         self.items
     }
 
-    /// Sorts and copies the retained hits into `out` without allocating.
-    fn sorted_into(&mut self, out: &mut [Neighbor]) {
+    /// Sorts the retained hits and writes their indices into `out`
+    /// without allocating. The caller has checked that indices fit `u32`.
+    fn sorted_indices_into(&mut self, out: &mut [u32]) {
         self.sort();
         debug_assert_eq!(out.len(), self.items.len());
-        out.copy_from_slice(&self.items);
+        for (o, &(idx, _)) in out.iter_mut().zip(&self.items) {
+            *o = idx as u32;
+        }
     }
 }
 
@@ -548,7 +553,11 @@ mod tests {
                 assert_eq!(flat.len(), 150 * kk);
                 for q in 0..150 {
                     let exclude = if exclude_self { q } else { usize::MAX };
-                    let reference = tree.nearest(pts.row(q), kk, exclude);
+                    let reference: Vec<u32> = tree
+                        .nearest(pts.row(q), kk, exclude)
+                        .iter()
+                        .map(|&(j, _)| j as u32)
+                        .collect();
                     assert_eq!(&flat[q * kk..(q + 1) * kk], &reference[..], "query {q}");
                 }
             }
@@ -560,7 +569,7 @@ mod tests {
         let pts = uniform_matrix(80, 2, 0.0, 1.0, 31);
         let tree = KdTree::build(&pts);
         let kk = tree.bulk_k(3, true);
-        let mut out = vec![(usize::MAX, f64::INFINITY); 80 * kk];
+        let mut out = vec![u32::MAX; 80 * kk];
         tree.nearest_bulk_into(&pts, 3, true, 1, &mut out);
         let fresh = tree.nearest_bulk_with_threads(&pts, 3, true, 0);
         assert_eq!(out, fresh);

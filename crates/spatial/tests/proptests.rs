@@ -154,8 +154,10 @@ proptest! {
         let flat = tree.nearest_bulk_with_threads(&pts, p, true, threads);
         prop_assert_eq!(flat.len(), n * kk);
         for q in 0..n {
-            let oracle = brute_force_nearest(&pts, pts.row(q), kk, q);
-            // Bitwise: same indices, same squared distances.
+            let oracle: Vec<u32> = brute_force_nearest(&pts, pts.row(q), kk, q)
+                .into_iter()
+                .map(|(j, _)| j as u32)
+                .collect();
             prop_assert_eq!(&flat[q * kk..(q + 1) * kk], &oracle[..], "query {}", q);
         }
     }
