@@ -37,7 +37,15 @@
 //! The body is written once, generic over the rule and the rank: `K ≤ 8`
 //! dispatches (one table, `with_rank!`) to a compile-time-`K` instance
 //! whose loops unroll and whose accumulators stay in registers; larger
-//! ranks run the same body with a runtime `K`.
+//! ranks run the same body with a runtime `K`. The accumulators are
+//! values the body owns (`Rank::acc`: `[[f64; K]; 4]`, or one `4·K`
+//! `Vec` at a runtime rank), never state behind a callback.
+//!
+//! Each pass is cut into [`Kernel`]s — a [`BLOCK_ROWS`]-row block of the
+//! row pass ([`RowBlock`]), a stripe of columns of the column pass
+//! ([`ColumnStripe`]) — and every one runs through
+//! [`smfl_linalg::simd::dispatch`], so a CPU with AVX2 runs the AVX2
+//! instance of the same body, with the same bits (see that module).
 //!
 //! Parallelism: below `PARALLEL_FLOP_THRESHOLD` (judged, like the sparse
 //! kernels, by `2·|Ω|·K` per pass) everything runs on the calling
@@ -57,7 +65,10 @@ use crate::objective::ObjectiveTerms;
 use crate::updater::UpdateContext;
 use smfl_linalg::ops::dot;
 use smfl_linalg::parallel::{par_for_each, parallel_over_rows, threads_for};
+use smfl_linalg::simd::{dispatch, Kernel};
 use smfl_linalg::{LinalgError, Matrix, Result, Workspace};
+use smfl_spatial::SpatialGraph;
+use std::ops::Range;
 
 /// Rows per reduction block. Block boundaries depend only on `N`, so the
 /// reduction order never depends on the thread count.
@@ -66,25 +77,55 @@ const BLOCK_ROWS: usize = 512;
 /// The rank `K` of the step: a compile-time constant ([`Fixed`]) or a
 /// runtime value ([`Runtime`]).
 trait Rank: Copy + Send + Sync {
+    /// Four `K`-slot accumulators, held by value in the kernel that
+    /// uses them.
+    type Acc: Slots;
+
     fn k(self) -> usize;
 
-    /// Runs `f` on four zeroed `K`-slot accumulators.
-    fn with_acc<T>(self, f: impl FnOnce([&mut [f64]; 4]) -> T) -> T;
+    /// Four zeroed accumulators.
+    fn acc(self) -> Self::Acc;
+}
+
+/// Four accumulators lent out as slices.
+trait Slots {
+    fn slots(&mut self) -> [&mut [f64]; 4];
+}
+
+impl<const K: usize> Slots for [[f64; K]; 4] {
+    #[inline(always)]
+    fn slots(&mut self) -> [&mut [f64]; 4] {
+        let [a, b, c, d] = self;
+        [a, b, c, d]
+    }
+}
+
+/// The runtime-rank accumulators: `4·K` values in one allocation.
+impl Slots for Vec<f64> {
+    #[inline(always)]
+    fn slots(&mut self) -> [&mut [f64]; 4] {
+        let k = self.len() / 4;
+        let (a, rest) = self.split_at_mut(k);
+        let (b, rest) = rest.split_at_mut(k);
+        let (c, d) = rest.split_at_mut(k);
+        [a, b, c, d]
+    }
 }
 
 #[derive(Clone, Copy)]
 struct Fixed<const K: usize>;
 
 impl<const K: usize> Rank for Fixed<K> {
+    type Acc = [[f64; K]; 4];
+
     #[inline(always)]
     fn k(self) -> usize {
         K
     }
 
     #[inline(always)]
-    fn with_acc<T>(self, f: impl FnOnce([&mut [f64]; 4]) -> T) -> T {
-        let [a, b, c, d] = &mut [[0.0; K]; 4];
-        f([a, b, c, d])
+    fn acc(self) -> [[f64; K]; 4] {
+        [[0.0; K]; 4]
     }
 }
 
@@ -92,19 +133,17 @@ impl<const K: usize> Rank for Fixed<K> {
 struct Runtime(usize);
 
 impl Rank for Runtime {
+    type Acc = Vec<f64>;
+
     #[inline(always)]
     fn k(self) -> usize {
         self.0
     }
 
-    /// One small allocation per row block or column-pass chunk.
-    fn with_acc<T>(self, f: impl FnOnce([&mut [f64]; 4]) -> T) -> T {
-        let k = self.0;
-        let mut acc = vec![0.0; 4 * k];
-        let (a, rest) = acc.split_at_mut(k);
-        let (b, rest) = rest.split_at_mut(k);
-        let (c, d) = rest.split_at_mut(k);
-        f([a, b, c, d])
+    /// One small allocation per row block or column stripe.
+    #[inline(always)]
+    fn acc(self) -> Vec<f64> {
+        vec![0.0; 4 * self.0]
     }
 }
 
@@ -233,9 +272,6 @@ fn step<R: Rank>(
     let n = pattern.rows();
     let k = rank.k();
     let (row_ptr, col_idx) = pattern.csr();
-    let xv = pattern.x_vals();
-    let graph = ctx.active_graph();
-    let lambda = ctx.lambda;
     let threads = threads_for(2 * pattern.nnz() * k);
     let blocks = n.div_ceil(BLOCK_ROWS);
     // Per block: the fit and Laplacian sums of the input factors.
@@ -245,59 +281,27 @@ fn step<R: Rank>(
     v.transpose_into(&mut ws.vt)?;
 
     // ---- Row pass: the new U, and the score of (U, V) ----
-    let uu = u.as_slice();
-    {
-        let vt = ws.vt.as_slice();
-        let row_block = |b: usize, out: &mut [f64], sums: &mut [f64]| {
-            // Re-read the rank in every closure: the closure body is
-            // compiled out of line, where a captured `k` is a runtime
-            // load and the fixed-K loops would not unroll.
-            let k = rank.k();
-            let (mut fit, mut lap) = (0.0, 0.0);
-            rank.with_acc(|[numer, denom, du, _]| {
-                let first = b * BLOCK_ROWS;
-                for i in first..(first + BLOCK_ROWS).min(n) {
-                    let unew = &mut out[(i - first) * k..][..k];
-                    let ui = &uu[i * k..][..k];
-                    let span = row_ptr[i] as usize..row_ptr[i + 1] as usize;
-                    numer.fill(0.0);
-                    denom.fill(0.0);
-                    for (&j, &x) in col_idx[span.clone()].iter().zip(&xv[span]) {
-                        let vj = &vt[j as usize * k..][..k];
-                        let r = dot(ui, vj);
-                        let d = x - r;
-                        fit += d * d;
-                        for ((nt, dt), &b) in numer.iter_mut().zip(denom.iter_mut()).zip(vj) {
-                            *nt += x * b;
-                            *dt += r * b;
-                        }
-                    }
-                    if let Some(g) = graph {
-                        du.fill(0.0);
-                        let nbrs = g.neighbors(i);
-                        for &t in nbrs {
-                            let ut = &uu[t as usize * k..][..k];
-                            for ((nt, gt), &b) in numer.iter_mut().zip(du.iter_mut()).zip(ut) {
-                                *nt += lambda * b;
-                                *gt += b;
-                            }
-                        }
-                        let w = nbrs.len() as f64;
-                        lap += w * dot(ui, ui) - dot(ui, du);
-                        for (dt, &a) in denom.iter_mut().zip(ui) {
-                            *dt += lambda * (w * a);
-                        }
-                    }
-                    for (((o, &a), &nt), &dt) in unew.iter_mut().zip(ui).zip(&*numer).zip(&*denom) {
-                        *o = rule.u(a, nt, dt);
-                    }
-                }
-            });
-            sums.copy_from_slice(&[fit, lap]);
-        };
-        let partials = &mut ws.block_partials[..2 * blocks];
-        over_blocks(threads, n, k, ws.u_next.as_mut_slice(), partials, row_block);
-    }
+    let pass = RowPass {
+        rank,
+        rule,
+        n,
+        row_ptr,
+        col_idx,
+        xv: pattern.x_vals(),
+        u: u.as_slice(),
+        vt: ws.vt.as_slice(),
+        graph: ctx.active_graph(),
+        lambda: ctx.lambda,
+    };
+    let partials = &mut ws.block_partials[..2 * blocks];
+    over_blocks(
+        threads,
+        n,
+        k,
+        ws.u_next.as_mut_slice(),
+        partials,
+        |block, out, sums| sums.copy_from_slice(&dispatch(RowBlock { pass, block, out })),
+    );
     let (fit, laplacian) = ws.block_partials[..2 * blocks]
         .chunks_exact(2)
         .fold((0.0, 0.0), |(f, l), s| (f + s[0], l + s[1]));
@@ -307,6 +311,99 @@ fn step<R: Rank>(
     ws.counters.dense_steps += 1;
     ws.counters.masked_nnz += pattern.nnz() as u64;
     Ok(ObjectiveTerms { fit, laplacian })
+}
+
+/// The row pass's inputs, shared by its blocks.
+#[derive(Clone, Copy)]
+struct RowPass<'a, R, U> {
+    rank: R,
+    rule: U,
+    n: usize,
+    row_ptr: &'a [u32],
+    col_idx: &'a [u32],
+    xv: &'a [f64],
+    /// The input `U`, row-major `N x K`.
+    u: &'a [f64],
+    /// The input `Vᵀ`, row-major `M x K`.
+    vt: &'a [f64],
+    /// The graph when its term is active.
+    graph: Option<&'a SpatialGraph>,
+    lambda: f64,
+}
+
+/// Block `block` of the row pass: writes the block's new rows of `U` to
+/// `out` and returns the block's `[fit, laplacian]` sums of the input.
+struct RowBlock<'a, R, U> {
+    pass: RowPass<'a, R, U>,
+    block: usize,
+    out: &'a mut [f64],
+}
+
+impl<R: Rank, U: Rule> Kernel for RowBlock<'_, R, U> {
+    type Out = [f64; 2];
+
+    #[inline(always)]
+    fn run(self) -> [f64; 2] {
+        let RowPass {
+            rank,
+            rule,
+            n,
+            row_ptr,
+            col_idx,
+            xv,
+            u,
+            vt,
+            graph,
+            lambda,
+        } = self.pass;
+        let k = rank.k();
+        let mut acc = rank.acc();
+        let [numer, denom, du, _] = acc.slots();
+        let (mut fit, mut lap) = (0.0, 0.0);
+        let first = self.block * BLOCK_ROWS;
+        for i in first..(first + BLOCK_ROWS).min(n) {
+            let ui = &u[i * k..][..k];
+            let span = row_ptr[i] as usize..row_ptr[i + 1] as usize;
+            numer.fill(0.0);
+            denom.fill(0.0);
+            for (&j, &x) in col_idx[span.clone()].iter().zip(&xv[span]) {
+                let vj = &vt[j as usize * k..][..k];
+                let r = dot(ui, vj);
+                let d = x - r;
+                fit += d * d;
+                for ((nt, dt), &b) in numer.iter_mut().zip(denom.iter_mut()).zip(vj) {
+                    *nt += x * b;
+                    *dt += r * b;
+                }
+            }
+            if let Some(g) = graph {
+                du.fill(0.0);
+                let nbrs = g.neighbors(i);
+                for &t in nbrs {
+                    let ut = &u[t as usize * k..][..k];
+                    for ((nt, gt), &b) in numer.iter_mut().zip(du.iter_mut()).zip(ut) {
+                        *nt += lambda * b;
+                        *gt += b;
+                    }
+                }
+                let w = nbrs.len() as f64;
+                lap += w * dot(ui, ui) - dot(ui, du);
+                for (dt, &a) in denom.iter_mut().zip(ui) {
+                    *dt += lambda * (w * a);
+                }
+            }
+            // The new row is formed in `numer`, then copied out: the
+            // compiler cannot tell `out` (a field, not a parameter) from
+            // `u`, and a combine that stores into `out` between reads of
+            // `u` stays scalar and takes the accumulators' vector form
+            // with it (1.3x slower on Lake's step).
+            for ((nt, &dt), &a) in numer.iter_mut().zip(&*denom).zip(ui) {
+                *nt = rule.u(a, *nt, dt);
+            }
+            self.out[(i - first) * k..][..k].copy_from_slice(numer);
+        }
+        [fit, lap]
+    }
 }
 
 /// The new `V` from the new `U`, in place in the old `Vᵀ`, then into
@@ -319,48 +416,96 @@ fn column_pass<R: Rank>(
 ) -> Result<()> {
     let (m, k, v_start) = (ctx.pattern.cols(), rank.k(), ctx.v_start_col());
     let (csc_ptr, csc_rows, csc_perm) = ctx.pattern.csc();
-    let xv = ctx.pattern.x_vals();
     let threads = threads_for(2 * ctx.pattern.nnz() * k);
-    let un = ws.u_next.as_slice();
+    let pass = ColumnPass {
+        rank,
+        rule,
+        csc_ptr,
+        csc_rows,
+        csc_perm,
+        xv: ctx.pattern.x_vals(),
+        un: ws.u_next.as_slice(),
+    };
     let live = &mut ws.vt.as_mut_slice()[v_start * k..];
-    parallel_over_rows(live, k, m - v_start, threads, |c0, c1, chunk| {
-        let k = rank.k();
-        rank.with_acc(|[numer, denom, bn, bd]| {
-            for j in v_start + c0..v_start + c1 {
-                let vj = &mut chunk[(j - v_start - c0) * k..][..k];
-                numer.fill(0.0);
-                denom.fill(0.0);
-                // Sum per BLOCK_ROWS-row block, then fold the blocks in
-                // order: the association of a row-blocked reduction, so
-                // V is bitwise that of fits recorded with one. Each fold
-                // clears the block sums for the next block or column.
-                let mut block = usize::MAX;
-                for e in csc_ptr[j] as usize..csc_ptr[j + 1] as usize {
-                    let i = csc_rows[e] as usize;
-                    if i / BLOCK_ROWS != block {
-                        fold_block(numer, denom, bn, bd);
-                        block = i / BLOCK_ROWS;
-                    }
-                    let x = xv[csc_perm[e] as usize];
-                    let ui = &un[i * k..][..k];
-                    let r = dot(ui, vj);
-                    for ((nt, dt), &a) in bn.iter_mut().zip(bd.iter_mut()).zip(ui) {
-                        *nt += x * a;
-                        *dt += r * a;
-                    }
-                }
-                fold_block(numer, denom, bn, bd);
-                for ((o, &nt), &dt) in vj.iter_mut().zip(&*numer).zip(&*denom) {
-                    *o = rule.v(*o, nt, dt);
-                }
-            }
-        });
+    parallel_over_rows(live, k, m - v_start, threads, |c0, c1, vt| {
+        let cols = v_start + c0..v_start + c1;
+        dispatch(ColumnStripe { pass, cols, vt })
     });
     ws.vt.transpose_into(&mut ws.v_next)?;
     debug_assert!(ctx
         .landmarks
         .is_none_or(|lm| lm.verify_injected(&ws.v_next)));
     Ok(())
+}
+
+/// The column pass's inputs, shared by its stripes.
+#[derive(Clone, Copy)]
+struct ColumnPass<'a, R, U> {
+    rank: R,
+    rule: U,
+    csc_ptr: &'a [u32],
+    csc_rows: &'a [u32],
+    csc_perm: &'a [u32],
+    xv: &'a [f64],
+    /// The new `U`, row-major `N x K`.
+    un: &'a [f64],
+}
+
+/// Columns `cols` of the column pass: `vt` holds their rows of the old
+/// `Vᵀ`, which the new columns overwrite.
+struct ColumnStripe<'a, R, U> {
+    pass: ColumnPass<'a, R, U>,
+    cols: Range<usize>,
+    vt: &'a mut [f64],
+}
+
+impl<R: Rank, U: Rule> Kernel for ColumnStripe<'_, R, U> {
+    type Out = ();
+
+    #[inline(always)]
+    fn run(self) {
+        let ColumnPass {
+            rank,
+            rule,
+            csc_ptr,
+            csc_rows,
+            csc_perm,
+            xv,
+            un,
+        } = self.pass;
+        let k = rank.k();
+        let mut acc = rank.acc();
+        let [numer, denom, bn, bd] = acc.slots();
+        let c0 = self.cols.start;
+        for j in self.cols {
+            let vj = &mut self.vt[(j - c0) * k..][..k];
+            numer.fill(0.0);
+            denom.fill(0.0);
+            // Sum per BLOCK_ROWS-row block, then fold the blocks in
+            // order: the association of a row-blocked reduction, so V
+            // is bitwise that of fits recorded with one. Each fold
+            // clears the block sums for the next block or column.
+            let mut block = usize::MAX;
+            for e in csc_ptr[j] as usize..csc_ptr[j + 1] as usize {
+                let i = csc_rows[e] as usize;
+                if i / BLOCK_ROWS != block {
+                    fold_block(numer, denom, bn, bd);
+                    block = i / BLOCK_ROWS;
+                }
+                let x = xv[csc_perm[e] as usize];
+                let ui = &un[i * k..][..k];
+                let r = dot(ui, vj);
+                for ((nt, dt), &a) in bn.iter_mut().zip(bd.iter_mut()).zip(ui) {
+                    *nt += x * a;
+                    *dt += r * a;
+                }
+            }
+            fold_block(numer, denom, bn, bd);
+            for ((o, &nt), &dt) in vj.iter_mut().zip(&*numer).zip(&*denom) {
+                *o = rule.v(*o, nt, dt);
+            }
+        }
+    }
 }
 
 /// Adds one block's column sums into the running totals and clears them.
@@ -414,4 +559,125 @@ fn over_blocks<F>(
     par_for_each(threads, runs, |(t, (rows, parts))| {
         run(t * per, rows, parts)
     });
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::landmarks::Landmarks;
+    use smfl_linalg::random::{positive_uniform_matrix, uniform_matrix};
+    use smfl_linalg::simd::avx2_instance;
+    use smfl_linalg::{Mask, ObservedPattern};
+
+    fn bits(xs: &[f64]) -> Vec<u64> {
+        xs.iter().map(|x| x.to_bits()).collect()
+    }
+
+    /// Runs every row block, then one stripe over the live columns on
+    /// the new `U`, through `Kernel::run` (the baseline instance) and
+    /// through `dispatch`: every output bit must agree.
+    fn check_instances<R: Rank>(
+        rank: R,
+        rule: impl Rule,
+        ctx: &UpdateContext<'_>,
+        u: &Matrix,
+        v: &Matrix,
+    ) {
+        let (n, m, k) = (ctx.pattern.rows(), ctx.pattern.cols(), rank.k());
+        let (row_ptr, col_idx) = ctx.pattern.csr();
+        let vt = v.transpose();
+        let pass = RowPass {
+            rank,
+            rule,
+            n,
+            row_ptr,
+            col_idx,
+            xv: ctx.pattern.x_vals(),
+            u: u.as_slice(),
+            vt: vt.as_slice(),
+            graph: ctx.active_graph(),
+            lambda: ctx.lambda,
+        };
+        let mut base = vec![f64::NAN; n * k];
+        let mut wide = base.clone();
+        let blocks = base
+            .chunks_mut(BLOCK_ROWS * k)
+            .zip(wide.chunks_mut(BLOCK_ROWS * k));
+        for (block, (out, wide_out)) in blocks.enumerate() {
+            let sums = RowBlock { pass, block, out }.run();
+            let out = wide_out;
+            let wide_sums = dispatch(RowBlock { pass, block, out });
+            assert_eq!(bits(&sums), bits(&wide_sums), "sums of row block {block}");
+        }
+        assert_eq!(bits(&base), bits(&wide), "new U");
+        assert!(base.iter().all(|a| a.is_finite()));
+
+        let (csc_ptr, csc_rows, csc_perm) = ctx.pattern.csc();
+        let pass = ColumnPass {
+            rank,
+            rule,
+            csc_ptr,
+            csc_rows,
+            csc_perm,
+            xv: ctx.pattern.x_vals(),
+            un: &base,
+        };
+        let v_start = ctx.v_start_col();
+        let mut base_v = vt.as_slice()[v_start * k..].to_vec();
+        let mut wide_v = base_v.clone();
+        let cols = v_start..m;
+        ColumnStripe {
+            pass,
+            cols: cols.clone(),
+            vt: &mut base_v,
+        }
+        .run();
+        dispatch(ColumnStripe {
+            pass,
+            cols,
+            vt: &mut wide_v,
+        });
+        assert_eq!(bits(&base_v), bits(&wide_v), "new V");
+    }
+
+    #[test]
+    fn both_instances_agree_bitwise() {
+        if !avx2_instance() {
+            eprintln!("no AVX2 on this CPU: only the baseline instance is checked");
+        }
+        // Two row blocks; a sparse and a dense mask.
+        let (n, m) = (700, 9);
+        let x = uniform_matrix(n, m, 0.0, 1.0, 1);
+        let si = x.columns(0, 2).unwrap();
+        let graph = SpatialGraph::build(&si, 3).unwrap();
+        let draw = uniform_matrix(n, m, 0.0, 1.0, 2);
+        for density in [0.3, 0.93] {
+            let mut omega = Mask::empty(n, m);
+            for (i, j) in Mask::full(n, m).iter_set() {
+                omega.set(i, j, draw.get(i, j) < density);
+            }
+            let pattern = ObservedPattern::compile(&x, &omega).unwrap();
+            for k in (1..=8).chain([11, 20]) {
+                let lm = Landmarks::compute(&si, k, 50, 0).unwrap();
+                let u = positive_uniform_matrix(n, k, 3);
+                let mut v = positive_uniform_matrix(k, m, 4);
+                for landmarks in [None, Some(&lm)] {
+                    if let Some(lm) = landmarks {
+                        lm.inject(&mut v).unwrap();
+                    }
+                    for graph in [None, Some(&graph)] {
+                        let ctx = UpdateContext {
+                            pattern: &pattern,
+                            graph,
+                            lambda: 0.5,
+                            landmarks,
+                        };
+                        with_rank!(k, check_instances(Multiplicative, &ctx, &u, &v));
+                        let gd = Gradient { step: 2e-3 };
+                        with_rank!(k, check_instances(gd, &ctx, &u, &v));
+                    }
+                }
+            }
+        }
+    }
 }

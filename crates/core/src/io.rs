@@ -105,9 +105,25 @@ pub fn from_str(text: &str) -> io::Result<FittedModel> {
         }
     }
     let (spatial_cols, iterations, converged) = meta.ok_or_else(|| bad("missing meta section"))?;
+    let u = u.ok_or_else(|| bad("missing u section"))?;
+    let v = v.ok_or_else(|| bad("missing v section"))?;
+    if u.cols() != v.rows() {
+        return Err(bad(format!(
+            "u is {:?} but v is {:?}: the rank differs",
+            u.shape(),
+            v.shape()
+        )));
+    }
+    let want = (u.cols(), spatial_cols);
+    if let Some(lm) = landmarks.as_ref().filter(|lm| lm.shape() != want) {
+        return Err(bad(format!(
+            "landmarks are {:?}, expected {want:?} (rank x spatial_cols)",
+            lm.shape()
+        )));
+    }
     Ok(FittedModel {
-        u: u.ok_or_else(|| bad("missing u section"))?,
-        v: v.ok_or_else(|| bad("missing v section"))?,
+        u,
+        v,
         landmarks: landmarks.map(Landmarks::from_centers),
         objective_history: objective,
         iterations,
@@ -146,16 +162,27 @@ fn read_matrix<'a>(
     rows: usize,
     cols: usize,
 ) -> io::Result<Matrix> {
-    let mut data = Vec::with_capacity(rows * cols);
+    rows.checked_mul(cols)
+        .ok_or_else(|| bad(format!("a {rows} x {cols} matrix overflows usize")))?;
+    // Grown as rows are read, never reserved from the header, so a
+    // forged size fails at the first missing row instead of allocating.
+    let mut data = Vec::new();
     for r in 0..rows {
         let line = lines
             .next()
             .ok_or_else(|| bad(format!("truncated matrix at row {r}")))?;
+        let before = data.len();
         for cell in line.split_whitespace() {
             data.push(
                 cell.parse::<f64>()
                     .map_err(|e| bad(format!("bad matrix value {cell:?}: {e}")))?,
             );
+        }
+        if data.len() - before != cols {
+            return Err(bad(format!(
+                "row {r} has {} values, expected {cols}",
+                data.len() - before
+            )));
         }
     }
     Matrix::from_vec(rows, cols, data).map_err(|e| bad(e.to_string()))
@@ -245,6 +272,61 @@ mod tests {
         assert!(from_str("smfl-model v1\nu 1 1\nnotanumber\n").is_err());
         // missing meta
         assert!(from_str("smfl-model v1\nu 1 1\n0.5\nv 1 1\n0.5\n").is_err());
+    }
+
+    /// A well-formed model text with one of its sections replaced.
+    fn model_text(u: &str, v: &str, landmarks: &str) -> String {
+        format!("smfl-model v1\n{u}{v}{landmarks}meta 1 3 true\nobjective 1\n0.5\n")
+    }
+
+    const U: &str = "u 2 2\n0.1 0.2\n0.3 0.4\n";
+    const V: &str = "v 2 3\n1 2 3\n4 5 6\n";
+    const LANDMARKS: &str = "landmarks 2 1\n1\n4\n";
+
+    #[test]
+    fn well_formed_model_text_loads() {
+        let model = from_str(&model_text(U, V, LANDMARKS)).unwrap();
+        assert_eq!((model.u.shape(), model.v.shape()), ((2, 2), (2, 3)));
+        assert_eq!(model.landmarks.unwrap().centers.shape(), (2, 1));
+    }
+
+    #[test]
+    fn huge_header_is_rejected_without_allocating() {
+        let text = model_text("u 3000000000 1000\n0.5\n", V, "");
+        let err = from_str(&text).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+    }
+
+    #[test]
+    fn overflowing_header_is_rejected() {
+        let text = model_text("u 18446744073709551615 2\n0.5 0.5\n", V, "");
+        let err = from_str(&text).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+    }
+
+    #[test]
+    fn ragged_rows_are_rejected() {
+        // Four values for a 2 x 2 matrix, split 3 + 1.
+        let text = model_text("u 2 2\n0.1 0.2 0.3\n0.4\n", V, "");
+        let err = from_str(&text).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+    }
+
+    #[test]
+    fn factor_rank_mismatch_is_rejected() {
+        let v = "v 3 3\n1 2 3\n4 5 6\n7 8 9\n";
+        let err = from_str(&model_text(U, v, "")).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+    }
+
+    #[test]
+    fn misshapen_landmarks_are_rejected() {
+        // K = 2 and spatial_cols = 1: a 1 x 1 block and a 2 x 2 block
+        // are both wrong.
+        for lm in ["landmarks 1 1\n1\n", "landmarks 2 2\n1 2\n4 5\n"] {
+            let err = from_str(&model_text(U, V, lm)).unwrap_err();
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{lm:?}");
+        }
     }
 
     #[test]

@@ -35,11 +35,16 @@
 //!   the same rule as the fused row pass — then `V` by the fused step's
 //!   column pass, so Formula 14 has one implementation.
 //!
+//! Every per-iteration loop — the fused passes, the sparse kernels, the
+//! sparse step's graph-term and combine loop (`SparseRows`) and the
+//! closing [`score`] — runs through [`smfl_linalg::simd::dispatch`],
+//! which picks the AVX2 instance of the loop when the CPU has AVX2.
+//!
 //! All scratch lives in the caller's [`Workspace`]: a serial step
 //! allocates nothing once the workspace is sized (the fused passes'
-//! runtime-rank instance, `K > 8`, takes a `4·K` accumulator per row
-//! block of the row pass and per thread chunk of the column pass), and
-//! neither path ever builds an `N x M` matrix.
+//! runtime-rank instance, `K > 8`, allocates its `4·K` accumulators once
+//! per row block of the row pass and once per column stripe of the
+//! column pass), and neither path ever builds an `N x M` matrix.
 //!
 //! Landmark handling: `Φ` covers the *whole* first `L` columns of `V`
 //! (Definition 1), so the `V` update simply starts at column `L`; the
@@ -51,6 +56,7 @@ use crate::landmarks::Landmarks;
 use crate::objective::ObjectiveTerms;
 use smfl_linalg::kernels::{ObservedPattern, Workspace};
 use smfl_linalg::ops::dot;
+use smfl_linalg::simd::{dispatch, Kernel};
 use smfl_linalg::{Matrix, Result};
 use smfl_spatial::SpatialGraph;
 
@@ -115,20 +121,6 @@ pub fn multiplicative_step(
     }
 }
 
-/// `out = D·U`: row `i` is the sum of `u`'s rows at `i`'s neighbours,
-/// in ascending neighbour order.
-fn adjacency_product(g: &SpatialGraph, u: &Matrix, out: &mut Matrix) {
-    out.as_mut_slice().fill(0.0);
-    for i in 0..g.len() {
-        let orow = out.row_mut(i);
-        for &t in g.neighbors(i) {
-            for (o, &b) in orow.iter_mut().zip(u.row(t as usize)) {
-                *o += b;
-            }
-        }
-    }
-}
-
 /// The multiplicative step on the sparse kernels for `U` (SDDMM +
 /// SpMM), then the fused step's column pass for `V`.
 fn sparse_multiplicative_step(
@@ -148,14 +140,14 @@ fn sparse_multiplicative_step(
     pattern.spmm_into(pattern.x_vals(), &ws.vt, &mut ws.u_next)?; // R_Ω(X)·Vᵀ
     pattern.spmm_into(&ws.uv_vals, &ws.vt, &mut ws.denom_u)?; // R_Ω(UV)·Vᵀ
     ws.counters.spmm += 2;
-    let laplacian = match ctx.active_graph() {
-        Some(g) => add_graph_terms(g, ctx.lambda, u, ws),
-        None => 0.0,
-    };
-    let rows = ws.u_next.as_mut_slice().iter_mut().zip(u.as_slice());
-    for ((o, &a), &d) in rows.zip(ws.denom_u.as_slice()) {
-        *o = Multiplicative.u(a, *o, d);
-    }
+    let laplacian = dispatch(SparseRows {
+        graph: ctx.active_graph(),
+        lambda: ctx.lambda,
+        u,
+        du: &mut ws.reg_a,
+        numer: &mut ws.u_next,
+        denom: &mut ws.denom_u,
+    });
 
     // ---- V update (Formula 14): the fused step's column pass ----
     column_step(ctx, ws, Multiplicative)?;
@@ -164,30 +156,62 @@ fn sparse_multiplicative_step(
     Ok(ObjectiveTerms { fit, laplacian })
 }
 
-/// Folds the spatial terms into Formula 13's sums — `λ·(D·U)_i` into
-/// the numerator in `ws.u_next`, `λ·w_i·u_i` into the denominator in
-/// `ws.denom_u`, with `D·U` formed in `ws.reg_a` — and returns
-/// `Tr(UᵀLU) = Σ_i w_i·|u_i|² − u_i·(D·U)_i`.
-fn add_graph_terms(g: &SpatialGraph, lambda: f64, u: &Matrix, ws: &mut Workspace) -> f64 {
-    adjacency_product(g, u, &mut ws.reg_a);
-    let k = u.cols().max(1);
-    let rows = ws
-        .u_next
-        .as_mut_slice()
-        .chunks_exact_mut(k)
-        .zip(ws.denom_u.as_mut_slice().chunks_exact_mut(k))
-        .zip(u.as_slice().chunks_exact(k))
-        .zip(ws.reg_a.as_slice().chunks_exact(k));
-    let mut laplacian = 0.0;
-    for (i, (((nrow, drow), urow), grow)) in rows.enumerate() {
-        let w = g.degree(i);
-        laplacian += w * dot(urow, urow) - dot(urow, grow);
-        for (((nt, dt), &a), &du) in nrow.iter_mut().zip(drow).zip(urow).zip(grow) {
-            *nt += lambda * du;
-            *dt += lambda * (w * a);
+/// The sparse step's `U` update (Formula 13) from the SpMM sums in
+/// `numer` (`R_Ω(X)·Vᵀ`) and `denom` (`R_Ω(UV)·Vᵀ`). With a graph it
+/// first forms `D·U` in `du` (row `i` the sum of `u`'s rows at `i`'s
+/// neighbours, in ascending order) and folds `λ·(D·U)_i` into the
+/// numerator and `λ·w_i·u_i` into the denominator. Writes the new `U`
+/// over `numer` and returns `Tr(UᵀLU) = Σ_i w_i·|u_i|² − u_i·(D·U)_i`
+/// (0 without a graph).
+struct SparseRows<'a> {
+    graph: Option<&'a SpatialGraph>,
+    lambda: f64,
+    u: &'a Matrix,
+    du: &'a mut Matrix,
+    numer: &'a mut Matrix,
+    denom: &'a mut Matrix,
+}
+
+impl Kernel for SparseRows<'_> {
+    type Out = f64;
+
+    #[inline(always)]
+    fn run(self) -> f64 {
+        let (u, lambda) = (self.u.as_slice(), self.lambda);
+        let k = self.u.cols().max(1);
+        let mut laplacian = 0.0;
+        if let Some(g) = self.graph {
+            let du = self.du.as_mut_slice();
+            du.fill(0.0);
+            for (i, drow) in du.chunks_exact_mut(k).enumerate() {
+                for &t in g.neighbors(i) {
+                    for (o, &b) in drow.iter_mut().zip(&u[t as usize * k..][..k]) {
+                        *o += b;
+                    }
+                }
+            }
+            let rows = self
+                .numer
+                .as_mut_slice()
+                .chunks_exact_mut(k)
+                .zip(self.denom.as_mut_slice().chunks_exact_mut(k))
+                .zip(u.chunks_exact(k))
+                .zip(du.chunks_exact(k));
+            for (i, (((nrow, drow), urow), grow)) in rows.enumerate() {
+                let w = g.degree(i);
+                laplacian += w * dot(urow, urow) - dot(urow, grow);
+                for (((nt, dt), &a), &du) in nrow.iter_mut().zip(drow).zip(urow).zip(grow) {
+                    *nt += lambda * du;
+                    *dt += lambda * (w * a);
+                }
+            }
         }
+        let rows = self.numer.as_mut_slice().iter_mut().zip(u);
+        for ((o, &a), &d) in rows.zip(self.denom.as_slice()) {
+            *o = Multiplicative.u(a, *o, d);
+        }
+        laplacian
     }
-    laplacian
 }
 
 /// One projected-gradient iteration (paper §III-B1) into `ws.u_next` /

@@ -33,7 +33,8 @@
 //! Parallelism runs on [`crate::parallel`]'s worker pool: the
 //! dense-output kernels go through `parallel_over_rows`, and the SDDMM
 //! hands the pool chunks of the packed value array split at row
-//! boundaries balanced by nonzero count.
+//! boundaries balanced by nonzero count. Each chunk's rows run through
+//! [`crate::simd::dispatch`], as does the fit term from the factors.
 //!
 //! Every index array of the pattern is `u32`, and readers widen each
 //! index at the load: a pattern keeps 20 bytes per observed cell (three
@@ -46,6 +47,7 @@ use crate::mask::Mask;
 use crate::matrix::Matrix;
 use crate::ops::dot;
 use crate::parallel::{par_for_each, parallel_over_rows, threads_for};
+use crate::simd::{dispatch, Kernel};
 use std::mem::size_of;
 use std::ops::Range;
 
@@ -343,7 +345,13 @@ impl ObservedPattern {
         let k = u.cols();
         let threads = threads_for(2 * self.nnz() * k);
         if threads <= 1 {
-            self.sddmm_rows(u, vt, out, 0, self.rows);
+            dispatch(SddmmRows {
+                pattern: self,
+                u,
+                vt,
+                rows: 0..self.rows,
+                out,
+            });
             return Ok(());
         }
         let target = self.nnz().div_ceil(threads);
@@ -366,24 +374,18 @@ impl ObservedPattern {
             let (chunk, tail) = std::mem::take(&mut rest).split_at_mut(end_offset - offset);
             rest = tail;
             offset = end_offset;
-            Some((start_row, row, chunk))
+            Some((start_row..row, chunk))
         });
-        par_for_each(threads, chunks, |(start, end, chunk)| {
-            self.sddmm_rows(u, vt, chunk, start, end)
+        par_for_each(threads, chunks, |(rows, out)| {
+            dispatch(SddmmRows {
+                pattern: self,
+                u,
+                vt,
+                rows,
+                out,
+            })
         });
         Ok(())
-    }
-
-    /// Rows `start..end` of the SDDMM into `chunk` (holding exactly the
-    /// packed entries of those rows).
-    fn sddmm_rows(&self, u: &Matrix, vt: &Matrix, chunk: &mut [f64], start: usize, end: usize) {
-        let base = self.row_ptr[start] as usize;
-        for i in start..end {
-            let urow = u.row(i);
-            for slot in self.row_span(i) {
-                chunk[slot - base] = dot(urow, vt.row(self.col_idx[slot] as usize));
-            }
-        }
     }
 
     /// `out = R · Vᵀ` (`N x K`), where `R` is the sparse matrix holding
@@ -401,18 +403,14 @@ impl ObservedPattern {
             });
         }
         let threads = threads_for(2 * self.nnz() * k);
-        let body = |start: usize, end: usize, chunk: &mut [f64]| {
-            for i in start..end {
-                let orow = &mut chunk[(i - start) * k..(i - start + 1) * k];
-                orow.fill(0.0);
-                let span = self.row_span(i);
-                for (&v, &j) in vals[span.clone()].iter().zip(&self.col_idx[span]) {
-                    let vtr = vt.row(j as usize);
-                    for (o, &b) in orow.iter_mut().zip(vtr) {
-                        *o += v * b;
-                    }
-                }
-            }
+        let body = |start: usize, end: usize, out: &mut [f64]| {
+            dispatch(SpmmRows {
+                pattern: self,
+                vals,
+                vt,
+                rows: start..end,
+                out,
+            })
         };
         parallel_over_rows(out.as_mut_slice(), k, self.rows, threads, body);
         Ok(())
@@ -434,18 +432,95 @@ impl ObservedPattern {
     }
 
     /// `‖R_Ω(X − UV)‖_F²` from the factors (`vt` is `V` transposed):
-    /// one serial pass over the CSR rows, with no packed buffer.
+    /// one serial pass over the CSR rows, with no packed buffer, through
+    /// [`dispatch`].
     pub fn fit_term_from(&self, u: &Matrix, vt: &Matrix) -> Result<f64> {
         self.check_factors(u, vt, "fit_term_from")?;
+        Ok(dispatch(FitTerm {
+            pattern: self,
+            u,
+            vt,
+        }))
+    }
+}
+
+/// Rows `rows` of the SDDMM into `out`, which holds exactly the packed
+/// entries of those rows.
+struct SddmmRows<'a> {
+    pattern: &'a ObservedPattern,
+    u: &'a Matrix,
+    vt: &'a Matrix,
+    rows: Range<usize>,
+    out: &'a mut [f64],
+}
+
+impl Kernel for SddmmRows<'_> {
+    type Out = ();
+
+    #[inline(always)]
+    fn run(self) {
+        let p = self.pattern;
+        let base = p.row_ptr[self.rows.start] as usize;
+        for i in self.rows {
+            let urow = self.u.row(i);
+            for slot in p.row_span(i) {
+                self.out[slot - base] = dot(urow, self.vt.row(p.col_idx[slot] as usize));
+            }
+        }
+    }
+}
+
+/// Rows `rows` of the SpMM `R·Vᵀ` into `out`, which holds exactly those
+/// rows of the `N x K` result.
+struct SpmmRows<'a> {
+    pattern: &'a ObservedPattern,
+    vals: &'a [f64],
+    vt: &'a Matrix,
+    rows: Range<usize>,
+    out: &'a mut [f64],
+}
+
+impl Kernel for SpmmRows<'_> {
+    type Out = ();
+
+    #[inline(always)]
+    fn run(self) {
+        let (p, k, start) = (self.pattern, self.vt.cols(), self.rows.start);
+        for i in self.rows {
+            let orow = &mut self.out[(i - start) * k..(i - start + 1) * k];
+            orow.fill(0.0);
+            let span = p.row_span(i);
+            for (&v, &j) in self.vals[span.clone()].iter().zip(&p.col_idx[span]) {
+                for (o, &b) in orow.iter_mut().zip(self.vt.row(j as usize)) {
+                    *o += v * b;
+                }
+            }
+        }
+    }
+}
+
+/// [`ObservedPattern::fit_term_from`]'s kernel.
+struct FitTerm<'a> {
+    pattern: &'a ObservedPattern,
+    u: &'a Matrix,
+    vt: &'a Matrix,
+}
+
+impl Kernel for FitTerm<'_> {
+    type Out = f64;
+
+    #[inline(always)]
+    fn run(self) -> f64 {
+        let p = self.pattern;
         let mut fit = 0.0;
-        for i in 0..self.rows {
-            let urow = u.row(i);
-            for slot in self.row_span(i) {
-                let d = self.x_vals[slot] - dot(urow, vt.row(self.col_idx[slot] as usize));
+        for i in 0..p.rows {
+            let urow = self.u.row(i);
+            for slot in p.row_span(i) {
+                let d = p.x_vals[slot] - dot(urow, self.vt.row(p.col_idx[slot] as usize));
                 fit += d * d;
             }
         }
-        Ok(fit)
+        fit
     }
 }
 
@@ -836,5 +911,57 @@ mod tests {
         assert!(cv.approx_eq(&v.scale(2.0), 0.0));
         // Shape mismatch is rejected, not silently corrupted.
         assert!(!ws.restore(&mut Matrix::zeros(3, 2), &mut cv));
+    }
+
+    #[test]
+    fn both_instances_agree_bitwise() {
+        if !crate::simd::avx2_instance() {
+            eprintln!("no AVX2 on this CPU: only the baseline instance is checked");
+        }
+        let bits = |xs: &[f64]| xs.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        for keep_mod in [2, 14] {
+            for k in (1..=8).chain([11, 20]) {
+                let (_, _, p, u, v) = fixture(300, 13, k, keep_mod);
+                let vt = v.transpose();
+                let rows = 0..p.rows();
+                let mut base = vec![f64::NAN; p.nnz()];
+                let mut wide = base.clone();
+                let sddmm = |out| SddmmRows {
+                    pattern: &p,
+                    u: &u,
+                    vt: &vt,
+                    rows: rows.clone(),
+                    out,
+                };
+                sddmm(&mut base).run();
+                dispatch(sddmm(&mut wide));
+                assert_eq!(bits(&base), bits(&wide), "SDDMM rows, K = {k}");
+
+                let mut base_out = vec![f64::NAN; p.rows() * k];
+                let mut wide_out = base_out.clone();
+                let spmm = |out| SpmmRows {
+                    pattern: &p,
+                    vals: &base,
+                    vt: &vt,
+                    rows: rows.clone(),
+                    out,
+                };
+                spmm(&mut base_out).run();
+                dispatch(spmm(&mut wide_out));
+                assert_eq!(bits(&base_out), bits(&wide_out), "SpMM rows, K = {k}");
+
+                let fit = FitTerm {
+                    pattern: &p,
+                    u: &u,
+                    vt: &vt,
+                };
+                let wide_fit = dispatch(FitTerm {
+                    pattern: &p,
+                    u: &u,
+                    vt: &vt,
+                });
+                assert_eq!(fit.run().to_bits(), wide_fit.to_bits(), "fit term, K = {k}");
+            }
+        }
     }
 }

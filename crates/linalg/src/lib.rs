@@ -22,6 +22,8 @@
 //!   [`ObservedPattern`] compiles `Ω` + `X` into CSR/CSC once per fit,
 //!   and SDDMM / SpMM kernels evaluate the update-rule products at
 //!   observed entries only, into a reusable [`Workspace`].
+//! - [`simd`] — runs each update-loop kernel in an AVX2 instance when
+//!   the CPU has AVX2, with the same bits as the baseline instance.
 //! - [`eigen`] / [`svd`] — cyclic-Jacobi symmetric eigensolver and a thin
 //!   SVD (Gram route), powering the MC / SoftImpute / PCA baselines.
 //! - [`random`] — seed-deterministic matrix initialization.
@@ -49,6 +51,7 @@ pub mod matrix;
 pub mod ops;
 pub mod parallel;
 pub mod random;
+pub mod simd;
 pub mod solve;
 pub mod svd;
 

@@ -163,13 +163,16 @@ pub fn matvec(a: &Matrix, x: &[f64]) -> Result<Vec<f64>> {
         .collect())
 }
 
-/// Dot product of two equally long slices.
+/// Dot product of two equally long slices: one serial sum, in index
+/// order.
+#[inline]
 pub fn dot(a: &[f64], b: &[f64]) -> f64 {
     debug_assert_eq!(a.len(), b.len());
     a.iter().zip(b).map(|(&x, &y)| x * y).sum()
 }
 
 /// Squared Euclidean distance between two equally long slices.
+#[inline]
 pub fn sq_dist(a: &[f64], b: &[f64]) -> f64 {
     debug_assert_eq!(a.len(), b.len());
     a.iter()

@@ -60,8 +60,8 @@
 //! them within a third of a millisecond.
 //!
 //! [`PARALLEL_FLOP_THRESHOLD`] is set from the dispatch cost. At about
-//! 1 GFLOP/s per core (the kernels are bound by memory latency, not
-//! compute), splitting `f` flops over two threads saves about `f / 2` ns.
+//! 1 GFLOP/s per core (the baseline instance of the fused step on this
+//! VM), splitting `f` flops over two threads saves about `f / 2` ns.
 //! At 500k flops that is 250 µs: over 100x a dispatch to a spinning
 //! worker and 5x the wake of a parked one, so even a cold dispatch pays
 //! for itself. Lake's fused step (`2·|Ω|·K ≈ 624k` flops) crosses it;
@@ -71,8 +71,9 @@
 //!
 //! A persistent worker cannot borrow the caller's stack through the type
 //! system, so `Pool::run` erases the lifetime of the job it publishes.
-//! That erasure is the library's only `unsafe` code; its argument is
-//! written at the one `unsafe` block.
+//! That erasure is one of the library's two `unsafe` blocks (the other
+//! calls [`crate::simd`]'s AVX2 instances); its argument is written at
+//! the block.
 //!
 //! Thread-count policy:
 //! - work below [`PARALLEL_FLOP_THRESHOLD`] FLOPs stays serial;

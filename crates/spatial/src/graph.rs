@@ -23,6 +23,7 @@
 
 use crate::kdtree::KdTree;
 use smfl_linalg::ops::dot;
+use smfl_linalg::simd::{dispatch, Kernel};
 use smfl_linalg::{ensure_u32, LinalgError, Mask, Matrix, Result};
 use std::mem::size_of;
 use std::time::{Duration, Instant};
@@ -154,7 +155,7 @@ impl SpatialGraph {
     /// `O_SR(U)` (§II-C) — in degree form, one [`Self::laplacian_row`]
     /// per row. Allocation-free; the fit loop calls it once, to score
     /// the final iterate (each update step scores its input from the
-    /// `D·U` it forms anyway).
+    /// `D·U` it forms anyway), through [`smfl_linalg::simd::dispatch`].
     pub fn regularization(&self, u: &Matrix) -> Result<f64> {
         if u.rows() != self.len() {
             return Err(LinalgError::DimensionMismatch {
@@ -163,10 +164,7 @@ impl SpatialGraph {
                 op: "regularization",
             });
         }
-        let k = u.cols();
-        Ok((0..self.len())
-            .map(|i| self.laplacian_row(u.as_slice(), k, i))
-            .sum())
+        Ok(dispatch(Regularization { graph: self, u }))
     }
 
     /// Row `i`'s share of `Tr(Uᵀ L U)` in degree form,
@@ -175,15 +173,16 @@ impl SpatialGraph {
     /// visited once; the row's neighbours ascend, so the `j > i` half
     /// starts at a binary-searched offset. Summed over all rows it is
     /// [`Self::regularization`].
-    #[inline]
+    #[inline(always)]
     pub fn laplacian_row(&self, u: &[f64], k: usize, i: usize) -> f64 {
         let ui = &u[i * k..][..k];
         let nbrs = self.neighbors(i);
         let upper = nbrs.partition_point(|&j| j as usize <= i);
-        let cross: f64 = nbrs[upper..]
-            .iter()
-            .map(|&j| dot(ui, &u[j as usize * k..][..k]))
-            .sum();
+        // -0.0 is the additive identity: `-0.0 + x` is `x`, bit for bit.
+        let mut cross = -0.0;
+        for &j in &nbrs[upper..] {
+            cross += dot(ui, &u[j as usize * k..][..k]);
+        }
         self.degree(i) * dot(ui, ui) - 2.0 * cross
     }
 
@@ -311,6 +310,27 @@ pub fn fill_missing_si(x: &Matrix, omega: &Mask, l_cols: usize) -> Matrix {
         }
     }
     si
+}
+
+/// [`SpatialGraph::regularization`]'s kernel: the rows' shares of
+/// `Tr(Uᵀ L U)`, summed in row order.
+struct Regularization<'a> {
+    graph: &'a SpatialGraph,
+    u: &'a Matrix,
+}
+
+impl Kernel for Regularization<'_> {
+    type Out = f64;
+
+    #[inline(always)]
+    fn run(self) -> f64 {
+        let (g, u, k) = (self.graph, self.u.as_slice(), self.u.cols());
+        let mut total = -0.0;
+        for i in 0..g.len() {
+            total += g.laplacian_row(u, k, i);
+        }
+        total
+    }
 }
 
 #[cfg(test)]
