@@ -34,12 +34,15 @@
 //! The step returns the score of the factors it read; the caller judges
 //! it before committing the candidate.
 //!
-//! The body is written once, generic over the rule and the rank: `K ≤ 8`
-//! dispatches (one table, `with_rank!`) to a compile-time-`K` instance
-//! whose loops unroll and whose accumulators stay in registers; larger
-//! ranks run the same body with a runtime `K`. The accumulators are
-//! values the body owns (`Rank::acc`: `[[f64; K]; 4]`, or one `4·K`
-//! `Vec` at a runtime rank), never state behind a callback.
+//! The body is written once, generic over the rule and the rank. The
+//! rank table of `smfl_linalg::rank` (`with_rank!`, shared with the
+//! sparse kernels) runs it in a compile-time-`K` instance, whose loops
+//! unroll and whose accumulators stay in registers, at K = 1..=8, 10,
+//! 12 and 20 — the ranks the defaults, the paper's sweep and the wide
+//! tables run — and in a runtime-`K` instance at any other rank. The
+//! accumulators are values the body owns (`Rank::acc`: `[[f64; K]; 4]`,
+//! or one `4·K` `Vec` at a runtime rank), never state behind a
+//! callback.
 //!
 //! Each pass is cut into [`Kernel`]s — a [`BLOCK_ROWS`]-row block of the
 //! row pass ([`RowBlock`]), a stripe of columns of the column pass
@@ -65,87 +68,15 @@ use crate::objective::ObjectiveTerms;
 use crate::updater::UpdateContext;
 use smfl_linalg::ops::dot;
 use smfl_linalg::parallel::{par_for_each, parallel_over_rows, threads_for};
+use smfl_linalg::rank::{Rank, Slots};
 use smfl_linalg::simd::{dispatch, Kernel};
-use smfl_linalg::{LinalgError, Matrix, Result, Workspace};
+use smfl_linalg::{with_rank, LinalgError, Matrix, Result, Workspace};
 use smfl_spatial::SpatialGraph;
 use std::ops::Range;
 
 /// Rows per reduction block. Block boundaries depend only on `N`, so the
 /// reduction order never depends on the thread count.
 const BLOCK_ROWS: usize = 512;
-
-/// The rank `K` of the step: a compile-time constant ([`Fixed`]) or a
-/// runtime value ([`Runtime`]).
-trait Rank: Copy + Send + Sync {
-    /// Four `K`-slot accumulators, held by value in the kernel that
-    /// uses them.
-    type Acc: Slots;
-
-    fn k(self) -> usize;
-
-    /// Four zeroed accumulators.
-    fn acc(self) -> Self::Acc;
-}
-
-/// Four accumulators lent out as slices.
-trait Slots {
-    fn slots(&mut self) -> [&mut [f64]; 4];
-}
-
-impl<const K: usize> Slots for [[f64; K]; 4] {
-    #[inline(always)]
-    fn slots(&mut self) -> [&mut [f64]; 4] {
-        let [a, b, c, d] = self;
-        [a, b, c, d]
-    }
-}
-
-/// The runtime-rank accumulators: `4·K` values in one allocation.
-impl Slots for Vec<f64> {
-    #[inline(always)]
-    fn slots(&mut self) -> [&mut [f64]; 4] {
-        let k = self.len() / 4;
-        let (a, rest) = self.split_at_mut(k);
-        let (b, rest) = rest.split_at_mut(k);
-        let (c, d) = rest.split_at_mut(k);
-        [a, b, c, d]
-    }
-}
-
-#[derive(Clone, Copy)]
-struct Fixed<const K: usize>;
-
-impl<const K: usize> Rank for Fixed<K> {
-    type Acc = [[f64; K]; 4];
-
-    #[inline(always)]
-    fn k(self) -> usize {
-        K
-    }
-
-    #[inline(always)]
-    fn acc(self) -> [[f64; K]; 4] {
-        [[0.0; K]; 4]
-    }
-}
-
-#[derive(Clone, Copy)]
-struct Runtime(usize);
-
-impl Rank for Runtime {
-    type Acc = Vec<f64>;
-
-    #[inline(always)]
-    fn k(self) -> usize {
-        self.0
-    }
-
-    /// One small allocation per row block or column stripe.
-    #[inline(always)]
-    fn acc(self) -> Vec<f64> {
-        vec![0.0; 4 * self.0]
-    }
-}
 
 /// How an entry `a` of `U` or `V` combines the passes' sums `numer` and
 /// `denom` into its successor.
@@ -200,24 +131,6 @@ impl Rule for Gradient {
     }
 }
 
-/// Calls `$f` with the rank `$k` as its first argument: a compile-time
-/// [`Fixed`] instance for `K ≤ 8`, [`Runtime`] above.
-macro_rules! with_rank {
-    ($k:expr, $f:ident($($arg:expr),*)) => {
-        match $k {
-            1 => $f(Fixed::<1>, $($arg),*),
-            2 => $f(Fixed::<2>, $($arg),*),
-            3 => $f(Fixed::<3>, $($arg),*),
-            4 => $f(Fixed::<4>, $($arg),*),
-            5 => $f(Fixed::<5>, $($arg),*),
-            6 => $f(Fixed::<6>, $($arg),*),
-            7 => $f(Fixed::<7>, $($arg),*),
-            8 => $f(Fixed::<8>, $($arg),*),
-            k => $f(Runtime(k), $($arg),*),
-        }
-    };
-}
-
 /// One iteration of `rule` on the fused passes: writes the updated
 /// factors to `ws.u_next` / `ws.v_next` and returns the objective terms
 /// of the input `(U, V)`.
@@ -245,7 +158,7 @@ pub(crate) fn fused_step(
             });
         }
     }
-    with_rank!(k, step(rule, ctx, ws, u, v))
+    with_rank!(k, |rank| step(rank, rule, ctx, ws, u, v))
 }
 
 /// The column pass alone, on the new `U` in `ws.u_next` (`N x K`) and
@@ -255,7 +168,7 @@ pub(crate) fn column_step(
     ws: &mut Workspace,
     rule: impl Rule,
 ) -> Result<()> {
-    with_rank!(ws.u_next.cols(), column_pass(rule, ctx, ws))
+    with_rank!(ws.u_next.cols(), |rank| column_pass(rank, rule, ctx, ws))
 }
 
 /// The step body, generic over the rank and the rule. Shapes are
@@ -566,6 +479,7 @@ mod tests {
     use super::*;
     use crate::landmarks::Landmarks;
     use smfl_linalg::random::{positive_uniform_matrix, uniform_matrix};
+    use smfl_linalg::rank::{Runtime, FIXED_RANKS};
     use smfl_linalg::simd::avx2_instance;
     use smfl_linalg::{Mask, ObservedPattern};
 
@@ -573,16 +487,27 @@ mod tests {
         xs.iter().map(|x| x.to_bits()).collect()
     }
 
-    /// Runs every row block, then one stripe over the live columns on
-    /// the new `U`, through `Kernel::run` (the baseline instance) and
-    /// through `dispatch`: every output bit must agree.
-    fn check_instances<R: Rank>(
+    /// Runs `kernel` through `dispatch` when `wide`, else directly (the
+    /// baseline instance).
+    fn run_kernel<K: Kernel>(kernel: K, wide: bool) -> K::Out {
+        if wide {
+            dispatch(kernel)
+        } else {
+            kernel.run()
+        }
+    }
+
+    /// The bits of every row block's sums, the new `U` and the new live
+    /// columns of `V`: every row block, then one stripe over the live
+    /// columns on the new `U`, at `rank`.
+    fn outputs<R: Rank>(
         rank: R,
         rule: impl Rule,
         ctx: &UpdateContext<'_>,
         u: &Matrix,
         v: &Matrix,
-    ) {
+        wide: bool,
+    ) -> [Vec<u64>; 3] {
         let (n, m, k) = (ctx.pattern.rows(), ctx.pattern.cols(), rank.k());
         let (row_ptr, col_idx) = ctx.pattern.csr();
         let vt = v.transpose();
@@ -598,19 +523,12 @@ mod tests {
             graph: ctx.active_graph(),
             lambda: ctx.lambda,
         };
-        let mut base = vec![f64::NAN; n * k];
-        let mut wide = base.clone();
-        let blocks = base
-            .chunks_mut(BLOCK_ROWS * k)
-            .zip(wide.chunks_mut(BLOCK_ROWS * k));
-        for (block, (out, wide_out)) in blocks.enumerate() {
-            let sums = RowBlock { pass, block, out }.run();
-            let out = wide_out;
-            let wide_sums = dispatch(RowBlock { pass, block, out });
-            assert_eq!(bits(&sums), bits(&wide_sums), "sums of row block {block}");
+        let mut un = vec![f64::NAN; n * k];
+        let mut sums = Vec::new();
+        for (block, out) in un.chunks_mut(BLOCK_ROWS * k).enumerate() {
+            sums.extend(run_kernel(RowBlock { pass, block, out }, wide));
         }
-        assert_eq!(bits(&base), bits(&wide), "new U");
-        assert!(base.iter().all(|a| a.is_finite()));
+        assert!(un.iter().all(|a| a.is_finite()));
 
         let (csc_ptr, csc_rows, csc_perm) = ctx.pattern.csc();
         let pass = ColumnPass {
@@ -620,32 +538,26 @@ mod tests {
             csc_rows,
             csc_perm,
             xv: ctx.pattern.x_vals(),
-            un: &base,
+            un: &un,
         };
         let v_start = ctx.v_start_col();
-        let mut base_v = vt.as_slice()[v_start * k..].to_vec();
-        let mut wide_v = base_v.clone();
-        let cols = v_start..m;
-        ColumnStripe {
+        let mut vn = vt.as_slice()[v_start * k..].to_vec();
+        let stripe = ColumnStripe {
             pass,
-            cols: cols.clone(),
-            vt: &mut base_v,
-        }
-        .run();
-        dispatch(ColumnStripe {
-            pass,
-            cols,
-            vt: &mut wide_v,
-        });
-        assert_eq!(bits(&base_v), bits(&wide_v), "new V");
+            cols: v_start..m,
+            vt: &mut vn,
+        };
+        run_kernel(stripe, wide);
+        [bits(&sums), bits(&un), bits(&vn)]
     }
 
-    #[test]
-    fn both_instances_agree_bitwise() {
-        if !avx2_instance() {
-            eprintln!("no AVX2 on this CPU: only the baseline instance is checked");
-        }
-        // Two row blocks; a sparse and a dense mask.
+    /// Calls `check(k, ctx, u, v)` at every rank of `ranks`, on a sparse
+    /// and a dense mask over two row blocks, with and without the graph
+    /// and the landmarks.
+    fn for_each_case(
+        ranks: impl Iterator<Item = usize> + Clone,
+        mut check: impl FnMut(usize, &UpdateContext<'_>, &Matrix, &Matrix),
+    ) {
         let (n, m) = (700, 9);
         let x = uniform_matrix(n, m, 0.0, 1.0, 1);
         let si = x.columns(0, 2).unwrap();
@@ -657,7 +569,7 @@ mod tests {
                 omega.set(i, j, draw.get(i, j) < density);
             }
             let pattern = ObservedPattern::compile(&x, &omega).unwrap();
-            for k in (1..=8).chain([11, 20]) {
+            for k in ranks.clone() {
                 let lm = Landmarks::compute(&si, k, 50, 0).unwrap();
                 let u = positive_uniform_matrix(n, k, 3);
                 let mut v = positive_uniform_matrix(k, m, 4);
@@ -672,12 +584,47 @@ mod tests {
                             lambda: 0.5,
                             landmarks,
                         };
-                        with_rank!(k, check_instances(Multiplicative, &ctx, &u, &v));
-                        let gd = Gradient { step: 2e-3 };
-                        with_rank!(k, check_instances(gd, &ctx, &u, &v));
+                        check(k, &ctx, &u, &v);
                     }
                 }
             }
         }
+    }
+
+    const GD: Gradient = Gradient { step: 2e-3 };
+
+    /// `Kernel::run` (the baseline instance) and `dispatch` agree on
+    /// every output bit, at every rank of the table and at two ranks
+    /// outside it.
+    #[test]
+    fn both_instances_agree_bitwise() {
+        if !avx2_instance() {
+            eprintln!("no AVX2 on this CPU: only the baseline instance is checked");
+        }
+        let ranks = FIXED_RANKS.iter().copied().chain([13, 24]);
+        for_each_case(ranks, |k, ctx, u, v| {
+            with_rank!(k, |rank| {
+                let base = outputs(rank, Multiplicative, ctx, u, v, false);
+                let wide = outputs(rank, Multiplicative, ctx, u, v, true);
+                assert_eq!(base, wide, "multiplicative, K = {k}");
+                let base = outputs(rank, GD, ctx, u, v, false);
+                let wide = outputs(rank, GD, ctx, u, v, true);
+                assert_eq!(base, wide, "gradient, K = {k}");
+            })
+        });
+    }
+
+    /// Every arm of the rank table computes the bits of the runtime-`K`
+    /// instance.
+    #[test]
+    fn fixed_and_runtime_instances_agree_bitwise() {
+        for_each_case(FIXED_RANKS.iter().copied(), |k, ctx, u, v| {
+            let fixed = with_rank!(k, |rank| outputs(rank, Multiplicative, ctx, u, v, true));
+            let runtime = outputs(Runtime(k), Multiplicative, ctx, u, v, true);
+            assert_eq!(fixed, runtime, "multiplicative, K = {k}");
+            let fixed = with_rank!(k, |rank| outputs(rank, GD, ctx, u, v, true));
+            let runtime = outputs(Runtime(k), GD, ctx, u, v, true);
+            assert_eq!(fixed, runtime, "gradient, K = {k}");
+        });
     }
 }

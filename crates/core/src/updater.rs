@@ -40,11 +40,18 @@
 //! closing [`score`] — runs through [`smfl_linalg::simd::dispatch`],
 //! which picks the AVX2 instance of the loop when the CPU has AVX2.
 //!
+//! Every kernel with a `K`-wide loop (the fused passes, the SDDMM and
+//! the SpMM) is written once, generic over the rank, and runs in a
+//! compile-time-`K` instance at every rank of `smfl_linalg::rank`'s
+//! table (K = 1..=8, 10, 12 and 20) and in a runtime-`K` instance at any
+//! other rank.
+//!
 //! All scratch lives in the caller's [`Workspace`]: a serial step
-//! allocates nothing once the workspace is sized (the fused passes'
-//! runtime-rank instance, `K > 8`, allocates its `4·K` accumulators once
-//! per row block of the row pass and once per column stripe of the
-//! column pass), and neither path ever builds an `N x M` matrix.
+//! allocates nothing once the workspace is sized (at a rank outside the
+//! table, the runtime instance allocates its `4·K` accumulators once per
+//! kernel call: per row block of the row pass and per column stripe of
+//! the column pass; the SpMM sums in its output rows), and neither path
+//! ever builds an `N x M` matrix.
 //!
 //! Landmark handling: `Φ` covers the *whole* first `L` columns of `V`
 //! (Definition 1), so the `V` update simply starts at column `L`; the

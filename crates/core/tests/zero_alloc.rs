@@ -22,6 +22,11 @@
 //! without a temporary, and a fused-path fit never sizes the
 //! sparse-engine scratch.
 //!
+//! Both steps run at K = 4 and at K = 20 (the wide tables' rank); both
+//! are arms of the rank table (`smfl_linalg::rank`), whose accumulators
+//! are stack values. A rank outside the table runs the runtime instance,
+//! which allocates its accumulators once per kernel call.
+//!
 //! A step writes its candidate into the workspace and `commit` swaps it
 //! in, so the factor buffers alternate between two fixed allocations;
 //! a checkpoint swaps the committed-out iterate into the snapshot, so
@@ -131,133 +136,12 @@ fn multiplicative_step_allocates_nothing_after_warmup() {
     for j in 0..m {
         omega.set(0, j, true); // every column observed at least once
     }
-    let pattern = ObservedPattern::compile(&x, &omega).unwrap();
-    assert!(
-        !pattern.prefers_dense(),
-        "test must exercise the sparse path"
-    );
-
-    let ctx = UpdateContext {
-        pattern: &pattern,
-        graph: None,
-        lambda: 0.0,
-        landmarks: None,
-    };
-    let mut ws = Workspace::new(&pattern, k);
-    let mut u = positive_uniform_matrix(n, k, 9);
-    let mut v = positive_uniform_matrix(k, m, 10);
-
-    // Warmup: first iterations may lazily create buffers — the sparse
-    // scratch on the first step, and the checkpoint double-buffer, which
-    // allocates once on first use.
-    for _ in 0..3 {
-        multiplicative_step(&ctx, &mut ws, &u, &v).unwrap();
-        ws.commit(&mut u, &mut v);
-    }
-    ws.checkpoint_committed();
-
-    let ptrs = |ws: &Workspace, u: &Matrix| {
-        // `commit` swaps U with the candidate buffer and a checkpoint
-        // swaps the candidate with the snapshot: the triple is stable.
-        let mut factors = [
-            u.as_slice().as_ptr(),
-            ws.u_next.as_slice().as_ptr(),
-            ws.snap_u.as_ref().unwrap().as_slice().as_ptr(),
-        ];
-        factors.sort();
-        (
-            ws.uv_vals.as_ptr(),
-            ws.vt.as_slice().as_ptr(),
-            ws.reg_a.as_slice().as_ptr(),
-            ws.denom_u.as_slice().as_ptr(),
-            factors,
-        )
-    };
-    let ptrs_before = ptrs(&ws, &u);
-
-    // Steady state mirrors the recovering fit loop: update (scoring its
-    // input), health scan, commit, checkpoint. All must be
-    // allocation-free.
-    let policy = Resilience::Recover { stall_patience: 0 };
-    let mut prev = None;
-    COUNTING.set(true);
-    for _ in 0..10 {
-        let fit = multiplicative_step(&ctx, &mut ws, &u, &v).unwrap().fit;
-        assert!(classify(fit, prev, &u, &v, 0, &policy).is_none());
-        prev = Some(fit);
-        ws.commit(&mut u, &mut v);
-        ws.checkpoint_committed();
-    }
-    COUNTING.set(false);
-    let allocs = ALLOCS.load(Ordering::SeqCst);
-
-    assert_eq!(
-        allocs, 0,
-        "update + health scan + checkpoint heap-allocated {allocs} times \
-         across 10 steady-state iterations"
-    );
-    assert!(ws.has_checkpoint());
-
-    assert_eq!(
-        ptrs_before,
-        ptrs(&ws, &u),
-        "workspace buffers were reallocated"
-    );
-    assert!(u.all_finite() && v.all_finite());
-
-    // --- Phase 1b: the fused step with graph and landmarks. -------------
-    // ~90% observed takes the fused path; the objective terms (fit and
-    // Laplacian) come out of the step, and the standalone degree-form
-    // regularization must be allocation-free too. Gradient steps run on
-    // the same passes.
     let dense_omega = mask_with_density(n, m, 0.9, 15);
-    let dense_pattern = ObservedPattern::compile(&x, &dense_omega).unwrap();
-    assert!(
-        dense_pattern.prefers_dense(),
-        "phase 1b must exercise the fused path"
-    );
-    let si = x.columns(0, 2).unwrap();
-    let graph = SpatialGraph::build(&si, 3).unwrap();
-    let lm = Landmarks::compute(&si, k, 100, 0).unwrap();
-    let dense_ctx = UpdateContext {
-        pattern: &dense_pattern,
-        graph: Some(&graph),
-        lambda: 0.5,
-        landmarks: Some(&lm),
-    };
-    let mut ws = Workspace::new(&dense_pattern, k);
-    let mut u = positive_uniform_matrix(n, k, 16);
-    let mut v = positive_uniform_matrix(k, m, 17);
-    lm.inject(&mut v).unwrap();
-    for _ in 0..3 {
-        multiplicative_step(&dense_ctx, &mut ws, &u, &v).unwrap();
-        ws.commit(&mut u, &mut v);
+
+    // --- Phases 1 and 1b, at a small rank and at the wide tables' rank.
+    for k in [4, 20] {
+        update_loop_allocates_nothing(&x, &omega, &dense_omega, k);
     }
-    let dense_allocs = count_allocs(|| {
-        for _ in 0..10 {
-            let terms = multiplicative_step(&dense_ctx, &mut ws, &u, &v).unwrap();
-            assert!(terms.laplacian > 0.0);
-            assert!(graph.regularization(&u).unwrap() > 0.0);
-            ws.commit(&mut u, &mut v);
-        }
-        for _ in 0..10 {
-            let terms = gradient_step(&dense_ctx, &mut ws, &u, &v, 1e-3).unwrap();
-            assert!(terms.laplacian > 0.0);
-            ws.commit(&mut u, &mut v);
-        }
-        assert!(score(&dense_ctx, &mut ws, &u, &v).unwrap().laplacian > 0.0);
-    });
-    assert_eq!(
-        dense_allocs, 0,
-        "fused step + objective heap-allocated {dense_allocs} times \
-         across 20 steady-state iterations"
-    );
-    assert_eq!(ws.counters.dense_steps, 23);
-    assert!(lm.verify_injected(&v));
-    assert!(
-        ws.uv_vals.is_empty() && ws.denom_u.as_slice().is_empty() && ws.reg_a.as_slice().is_empty(),
-        "the fused step sized the sparse-engine scratch"
-    );
 
     // --- Phase 2: bulk kNN allocates nothing per query. -----------------
     // threads = 1 keeps the run on this, the counted, thread; its only
@@ -497,6 +381,137 @@ fn multiplicative_step_allocates_nothing_after_warmup() {
     assert_eq!(
         impute_allocs, 1,
         "impute allocated {impute_allocs} times; expected the one N x M reconstruction"
+    );
+}
+
+/// Phases 1 (the sparse multiplicative step) and 1b (the fused step, both
+/// rules, and the closing score) at rank `k`: no allocation after warmup.
+fn update_loop_allocates_nothing(x: &Matrix, omega: &Mask, dense_omega: &Mask, k: usize) {
+    let (n, m) = x.shape();
+    let pattern = ObservedPattern::compile(x, omega).unwrap();
+    assert!(
+        !pattern.prefers_dense(),
+        "test must exercise the sparse path"
+    );
+
+    let ctx = UpdateContext {
+        pattern: &pattern,
+        graph: None,
+        lambda: 0.0,
+        landmarks: None,
+    };
+    let mut ws = Workspace::new(&pattern, k);
+    let mut u = positive_uniform_matrix(n, k, 9);
+    let mut v = positive_uniform_matrix(k, m, 10);
+
+    // Warmup: first iterations may lazily create buffers — the sparse
+    // scratch on the first step, and the checkpoint double-buffer, which
+    // allocates once on first use.
+    for _ in 0..3 {
+        multiplicative_step(&ctx, &mut ws, &u, &v).unwrap();
+        ws.commit(&mut u, &mut v);
+    }
+    ws.checkpoint_committed();
+
+    let ptrs = |ws: &Workspace, u: &Matrix| {
+        // `commit` swaps U with the candidate buffer and a checkpoint
+        // swaps the candidate with the snapshot: the triple is stable.
+        let mut factors = [
+            u.as_slice().as_ptr(),
+            ws.u_next.as_slice().as_ptr(),
+            ws.snap_u.as_ref().unwrap().as_slice().as_ptr(),
+        ];
+        factors.sort();
+        (
+            ws.uv_vals.as_ptr(),
+            ws.vt.as_slice().as_ptr(),
+            ws.reg_a.as_slice().as_ptr(),
+            ws.denom_u.as_slice().as_ptr(),
+            factors,
+        )
+    };
+    let ptrs_before = ptrs(&ws, &u);
+
+    // Steady state mirrors the recovering fit loop: update (scoring its
+    // input), health scan, commit, checkpoint. All must be
+    // allocation-free.
+    let policy = Resilience::Recover { stall_patience: 0 };
+    let mut prev = None;
+    let allocs = count_allocs(|| {
+        for _ in 0..10 {
+            let fit = multiplicative_step(&ctx, &mut ws, &u, &v).unwrap().fit;
+            assert!(classify(fit, prev, &u, &v, 0, &policy).is_none());
+            prev = Some(fit);
+            ws.commit(&mut u, &mut v);
+            ws.checkpoint_committed();
+        }
+    });
+
+    assert_eq!(
+        allocs, 0,
+        "update + health scan + checkpoint heap-allocated {allocs} times \
+         across 10 steady-state iterations at K = {k}"
+    );
+    assert!(ws.has_checkpoint());
+
+    assert_eq!(
+        ptrs_before,
+        ptrs(&ws, &u),
+        "workspace buffers were reallocated"
+    );
+    assert!(u.all_finite() && v.all_finite());
+
+    // --- Phase 1b: the fused step with graph and landmarks. -------------
+    // ~90% observed takes the fused path; the objective terms (fit and
+    // Laplacian) come out of the step, and the standalone degree-form
+    // regularization must be allocation-free too. Gradient steps run on
+    // the same passes.
+    let dense_pattern = ObservedPattern::compile(x, dense_omega).unwrap();
+    assert!(
+        dense_pattern.prefers_dense(),
+        "phase 1b must exercise the fused path"
+    );
+    let si = x.columns(0, 2).unwrap();
+    let graph = SpatialGraph::build(&si, 3).unwrap();
+    let lm = Landmarks::compute(&si, k, 100, 0).unwrap();
+    let dense_ctx = UpdateContext {
+        pattern: &dense_pattern,
+        graph: Some(&graph),
+        lambda: 0.5,
+        landmarks: Some(&lm),
+    };
+    let mut ws = Workspace::new(&dense_pattern, k);
+    let mut u = positive_uniform_matrix(n, k, 16);
+    let mut v = positive_uniform_matrix(k, m, 17);
+    lm.inject(&mut v).unwrap();
+    for _ in 0..3 {
+        multiplicative_step(&dense_ctx, &mut ws, &u, &v).unwrap();
+        ws.commit(&mut u, &mut v);
+    }
+    let dense_allocs = count_allocs(|| {
+        for _ in 0..10 {
+            let terms = multiplicative_step(&dense_ctx, &mut ws, &u, &v).unwrap();
+            assert!(terms.laplacian > 0.0);
+            assert!(graph.regularization(&u).unwrap() > 0.0);
+            ws.commit(&mut u, &mut v);
+        }
+        for _ in 0..10 {
+            let terms = gradient_step(&dense_ctx, &mut ws, &u, &v, 1e-3).unwrap();
+            assert!(terms.laplacian > 0.0);
+            ws.commit(&mut u, &mut v);
+        }
+        assert!(score(&dense_ctx, &mut ws, &u, &v).unwrap().laplacian > 0.0);
+    });
+    assert_eq!(
+        dense_allocs, 0,
+        "fused step + objective heap-allocated {dense_allocs} times \
+         across 20 steady-state iterations at K = {k}"
+    );
+    assert_eq!(ws.counters.dense_steps, 23);
+    assert!(lm.verify_injected(&v));
+    assert!(
+        ws.uv_vals.is_empty() && ws.denom_u.as_slice().is_empty() && ws.reg_a.as_slice().is_empty(),
+        "the fused step sized the sparse-engine scratch"
     );
 }
 

@@ -30,6 +30,13 @@
 //! updates; its column pass is also the sparse step's `V` update. No
 //! `N x M` buffer exists on either path.
 //!
+//! The SDDMM and SpMM rows are written once, generic over the rank, and
+//! run through the rank table ([`crate::rank`]): at K = 1..=8, 10, 12
+//! and 20 they read `u_i` and `vᵀ_j` as rows of compile-time length and
+//! the SpMM sums each output row in a stack accumulator; any other rank
+//! runs the runtime-`K` instance of the same body, with the same bits,
+//! summing in the output row and allocating nothing.
+//!
 //! Parallelism runs on [`crate::parallel`]'s worker pool: the
 //! dense-output kernels go through `parallel_over_rows`, and the SDDMM
 //! hands the pool chunks of the packed value array split at row
@@ -47,7 +54,9 @@ use crate::mask::Mask;
 use crate::matrix::Matrix;
 use crate::ops::dot;
 use crate::parallel::{par_for_each, parallel_over_rows, threads_for};
+use crate::rank::{Rank, RowSum};
 use crate::simd::{dispatch, Kernel};
+use crate::with_rank;
 use std::mem::size_of;
 use std::ops::Range;
 
@@ -343,15 +352,19 @@ impl ObservedPattern {
         self.check_factors(u, vt, "sddmm_into")?;
         self.check_vals(out, "sddmm_into")?;
         let k = u.cols();
-        let threads = threads_for(2 * self.nnz() * k);
-        if threads <= 1 {
-            dispatch(SddmmRows {
+        let sddmm = |rows: Range<usize>, out: &mut [f64]| {
+            with_rank!(k, |rank| dispatch(SddmmRows {
+                rank,
                 pattern: self,
                 u,
                 vt,
-                rows: 0..self.rows,
+                rows,
                 out,
-            });
+            }))
+        };
+        let threads = threads_for(2 * self.nnz() * k);
+        if threads <= 1 {
+            sddmm(0..self.rows, out);
             return Ok(());
         }
         let target = self.nnz().div_ceil(threads);
@@ -376,15 +389,7 @@ impl ObservedPattern {
             offset = end_offset;
             Some((start_row..row, chunk))
         });
-        par_for_each(threads, chunks, |(rows, out)| {
-            dispatch(SddmmRows {
-                pattern: self,
-                u,
-                vt,
-                rows,
-                out,
-            })
-        });
+        par_for_each(threads, chunks, |(rows, out)| sddmm(rows, out));
         Ok(())
     }
 
@@ -404,13 +409,14 @@ impl ObservedPattern {
         }
         let threads = threads_for(2 * self.nnz() * k);
         let body = |start: usize, end: usize, out: &mut [f64]| {
-            dispatch(SpmmRows {
+            with_rank!(k, |rank| dispatch(SpmmRows {
+                rank,
                 pattern: self,
                 vals,
                 vt,
                 rows: start..end,
                 out,
-            })
+            }))
         };
         parallel_over_rows(out.as_mut_slice(), k, self.rows, threads, body);
         Ok(())
@@ -445,8 +451,10 @@ impl ObservedPattern {
 }
 
 /// Rows `rows` of the SDDMM into `out`, which holds exactly the packed
-/// entries of those rows.
-struct SddmmRows<'a> {
+/// entries of those rows. `u_i` and `vᵀ_j` are read as `K`-long rows of
+/// the rank's instance.
+struct SddmmRows<'a, R> {
+    rank: R,
     pattern: &'a ObservedPattern,
     u: &'a Matrix,
     vt: &'a Matrix,
@@ -454,25 +462,30 @@ struct SddmmRows<'a> {
     out: &'a mut [f64],
 }
 
-impl Kernel for SddmmRows<'_> {
+impl<R: Rank> Kernel for SddmmRows<'_, R> {
     type Out = ();
 
     #[inline(always)]
     fn run(self) {
-        let p = self.pattern;
+        let (p, k) = (self.pattern, self.rank.k());
+        let (u, vt) = (self.u.as_slice(), self.vt.as_slice());
         let base = p.row_ptr[self.rows.start] as usize;
         for i in self.rows {
-            let urow = self.u.row(i);
+            let ui = &u[i * k..][..k];
             for slot in p.row_span(i) {
-                self.out[slot - base] = dot(urow, self.vt.row(p.col_idx[slot] as usize));
+                let vj = &vt[p.col_idx[slot] as usize * k..][..k];
+                self.out[slot - base] = dot(ui, vj);
             }
         }
     }
 }
 
 /// Rows `rows` of the SpMM `R·Vᵀ` into `out`, which holds exactly those
-/// rows of the `N x K` result.
-struct SpmmRows<'a> {
+/// rows of the `N x K` result. Each row is summed from 0.0 in slot order
+/// in the rank's [`Rank::row`]: a stack array copied out at a fixed rank,
+/// the output row itself at a runtime rank.
+struct SpmmRows<'a, R> {
+    rank: R,
     pattern: &'a ObservedPattern,
     vals: &'a [f64],
     vt: &'a Matrix,
@@ -480,21 +493,24 @@ struct SpmmRows<'a> {
     out: &'a mut [f64],
 }
 
-impl Kernel for SpmmRows<'_> {
+impl<R: Rank> Kernel for SpmmRows<'_, R> {
     type Out = ();
 
     #[inline(always)]
     fn run(self) {
-        let (p, k, start) = (self.pattern, self.vt.cols(), self.rows.start);
+        let (p, k, start) = (self.pattern, self.rank.k(), self.rows.start);
+        let vt = self.vt.as_slice();
+        let mut row = self.rank.row();
         for i in self.rows {
-            let orow = &mut self.out[(i - start) * k..(i - start + 1) * k];
-            orow.fill(0.0);
+            let orow = &mut self.out[(i - start) * k..][..k];
+            let sum = row.start(orow);
             let span = p.row_span(i);
             for (&v, &j) in self.vals[span.clone()].iter().zip(&p.col_idx[span]) {
-                for (o, &b) in orow.iter_mut().zip(self.vt.row(j as usize)) {
+                for (o, &b) in sum.iter_mut().zip(&vt[j as usize * k..][..k]) {
                     *o += v * b;
                 }
             }
+            row.finish(orow);
         }
     }
 }
@@ -693,6 +709,7 @@ mod tests {
     use crate::mask::masked_product;
     use crate::ops::{matmul, matmul_bt};
     use crate::random::{positive_uniform_matrix, uniform_matrix};
+    use crate::rank::{Runtime, FIXED_RANKS};
 
     fn mask_mod(n: usize, m: usize, keep_mod: usize) -> Mask {
         let mut mask = Mask::empty(n, m);
@@ -913,42 +930,69 @@ mod tests {
         assert!(!ws.restore(&mut Matrix::zeros(3, 2), &mut cv));
     }
 
+    fn bits(xs: &[f64]) -> Vec<u64> {
+        xs.iter().map(|x| x.to_bits()).collect()
+    }
+
+    /// Runs `kernel` through `dispatch` when `wide`, else directly (the
+    /// baseline instance).
+    fn run_kernel<K: Kernel>(kernel: K, wide: bool) -> K::Out {
+        if wide {
+            dispatch(kernel)
+        } else {
+            kernel.run()
+        }
+    }
+
+    /// The bits of the SDDMM of `(u, vt)` and of the SpMM of that
+    /// SDDMM's output with `vt`, every row in one kernel call, at `rank`.
+    fn products<R: Rank>(
+        rank: R,
+        p: &ObservedPattern,
+        u: &Matrix,
+        vt: &Matrix,
+        wide: bool,
+    ) -> [Vec<u64>; 2] {
+        let rows = 0..p.rows();
+        let mut uv = vec![f64::NAN; p.nnz()];
+        let sddmm = SddmmRows {
+            rank,
+            pattern: p,
+            u,
+            vt,
+            rows: rows.clone(),
+            out: &mut uv,
+        };
+        run_kernel(sddmm, wide);
+        let mut out = vec![f64::NAN; p.rows() * rank.k()];
+        let spmm = SpmmRows {
+            rank,
+            pattern: p,
+            vals: &uv,
+            vt,
+            rows,
+            out: &mut out,
+        };
+        run_kernel(spmm, wide);
+        assert!(uv.iter().chain(&out).all(|a| a.is_finite()));
+        [bits(&uv), bits(&out)]
+    }
+
     #[test]
     fn both_instances_agree_bitwise() {
         if !crate::simd::avx2_instance() {
             eprintln!("no AVX2 on this CPU: only the baseline instance is checked");
         }
-        let bits = |xs: &[f64]| xs.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
         for keep_mod in [2, 14] {
-            for k in (1..=8).chain([11, 20]) {
+            for k in FIXED_RANKS.iter().copied().chain([13, 24]) {
                 let (_, _, p, u, v) = fixture(300, 13, k, keep_mod);
                 let vt = v.transpose();
-                let rows = 0..p.rows();
-                let mut base = vec![f64::NAN; p.nnz()];
-                let mut wide = base.clone();
-                let sddmm = |out| SddmmRows {
-                    pattern: &p,
-                    u: &u,
-                    vt: &vt,
-                    rows: rows.clone(),
-                    out,
-                };
-                sddmm(&mut base).run();
-                dispatch(sddmm(&mut wide));
-                assert_eq!(bits(&base), bits(&wide), "SDDMM rows, K = {k}");
-
-                let mut base_out = vec![f64::NAN; p.rows() * k];
-                let mut wide_out = base_out.clone();
-                let spmm = |out| SpmmRows {
-                    pattern: &p,
-                    vals: &base,
-                    vt: &vt,
-                    rows: rows.clone(),
-                    out,
-                };
-                spmm(&mut base_out).run();
-                dispatch(spmm(&mut wide_out));
-                assert_eq!(bits(&base_out), bits(&wide_out), "SpMM rows, K = {k}");
+                with_rank!(k, |rank| {
+                    let [sddmm, spmm] = products(rank, &p, &u, &vt, false);
+                    let [wide_sddmm, wide_spmm] = products(rank, &p, &u, &vt, true);
+                    assert_eq!(sddmm, wide_sddmm, "SDDMM rows, K = {k}");
+                    assert_eq!(spmm, wide_spmm, "SpMM rows, K = {k}");
+                });
 
                 let fit = FitTerm {
                     pattern: &p,
@@ -961,6 +1005,20 @@ mod tests {
                     vt: &vt,
                 });
                 assert_eq!(fit.run().to_bits(), wide_fit.to_bits(), "fit term, K = {k}");
+            }
+        }
+    }
+
+    #[test]
+    fn fixed_and_runtime_instances_agree_bitwise() {
+        for keep_mod in [2, 14] {
+            for &k in FIXED_RANKS {
+                let (_, _, p, u, v) = fixture(300, 13, k, keep_mod);
+                let vt = v.transpose();
+                let [sddmm, spmm] = with_rank!(k, |rank| products(rank, &p, &u, &vt, true));
+                let [run_sddmm, run_spmm] = products(Runtime(k), &p, &u, &vt, true);
+                assert_eq!(sddmm, run_sddmm, "SDDMM rows, K = {k}");
+                assert_eq!(spmm, run_spmm, "SpMM rows, K = {k}");
             }
         }
     }

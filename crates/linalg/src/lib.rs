@@ -24,6 +24,10 @@
 //!   observed entries only, into a reusable [`Workspace`].
 //! - [`simd`] — runs each update-loop kernel in an AVX2 instance when
 //!   the CPU has AVX2, with the same bits as the baseline instance.
+//! - [`rank`] — the rank table ([`with_rank!`](crate::with_rank)):
+//!   every update-loop kernel runs in an instance compiled for its rank
+//!   `K` when `K` is in the table, and in a runtime-`K` instance
+//!   otherwise.
 //! - [`eigen`] / [`svd`] — cyclic-Jacobi symmetric eigensolver and a thin
 //!   SVD (Gram route), powering the MC / SoftImpute / PCA baselines.
 //! - [`random`] — seed-deterministic matrix initialization.
@@ -51,6 +55,7 @@ pub mod matrix;
 pub mod ops;
 pub mod parallel;
 pub mod random;
+pub mod rank;
 pub mod simd;
 pub mod solve;
 pub mod svd;
